@@ -61,12 +61,12 @@ def test_ablation_rewrite_work(benchmark, mc_setup, report_writer):
         rows = []
         for query in bench.queries:
             seeker = MultiColumnSeeker(query.table.rows, k=10)
-            plain = seeker.fetch_candidates(context)
+            plain = seeker.fetch_candidate_arrays(context)[0]
             full_result = seeker.execute(context)
             restrict = Rewrite(
                 mode="intersect", table_ids=tuple(full_result.table_ids())
             )
-            rewritten = seeker.fetch_candidates(context, restrict)
+            rewritten = seeker.fetch_candidate_arrays(context, restrict)[0]
             rows.append((len(plain), len(rewritten)))
         return rows
 

@@ -1,15 +1,18 @@
 """Micro-benchmark: offline AllTables build + bulk ingest + seeker query
-hot path (the perf surfaces of the vectorised indexing PR).
+hot path.
 
 Phases measured (all on a seeded Table-II-style generated lake):
 
 ==================  ========================================================
-build_scalar        seed cell-at-a-time ``build_alltables`` (reference)
-build_vectorized    columnar fast path (batch XASH + ``insert_columns``)
-build_parallel_wN   sharded build, ``IndexConfig(workers=N)`` (the
-                    ``--workers`` axis; adaptive scheduling, so on a
-                    single-CPU host this measures the in-process sharded
-                    kernel and the fan-out engages where cores exist)
+build_scalar        the cell-at-a-time reference oracle
+                    (``tests/oracles/alltables_scalar.py``)
+build               ``build_alltables`` (batch XASH + ``insert_columns``),
+                    in-process
+build_parallel_wN   ``build_alltables`` with ``IndexConfig(workers=N)``
+                    (the ``--workers`` axis; the worker count is clamped
+                    to the available CPUs, so on a single-CPU host this
+                    repeats ``build`` and the fan-out engages where
+                    cores exist)
 normalize_scalar    per-cell ``normalize_cell`` loop over the lake's full
                     cell matrix (the old flush-path tokenisation)
 normalize           the batched ``normalize_tokens`` kernel on the same
@@ -32,10 +35,16 @@ smoke-tests the harness under CI.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles.alltables_scalar import build_alltables_scalar
 
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
@@ -87,20 +96,16 @@ def run_benchmark(
     lake = _bench_lake(seed, scale)
     results: dict[str, dict[str, float]] = {}
 
-    # -- offline build: scalar reference vs columnar fast path ----------------
+    # -- offline build: scalar reference oracle vs the build pipeline ---------
     xash.cache_clear()  # a fresh process has a cold token cache
     db_scalar = Database(backend="column")
-    seconds, report = _timed(
-        lambda: build_alltables(lake, db_scalar, IndexConfig(vectorized=False))
-    )
+    seconds, report = _timed(lambda: build_alltables_scalar(lake, db_scalar))
     index_rows = report.num_index_rows
     results["build_scalar"] = _phase(seconds, index_rows)
 
     db_vector = Database(backend="column")
-    seconds, _ = _timed(
-        lambda: build_alltables(lake, db_vector, IndexConfig(vectorized=True))
-    )
-    results["build_vectorized"] = _phase(seconds, index_rows)
+    seconds, _ = _timed(lambda: build_alltables(lake, db_vector))
+    results["build"] = _phase(seconds, index_rows)
 
     if workers:
         db_parallel = Database(backend="column")
@@ -110,7 +115,7 @@ def run_benchmark(
         if parallel_report.num_index_rows != index_rows:
             raise AssertionError(
                 f"parallel build produced {parallel_report.num_index_rows} "
-                f"index rows, serial produced {index_rows}"
+                f"index rows, in-process produced {index_rows}"
             )
         results[f"build_parallel_w{workers}"] = _phase(seconds, index_rows)
 
@@ -222,7 +227,7 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
             f"{phase:<18} {numbers['seconds']:>10.4f} {numbers['rows_per_sec']:>14,.0f}"
         )
     build = results.get("build_scalar", {}).get("seconds")
-    fast = results.get("build_vectorized", {}).get("seconds")
+    fast = results.get("build", {}).get("seconds")
     if build and fast:
         lines.append(f"build speedup: {build / fast:.1f}x")
     parallel = [
@@ -234,7 +239,7 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
         if fast and seconds:
             lines.append(
                 f"parallel build speedup ({phase[len('build_parallel_'):]}, "
-                f"{_available_cpus()} cpu available): {fast / seconds:.2f}x vs vectorized serial"
+                f"{_available_cpus()} cpu available): {fast / seconds:.2f}x vs in-process"
             )
     norm_scalar, norm_kernel = (
         results.get("normalize_scalar", {}).get("seconds"),
@@ -259,11 +264,11 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
 
 def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -> str:
     """Hardware-independent parity smoke (``run_bench.py --check-only``):
-    assert the scalar oracle, the vectorised serial build, and the
-    sharded parallel build (both adaptive and pinned-pool scheduling)
-    produce byte-identical ``AllTables`` relations on a reduced-scale
-    lake, and that the batched ``normalize_tokens`` kernel matches the
-    per-cell ``normalize_cell`` oracle cell-for-cell over the same lake.
+    assert the scalar oracle and ``build_alltables`` (in-process and
+    with ``workers``, which fans out where CPUs exist) produce
+    byte-identical ``AllTables`` relations on a reduced-scale lake, and
+    that the batched ``normalize_tokens`` kernel matches the per-cell
+    ``normalize_cell`` oracle cell-for-cell over the same lake.
     No timing thresholds -- raises ``AssertionError`` on any divergence,
     returns a summary line otherwise.
     """
@@ -274,29 +279,23 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -
             "token parity violated: normalize_tokens diverged from the "
             "scalar normalize_cell oracle"
         )
-    configs = {
-        "scalar": IndexConfig(vectorized=False),
-        "vectorized": IndexConfig(vectorized=True),
-    }
-    if workers:  # 0 disables the parallel pipelines, mirroring run_benchmark
+    oracle_db = Database(backend="column")
+    build_alltables_scalar(lake, oracle_db)
+    reference = oracle_db.execute("SELECT * FROM AllTables").rows
+    configs = {"in_process": IndexConfig()}
+    if workers:  # 0 disables the parallel build, mirroring run_benchmark
         configs[f"parallel_w{workers}"] = IndexConfig(workers=workers)
-        configs[f"parallel_w{workers}_pinned"] = IndexConfig(
-            workers=workers, pin_workers=True
-        )
-    rows = {}
     for name, config in configs.items():
         db = Database(backend="column")
         build_alltables(lake, db, config)
-        rows[name] = db.execute("SELECT * FROM AllTables").rows
-    reference = rows.pop("scalar")
-    for name, produced in rows.items():
+        produced = db.execute("SELECT * FROM AllTables").rows
         if produced != reference:
             raise AssertionError(
                 f"build parity violated: {name} produced {len(produced)} rows "
                 f"diverging from the scalar oracle ({len(reference)} rows)"
             )
     return (
-        f"index build parity OK: {len(configs)} pipelines x "
+        f"index build parity OK: oracle + {len(configs)} schedules x "
         f"{len(reference)} identical AllTables rows (scale={scale}); "
         f"normalize kernel matches the scalar oracle on {len(cells)} cells"
     )
@@ -304,7 +303,7 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -
 
 PHASES = (
     "build_scalar",
-    "build_vectorized",
+    "build",
     "build_parallel_w4",
     "normalize_scalar",
     "normalize",

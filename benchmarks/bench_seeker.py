@@ -1,5 +1,5 @@
-"""Micro-benchmark: online MC seeker throughput, scalar vs vectorized
-phases (the perf surface of the batched phase-2/3 PR).
+"""Micro-benchmark: online seeker throughput -- the MC seeker against
+its scalar reference oracle, plus the SC / KW templates.
 
 The lake is built MC-heavy: a shared pool of (city, country) pairs is
 sampled into every table -- mostly row-aligned (validating candidates),
@@ -10,16 +10,17 @@ filtering + validation dominate end-to-end multi-column search latency.
 Phases measured::
 
 ==================  ========================================================
-mc_scalar           seed tuple-at-a-time phases 2/3 (reference oracle)
-mc_vectorized       batched pipeline (columnar fetch, bitwise filter,
+mc_scalar           the tuple-at-a-time reference oracle
+                    (``tests/oracles/mc_scalar.py``)
+mc                  ``MultiColumnSeeker`` (columnar fetch, bitwise filter,
                     per-table factorized validation)
 sc_query            SC template throughput (dictionary-coded aggregation)
 kw_query            KW template throughput
 ==================  ========================================================
 
-Before timing, the harness asserts the two MC pipelines produce identical
-validated row sets and identical rankings -- the oracle guarantee behind
-the committed speedup. Results serialise as
+Before timing, the harness asserts the seeker and the oracle produce
+identical validated row sets and identical rankings -- the oracle
+guarantee behind the committed speedup. Results serialise as
 ``{phase: {"seconds": ..., "queries_per_sec": ...}}`` into
 ``BENCH_seeker.json`` via ``benchmarks/run_bench.py --suite seeker``.
 """
@@ -27,9 +28,14 @@ the committed speedup. Results serialise as
 from __future__ import annotations
 
 import random
+import sys
 import time
+from pathlib import Path
 from typing import Any, Callable
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from oracles import mc_scalar
 
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
@@ -115,32 +121,28 @@ def _value_queries(lake: DataLake, seed: int) -> tuple[list, list]:
     )
 
 
-def _assert_oracle_parity(queries: list, scalar: SeekerContext, vector: SeekerContext) -> None:
+def _assert_oracle_parity(queries: list, context: SeekerContext) -> None:
     """The acceptance bar behind the speedup: identical validated row
-    sets AND identical rankings between the scalar and batched phases."""
+    sets AND identical rankings between the scalar oracle and the seeker."""
     for seeker in queries:
-        candidates = seeker.fetch_candidates(scalar)
-        survivors = seeker.superkey_filter(candidates, scalar)
-        validated = set(seeker.validate(survivors, scalar))
-        t, r, s = seeker.fetch_candidate_arrays(vector)
-        ft, fr = seeker.superkey_filter_batch(t, r, s, vector)
-        vt, vr = seeker.validate_batch(ft, fr, vector)
+        candidates = mc_scalar.fetch_candidates(seeker, context)
+        survivors = mc_scalar.superkey_filter(seeker, candidates, context)
+        validated = set(mc_scalar.validate(seeker, survivors, context))
+        t, r, s = seeker.fetch_candidate_arrays(context)
+        ft, fr = seeker.superkey_filter_batch(t, r, s, context)
+        vt, vr = seeker.validate_batch(ft, fr, context)
         batched = set(zip(vt.tolist(), vr.tolist()))
         if batched != validated:
             raise AssertionError(
-                f"validated-set divergence: {len(batched)} batched vs "
-                f"{len(validated)} scalar rows"
+                f"validated-set divergence: {len(batched)} seeker vs "
+                f"{len(validated)} oracle rows"
             )
-        ranking_scalar = [
-            (hit.table_id, hit.score) for hit in seeker.execute(scalar)
+        ranking_oracle = [
+            (hit.table_id, hit.score) for hit in mc_scalar.execute(seeker, context)
         ]
-        ranking_vector = [
-            (hit.table_id, hit.score) for hit in seeker.execute(vector)
-        ]
-        if ranking_scalar != ranking_vector:
-            raise AssertionError(
-                f"ranking divergence: {ranking_vector} vs {ranking_scalar}"
-            )
+        ranking = [(hit.table_id, hit.score) for hit in seeker.execute(context)]
+        if ranking != ranking_oracle:
+            raise AssertionError(f"ranking divergence: {ranking} vs {ranking_oracle}")
 
 
 def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dict[str, float]]:
@@ -151,30 +153,31 @@ def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dic
     db = Database(backend="column")
     build_alltables(lake, db)
 
-    scalar = SeekerContext(db=db, lake=lake, vectorized=False)
-    vector = SeekerContext(db=db, lake=lake, vectorized=True)
+    context = SeekerContext(db=db, lake=lake)
     mc_queries = _mc_queries(lake, seed)
     sc_queries, kw_queries = _value_queries(lake, seed)
 
-    _assert_oracle_parity(mc_queries, scalar, vector)
+    _assert_oracle_parity(mc_queries, context)
 
     results: dict[str, dict[str, float]] = {}
 
-    def run_all(queries: list, context: SeekerContext) -> None:
+    def run_all(queries: list, execute=lambda seeker: seeker.execute(context)) -> None:
         for _ in range(QUERY_ROUNDS):
             for seeker in queries:
-                seeker.execute(context)
+                execute(seeker)
 
     total_mc = QUERY_ROUNDS * len(mc_queries)
-    seconds, _ = _timed(lambda: run_all(mc_queries, scalar))
+    seconds, _ = _timed(
+        lambda: run_all(mc_queries, lambda seeker: mc_scalar.execute(seeker, context))
+    )
     results["mc_scalar"] = _phase(seconds, total_mc)
-    seconds, _ = _timed(lambda: run_all(mc_queries, vector))
-    results["mc_vectorized"] = _phase(seconds, total_mc)
+    seconds, _ = _timed(lambda: run_all(mc_queries))
+    results["mc"] = _phase(seconds, total_mc)
 
     total_values = QUERY_ROUNDS * len(sc_queries)
-    seconds, _ = _timed(lambda: run_all(sc_queries, vector))
+    seconds, _ = _timed(lambda: run_all(sc_queries))
     results["sc_query"] = _phase(seconds, total_values)
-    seconds, _ = _timed(lambda: run_all(kw_queries, vector))
+    seconds, _ = _timed(lambda: run_all(kw_queries))
     results["kw_query"] = _phase(seconds, total_values)
 
     return results
@@ -182,20 +185,18 @@ def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dic
 
 def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
     """Hardware-independent parity smoke (``run_bench.py --check-only``):
-    assert the scalar MC oracle and the batched pipeline produce
-    identical validated row sets and rankings on a reduced-scale lake.
-    No timing -- raises ``AssertionError`` on divergence."""
+    assert the scalar MC oracle and the seeker produce identical
+    validated row sets and rankings on a reduced-scale lake. No timing --
+    raises ``AssertionError`` on divergence."""
     lake = _bench_lake(seed, scale)
     xash.cache_clear()
     db = Database(backend="column")
     build_alltables(lake, db)
-    scalar = SeekerContext(db=db, lake=lake, vectorized=False)
-    vector = SeekerContext(db=db, lake=lake, vectorized=True)
     queries = _mc_queries(lake, seed)
-    _assert_oracle_parity(queries, scalar, vector)
+    _assert_oracle_parity(queries, SeekerContext(db=db, lake=lake))
     return (
-        f"MC seeker oracle parity OK: {len(queries)} queries, scalar and "
-        f"batched pipelines agree on validated rows and rankings (scale={scale})"
+        f"MC seeker oracle parity OK: {len(queries)} queries, scalar oracle and "
+        f"seeker agree on validated rows and rankings (scale={scale})"
     )
 
 
@@ -207,11 +208,11 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
         )
     scalar, vector = (
         results.get("mc_scalar", {}).get("seconds"),
-        results.get("mc_vectorized", {}).get("seconds"),
+        results.get("mc", {}).get("seconds"),
     )
     if scalar and vector:
         lines.append(f"MC end-to-end speedup: {scalar / vector:.1f}x")
     return "\n".join(lines)
 
 
-PHASES = ("mc_scalar", "mc_vectorized", "sc_query", "kw_query")
+PHASES = ("mc_scalar", "mc", "sc_query", "kw_query")

@@ -51,11 +51,10 @@ def _blend_counts(bench, blend, query):
     """BLEND's (TP, FP) among post-superkey candidates."""
     seeker = MultiColumnSeeker(query.table.rows, k=10)
     context = blend.context()
-    candidates = seeker.fetch_candidates(context)
-    filtered = seeker.superkey_filter(candidates, context)
-    validated = set(seeker.validate(filtered, context))
-    tp = len(validated)
-    fp = len(filtered) - tp
+    tables, rows, keys = seeker.fetch_candidate_arrays(context)
+    filtered = seeker.superkey_filter_batch(tables, rows, keys, context)
+    tp = len(seeker.validate_batch(*filtered, context)[0])
+    fp = len(filtered[0]) - tp
     return tp, fp
 
 

@@ -18,11 +18,11 @@ has no false negatives).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.results import ResultList, TableHit
-from ..core.seekers import _row_contains_any_tuple
 from ..index.xash import DEFAULT_HASH_SIZE, DEFAULT_NUM_CHARS, may_contain, super_key, xash
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, normalize_cell
@@ -106,11 +106,14 @@ class MateIndex:
         # Step 3: application-level row-by-row validation (the baseline's
         # bottleneck in the paper's complex-task experiments).
         counts: dict[int, int] = {}
-        query_tuple_set = set(tuples)
+        needed = [Counter(query_tuple) for query_tuple in set(tuples)]
         for table_id, row_id in filtered:
             table = self.lake.by_id(table_id)
-            row_tokens = [normalize_cell(v) for v in table.rows[row_id]]
-            if _row_contains_any_tuple(row_tokens, query_tuple_set, width):
+            # Row-aligned containment: distinct tokens sit in disjoint
+            # columns, so a tuple fits iff the row holds each of its
+            # tokens at least as often as the tuple does.
+            have = Counter(normalize_cell(v) for v in table.rows[row_id])
+            if any(all(have[t] >= n for t, n in need.items()) for need in needed):
                 counts[table_id] = counts.get(table_id, 0) + 1
                 stats.true_positives += 1
             else:

@@ -1,6 +1,6 @@
 """Cross-query batched seeker execution for the serving tier.
 
-The vectorized kernels of :mod:`repro.core.seekers` batch *inside* one
+The array kernels of :mod:`repro.core.seekers` batch *inside* one
 query (one ``may_contain_batch`` pass, one count-matrix validation); this
 module batches *across* concurrently-arriving queries of the same
 modality so a serving batch window runs a fixed number of index passes
@@ -86,15 +86,15 @@ def execute_batch_partials(
     identical to ``seeker.partials(context)`` -- this is what a shard
     worker ships to the scatter-gather coordinator.
 
-    Seekers outside the batchable modalities (or MC under a
-    non-vectorized context) fall back to their own ``partials``.
+    Seekers outside the batchable modalities fall back to their own
+    ``partials``.
     """
     context.ensure_fresh()
     results: list[Optional[SeekerPartials]] = [None] * len(seekers)
     value_groups: dict[str, list[int]] = {}
     mc_group: list[int] = []
     for i, seeker in enumerate(seekers):
-        if isinstance(seeker, MultiColumnSeeker) and context.vectorized:
+        if isinstance(seeker, MultiColumnSeeker):
             mc_group.append(i)
         elif isinstance(seeker, (SingleColumnSeeker, KeywordSeeker)):
             value_groups.setdefault(seeker.kind, []).append(i)

@@ -24,12 +24,7 @@ import numpy as np
 from ..engine.database import Database
 from ..errors import SeekerError, StaleContextError
 from ..index.quadrant import split_keys_by_target
-from ..index.xash import (
-    may_contain,
-    may_contain_batch,
-    tuple_hash,
-    tuple_hashes_batch,
-)
+from ..index.xash import may_contain_batch, tuple_hashes_batch
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, Table, normalize_cell
 from .results import (
@@ -96,11 +91,6 @@ class SeekerContext:
     (:mod:`repro.core.semantic`); ``None`` unless the deployment called
     ``Blend.enable_semantic()``.
 
-    ``vectorized`` selects the batched MC phase-2/3 pipeline (the
-    default); ``False`` runs the seed scalar phases, kept as the
-    reference oracle exactly like ``IndexConfig(vectorized=False)`` on
-    the offline side.
-
     ``generation`` is the lake generation this context was created at
     (``Blend.context()`` stamps it). Seekers refuse to run against a
     context whose lake has since mutated -- a stale context could
@@ -116,7 +106,6 @@ class SeekerContext:
     hash_size: int = 63
     xash_chars: int = 2
     semantic: Optional[Any] = None
-    vectorized: bool = True
     generation: Optional[int] = None
 
     def ensure_fresh(self) -> None:
@@ -332,10 +321,10 @@ class MultiColumnSeeker(Seeker):
         if self.width < 2:
             raise SeekerError("MC seeker requires a composite key (>= 2 columns)")
         # Lazy per-(hash_size, xash_chars) tuple-hash arrays and the
-        # factorized validation requirements (built on first vectorized
-        # execution, reused across executions and rewrites). The cell
-        # memo persists across executions too: the query vocabulary is
-        # fixed per seeker, so a lake cell's code never changes.
+        # factorized validation requirements (built on first execution,
+        # reused across executions and rewrites). The cell memo persists
+        # across executions too: the query vocabulary is fixed per
+        # seeker, so a lake cell's code never changes.
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
         self._requirements: Optional[_QueryRequirements] = None
         self._cell_memo: dict[Any, int] = {}
@@ -381,88 +370,27 @@ class MultiColumnSeeker(Seeker):
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> SeekerPartials:
         """Exact per-table validated-row counts -- the counts-kind
-        partial; per-shard counts sum in the merge before the top-k.
-
-        ``context.vectorized`` selects the batched phase-2/3 pipeline
-        (columnar candidate fetch, one bitwise pass, per-table factorized
-        validation); ``False`` runs the seed scalar phases, kept as the
-        reference oracle."""
+        partial; per-shard counts sum in the merge before the top-k."""
         context.ensure_fresh()
-        if context.vectorized:
-            table_ids, row_ids, super_keys = self.fetch_candidate_arrays(
-                context, rewrite
-            )
-            table_ids, row_ids = self.superkey_filter_batch(
-                table_ids, row_ids, super_keys, context
-            )
-            table_ids, _ = self.validate_batch(table_ids, row_ids, context)
-            if len(table_ids) == 0:
-                return count_partials([], [])
-            unique_tables, counts = np.unique(table_ids, return_counts=True)
-            return count_partials(unique_tables, counts)
-        candidates = self.fetch_candidates(context, rewrite)
-        filtered = self.superkey_filter(candidates, context)
-        validated = self.validate(filtered, context)
-        counts_by_table: dict[int, int] = {}
-        for table_id, _ in validated:
-            counts_by_table[table_id] = counts_by_table.get(table_id, 0) + 1
-        return count_partials(
-            list(counts_by_table.keys()), list(counts_by_table.values())
+        table_ids, row_ids, super_keys = self.fetch_candidate_arrays(context, rewrite)
+        table_ids, row_ids = self.superkey_filter_batch(
+            table_ids, row_ids, super_keys, context
         )
+        table_ids, _ = self.validate_batch(table_ids, row_ids, context)
+        if len(table_ids) == 0:
+            return count_partials([], [])
+        unique_tables, counts = np.unique(table_ids, return_counts=True)
+        return count_partials(unique_tables, counts)
 
-    # -- the three MC phases, exposed for tests and Table V ------------------------
-
-    def fetch_candidates(
-        self, context: SeekerContext, rewrite: Optional[Rewrite] = None
-    ) -> list[tuple[int, int, int]]:
-        """Phase 1: (TableId, RowId, SuperKey) rows from the SQL join."""
-        sql = self.sql(rewrite).format(index=context.index_table)
-        result = context.db.execute(sql, self.params(rewrite))
-        seen: set[tuple[int, int]] = set()
-        candidates: list[tuple[int, int, int]] = []
-        for table_id, row_id, super_key_value in result.rows:
-            key = (table_id, row_id)
-            if key not in seen:
-                seen.add(key)
-                candidates.append((table_id, row_id, super_key_value))
-        return candidates
-
-    def superkey_filter(
-        self, candidates: list[tuple[int, int, int]], context: SeekerContext
-    ) -> list[tuple[int, int]]:
-        """Phase 2: prune rows whose super key cannot contain any tuple."""
-        hashes = [
-            tuple_hash(t, context.hash_size, context.xash_chars) for t in self.tuples
-        ]
-        survivors: list[tuple[int, int]] = []
-        for table_id, row_id, super_key_value in candidates:
-            if any(may_contain(super_key_value, h) for h in hashes):
-                survivors.append((table_id, row_id))
-        return survivors
-
-    def validate(
-        self, candidates: list[tuple[int, int]], context: SeekerContext
-    ) -> list[tuple[int, int]]:
-        """Phase 3: exact containment check against the lake tuples."""
-        query_tuples = set(self.tuples)
-        validated: list[tuple[int, int]] = []
-        for table_id, row_id in candidates:
-            table = context.lake.by_id(table_id)
-            if not 0 <= row_id < table.num_rows:
-                continue  # stale index rows; negatives must not wrap
-            row_tokens = [normalize_cell(v) for v in table.rows[row_id]]
-            if _row_contains_any_tuple(row_tokens, query_tuples, self.width):
-                validated.append((table_id, row_id))
-        return validated
-
-    # -- batched phases (the vectorized pipeline; scalar methods above are
-    # -- the reference oracle) -----------------------------------------------------
+    # -- the three MC phases, exposed for tests and Table V; the scalar
+    # -- reference they are pinned against is tests/oracles/mc_scalar.py --------
 
     def fetch_candidate_arrays(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phase 1, array form: deduplicated ``(TableId, RowId, SuperKey)``
-        columns straight from the executor -- no per-row Python tuples."""
+        """Phase 1: deduplicated ``(TableId, RowId, SuperKey)`` columns
+        from the SQL join, straight from the executor -- no per-row
+        Python tuples."""
         sql = self.sql(rewrite).format(index=context.index_table)
         result = context.db.execute_columnar(sql, self.params(rewrite))
         table_ids = result.arrays[0][0]
@@ -485,17 +413,19 @@ class MultiColumnSeeker(Seeker):
         super_keys: np.ndarray,
         context: SeekerContext,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 2, array form: one bitwise-AND pass per distinct query
-        hash over the full candidate array."""
+        """Phase 2: prune rows whose super key cannot contain any tuple
+        -- one bitwise-AND pass per distinct query hash over the full
+        candidate array."""
         mask = may_contain_batch(super_keys, self._tuple_hash_array(context))
         return table_ids[mask], row_ids[mask]
 
     def validate_batch(
         self, table_ids: np.ndarray, row_ids: np.ndarray, context: SeekerContext
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 3, array form: survivors grouped per table, each table's
-        candidate rows gathered in one lake call, then ONE global
-        containment check over factorized token codes.
+        """Phase 3: exact containment check against the lake tuples --
+        survivors grouped per table, each table's candidate rows gathered
+        in one lake call (out-of-range row ids from stale index rows are
+        dropped), then ONE global check over factorized token codes.
 
         A row contains a tuple row-aligned iff, for every distinct token
         of the tuple, the row holds at least as many cells with that token
@@ -653,42 +583,6 @@ def _token_count_matrix(
             if code >= 0:
                 counts[i, code] += 1
     return counts
-
-
-def _row_contains_any_tuple(
-    row_tokens: list[Optional[str]], query_tuples: set[tuple[str, ...]], width: int
-) -> bool:
-    """Does the row contain all values of some query tuple in distinct
-    columns? Greedy bipartite check; table widths are small."""
-    present = {}
-    for position, token in enumerate(row_tokens):
-        if token is not None:
-            present.setdefault(token, []).append(position)
-    for query_tuple in query_tuples:
-        if _assignable(query_tuple, present):
-            return True
-    return False
-
-
-def _assignable(values: tuple[str, ...], present: dict[str, list[int]]) -> bool:
-    """Can each value be matched to a distinct column position?
-
-    Backtracking bipartite matching; widths are <= a handful of columns.
-    """
-    used: set[int] = set()
-
-    def backtrack(index: int) -> bool:
-        if index == len(values):
-            return True
-        for position in present.get(values[index], ()):
-            if position not in used:
-                used.add(position)
-                if backtrack(index + 1):
-                    return True
-                used.remove(position)
-        return False
-
-    return backtrack(0)
 
 
 class CorrelationSeeker(Seeker):

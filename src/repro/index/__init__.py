@@ -1,16 +1,16 @@
 """The unified BLEND index: XASH super keys, Quadrant bits, the AllTables
 builder, lake statistics, and Table VIII storage accounting.
 
-The AllTables builder ships three byte-identical pipelines: the default
-**vectorised** fast path (per-flush token factorisation, batch XASH over
-unique tokens via ``xash_batch``, segmented super-key OR-reduction,
-quadrant bits from ``column_quadrant_matrix``, bulk ``insert_columns``
-appends), the **sharded parallel** build (``IndexConfig(workers=N)``:
-cell-balanced table shards fanned out over worker processes, shard
-outputs recoded into one global sorted dictionary and merged in
-table-id order), and the scalar cell-at-a-time reference
-(``IndexConfig(vectorized=False)``), retained as the test oracle.
-``benchmarks/run_bench.py`` tracks the speedups in ``BENCH_index.json``.
+The AllTables builder is one pipeline (per-flush token factorisation,
+batch XASH over unique tokens via ``xash_batch``, segmented super-key
+OR-reduction, quadrant bits from ``column_quadrant_matrix``, one global
+sorted dictionary, bulk ``insert_columns`` appends) shared by the
+offline build and the incremental maintenance entry points;
+``IndexConfig(workers=N)`` fans its per-table stages out over worker
+processes where CPUs exist, with byte-identical output. The scalar
+cell-at-a-time reference it is pinned against is a test oracle
+(``tests/oracles/alltables_scalar.py``), not part of the package.
+``benchmarks/run_bench.py`` tracks the build rows in ``BENCH_index.json``.
 """
 
 from .alltables import (

@@ -15,30 +15,29 @@ Quadrant (bool/NULL)  BLEND's reformulated QCR statistic
 Two in-database hash indexes (CellValue, TableId) provide fast value
 look-up and table loading. All seekers run as SQL over this one relation.
 
-Two build pipelines produce identical output:
+One build pipeline writes the relation, for the offline build and the
+incremental maintenance entry points alike (:func:`build_alltables`,
+:func:`index_table`, :func:`reindex_table`):
 
-* the **vectorised** path (default): each table's cells are normalised
-  into arrays once, XASH runs over the table's *unique* tokens only
-  (:func:`repro.index.xash.xash_batch`) and is broadcast back with an
-  inverse index, super keys are OR-reduced per row with
-  ``np.bitwise_or.reduceat``, quadrant bits come from one matrix pass,
-  and the result is appended through the typed ``insert_columns`` bulk
-  API -- no per-cell Python dispatch anywhere on the hot path;
-* the **scalar** path (``IndexConfig(vectorized=False)``): the original
-  cell-at-a-time loop, kept as the reference oracle -- tests assert the
-  two produce byte-identical ``AllTables`` rows;
-* the **sharded parallel** path (``IndexConfig(workers=N)``): tables are
-  partitioned into cell-balanced contiguous shards, each shard runs
-  factorisation + batched XASH + the super-key fold in a worker process
-  (its own :class:`_FastFactorizer`), and shard outputs are merged
-  deterministically -- local token codes are recoded into one global
-  sorted dictionary (``np.unique`` union + ``np.searchsorted`` remap)
-  and bulk-appended through ``insert_columns``. Output is byte-identical
-  to the serial builds for any worker count. Scheduling is adaptive:
-  worker processes are only spawned up to the CPUs actually available
-  (``pin_workers=True`` forces the requested count), and when one CPU is
-  all there is the sharded pipeline runs in-process, hashing each unique
-  token once against the global dictionary instead of once per shard.
+1. **factorise** (:func:`_table_parts`): each table's cells become flat
+   token-code arrays through one :class:`_Factorizer` (a C-level ``map``
+   over a value memo -- no per-cell Python dispatch), and its Quadrant
+   bits come from one matrix pass;
+2. **encode** (:func:`_encode_part`): ~200k-cell batches of tables are
+   laid out as aligned id / code / quadrant columns with the (table, row)
+   segments that the super-key fold needs;
+3. **merge** (:func:`_merge_and_insert`): the batches' token dictionaries
+   are recoded into one global sorted dictionary, XASH runs over the
+   *unique* tokens only (:func:`repro.index.xash.xash_batch`), super keys
+   are OR-reduced per row, and everything is bulk-appended through the
+   typed ``insert_columns`` API.
+
+Steps 1-2 run in-process, or fanned out over worker processes when
+``IndexConfig(workers=N)`` asks for them *and* the process may run on
+more than one CPU: the lake is partitioned into cell-balanced contiguous
+shards and shard outputs are merged in shard order, so the relation is
+byte-identical for any worker count. The cell-at-a-time reference loop
+this pipeline is pinned against lives in ``tests/oracles/alltables_scalar.py``.
 """
 
 from __future__ import annotations
@@ -60,12 +59,11 @@ from ..engine.storage.column_store import DictEncodedText
 from ..errors import IndexingError
 from ..lake.datalake import DataLake, LakeShard
 from ..lake.table import normalize_cell, normalize_tokens
-from .quadrant import column_means, column_quadrant_matrix, column_quadrant_matrix_fast, quadrant_bit
+from .quadrant import column_quadrant_matrix
 from .xash import (
     DEFAULT_HASH_SIZE,
     DEFAULT_NUM_CHARS,
     segmented_or,
-    super_key,
     xash_batch,
 )
 
@@ -105,17 +103,14 @@ class IndexConfig:
     """Offline-phase knobs.
 
     ``hash_size`` > 63 (MATE's 128-bit XASH variant) only fits the row
-    backend -- the column store's ``SuperKey`` column is int64, and all
-    build pipelines reject the combination up front.
+    backend -- the column store's ``SuperKey`` column is int64, and the
+    build rejects the combination up front.
 
-    ``workers`` selects the sharded parallel build: ``None`` (default)
-    keeps the serial vectorised pipeline, ``N >= 1`` partitions the lake
-    into cell-balanced shards and fans them out over worker processes.
-    The output is byte-identical for every setting. By default the
-    process count is clamped to the CPUs this process may actually use
-    (spawning more just adds IPC); ``pin_workers=True`` forces exactly
-    ``workers`` processes -- tests use it to exercise the pool on any
-    machine.
+    ``workers`` asks for a parallel build: ``N >= 1`` partitions the lake
+    into cell-balanced shards and fans them out over up to ``N`` worker
+    processes, clamped to the CPUs this process may actually use
+    (spawning more just adds IPC); ``None`` (default) builds in-process.
+    The output is byte-identical for every setting.
     """
 
     table_name: str = "AllTables"
@@ -125,9 +120,7 @@ class IndexConfig:
     shuffle_seed: int = 0
     build_value_index: bool = True
     build_table_index: bool = True
-    vectorized: bool = True  # False: scalar reference path (test oracle)
-    workers: Optional[int] = None  # N >= 1: sharded multiprocess build
-    pin_workers: bool = False  # force exactly `workers` processes
+    workers: Optional[int] = None  # N >= 1: fan out over worker processes
     # Semantic extension: build AllVectors + the HNSW alongside AllTables,
     # so build/load/shard paths configure it uniformly (SS and HY seekers
     # need it). Blend.enable_semantic() flips this on after the fact.
@@ -170,29 +163,30 @@ def build_alltables(
     _check_hash_width(config, db)
     _check_workers(config)
     db.create_table(config.table_name, ALLTABLES_SCHEMA)
-    # The offline build emits rows in (TableId, RowId, ColumnId) order;
-    # declaring it as the clustering order lets storage compaction (after
-    # remove/replace maintenance) restore exactly this layout, which is
-    # what makes compacted storage byte-identical to a fresh build.
-    db.set_cluster_keys(config.table_name, ("TableId", "RowId", "ColumnId"))
-
-    if config.workers is not None:
-        null_cells = _ingest_sharded(lake, db, config)
-    elif config.vectorized:
-        null_cells = _ingest_vectorized(lake, db, config)
-    else:
-        null_cells = _ingest_scalar(lake, db, config)
-
-    if config.build_value_index:
-        db.create_index(config.table_name, "CellValue")
-    if config.build_table_index:
-        db.create_index(config.table_name, "TableId")
+    try:
+        # The offline build emits rows in (TableId, RowId, ColumnId)
+        # order; declaring it as the clustering order lets storage
+        # compaction (after remove/replace maintenance) restore exactly
+        # this layout, which is what makes compacted storage
+        # byte-identical to a fresh build.
+        db.set_cluster_keys(config.table_name, ("TableId", "RowId", "ColumnId"))
+        parts = _encode_lake(lake, config)
+        _merge_and_insert(db, config, parts)
+        if config.build_value_index:
+            db.create_index(config.table_name, "CellValue")
+        if config.build_table_index:
+            db.create_index(config.table_name, "TableId")
+    except BaseException:
+        # A half-built, index-less relation must not outlive the failure:
+        # it would make the retry die on "already contains".
+        db.drop_table(config.table_name)
+        raise
 
     return IndexBuildReport(
         table_name=config.table_name,
         num_tables=len(lake),
         num_index_rows=db.num_rows(config.table_name),
-        num_null_cells=null_cells,
+        num_null_cells=sum(part.null_count for part in parts),
         storage_bytes=db.storage_bytes(config.table_name),
     )
 
@@ -210,31 +204,24 @@ def _check_hash_width(config: IndexConfig, db: Database) -> None:
 
 def _check_workers(config: IndexConfig) -> None:
     """Reject unusable worker settings up front."""
-    if config.workers is None:
-        return
-    if config.workers < 1:
+    if config.workers is not None and config.workers < 1:
         raise IndexingError(
-            f"IndexConfig.workers must be >= 1 (or None for the serial "
+            f"IndexConfig.workers must be >= 1 (or None for an in-process "
             f"build), got {config.workers}"
-        )
-    if not config.vectorized:
-        raise IndexingError(
-            "IndexConfig(workers=...) requires the vectorized pipeline; "
-            "the scalar reference path is serial by definition"
         )
 
 
 # --------------------------------------------------------------------------
-# Vectorised pipeline
+# Factorise: table cells -> token codes + quadrant bits
 # --------------------------------------------------------------------------
 
 
 class _TableParts:
     """Pre-hash arrays of one lake table: per-cell token codes and
     quadrant bits, full cell-matrix length (nulls still in place, coded
-    ``-1``). Token resolution and hashing are deferred to flush time so
-    XASH and the dictionary sort run once per ~200k-cell buffer rather
-    than once per table."""
+    ``-1``). Token resolution and hashing are deferred to flush/merge
+    time so XASH and the dictionary sort run over ~200k-cell buffers
+    rather than once per table."""
 
     __slots__ = ("table_id", "codes", "quadrant", "num_rows", "num_cols")
 
@@ -246,92 +233,17 @@ class _TableParts:
         self.num_cols = num_cols
 
 
-class _TokenFactorizer:
-    """Streaming cell -> token-code factorisation (one dict probe per cell).
-
-    ``value_code`` memoises whole cell values (hit for every repeated
-    cell, the common case in skewed lake distributions); ``tokens`` grows
-    in first-seen order and is sorted once per flush. NULL-normalising
-    cells code to ``-1``. Booleans are special-cased up front: ``True ==
-    1`` and ``False == 0`` in Python, so they must never share memo slots
-    with the numbers they compare equal to.
-    """
-
-    __slots__ = ("value_code", "token_code", "tokens", "numeric_memo")
-
-    # How this factorizer computes the Quadrant matrix (the sharded
-    # pipeline's :class:`_FastFactorizer` overrides with the vectorised
-    # per-column variant; both are bit-identical by contract).
-    quadrant_matrix = staticmethod(column_quadrant_matrix)
-
-    def __init__(self) -> None:
-        self.value_code: dict = {}
-        self.token_code: dict = {}
-        self.tokens: list[str] = []
-        self.numeric_memo: dict = {}  # numeric_value cache for quadrants
-
-    def factorize(self, rows, n_cells: int) -> np.ndarray:
-        """Row-major int32 code array for all cells of *rows*."""
-        value_code = self.value_code
-        get = value_code.get
-        out: list[int] = []
-        append = out.append
-        true_code = false_code = None
-        for row in rows:
-            for value in row:
-                if value is None:
-                    append(-1)
-                elif value is True:
-                    if true_code is None:
-                        true_code = self._token_code("true")
-                    append(true_code)
-                elif value is False:
-                    if false_code is None:
-                        false_code = self._token_code("false")
-                    append(false_code)
-                else:
-                    code = get(value)
-                    if code is None:
-                        token = normalize_cell(value)
-                        code = -1 if token is None else self._token_code(token)
-                        value_code[value] = code
-                    append(code)
-        codes = np.empty(n_cells, dtype=np.int32)
-        codes[:] = out
-        return codes
-
-    def _token_code(self, token: str) -> int:
-        code = self.token_code.get(token)
-        if code is None:
-            code = len(self.tokens)
-            self.token_code[token] = code
-            self.tokens.append(token)
-        return code
-
-    def factorize_tokens(self, tokens, n_cells: int) -> np.ndarray:
-        """:meth:`factorize` fed pre-normalised tokens (a
-        ``Table.normalized_cells`` cache): skips the per-cell
-        ``normalize_cell`` scalar loop. Identical codes by construction
-        -- first-seen token order equals first-seen raw-value token
-        order, and ``_token_code`` assigns codes off exactly that order
-        in both paths."""
-        token_code = self._token_code
-        out = np.empty(n_cells, dtype=np.int32)
-        out[:] = [-1 if t is None else token_code(t) for t in tokens]
-        return out
-
-
 class _ValueMemo(dict):
     """Cell-value -> token-code memo whose miss logic lives in
     ``__missing__``, so a whole flush factorises as one C-level
     ``map(memo.__getitem__, cells)`` with the interpreter entered only on
     first-seen values.
 
-    Bit-identical to :class:`_TokenFactorizer` coding by construction:
-    NULL is pre-seeded to ``-1``, and the Python bool/int duality
-    (``True == 1``, ``False == 0``) is handled by *exclusion* -- no value
-    comparing equal to 0 or 1 is ever memoised, so a bulk lookup can
-    never serve ``True`` the code of ``1`` (or vice versa); all such
+    Codes index ``tokens`` in first-seen order; NULL-normalising cells
+    code to ``-1`` (NULL itself is pre-seeded). The Python bool/int
+    duality (``True == 1``, ``False == 0``) is handled by *exclusion* --
+    no value comparing equal to 0 or 1 is ever memoised, so a bulk lookup
+    can never serve ``True`` the code of ``1`` (or vice versa); all such
     cells take the miss path every time, where identity checks pick the
     right token.
     """
@@ -384,17 +296,15 @@ class _TokenMemo(dict):
         return code
 
 
-class _FastFactorizer:
-    """The sharded pipeline's factoriser: same duck type as
-    :class:`_TokenFactorizer` (``tokens`` / ``numeric_memo`` /
-    ``factorize`` / ``quadrant_matrix``), with the per-cell interpreter
-    loop replaced by a flat ``itertools.chain`` flatten plus one
-    ``map`` over :class:`_ValueMemo`, and the vectorised per-column
-    Quadrant pass."""
+class _Factorizer:
+    """Streaming cell -> token-code factorisation for one flush buffer:
+    a flat ``itertools.chain`` flatten plus one ``map`` over
+    :class:`_ValueMemo` (raw cells) or :class:`_TokenMemo`
+    (pre-normalised tokens); both share one token registry, so mixing
+    them within a flush is safe. ``numeric_memo`` caches
+    ``numeric_value`` per distinct cell for the Quadrant pass."""
 
     __slots__ = ("memo", "numeric_memo", "_token_memo")
-
-    quadrant_matrix = staticmethod(column_quadrant_matrix_fast)
 
     def __init__(self) -> None:
         self.memo = _ValueMemo()
@@ -406,6 +316,7 @@ class _FastFactorizer:
         return self.memo.tokens
 
     def factorize(self, rows, n_cells: int) -> np.ndarray:
+        """Row-major int32 code array for all cells of *rows*."""
         codes = np.array(
             list(map(self.memo.__getitem__, chain.from_iterable(rows))),
             dtype=np.int32,
@@ -415,9 +326,10 @@ class _FastFactorizer:
         return codes
 
     def factorize_tokens(self, tokens, n_cells: int) -> np.ndarray:
-        """:meth:`factorize` over pre-normalised tokens (see
-        ``_TokenFactorizer.factorize_tokens``); codes come from the same
-        shared registry, so mixing both paths within a flush is safe."""
+        """:meth:`factorize` fed pre-normalised tokens (a
+        ``Table.normalized_cells`` cache): skips the per-cell
+        ``normalize_cell`` call. Identical codes by construction --
+        first-seen token order equals first-seen raw-value token order."""
         if self._token_memo is None:
             self._token_memo = _TokenMemo(self.memo)
         codes = np.array(
@@ -428,42 +340,20 @@ class _FastFactorizer:
         return codes
 
 
-def _ingest_vectorized(lake: DataLake, db: Database, config: IndexConfig) -> int:
-    null_cells = 0
-    buffer: list[_TableParts] = []
-    buffered = 0
-    factorizer = _TokenFactorizer()
-    for table_id, table in lake.items():
-        perm: Optional[list[int]] = None
-        if config.shuffle_rows:
-            perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
-        parts = _table_parts(table_id, table, factorizer, perm)
-        if parts is not None:
-            buffer.append(parts)
-            buffered += len(parts.codes)
-        if buffered >= _FLUSH_ROWS:
-            null_cells += _hash_and_insert(db, config, buffer, factorizer)[1]
-            buffer, buffered = [], 0
-            factorizer = _TokenFactorizer()
-    if buffer:
-        null_cells += _hash_and_insert(db, config, buffer, factorizer)[1]
-    return null_cells
-
-
 def _table_parts(
     table_id: int,
     table,
-    factorizer: _TokenFactorizer,
+    factorizer: _Factorizer,
     perm: Optional[list[int]] = None,
 ) -> Optional[_TableParts]:
     """Normalise one lake table into flat code arrays (row-major emission
-    order, identical to the scalar loop); ``None`` for empty tables."""
+    order); ``None`` for empty tables."""
     n_rows, n_cols = table.num_rows, table.num_columns
     n_cells = n_rows * n_cols
     if n_cells == 0:
         return None
 
-    _, quad = factorizer.quadrant_matrix(table, factorizer.numeric_memo)
+    _, quad = column_quadrant_matrix(table, factorizer.numeric_memo)
     if perm is not None:
         quad = quad[np.asarray(perm, dtype=np.int64)]
 
@@ -499,13 +389,13 @@ class _ShardPart:
 
     All arrays are aligned on the part's non-null cells in emission order
     (row-major within each table, tables in id order). ``codes`` index
-    into the part-local sorted ``tokens`` dictionary; the merge recodes
-    them into the global dictionary. ``super_keys`` is per-cell and
-    either already folded (pool mode hashes inside the worker) or
-    ``None`` with ``row_starts`` marking the (table, row) segments so the
-    fold can run after the global dictionary is hashed once (in-process
-    mode). Plain slots of NumPy arrays: cheap to pickle back from worker
-    processes.
+    into the part-local ``tokens`` dictionary (first-seen order); the
+    merge recodes them into the global sorted dictionary. ``super_keys``
+    is per-cell and either already folded (pool mode hashes inside the
+    worker) or ``None`` with ``row_starts`` marking the (table, row)
+    segments so the fold can run after the global dictionary is hashed
+    once (in-process mode). Plain slots of NumPy arrays: cheap to pickle
+    back from worker processes.
     """
 
     __slots__ = (
@@ -534,26 +424,17 @@ class _ShardPart:
 
 
 def _encode_part(
-    buffer: list[_TableParts],
-    factorizer,
-    hash_size: int,
-    xash_chars: int,
-    hash_now: bool,
-    sort_tokens: bool = True,
-) -> Optional[_ShardPart]:
+    buffer: list[_TableParts], factorizer: _Factorizer, task: _ShardTask
+) -> _ShardPart:
     """Encode one buffered batch of tables into a :class:`_ShardPart`.
 
-    With ``sort_tokens`` the batch's first-seen token list is sorted into
-    dictionary order and the per-cell codes remapped through the
-    permutation (the serial flush, where the part dictionary is stored
-    as-is); sharded parts skip the local sort -- the merge recodes them
-    against the globally sorted dictionary anyway, and ``searchsorted``
-    does not care whether its probe side is sorted. The id/quadrant
-    columns are laid out filtered by the batch-wide non-null mask. With
-    ``hash_now`` XASH runs over the batch's unique tokens and super keys
-    are OR-reduced per (table, row) segment in one ``reduceat``;
-    otherwise the segment starts are kept so the fold can run against
-    globally-hashed tokens at merge time. All-null batches yield a part
+    The id/quadrant columns are laid out filtered by the batch-wide
+    non-null mask; the batch's token dictionary stays in first-seen
+    order (the merge recodes it against the global sorted dictionary).
+    With ``task.hash_in_worker`` XASH runs over the batch's unique tokens
+    and super keys are OR-reduced per (table, row) segment in one
+    ``reduceat``; otherwise the segment starts are kept so the fold can
+    run against globally-hashed tokens at merge time. All-null batches yield a part
     whose array fields are ``None`` (only the NULL count survives).
     """
     raw_codes = _concat([parts.codes for parts in buffer])
@@ -566,15 +447,6 @@ def _encode_part(
     tokens = np.empty(len(factorizer.tokens), dtype=object)
     tokens[:] = factorizer.tokens
     cell_codes = raw_codes[non_null]
-    if sort_tokens:
-        order = np.argsort(tokens)
-        sorted_tokens = tokens[order]
-        remap = np.empty(len(tokens), dtype=np.int32)
-        remap[order] = np.arange(len(tokens), dtype=np.int32)
-        final_codes = remap[cell_codes]
-    else:
-        sorted_tokens = tokens  # first-seen order; the merge recodes
-        final_codes = cell_codes
 
     # Per-table id columns, filtered by the buffer-wide non-null mask.
     column_ids = _concat(
@@ -606,11 +478,10 @@ def _encode_part(
     counts = np.bincount(global_rows, minlength=total_rows)
     occupied = counts > 0
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[occupied]
-    seg_counts = counts[occupied]
 
     part = _ShardPart(
-        final_codes,
-        sorted_tokens,
+        cell_codes,
+        tokens,
         table_ids,
         column_ids,
         row_ids_full[non_null],
@@ -619,15 +490,16 @@ def _encode_part(
         starts.astype(np.int64),
         null_count,
     )
-    if hash_now:
-        unique_hashes = xash_batch(sorted_tokens.tolist(), hash_size, xash_chars)
-        part.super_keys = np.repeat(segmented_or(unique_hashes[final_codes], starts), seg_counts)
+    if task.hash_in_worker:
+        unique_hashes = xash_batch(factorizer.tokens, task.hash_size, task.xash_chars)
+        part.super_keys = _fold_super_keys(part, unique_hashes[cell_codes])
         part.row_starts = None
     return part
 
 
 def _fold_super_keys(part: _ShardPart, cell_hashes: np.ndarray) -> np.ndarray:
-    """Per-cell super keys from a deferred part's segment layout."""
+    """Per-cell super keys: OR-reduce the cell hashes over the part's
+    (table, row) segments and broadcast each row's key back."""
     seg = segmented_or(cell_hashes, part.row_starts)
     seg_counts = np.diff(np.append(part.row_starts, len(part.codes)))
     return np.repeat(seg, seg_counts)
@@ -656,30 +528,12 @@ def _insert_part(
     )
 
 
-def _hash_and_insert(
-    db: Database,
-    config: IndexConfig,
-    buffer: list[_TableParts],
-    factorizer: _TokenFactorizer,
-) -> tuple[int, int]:
-    """Hash one buffered batch of tables and bulk-append it (the serial
-    vectorised flush). XASH runs over the batch's *unique* tokens only
-    and is broadcast back through the cell code array. Returns
-    ``(rows_inserted, null_cells)``.
-    """
-    part = _encode_part(buffer, factorizer, config.hash_size, config.xash_chars, hash_now=True)
-    if part.codes is None:
-        return 0, part.null_count
-    inserted = _insert_part(db, config, part, part.codes, part.tokens, part.super_keys)
-    return inserted, part.null_count
-
-
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # --------------------------------------------------------------------------
-# Sharded parallel pipeline (IndexConfig(workers=N))
+# Shard, fan out, merge
 # --------------------------------------------------------------------------
 
 # Shards per worker process: finer than the pool so a skewed shard does
@@ -698,22 +552,27 @@ class _ShardTask:
     hash_in_worker: bool  # False: defer XASH to the global merge
 
 
+def _shard_task(shard: LakeShard, config: IndexConfig, hash_in_worker: bool) -> _ShardTask:
+    return _ShardTask(
+        shard,
+        config.shuffle_seed if config.shuffle_rows else None,
+        config.hash_size,
+        config.xash_chars,
+        hash_in_worker,
+    )
+
+
 def _shard_worker(task: _ShardTask) -> list[_ShardPart]:
     """Process one shard: factorise + quadrant every table, flush into
     encoded parts. Runs in a worker process in pool mode (hashing its
-    parts locally) and inline for the single-CPU degradation (hashing
-    deferred to the merge, where the global dictionary is hashed once).
+    parts locally) and inline otherwise (hashing deferred to the merge,
+    where the global dictionary is hashed once).
     """
-    if task.hash_in_worker and os.environ.get("REPRO_INDEX_WORKER_CRASH"):
-        # Test hook: simulate a hard worker death. Gated on pool mode so
-        # the inline degradation path can never exit the main process.
-        os._exit(17)
     parts: list[_ShardPart] = []
-    factorizer = _FastFactorizer()
+    factorizer = _Factorizer()
     buffer: list[_TableParts] = []
     buffered = 0
-    for offset, table in enumerate(task.shard.tables):
-        table_id = task.shard.table_ids[offset]
+    for table_id, table in zip(task.shard.table_ids, task.shard.tables):
         perm = None
         if task.shuffle_seed is not None:
             # Per-table seeded permutation: derivable inside any worker
@@ -725,54 +584,32 @@ def _shard_worker(task: _ShardTask) -> list[_ShardPart]:
             buffer.append(table_parts)
             buffered += len(table_parts.codes)
         if buffered >= _FLUSH_ROWS:
-            parts.append(
-                _encode_part(
-                    buffer, factorizer, task.hash_size, task.xash_chars,
-                    task.hash_in_worker, sort_tokens=False,
-                )
-            )
+            parts.append(_encode_part(buffer, factorizer, task))
             buffer, buffered = [], 0
-            factorizer = _FastFactorizer()
+            factorizer = _Factorizer()
     if buffer:
-        parts.append(
-            _encode_part(
-                buffer, factorizer, task.hash_size, task.xash_chars,
-                task.hash_in_worker, sort_tokens=False,
-            )
-        )
+        parts.append(_encode_part(buffer, factorizer, task))
     return parts
 
 
-def _ingest_sharded(lake: DataLake, db: Database, config: IndexConfig) -> int:
-    """Shard the lake, fan the shards out, merge deterministically.
+def _encode_lake(lake: DataLake, config: IndexConfig) -> list[_ShardPart]:
+    """Shard the lake and encode every shard, in shard (= table-id) order.
 
     Shuffle permutations are seeded per table id
     (:func:`shuffle_permutation`), so every worker derives its own
-    tables' permutations locally. Shard outputs are merged in table-id
-    order, which makes the result byte-identical to the serial
-    vectorised build for any worker count.
+    tables' permutations locally, and the merge of the returned parts is
+    byte-identical for any worker count.
     """
-    shuffle_seed = config.shuffle_seed if config.shuffle_rows else None
     workers = _effective_workers(config)
     if workers <= 1 or len(lake) <= 1:
-        # Single-CPU (or single-table) degradation: same sharded pipeline
-        # inline -- no IPC, and XASH runs once over the merged global
+        # In-process: no IPC, and XASH runs once over the merged global
         # dictionary instead of once per shard.
-        task = _ShardTask(
-            lake.shard(0, len(lake)),
-            shuffle_seed,
-            config.hash_size,
-            config.xash_chars,
-            hash_in_worker=False,
-        )
-        parts = _shard_worker(task)
-    else:
-        tasks = [
-            _ShardTask(shard, shuffle_seed, config.hash_size, config.xash_chars, True)
-            for shard in lake.shard_plan(workers * _SHARDS_PER_WORKER)
-        ]
-        parts = _run_shard_tasks(tasks, workers)
-    return _merge_and_insert(db, config, parts)
+        return _shard_worker(_shard_task(lake.shard(0, len(lake)), config, False))
+    tasks = [
+        _shard_task(shard, config, True)
+        for shard in lake.shard_plan(workers * _SHARDS_PER_WORKER)
+    ]
+    return _run_shard_tasks(tasks, workers)
 
 
 def _run_shard_tasks(tasks: list[_ShardTask], workers: int) -> list[_ShardPart]:
@@ -792,8 +629,8 @@ def _run_shard_tasks(tasks: list[_ShardTask], workers: int) -> list[_ShardPart]:
         _discard_pool(workers)
         raise IndexingError(
             "parallel AllTables build aborted: a shard worker process died "
-            f"({exc}); the worker pool was discarded -- rerun, or fall back "
-            "to the serial build with IndexConfig(workers=None)"
+            f"({exc}); the worker pool was discarded -- rerun, or build "
+            "in-process with IndexConfig(workers=None)"
         ) from exc
     finally:
         for future in futures:
@@ -803,31 +640,33 @@ def _run_shard_tasks(tasks: list[_ShardTask], workers: int) -> list[_ShardPart]:
 
 def _merge_and_insert(db: Database, config: IndexConfig, parts: list[_ShardPart]) -> int:
     """Deterministic merge: recode every part's local token codes into
-    one global sorted dictionary (sorted-unique union + vectorised
-    ``np.searchsorted`` remap) and bulk-append the parts in shard order.
-    Every part shares the single global dictionary object, so the column
-    store's incremental seal concatenates code arrays without re-deriving
-    a union. Returns the total NULL-cell count.
+    one global sorted dictionary (one ``np.unique`` over the concatenated
+    part dictionaries; its inverse *is* each part's local -> global
+    remap) and bulk-append the parts in shard order. Every part shares
+    the single global dictionary object, so the column store's
+    incremental seal concatenates code arrays without re-deriving a
+    union. Returns the number of index rows inserted.
     """
-    null_cells = sum(part.null_count for part in parts)
     live = [part for part in parts if part.codes is not None]
     if not live:
-        return null_cells
-    dictionaries = [part.tokens for part in live]
-    global_dict = np.unique(
-        dictionaries[0] if len(dictionaries) == 1 else np.concatenate(dictionaries)
+        return 0
+    global_dict, remap = np.unique(
+        _concat([part.tokens for part in live]), return_inverse=True
     )
+    remap = remap.astype(np.int32)
     global_hashes = None
     if any(part.super_keys is None for part in live):
         global_hashes = xash_batch(global_dict.tolist(), config.hash_size, config.xash_chars)
+    inserted = 0
+    offset = 0
     for part in live:
-        remap = np.searchsorted(global_dict, part.tokens).astype(np.int32)
-        codes = remap[part.codes]
+        codes = remap[offset : offset + len(part.tokens)][part.codes]
+        offset += len(part.tokens)
         super_keys = part.super_keys
         if super_keys is None:
             super_keys = _fold_super_keys(part, global_hashes[codes])
-        _insert_part(db, config, part, codes, global_dict, super_keys)
-    return null_cells
+        inserted += _insert_part(db, config, part, codes, global_dict, super_keys)
+    return inserted
 
 
 def _available_cpus() -> int:
@@ -839,12 +678,10 @@ def _available_cpus() -> int:
 
 
 def _effective_workers(config: IndexConfig) -> int:
-    """Adaptive worker count: processes beyond the available CPUs only
-    add IPC and memory, so the requested count is clamped unless the
-    caller pins it."""
-    if config.pin_workers:
-        return config.workers
-    return max(1, min(config.workers, _available_cpus()))
+    """Worker processes to use: the requested count clamped to the
+    available CPUs (processes beyond them only add IPC and memory);
+    1 means in-process."""
+    return max(1, min(config.workers or 1, _available_cpus()))
 
 
 # Long-lived worker pools, keyed by size. Builds are frequent and short
@@ -887,43 +724,8 @@ atexit.register(_shutdown_pools)
 
 
 # --------------------------------------------------------------------------
-# Scalar reference pipeline (the seed implementation, kept as test oracle)
+# Incremental maintenance
 # --------------------------------------------------------------------------
-
-
-def _ingest_scalar(lake: DataLake, db: Database, config: IndexConfig) -> int:
-    index_rows: list[tuple] = []
-    null_cells = 0
-    for table_id, table in lake.items():
-        means = column_means(table)
-        rows = list(table.rows)
-        if config.shuffle_rows:
-            perm = shuffle_permutation(config.shuffle_seed, table_id, len(rows))
-            rows = [rows[i] for i in perm]
-        for row_id, row in enumerate(rows):
-            row_super_key = super_key(row, config.hash_size, config.xash_chars)
-            for column_id, value in enumerate(row):
-                token = normalize_cell(value)
-                if token is None:
-                    null_cells += 1
-                    continue
-                index_rows.append(
-                    (
-                        token,
-                        table_id,
-                        column_id,
-                        row_id,
-                        row_super_key,
-                        quadrant_bit(value, means[column_id]),
-                    )
-                )
-        # Flush per table to bound peak memory on large lakes.
-        if len(index_rows) >= _FLUSH_ROWS:
-            db.insert(config.table_name, index_rows)
-            index_rows.clear()
-    if index_rows:
-        db.insert(config.table_name, index_rows)
-    return null_cells
 
 
 def _check_maintenance(db: Database, config: IndexConfig) -> None:
@@ -952,51 +754,20 @@ def index_table(
     The single-relation design is what makes maintenance this simple
     (paper §V: heterogeneous per-system indexes are the alternative) --
     appending a table is a plain INSERT; the in-database hash indexes
-    absorb the new rows. Uses the same vectorised chunk builder as
-    ``build_alltables`` (or the scalar loop under
-    ``IndexConfig(vectorized=False)``). Returns the number of index rows
+    absorb the new rows. Runs the same pipeline as ``build_alltables``
+    over a one-table shard, in-process. Returns the number of index rows
     added.
     """
     _check_maintenance(db, config)
-    perm: Optional[list[int]] = None
-    if config.shuffle_rows:
-        # Same per-table seeded permutation a from-scratch build assigns.
-        perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
-    if config.vectorized:
-        # Populate the table's normalized-token cache: this maintenance
-        # path handles one table at a time (memory is bounded), and
-        # ``Blend.add_table`` feeds the same object to the statistics
-        # update right after -- caching here halves its normalisation
-        # work, and a later ``replace_table``/re-add skips it entirely.
-        if hasattr(table, "normalized_cells"):
-            table.normalized_cells()
-        factorizer = _TokenFactorizer()
-        parts = _table_parts(table_id, table, factorizer, perm)
-        if parts is None:
-            return 0
-        return _hash_and_insert(db, config, [parts], factorizer)[0]
-    means = column_means(table)
-    table_rows = list(table.rows)
-    if perm is not None:
-        table_rows = [table_rows[i] for i in perm]
-    rows: list[tuple] = []
-    for row_id, row in enumerate(table_rows):
-        row_super_key = super_key(row, config.hash_size, config.xash_chars)
-        for column_id, value in enumerate(row):
-            token = normalize_cell(value)
-            if token is None:
-                continue
-            rows.append(
-                (
-                    token,
-                    table_id,
-                    column_id,
-                    row_id,
-                    row_super_key,
-                    quadrant_bit(value, means[column_id]),
-                )
-            )
-    return db.insert(config.table_name, rows)
+    # Populate the table's normalized-token cache: this maintenance path
+    # handles one table at a time (memory is bounded), and
+    # ``Blend.add_table`` feeds the same object to the statistics update
+    # right after -- caching here halves its normalisation work, and a
+    # later ``replace_table``/re-add skips it entirely.
+    if hasattr(table, "normalized_cells"):
+        table.normalized_cells()
+    parts = _shard_worker(_shard_task(LakeShard((table_id,), (table,)), config, False))
+    return _merge_and_insert(db, config, parts)
 
 
 def deindex_table(

@@ -58,44 +58,14 @@ def quadrant_bit(value: Cell, mean: Optional[float]) -> Optional[bool]:
 _MISSING = object()
 
 
-def column_quadrant_matrix(
-    table: Table, memo: Optional[dict] = None
-) -> tuple[list[Optional[float]], np.ndarray]:
-    """Vectorised ``column_means`` + ``quadrant_bit`` over a whole table.
-
-    Returns ``(means, bits)`` where *bits* is a ``num_rows x num_columns``
-    ``int8`` matrix holding the Quadrant column entries in storage form
-    (``-1`` NULL, else 0/1). Bit-identical to calling the scalar functions
-    per cell: numeric cells are extracted once per column, the mean uses
-    the same sequential float summation as :func:`column_means`, and the
-    comparison ``value >= mean`` runs as one array op.
-
-    *memo* optionally caches ``numeric_value`` per distinct cell value
-    across calls (``numeric_value`` is pure). Booleans bypass it --
-    ``True == 1`` would otherwise alias their dict slots.
-    """
-    flags = table.numeric_columns()
-    n_rows, n_cols = table.num_rows, table.num_columns
-    means: list[Optional[float]] = []
-    bits = np.full((n_rows, n_cols), -1, dtype=np.int8)
-    rows = table.rows
-    if memo is None:
-        memo = {}
-    for position in range(n_cols):
-        if not flags[position]:
-            means.append(None)
-            continue
-        values, is_none = _column_numeric_values(rows, position, n_rows, memo)
-        _fill_column_bits(bits, position, values, is_none, n_rows, means)
-    return means, bits
-
-
 def _column_numeric_values(
     rows, position: int, n_rows: int, memo: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """``numeric_value`` of one column as ``(values, is_none)`` arrays
-    (NaN at excluded positions) -- the scalar per-cell extraction, shared
-    by both quadrant-matrix builders."""
+    (NaN at excluded positions) -- the per-cell extraction, for columns
+    :func:`column_quadrant_matrix` cannot convert in one array pass.
+    *memo* caches ``numeric_value`` per distinct cell value; booleans
+    bypass it -- ``True == 1`` would otherwise alias their dict slots."""
     memo_get = memo.get
     values = np.empty(n_rows, dtype=np.float64)
     is_none = np.zeros(n_rows, dtype=bool)
@@ -116,41 +86,23 @@ def _column_numeric_values(
     return values, is_none
 
 
-def _fill_column_bits(
-    bits: np.ndarray,
-    position: int,
-    values: np.ndarray,
-    is_none: np.ndarray,
-    n_rows: int,
-    means: list,
-) -> None:
-    """Mean + quadrant bits of one extracted column, appended/written in
-    place (shared tail of both quadrant-matrix builders)."""
-    count = n_rows - int(is_none.sum())
-    if count == 0:
-        means.append(None)
-        return
-    # Sequential Python-float summation in row order: identical
-    # rounding to the scalar ``column_means`` accumulation loop.
-    mean = sum(values[~is_none].tolist()) / count
-    means.append(mean)
-    column_bits = (values >= mean).astype(np.int8)  # NaN -> 0, as scalar
-    column_bits[is_none] = -1
-    bits[:, position] = column_bits
-
-
-def column_quadrant_matrix_fast(
+def column_quadrant_matrix(
     table: Table, memo: Optional[dict] = None
 ) -> tuple[list[Optional[float]], np.ndarray]:
-    """:func:`column_quadrant_matrix` with vectorised per-column numeric
-    extraction -- the sharded index pipeline's variant.
+    """Vectorised ``column_means`` + ``quadrant_bit`` over a whole table.
+
+    Returns ``(means, bits)`` where *bits* is a ``num_rows x num_columns``
+    ``int8`` matrix holding the Quadrant column entries in storage form
+    (``-1`` NULL, else 0/1). Bit-identical to calling the scalar functions
+    per cell: the mean uses the same sequential float summation as
+    :func:`column_means`, and ``value >= mean`` runs as one array op.
 
     Columns whose cells are purely ``int``/``float``/numeric-``str`` (plus
-    NULLs) are converted with one ``astype(float64)`` pass; anything the
-    fast dispatch cannot prove equivalent (bools, mixed str+float columns
+    NULLs) are converted with one ``astype(float64)`` pass; anything that
+    dispatch cannot prove equivalent (bools, mixed str+float columns
     where the two NaN conventions differ, unparsable strings, exotic
-    types) falls back to the shared scalar extraction, so the result is
-    bit-identical to :func:`column_quadrant_matrix` by construction.
+    types) takes the per-cell ``numeric_value`` extraction, with *memo*
+    optionally caching it per distinct cell value across calls.
 
     The NaN conventions that force the str+float fallback:
     ``numeric_value`` maps a *float* NaN cell to None (excluded, bit -1)
@@ -189,7 +141,17 @@ def column_quadrant_matrix_fast(
                     is_none = none_mask
         if values is None:
             values, is_none = _column_numeric_values(rows, position, n_rows, memo)
-        _fill_column_bits(bits, position, values, is_none, n_rows, means)
+        count = n_rows - int(is_none.sum())
+        if count == 0:
+            means.append(None)
+            continue
+        # Sequential Python-float summation in row order: identical
+        # rounding to the scalar ``column_means`` accumulation loop.
+        mean = sum(values[~is_none].tolist()) / count
+        means.append(mean)
+        column_bits = (values >= mean).astype(np.int8)  # NaN -> 0, as scalar
+        column_bits[is_none] = -1
+        bits[:, position] = column_bits
     return means, bits
 
 

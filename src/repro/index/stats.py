@@ -31,7 +31,7 @@ def table_token_counts(table: Table, factorizer=None) -> tuple[list[str], np.nda
     """Per-token occurrence counts of one table's non-null cells.
 
     Runs the AllTables builder's batch factorisation kernel
-    (:class:`repro.index.alltables._FastFactorizer`; bit-identical to
+    (:class:`repro.index.alltables._Factorizer`; bit-identical to
     ``normalize_cell`` per cell, including the bool/int duality rules)
     and one ``np.bincount`` -- the vectorised replacement for the old
     per-cell statistics loop. Returns ``(tokens, counts)`` aligned
@@ -39,10 +39,10 @@ def table_token_counts(table: Table, factorizer=None) -> tuple[list[str], np.nda
     (counts then cover only this table, tokens are the factorizer's
     cumulative first-seen list).
     """
-    from .alltables import _FastFactorizer  # local: avoids import cycle at load
+    from .alltables import _Factorizer  # local: avoids import cycle at load
 
     if factorizer is None:
-        factorizer = _FastFactorizer()
+        factorizer = _Factorizer()
     n_cells = table.num_rows * table.num_columns
     if n_cells == 0:
         return factorizer.tokens, np.zeros(len(factorizer.tokens), dtype=np.int64)
@@ -86,9 +86,9 @@ class LakeStatistics:
 
     @classmethod
     def from_lake(cls, lake: DataLake) -> "LakeStatistics":
-        from .alltables import _FastFactorizer
+        from .alltables import _Factorizer
 
-        factorizer = _FastFactorizer()
+        factorizer = _Factorizer()
         totals = np.zeros(0, dtype=np.int64)
         num_cells = 0
         num_columns = 0

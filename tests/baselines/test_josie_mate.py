@@ -112,10 +112,10 @@ class TestMate:
 
             seeker = MultiColumnSeeker(query.table.rows, k=10)
             context = blend.context()
-            candidates = seeker.fetch_candidates(context)
-            filtered = seeker.superkey_filter(candidates, context)
-            validated = set(seeker.validate(filtered, context))
-            blend_fp += len([c for c in filtered if c not in validated])
+            tables, rows, keys = seeker.fetch_candidate_arrays(context)
+            filtered = seeker.superkey_filter_batch(tables, rows, keys, context)
+            validated = seeker.validate_batch(*filtered, context)
+            blend_fp += len(filtered[0]) - len(validated[0])
         assert mate_fp > blend_fp
 
     def test_counts_joinable_rows(self, mc_bench, mate):

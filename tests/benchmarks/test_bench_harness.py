@@ -50,7 +50,7 @@ def test_committed_artifact_schema():
     for numbers in payload.values():
         assert set(numbers) == {"seconds", "rows_per_sec"}
     # The PR's acceptance bar, as measured on the committed run.
-    speedup = payload["build_scalar"]["seconds"] / payload["build_vectorized"]["seconds"]
+    speedup = payload["build_scalar"]["seconds"] / payload["build"]["seconds"]
     assert speedup >= 5.0
 
 
@@ -67,7 +67,7 @@ def test_workers_axis_disabled(tmp_path):
     """``--workers 0`` drops the parallel phase but keeps the rest."""
     results = run_benchmark(seed=3, scale=0.05, workers=0)
     assert not any(phase.startswith("build_parallel") for phase in results)
-    assert "build_vectorized" in results
+    assert "build" in results
 
 
 class TestCheckOnly:
@@ -159,7 +159,7 @@ class TestSeekerSuite:
         for numbers in payload.values():
             assert set(numbers) == {"seconds", "queries_per_sec"}
         # >= 3x MC end-to-end throughput over the seed scalar phases.
-        speedup = payload["mc_scalar"]["seconds"] / payload["mc_vectorized"]["seconds"]
+        speedup = payload["mc_scalar"]["seconds"] / payload["mc"]["seconds"]
         assert speedup >= 3.0
 
     @pytest.mark.slow
@@ -167,7 +167,7 @@ class TestSeekerSuite:
         """Benchmark-scale run (tier-2): the speedup holds at the
         committed artefact's lake size, not just the smoke lake."""
         results = bench_seeker.run_benchmark(seed=bench_seeker.DEFAULT_SEED, scale=1.0)
-        speedup = results["mc_scalar"]["seconds"] / results["mc_vectorized"]["seconds"]
+        speedup = results["mc_scalar"]["seconds"] / results["mc"]["seconds"]
         assert speedup >= 3.0
 
 
@@ -247,7 +247,7 @@ class TestSnapshotSuite:
     def test_committed_artifact_meets_acceptance_bar(self):
         payload = json.loads((BENCHMARKS_DIR.parent / "BENCH_index.json").read_text())
         assert set(payload) >= set(bench_snapshot.PHASES)
-        # The PR's acceptance bar: mmap load >= 10x the vectorized cold
+        # The PR's acceptance bar: mmap load >= 10x the cold
         # build on the committed bench lake (seed 71).
         speedup = (
             payload["snapshot_cold_build"]["seconds"]

@@ -1,0 +1,9 @@
+"""Root test configuration: puts ``tests/`` on ``sys.path`` so every test
+directory (and the legacy micro-benches) can ``import oracles`` -- the
+scalar reference implementations the production pipelines are pinned
+against."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))

@@ -92,20 +92,6 @@ def test_batch_with_unbatchable_seeker_falls_back(serving_blend):
     assert execute_batch([sc, corr], context) == serial
 
 
-def test_batch_under_nonvectorized_context(serving_blend):
-    """MC under a scalar context falls back per-seeker, still correct."""
-    context = serving_blend.context()
-    context.vectorized = False
-    seekers = [
-        Seekers.MC(random.Random(3).sample(PAIRS, 3), k=4),
-        Seekers.MC(random.Random(4).sample(PAIRS, 3), k=4),
-        Seekers.SC(["berlin", "rome"], k=3),
-        Seekers.SC(["france", "spain"], k=3),
-    ]
-    serial = [seeker.execute(context) for seeker in seekers]
-    assert execute_batch(seekers, context) == serial
-
-
 def test_many_identical_queries_batch(serving_blend):
     """Homogeneous batches (the coalescing worst case upstream of the
     scheduler's dedupe) stay correct."""

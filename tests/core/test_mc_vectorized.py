@@ -1,12 +1,12 @@
-"""Property suite for the MC seeker phases (scalar oracle vs the
-vectorized pipeline of this PR).
+"""Property suite for the MC seeker phases against the scalar oracle
+(``tests/oracles/mc_scalar.py``).
 
 Two invariants, checked over seeded random lakes and query tuples:
 
 * **no false negatives** -- the super-key filter (phase 2) never prunes a
   (table, row) pair that exact validation (phase 3) accepts; XASH recall
-  stays 100 % (paper Table V) for both hash widths and both pipelines;
-* **pipeline parity** -- scalar and batched phases produce identical
+  stays 100 % (paper Table V) for both hash widths, oracle and seeker;
+* **oracle parity** -- the seeker's array phases produce the oracle's
   candidate sets, survivor sets, validated sets, and final rankings.
 """
 
@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles import mc_scalar
 
 from repro.core.seekers import MultiColumnSeeker, SeekerContext
 from repro.engine import Database
@@ -66,44 +67,41 @@ def _random_query(rng: random.Random, lake: DataLake, width: int = 2) -> MultiCo
     return MultiColumnSeeker(tuples, k=10)
 
 
-def _contexts(lake: DataLake, backend: str, hash_size: int):
+def _context(lake: DataLake, backend: str, hash_size: int) -> SeekerContext:
     db = Database(backend=backend)
     build_alltables(lake, db, IndexConfig(hash_size=hash_size))
-    return (
-        SeekerContext(db=db, lake=lake, hash_size=hash_size, vectorized=False),
-        SeekerContext(db=db, lake=lake, hash_size=hash_size, vectorized=True),
-    )
+    return SeekerContext(db=db, lake=lake, hash_size=hash_size)
 
 
 def _run_property(seed: int, backend: str, hash_size: int) -> None:
     rng = random.Random(seed)
     lake = _random_lake(rng)
-    scalar, vector = _contexts(lake, backend, hash_size)
+    context = _context(lake, backend, hash_size)
     for width in (2, 3):
         seeker = _random_query(rng, lake, width)
 
-        candidates = seeker.fetch_candidates(scalar)
-        survivors = set(seeker.superkey_filter(candidates, scalar))
+        candidates = mc_scalar.fetch_candidates(seeker, context)
+        survivors = set(mc_scalar.superkey_filter(seeker, candidates, context))
         all_pairs = [(t, r) for t, r, _ in candidates]
-        validated_unfiltered = set(seeker.validate(all_pairs, scalar))
+        validated_unfiltered = set(mc_scalar.validate(seeker, all_pairs, context))
         # No false negatives: everything that validates survives phase 2.
         assert validated_unfiltered <= survivors
 
-        t, r, s = seeker.fetch_candidate_arrays(vector)
+        t, r, s = seeker.fetch_candidate_arrays(context)
         batch_pairs = set(zip(t.tolist(), r.tolist()))
         assert batch_pairs == set(all_pairs)
-        ft, fr = seeker.superkey_filter_batch(t, r, s, vector)
+        ft, fr = seeker.superkey_filter_batch(t, r, s, context)
         batch_survivors = set(zip(ft.tolist(), fr.tolist()))
         assert batch_survivors == survivors
-        vt, vr = seeker.validate_batch(t, r, vector)
+        vt, vr = seeker.validate_batch(t, r, context)
         batch_validated_unfiltered = set(zip(vt.tolist(), vr.tolist()))
         assert batch_validated_unfiltered == validated_unfiltered
         assert batch_validated_unfiltered <= batch_survivors
 
         # End-to-end rankings agree (scores included).
-        ranked_scalar = [(h.table_id, h.score) for h in seeker.execute(scalar)]
-        ranked_vector = [(h.table_id, h.score) for h in seeker.execute(vector)]
-        assert ranked_scalar == ranked_vector
+        ranked_oracle = [(h.table_id, h.score) for h in mc_scalar.execute(seeker, context)]
+        ranked = [(h.table_id, h.score) for h in seeker.execute(context)]
+        assert ranked == ranked_oracle
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -143,15 +141,15 @@ def test_repeated_token_tuple_requires_distinct_columns():
     lake.add(Table("two", ["p", "q", "r"], [("a", "x", "a"), ("a", "y", "z")]))
     seeker = MultiColumnSeeker([("a", "a")], k=5)
     for backend in ("row", "column"):
-        scalar, vector = _contexts(lake, backend, 63)
-        for context in (scalar, vector):
-            hits = [(h.table_id, h.score) for h in seeker.execute(context)]
-            assert hits == [(0, 1.0), (1, 1.0)], (backend, context.vectorized)
+        context = _context(lake, backend, 63)
+        for execute in (seeker.execute, lambda ctx: mc_scalar.execute(seeker, ctx)):
+            hits = [(h.table_id, h.score) for h in execute(context)]
+            assert hits == [(0, 1.0), (1, 1.0)], backend
 
 
 def test_validate_batch_drops_out_of_range_rows():
     """Index rows beyond a table's current length are skipped, exactly
-    like the scalar path's bounds check."""
+    like the scalar oracle's bounds check."""
     lake = DataLake("bounds")
     lake.add(Table("t", ["p", "q"], [("a", "b"), ("c", "d")]))
     db = Database(backend="column")
@@ -164,4 +162,4 @@ def test_validate_batch_drops_out_of_range_rows():
     assert list(zip(vt.tolist(), vr.tolist())) == [(0, 0)]
     # The scalar oracle agrees -- including that negative ids never wrap
     # around to the last row.
-    assert seeker.validate([(0, 0), (0, 99), (0, -1)], context) == [(0, 0)]
+    assert mc_scalar.validate(seeker, [(0, 0), (0, 99), (0, -1)], context) == [(0, 0)]

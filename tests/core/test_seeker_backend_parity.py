@@ -5,13 +5,12 @@ deterministic tie-break sort keys, so rankings AND scores must agree
 exactly -- with and without optimizer rewrites, and with the plan cache
 warm (second round repeats every query against cached plans).
 
-The MC seeker additionally has two phase-2/3 pipelines (scalar oracle vs
-vectorized); every MC phase output is cross-checked over the full
-{row, column} x {scalar, vectorized} grid."""
-
-import dataclasses
+Every MC phase output is additionally cross-checked against the scalar
+oracle (``tests/oracles/mc_scalar.py``) over the full
+{row, column} x {scalar oracle, seeker} grid."""
 
 import pytest
+from oracles import mc_scalar
 
 from repro.core.seekers import Rewrite, SeekerContext, Seekers
 from repro.engine import Database
@@ -76,37 +75,35 @@ def test_plan_cache_engaged_on_both_backends(contexts, lake):
 @pytest.mark.parametrize("rewrite", [None, Rewrite("intersect", (0, 1, 2, 3, 4, 7, 9))])
 def test_mc_phases_four_way_parity(contexts, lake, rewrite):
     """Candidates, survivors, validated sets, and final rankings must
-    agree across {row, column} x {scalar, vectorized}."""
+    agree across {row, column} x {scalar oracle, seeker}."""
     seeker = _seekers(lake).get("MC")
     assert seeker is not None, "parity lake must support an MC query"
     phase_outputs = {}
     rankings = {}
-    for backend, base in contexts.items():
-        scalar = dataclasses.replace(base, vectorized=False)
-        vector = dataclasses.replace(base, vectorized=True)
-
-        candidates = seeker.fetch_candidates(scalar, rewrite)
-        survivors = seeker.superkey_filter(candidates, scalar)
-        validated = seeker.validate(survivors, scalar)
+    for backend, context in contexts.items():
+        candidates = mc_scalar.fetch_candidates(seeker, context, rewrite)
+        survivors = mc_scalar.superkey_filter(seeker, candidates, context)
+        validated = mc_scalar.validate(seeker, survivors, context)
         phase_outputs[(backend, "scalar")] = (
             {(t, r) for t, r, _ in candidates},
             set(survivors),
             set(validated),
         )
         rankings[(backend, "scalar")] = [
-            (hit.table_id, hit.score) for hit in seeker.execute(scalar, rewrite)
+            (hit.table_id, hit.score)
+            for hit in mc_scalar.execute(seeker, context, rewrite)
         ]
 
-        t, r, s = seeker.fetch_candidate_arrays(vector, rewrite)
-        ft, fr = seeker.superkey_filter_batch(t, r, s, vector)
-        vt, vr = seeker.validate_batch(ft, fr, vector)
-        phase_outputs[(backend, "vectorized")] = (
+        t, r, s = seeker.fetch_candidate_arrays(context, rewrite)
+        ft, fr = seeker.superkey_filter_batch(t, r, s, context)
+        vt, vr = seeker.validate_batch(ft, fr, context)
+        phase_outputs[(backend, "seeker")] = (
             set(zip(t.tolist(), r.tolist())),
             set(zip(ft.tolist(), fr.tolist())),
             set(zip(vt.tolist(), vr.tolist())),
         )
-        rankings[(backend, "vectorized")] = [
-            (hit.table_id, hit.score) for hit in seeker.execute(vector, rewrite)
+        rankings[(backend, "seeker")] = [
+            (hit.table_id, hit.score) for hit in seeker.execute(context, rewrite)
         ]
 
     reference_phases = phase_outputs[("row", "scalar")]

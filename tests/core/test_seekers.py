@@ -136,11 +136,11 @@ class TestMultiColumnSeeker:
         """Each MC phase may only shrink the candidate set."""
         seeker = MultiColumnSeeker([("HR", "Firenze")], k=5)
         context = fig1_blend.context()
-        candidates = seeker.fetch_candidates(context)
-        filtered = seeker.superkey_filter(candidates, context)
-        validated = seeker.validate(filtered, context)
-        assert len(candidates) >= len(filtered) >= len(validated)
-        assert len(validated) == 2  # one row in each of T2, T3
+        tables, rows, keys = seeker.fetch_candidate_arrays(context)
+        filtered = seeker.superkey_filter_batch(tables, rows, keys, context)
+        validated = seeker.validate_batch(*filtered, context)
+        assert len(tables) >= len(filtered[0]) >= len(validated[0])
+        assert len(validated[0]) == 2  # one row in each of T2, T3
 
 
 class TestCorrelationSeeker:

@@ -13,13 +13,15 @@ interleaving of ``add_table`` / ``remove_table`` / ``replace_table``,
 plus the guard rails around it: stale contexts raise
 ``StaleContextError`` instead of silently serving dead table ids,
 threshold deletes auto-compact, ``shuffle_rows`` (BLEND (rand)) configs
-are maintainable via the per-table seeded permutation, and the scalar
-maintenance path agrees with the vectorised one.
+are maintainable via the per-table seeded permutation, and raw
+``index_table`` / ``reindex_table`` / ``deindex_table`` streams agree
+with the scalar oracle (``tests/oracles/alltables_scalar.py``).
 """
 
 import random
 
 import pytest
+from oracles.alltables_scalar import alltables_rows, build_alltables_scalar, index_table_scalar
 
 from repro import Blend
 from repro.core.seekers import SeekerContext, Seekers
@@ -190,21 +192,44 @@ def test_lifecycle_rebuild_parity(backend, hash_size, shuffle, seed):
     assert blend.stats == fresh_stats
 
 
-@pytest.mark.parametrize("backend", ["row", "column"])
-def test_scalar_maintenance_path_agrees(backend):
-    """IndexConfig(vectorized=False) maintenance produces the same
-    AllTables row set as the vectorised path."""
-    results = {}
-    for vectorized in (True, False):
-        config = IndexConfig(vectorized=vectorized)
-        blend = Blend(_base_lake(3), backend=backend, index_config=config)
-        blend.build_index()
-        rng = random.Random(99)
-        _mutate(blend, rng, ops=6, tag=f"sv{vectorized}")
-        results[vectorized] = sorted(
-            blend.db.execute("SELECT * FROM AllTables").rows
-        )
-    assert results[True] == results[False]
+@pytest.mark.parametrize(
+    "backend,hash_size,shuffle",
+    [("row", 128, False), ("column", 63, False), ("column", 63, True)],
+)
+def test_maintenance_stream_matches_oracle(backend, hash_size, shuffle):
+    """An add / replace / remove stream through ``index_table`` /
+    ``reindex_table`` / ``deindex_table`` leaves exactly the relation the
+    scalar oracle leaves under the same stream (same physical order),
+    and the same row set as an oracle rebuild of the final lake."""
+    config = IndexConfig(hash_size=hash_size, shuffle_rows=shuffle, shuffle_seed=9)
+    lake = _base_lake(3)
+    db, oracle_db = Database(backend=backend), Database(backend=backend)
+    build_alltables(lake, db, config)
+    build_alltables_scalar(lake, oracle_db, config)
+    rng = random.Random(99)
+    for step in range(8):
+        live = lake.table_ids()
+        op = rng.choice(["add", "replace", "remove"])
+        if op == "add":
+            table = _random_table(rng, f"stream_add{step}")
+            table_id = lake.add(table)
+            added = index_table(table_id, table, db, config)
+            assert added == index_table_scalar(table_id, table, oracle_db, config)
+        elif op == "replace":
+            table_id = rng.choice(live)
+            table = _random_table(rng, f"stream_repl{step}")
+            lake.replace(table_id, table)
+            removed, added = reindex_table(table_id, table, db, config)
+            assert removed == oracle_db.delete_rows("AllTables", "TableId", [table_id])
+            assert added == index_table_scalar(table_id, table, oracle_db, config)
+        else:
+            table_id = rng.choice(live)
+            lake.remove(table_id)
+            removed = deindex_table(table_id, db, config)
+            assert removed == oracle_db.delete_rows("AllTables", "TableId", [table_id])
+    sql = "SELECT * FROM AllTables"
+    assert db.execute(sql).rows == oracle_db.execute(sql).rows
+    assert sorted(db.execute(sql).rows) == sorted(alltables_rows(lake, config, backend)[0])
 
 
 def test_threshold_deletes_auto_compact():
@@ -406,26 +431,18 @@ class TestLakeLifecycle:
         assert stats.num_cells == 2
 
 
-def test_parallel_build_on_mutated_lake_byte_identical():
-    """The sharded build handles lakes with id holes (explicit shard
-    table ids), byte-identical to the serial pipelines."""
+def test_parallel_build_on_mutated_lake_byte_identical(pooled):
+    """The build handles lakes with id holes (explicit shard table
+    ids) under either schedule, byte-identical to the oracle."""
     blend = Blend(_base_lake(13), backend="column")
     blend.build_index()
     _mutate(blend, random.Random(5), ops=6, tag="par")
     lake = blend.lake
-    rows = {}
-    for name, config in {
-        "scalar": IndexConfig(vectorized=False),
-        "vectorized": IndexConfig(),
-        "parallel": IndexConfig(workers=3),
-        "parallel_pinned": IndexConfig(workers=2, pin_workers=True),
-    }.items():
+    expected = alltables_rows(lake)[0]
+    for config in (IndexConfig(), IndexConfig(workers=3)):
         db = Database(backend="column")
         build_alltables(lake, db, config)
-        rows[name] = db.execute("SELECT * FROM AllTables").rows
-    assert rows["vectorized"] == rows["scalar"]
-    assert rows["parallel"] == rows["scalar"]
-    assert rows["parallel_pinned"] == rows["scalar"]
+        assert db.execute("SELECT * FROM AllTables").rows == expected
 
 
 def test_semantic_extension_maintained():

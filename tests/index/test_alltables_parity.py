@@ -1,11 +1,16 @@
-"""Vectorised AllTables ingest vs the scalar reference oracle.
+"""The AllTables build pipeline vs the scalar reference oracle
+(``tests/oracles/alltables_scalar.py``).
 
-The acceptance bar for the columnar fast path: *byte-identical*
-``AllTables`` rows (same values, same physical order) and identical
-seeker rankings, under both storage backends and both shuffle modes.
+The acceptance bar: *byte-identical* ``AllTables`` rows (same values,
+same physical order), identical build reports and identical seeker
+rankings, under both storage backends, both shuffle modes, both hash
+widths, and both schedules (in-process and a real worker pool).
 """
 
+import random
+
 import pytest
+from oracles.alltables_scalar import alltables_rows, build_alltables_scalar, index_table_scalar
 
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
@@ -54,71 +59,81 @@ def _generated_lake() -> DataLake:
     )
 
 
-@pytest.fixture(scope="module", params=["edge", "generated"])
+def _random_lake() -> DataLake:
+    """Adversarial random tables: shared skewed vocabulary, NULL/empty
+    cells, bool/int collisions, floats that normalise to ints, NaN."""
+    rng = random.Random(29)
+    vocabulary = [f"tok{i}" for i in range(30)] + ["Mixed Case", " pad ", "1", "0"]
+    cells = vocabulary + [None, "", 0, 1, 2, True, False, 0.0, 1.0, 2.5, float("nan"), "3.5"]
+    lake = DataLake("parity_random")
+    for t in range(10):
+        width = rng.randint(1, 5)
+        rows = [
+            tuple(rng.choice(cells) for _ in range(width)) for _ in range(rng.randint(0, 18))
+        ]
+        lake.add(Table(f"t{t}", [f"c{i}" for i in range(width)], rows))
+    return lake
+
+
+@pytest.fixture(scope="module", params=["edge", "generated", "random"])
 def parity_lake(request):
-    return _edge_lake() if request.param == "edge" else _generated_lake()
+    return {"edge": _edge_lake, "generated": _generated_lake, "random": _random_lake}[
+        request.param
+    ]()
 
 
 class TestBitIdenticalBuild:
-    @pytest.mark.parametrize("backend", ["row", "column"])
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("backend,hash_size", [("row", 63), ("row", 128), ("column", 63)])
     @pytest.mark.parametrize("shuffle", [False, True])
-    def test_rows_identical(self, parity_lake, backend, shuffle):
-        results = {}
-        for vectorized in (False, True):
-            db = Database(backend=backend)
-            report = build_alltables(
-                parity_lake,
-                db,
-                IndexConfig(vectorized=vectorized, shuffle_rows=shuffle, shuffle_seed=11),
-            )
-            # Physical insertion order, no ORDER BY: byte-identical means
-            # identical storage order too.
-            results[vectorized] = (db.execute("SELECT * FROM AllTables").rows, report)
-        rows_scalar, report_scalar = results[False]
-        rows_vector, report_vector = results[True]
-        assert rows_vector == rows_scalar
-        assert report_vector == report_scalar
+    def test_rows_identical(self, parity_lake, backend, hash_size, shuffle, workers, pooled):
+        config = IndexConfig(
+            hash_size=hash_size, shuffle_rows=shuffle, shuffle_seed=11, workers=workers
+        )
+        db = Database(backend=backend)
+        report = build_alltables(parity_lake, db, config)
+        # Physical insertion order, no ORDER BY: byte-identical means
+        # identical storage order too.
+        rows = db.execute("SELECT * FROM AllTables").rows
+        oracle_rows, oracle_report = alltables_rows(parity_lake, config, backend)
+        assert rows == oracle_rows
+        assert report == oracle_report
 
     def test_report_counts(self, parity_lake):
         db = Database(backend="column")
-        report = build_alltables(parity_lake, db, IndexConfig(vectorized=True))
+        report = build_alltables(parity_lake, db)
         assert report.num_index_rows == db.num_rows("AllTables")
         assert report.num_tables == len(parity_lake)
 
 
 class TestIncrementalParity:
-    def test_index_table_matches_scalar(self):
+    def test_index_table_matches_oracle(self):
         new_table = Table(
             "t_new", ["a", "b"], [("p", 1), (None, 2), ("q", None), (None, None)]
         )
-        rows = {}
-        for vectorized in (False, True):
-            lake = _edge_lake()
-            db = Database(backend="column")
-            build_alltables(lake, db, IndexConfig(vectorized=vectorized))
-            added = index_table(len(lake), new_table, db, IndexConfig(vectorized=vectorized))
-            assert added == 4
-            rows[vectorized] = db.execute("SELECT * FROM AllTables").rows
-        assert rows[True] == rows[False]
+        lake = _edge_lake()
+        db, oracle_db = Database(backend="column"), Database(backend="column")
+        build_alltables(lake, db)
+        build_alltables_scalar(lake, oracle_db)
+        assert index_table(len(lake), new_table, db) == 4
+        assert index_table_scalar(len(lake), new_table, oracle_db) == 4
+        sql = "SELECT * FROM AllTables"
+        assert db.execute(sql).rows == oracle_db.execute(sql).rows
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_128_bit_rejected_on_column_store_up_front(self, vectorized):
+    def test_128_bit_rejected_on_column_store_up_front(self):
         from repro.errors import IndexingError
 
         lake = _edge_lake()
         db = Database(backend="column")
         with pytest.raises(IndexingError, match="int64 SuperKey"):
-            build_alltables(lake, db, IndexConfig(hash_size=128, vectorized=vectorized))
+            build_alltables(lake, db, IndexConfig(hash_size=128))
+        assert not db.has_table("AllTables")
 
-    def test_128_bit_builds_on_row_store(self):
-        lake = _edge_lake()
-        rows = {}
-        for vectorized in (False, True):
-            db = Database(backend="row")
-            build_alltables(lake, db, IndexConfig(hash_size=128, vectorized=vectorized))
-            rows[vectorized] = db.execute("SELECT * FROM AllTables").rows
-        assert rows[True] == rows[False]
-        assert any(row[4] >= 2**63 for row in rows[True])  # real 128-bit keys
+    def test_128_bit_builds_real_wide_keys_on_row_store(self):
+        db = Database(backend="row")
+        build_alltables(_edge_lake(), db, IndexConfig(hash_size=128))
+        rows = db.execute("SELECT * FROM AllTables").rows
+        assert any(row[4] >= 2**63 for row in rows)  # real 128-bit keys
 
     def test_index_empty_table_is_noop(self):
         lake = _edge_lake()
@@ -130,16 +145,16 @@ class TestIncrementalParity:
 
 
 class TestSeekerRankingsIdentical:
-    """The end-to-end bar: both build paths must give every seeker the
-    same answer."""
+    """The end-to-end bar: an oracle-built and a pipeline-built index
+    must give every seeker the same answer."""
 
     @pytest.fixture(scope="class")
     def contexts(self):
         lake = _generated_lake()
         out = []
-        for vectorized in (False, True):
+        for build in (build_alltables_scalar, build_alltables):
             db = Database(backend="column")
-            build_alltables(lake, db, IndexConfig(vectorized=vectorized))
+            build(lake, db)
             out.append(SeekerContext(db=db, lake=lake))
         return out
 

@@ -525,6 +525,20 @@ def test_inconsistent_manifest_hash_width_refused(saved):
         Blend.load(path)
 
 
+def test_manifest_with_retired_config_keys_loads(saved):
+    """Snapshots written before the build pipelines were collapsed carry
+    the retired ``vectorized`` / ``pin_workers`` keys in their manifest's
+    ``index_config``; they still load, the keys ignored."""
+    blend, path = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["index_config"].update({"vectorized": True, "pin_workers": False})
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    loaded = Blend.load(path)
+    assert loaded.index_config == blend.index_config
+    sql = "SELECT * FROM AllTables"
+    assert loaded.db.execute(sql).rows == blend.db.execute(sql).rows
+
+
 # --------------------------------------------------------------------------
 # Delta-layer corruption: crash recovery never loses the base
 # --------------------------------------------------------------------------

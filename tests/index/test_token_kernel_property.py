@@ -2,17 +2,18 @@
 
 Randomised lakes -- with real BOOLEAN columns, bool/int duality
 collisions, NULLs, numeric strings, and huge integral floats -- are
-indexed through every ingest pipeline (scalar oracle, vectorised kernel,
-sharded worker pool) on every valid backend x hash-width combination.
-The bar: **byte-identical** ``AllTables`` relations and identical seeker
-results, regardless of which pipeline built the index or which backend
-stores it. This is the contract the README's "Ingest contract" section
-promises: one canonical tokenisation, pipeline choice is invisible.
+indexed by the scalar oracle and by the build pipeline under both
+schedules (in-process, worker pool) on every valid backend x hash-width
+combination. The bar: **byte-identical** ``AllTables`` relations and
+identical seeker results, regardless of what built the index or which
+backend stores it. This is the contract the README's "Ingest contract"
+section promises: one canonical tokenisation, scheduling is invisible.
 """
 
 import random
 
 import pytest
+from oracles.alltables_scalar import build_alltables_scalar
 
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
@@ -24,13 +25,7 @@ from repro.lake import DataLake, Table
 # the snapshot compatibility suite.
 BACKEND_HASH = [("row", 63), ("row", 128), ("column", 63)]
 
-PIPELINES = {
-    "scalar": lambda hash_size: IndexConfig(vectorized=False, hash_size=hash_size),
-    "vectorized": lambda hash_size: IndexConfig(hash_size=hash_size),
-    "sharded": lambda hash_size: IndexConfig(
-        workers=2, pin_workers=True, hash_size=hash_size
-    ),
-}
+SCHEDULES = {"in-process": None, "pooled": 2}  # IndexConfig.workers
 
 
 def _random_lake(seed: int, num_tables: int = 8) -> DataLake:
@@ -69,9 +64,9 @@ def _random_lake(seed: int, num_tables: int = 8) -> DataLake:
     return lake
 
 
-def _build(lake, backend, config):
+def _build(lake, backend, config, build=build_alltables):
     db = Database(backend=backend)
-    build_alltables(lake, db, config)
+    build(lake, db, config)
     return db
 
 
@@ -105,16 +100,18 @@ class TestPipelineParityProperty:
     @pytest.mark.parametrize(
         "backend,hash_size", BACKEND_HASH, ids=lambda v: str(v)
     )
-    def test_alltables_and_seekers_identical_across_pipelines(
-        self, seed, backend, hash_size
+    def test_alltables_and_seekers_identical_to_oracle(
+        self, seed, backend, hash_size, pooled
     ):
         lake = _random_lake(seed)
-        reference_db = _build(lake, backend, PIPELINES["scalar"](hash_size))
+        reference_db = _build(
+            lake, backend, IndexConfig(hash_size=hash_size), build_alltables_scalar
+        )
         reference_rows = reference_db.execute("SELECT * FROM AllTables").rows
         assert reference_rows, "property lake produced an empty index"
         reference_results = _results(reference_db, lake, hash_size)
-        for name in ("vectorized", "sharded"):
-            db = _build(lake, backend, PIPELINES[name](hash_size))
+        for name, workers in SCHEDULES.items():
+            db = _build(lake, backend, IndexConfig(hash_size=hash_size, workers=workers))
             rows = db.execute("SELECT * FROM AllTables").rows
             assert rows == reference_rows, f"{name} diverged from the scalar oracle"
             assert _results(db, lake, hash_size) == reference_results, name

@@ -1,0 +1,9 @@
+"""Scalar reference implementations (test oracles).
+
+``src/`` ships one production path per job; the cell-at-a-time /
+tuple-at-a-time originals those paths replaced live here, where parity
+suites and the legacy micro-benches compare against them:
+
+* :mod:`oracles.alltables_scalar` -- the seed ``AllTables`` build loop;
+* :mod:`oracles.mc_scalar` -- the seed MC seeker phases.
+"""
