@@ -20,7 +20,7 @@ import statistics
 
 import pytest
 
-from repro import Blend
+from repro import Blend, Plan, Seekers
 from repro.core.seekers import (
     CorrelationSeeker,
     KeywordSeeker,
@@ -167,9 +167,10 @@ def test_ablation_sample_size(benchmark, corr_setup, report_writer):
             for query in bench.queries:
                 truth = bench.ground_truth(query, 10)
                 def run():
-                    return blend.correlation_search(
+                    seeker = Seekers.Correlation(
                         list(query.keys), list(query.targets), k=10, h=h
-                    ).table_ids()
+                    )
+                    return blend.run(Plan().add("c", seeker)).output.table_ids()
                 run()  # warm
                 retrieved, seconds = timed(run)
                 precisions.append(precision_at_k(retrieved, truth, 10))

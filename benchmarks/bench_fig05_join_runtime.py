@@ -44,7 +44,7 @@ def setup(request):
 def _run(system_name, systems, values):
     if system_name == "josie":
         return systems["josie"].search(values, k=K)
-    return systems[system_name].join_search(values, k=K)
+    return systems[system_name].discover(values, "join", k=K).output
 
 
 def _queries_of_size(bench, size):
@@ -110,8 +110,8 @@ def test_outputs_identical_to_josie(benchmark, setup):
         for query in bench.queries[:4]:
             values = list(query.values)
             expected = systems["josie"].search(values, k=K).table_ids()
-            assert systems["blend_column"].join_search(values, k=K).table_ids() == expected
-            assert systems["blend_row"].join_search(values, k=K).table_ids() == expected
+            assert systems["blend_column"].discover(values, "join", k=K).output.table_ids() == expected
+            assert systems["blend_row"].discover(values, "join", k=K).output.table_ids() == expected
         return True
 
     assert benchmark.pedantic(verify, rounds=1, iterations=1)

@@ -36,7 +36,7 @@ def setup():
 def _search(system_name, systems, values, k):
     bench, blend, josie, deepjoin = systems
     if system_name == "blend":
-        return blend.join_search(values, k=k).table_ids()
+        return blend.discover(values, "join", k=k).output.table_ids()
     if system_name == "josie":
         return josie.search(values, k=k).table_ids()
     return deepjoin.search(values, k=k).table_ids()

@@ -96,9 +96,9 @@ def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dic
         # The timed loads must be real: spot-check one seeker result.
         table = lake.by_id(0)
         probe = [v for v in table.column_values(table.columns[0]) if v is not None][:8]
-        expected = blend.keyword_search(probe).table_ids()
+        expected = blend.discover(probe, "keyword").output.table_ids()
         for loaded in (warm, full):
-            if loaded.keyword_search(probe).table_ids() != expected:
+            if loaded.discover(probe, "keyword").output.table_ids() != expected:
                 raise AssertionError("loaded snapshot diverges from the built system")
 
     return results

@@ -66,7 +66,7 @@ def _mate_counts(bench, mate, query):
 def test_mc_runtime_blend(benchmark, setup):
     _, bench, blend, _ = setup
     query = bench.queries[0]
-    benchmark(lambda: blend.multi_column_join_search(query.table.rows, k=10))
+    benchmark(lambda: blend.discover(query.table.rows, "multi_column", k=10).output)
 
 
 def test_mc_runtime_mate(benchmark, setup):

@@ -15,7 +15,7 @@ import statistics
 
 import pytest
 
-from repro import Blend
+from repro import Blend, Plan, Seekers
 from repro.baselines import QcrIndex
 from repro.eval import precision_at_k, recall_at_k, render_table, timed
 from repro.index.alltables import IndexConfig
@@ -51,11 +51,8 @@ def setup(request):
 def _search(system_name, systems, query, k):
     if system_name == "qcr":
         return systems["qcr"].search(list(query.keys), list(query.targets), k=k).table_ids()
-    return (
-        systems[system_name]
-        .correlation_search(list(query.keys), list(query.targets), k=k, h=H)
-        .table_ids()
-    )
+    seeker = Seekers.Correlation(list(query.keys), list(query.targets), k=k, h=H)
+    return systems[system_name].run(Plan().add("c", seeker)).output.table_ids()
 
 
 @pytest.mark.parametrize("system", ["blend", "blend_rand", "qcr"])

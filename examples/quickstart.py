@@ -41,22 +41,22 @@ def main() -> None:
 
     # Single-column join search (Listing 1).
     departments = ["HR", "Marketing", "Finance", "IT", "R&D", "Sales"]
-    print("SC  join search on departments:", names(blend.join_search(departments, k=3)))
+    print("SC  join search on departments:", names(blend.discover(departments, "join", k=3).output))
 
     # Keyword search: values may match anywhere in a table.
-    print("KW  keyword search [2022, firenze]:", names(blend.keyword_search(["2022", "Firenze"], k=3)))
+    print("KW  keyword search [2022, firenze]:", names(blend.discover(["2022", "Firenze"], "keyword", k=3).output))
 
     # Multi-column join search (Listing 2): row-aligned tuples.
     print("MC  tables containing ('HR','Firenze') in one row:",
-          names(blend.multi_column_join_search([("HR", "Firenze")], k=3)))
+          names(blend.discover([("HR", "Firenze")], "multi_column", k=3).output))
 
     # Correlation search (Listing 3): which table has a column
     # correlating with our target, joined on department names?
-    result = blend.correlation_search(
+    result = blend.run(Plan().add("c", Seekers.Correlation(
         keys=["HR", "Marketing", "Finance", "IT", "Sales"],
         targets=[33, 28, 31, 92, 80],
         k=3, min_support=3,
-    )
+    ))).output
     print("C   correlation search:", names(result))
 
     # The paper's Example 1, as a composed plan: tables containing the

@@ -1,23 +1,19 @@
 """Cross-query batched seeker execution for the serving tier.
 
-The array kernels of :mod:`repro.core.seekers` batch *inside* one
-query (one ``may_contain_batch`` pass, one count-matrix validation); this
-module batches *across* concurrently-arriving queries of the same
+This module batches *across* concurrently-arriving queries of the same
 modality so a serving batch window runs a fixed number of index passes
 regardless of how many requests it coalesces:
 
 * **SC / KW** -- all queries' tokens union into ONE index scan; each
   query's per-(table[, column]) distinct-overlap ranking is then a
   bincount over the shared scan, replicating its solo SQL byte for byte.
-* **MC** -- queries of the same tuple width share ONE phase-1 join over
-  the union of their per-column token lists (a superset of every query's
-  own candidate rows -- safe because phase 3 is exact), phase 2 runs each
-  query's blocked bitwise mask (:func:`may_contain_batch`) over the
-  shared candidates -- pruning XASH misses and the union's cross-query
-  false candidates alike -- and phase 3 gathers each distinct surviving
-  row ONCE and builds a single count matrix over the combined query
-  vocabulary, from which every query's containment check is a
-  column-gathered slice.
+  A lone query of its kind keeps its solo SQL aggregation: a different
+  algorithm, cheaper when there is nothing to share.
+* **MC** -- this module decides only *which* queries share a join: same
+  tuple width, at most ``_MC_FETCH_CHUNK`` per join. The three phases
+  are the group bodies of :mod:`repro.core.seekers` (``mc_fetch_candidates``
+  / ``mc_superkey_filter`` / ``mc_validate``), the same code a solo
+  ``MultiColumnSeeker.partials`` runs as the group of one.
 
 Every kernel emits the same :class:`~repro.core.results.SeekerPartials`
 the serial path does, so serial, batched, and sharded execution share one
@@ -30,17 +26,15 @@ built from independent requests, which have none.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..engine.storage.column_store import DictCodes
-from ..index.xash import may_contain_batch
 from .results import (
     RANKED,
     ResultList,
     SeekerPartials,
-    count_partials,
     merge_partials,
     resolved_partials,
 )
@@ -51,7 +45,10 @@ from .seekers import (
     Seeker,
     SeekerContext,
     SingleColumnSeeker,
-    _token_count_matrix,
+    mc_count_partials,
+    mc_fetch_candidates,
+    mc_superkey_filter,
+    mc_validate,
 )
 
 
@@ -109,9 +106,7 @@ def execute_batch_partials(
         )
         for i, result in zip(indices, batch):
             results[i] = result
-    if len(mc_group) == 1:
-        results[mc_group[0]] = seeker_partials(seekers[mc_group[0]], context)
-    elif mc_group:
+    if mc_group:
         batch = _execute_mc_batch([seekers[i] for i in mc_group], context)
         for i, result in zip(mc_group, batch):
             results[i] = result
@@ -235,173 +230,34 @@ def _execute_value_batch(
     return results
 
 
-# -- MC: shared phase 1 per width, per-query phase 2, combined phase 3 --------------
+# -- MC: what is cross-query -- which seekers share a join. The phases themselves
+# -- are the group bodies of :mod:`repro.core.seekers`. -----------------------------
 
 # Queries unioned into one phase-1 join per chunk; past this size the
 # union's cross-query candidate blowup outweighs the saved SQL passes.
 _MC_FETCH_CHUNK = 8
 
 
-def _fetch_mc_group(
-    group: Sequence[MultiColumnSeeker], context: SeekerContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared phase 1 for a same-width group: ONE join over the union of
-    the group's per-column token lists. The result is a superset of every
-    member's own candidate set (each per-column ``IN`` list is a
-    superset), so downstream exact validation yields identical answers;
-    deduplicated ``(TableId, RowId)`` like the per-query fetch."""
-    proto = group[0]
-    if len(group) == 1:
-        return proto.fetch_candidate_arrays(context)
-    params: dict[str, Any] = {}
-    for position in range(proto.width):
-        union: dict[str, None] = {}
-        for seeker in group:
-            for token in seeker.column_tokens(position):
-                union.setdefault(token)
-        params[f"q{position}"] = list(union)
-    sql = proto.sql().format(index=context.index_table)
-    result = context.db.execute_columnar(sql, params)
-    table_ids = result.arrays[0][0]
-    row_ids = result.arrays[1][0]
-    super_keys = result.arrays[2][0]
-    if len(table_ids) == 0:
-        return table_ids, row_ids, super_keys
-    order = np.lexsort((row_ids, table_ids))
-    table_ids, row_ids, super_keys = (
-        table_ids[order],
-        row_ids[order],
-        super_keys[order],
-    )
-    first = np.ones(len(table_ids), dtype=bool)
-    first[1:] = (table_ids[1:] != table_ids[:-1]) | (row_ids[1:] != row_ids[:-1])
-    return table_ids[first], row_ids[first], super_keys[first]
-
-
 def _execute_mc_batch(
     seekers: Sequence[MultiColumnSeeker], context: SeekerContext
 ) -> list[SeekerPartials]:
-    """Batched MC pipeline: one candidate join per tuple width (phase 1),
-    one stacked super-key containment pass per width group (phase 2), and
-    one combined count-matrix validation for the whole batch (phase 3)."""
+    """Batched MC pipeline: phases 1 and 2 per chunk of up to
+    ``_MC_FETCH_CHUNK`` same-width queries (the join's shape depends on
+    the width, and the union's candidate superset grows superlinearly
+    with the number of unioned queries), phase 3 once for the whole
+    batch, so a lake row that several queries reach is read once."""
     width_groups: dict[int, list[int]] = {}
     for q, seeker in enumerate(seekers):
         width_groups.setdefault(seeker.width, []).append(q)
-
-    # Phase 1 per width group: one shared union join. Phase 2 per query
-    # over the shared candidates: the per-query super-key mask prunes
-    # both XASH misses AND the union's cross-query false candidates, so
-    # each query's phase-3 slice stays solo-sized.
-    # The union's candidate superset grows superlinearly with the number
-    # of unioned queries, so very large groups share the join in chunks.
-    chunks: list[list[int]] = []
+    survivors: list = [None] * len(seekers)
     for members in width_groups.values():
         for start in range(0, len(members), _MC_FETCH_CHUNK):
-            chunks.append(members[start : start + _MC_FETCH_CHUNK])
-
-    survivor_tables: list[np.ndarray] = []
-    survivor_rows: list[np.ndarray] = []
-    survivors_of: dict[int, slice] = {}  # seeker index -> concatenation slice
-    offset = 0
-    for chunk in chunks:
-        group = [seekers[q] for q in chunk]
-        tables, rows, keys = _fetch_mc_group(group, context)
-        for q, seeker in zip(chunk, group):
-            if len(tables):
-                mask = may_contain_batch(keys, seeker._tuple_hash_array(context))
-                mine_tables, mine_rows = tables[mask], rows[mask]
-            else:
-                mine_tables, mine_rows = tables, rows
-            survivor_tables.append(mine_tables)
-            survivor_rows.append(mine_rows)
-            survivors_of[q] = slice(offset, offset + len(mine_tables))
-            offset += len(mine_tables)
-
-    all_tables = np.concatenate(survivor_tables)
-    all_rows = np.concatenate(survivor_rows)
-
-    if len(all_tables) == 0:
-        return [count_partials([], []) for _ in seekers]
-
-    # Combined query vocabulary: per-seeker local code -> global code
-    # gather arrays. Iterating a vocabulary dict yields tokens in local
-    # code order, so position i of the map IS local code i.
-    global_vocab: dict[str, int] = {}
-    code_maps: list[np.ndarray] = []
-    requirements = [seeker._query_requirements() for seeker in seekers]
-    for req in requirements:
-        code_maps.append(
-            np.fromiter(
-                (
-                    global_vocab.setdefault(token, len(global_vocab))
-                    for token in req.vocabulary
-                ),
-                dtype=np.int64,
-                count=len(req.vocabulary),
-            )
-        )
-
-    # Phase 3: gather each distinct (table, row) ONCE across the batch.
-    order = np.lexsort((all_rows, all_tables))
-    sorted_tables = all_tables[order]
-    sorted_rows = all_rows[order]
-    pair_first = np.ones(len(sorted_tables), dtype=bool)
-    pair_first[1:] = (sorted_tables[1:] != sorted_tables[:-1]) | (
-        sorted_rows[1:] != sorted_rows[:-1]
-    )
-    pair_tables = sorted_tables[pair_first]
-    pair_rows = sorted_rows[pair_first]
-    # survivor position -> distinct pair index
-    pair_of_survivor = np.empty(len(all_tables), dtype=np.int64)
-    pair_of_survivor[order] = np.cumsum(pair_first) - 1
-
-    boundaries = np.nonzero(pair_tables[1:] != pair_tables[:-1])[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(pair_tables)]))
-    gathered: list[tuple] = []
-    # Distinct pair -> row index into the count matrix; -1 = dropped by
-    # the lake's bounds check (stale index rows), matching the serial
-    # path's silent skip.
-    matrix_row = np.full(len(pair_tables), -1, dtype=np.int64)
-    for start, end in zip(starts, ends):
-        table_id = int(pair_tables[start])
-        requested = pair_rows[start:end]
-        kept, rows = context.lake.gather_rows(table_id, requested)
-        if not rows:
-            continue
-        positions = start + np.searchsorted(requested, np.asarray(kept))
-        matrix_row[positions] = np.arange(len(gathered), len(gathered) + len(rows))
-        gathered.extend(rows)
-
-    if not gathered:
-        return [count_partials([], []) for _ in seekers]
-    # Fresh memo: codes here live in the batch's global vocabulary, which
-    # is incompatible with each seeker's private ``_cell_memo``.
-    batch_memo: dict[Any, int] = {}
-    counts = _token_count_matrix(gathered, global_vocab, batch_memo)
-
-    results: list[SeekerPartials] = []
-    for q, (seeker, req, code_map) in enumerate(
-        zip(seekers, requirements, code_maps)
-    ):
-        mine = survivors_of[q]
-        rows_idx = matrix_row[pair_of_survivor[mine]]
-        present = rows_idx >= 0
-        rows_idx = rows_idx[present]
-        if len(rows_idx) == 0:
-            results.append(count_partials([], []))
-            continue
-        local_counts = counts[rows_idx][:, code_map]
-        valid = np.zeros(len(rows_idx), dtype=bool)
-        if req.incidence is not None:
-            hits = (local_counts > 0).astype(np.int32) @ req.incidence
-            valid |= (hits == req.widths).any(axis=1)
-        for codes, required in req.multisets:
-            valid |= (local_counts[:, codes] >= required).all(axis=1)
-        validated_tables = all_tables[mine][present][valid]
-        if len(validated_tables) == 0:
-            results.append(count_partials([], []))
-            continue
-        unique_tables, tallies = np.unique(validated_tables, return_counts=True)
-        results.append(count_partials(unique_tables, tallies))
-    return results
+            chunk = members[start : start + _MC_FETCH_CHUNK]
+            group = [seekers[q] for q in chunk]
+            candidates = mc_fetch_candidates(group, context)
+            for q, kept in zip(chunk, mc_superkey_filter(group, *candidates, context)):
+                survivors[q] = kept
+    return [
+        mc_count_partials(tables)
+        for tables, _ in mc_validate(seekers, survivors, context)
+    ]

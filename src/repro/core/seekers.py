@@ -30,11 +30,8 @@ from ..lake.table import Cell, Table, normalize_cell
 from .results import (
     ResultList,
     SeekerPartials,
-    TableHit,
     count_partials,
-    dedupe_ranked_groups,
     merge_partials,
-    rank_table_counts,
     ranked_partials,
 )
 
@@ -45,17 +42,11 @@ __all__ = [
     "SeekerContext",
     "Seeker",
     "Seekers",
-    "SeekerPartials",
     "SingleColumnSeeker",
     "KeywordSeeker",
     "MultiColumnSeeker",
     "CorrelationSeeker",
     "SEEKER_RULE_RANK",
-    "count_partials",
-    "dedupe_ranked_groups",
-    "merge_partials",
-    "rank_table_counts",
-    "ranked_partials",
 ]
 
 OVERFETCH = 32
@@ -322,23 +313,13 @@ class MultiColumnSeeker(Seeker):
             raise SeekerError("MC seeker requires a composite key (>= 2 columns)")
         # Lazy per-(hash_size, xash_chars) tuple-hash arrays and the
         # factorized validation requirements (built on first execution,
-        # reused across executions and rewrites). The cell memo persists
-        # across executions too: the query vocabulary is fixed per
-        # seeker, so a lake cell's code never changes.
+        # reused across executions and rewrites).
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
         self._requirements: Optional[_QueryRequirements] = None
-        self._cell_memo: dict[Any, int] = {}
 
     def column_tokens(self, position: int) -> list[str]:
-        """Distinct tokens of one query column."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for row in self.tuples:
-            token = row[position]
-            if token not in seen:
-                seen.add(token)
-                out.append(token)
-        return out
+        """Distinct tokens of one query column, in first-seen order."""
+        return list(dict.fromkeys(row[position] for row in self.tuples))
 
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
         # The rewrite predicate goes INSIDE every derived table, where it
@@ -359,12 +340,7 @@ class MultiColumnSeeker(Seeker):
         return "".join(parts)
 
     def params(self, rewrite: Optional[Rewrite] = None) -> dict[str, Any]:
-        params: dict[str, Any] = {
-            f"q{i}": self.column_tokens(i) for i in range(self.width)
-        }
-        if rewrite:
-            params["__rewrite_ids"] = list(rewrite.table_ids)
-        return params
+        return _mc_params([self], rewrite)
 
     def partials(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
@@ -377,34 +353,18 @@ class MultiColumnSeeker(Seeker):
             table_ids, row_ids, super_keys, context
         )
         table_ids, _ = self.validate_batch(table_ids, row_ids, context)
-        if len(table_ids) == 0:
-            return count_partials([], [])
-        unique_tables, counts = np.unique(table_ids, return_counts=True)
-        return count_partials(unique_tables, counts)
+        return mc_count_partials(table_ids)
 
-    # -- the three MC phases, exposed for tests and Table V; the scalar
-    # -- reference they are pinned against is tests/oracles/mc_scalar.py --------
+    # -- the three MC phases as the group-of-one forms of the group bodies
+    # -- below, exposed for tests and Table V; the scalar reference they are
+    # -- pinned against is tests/oracles/mc_scalar.py ---------------------------
 
     def fetch_candidate_arrays(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Phase 1: deduplicated ``(TableId, RowId, SuperKey)`` columns
-        from the SQL join, straight from the executor -- no per-row
-        Python tuples."""
-        sql = self.sql(rewrite).format(index=context.index_table)
-        result = context.db.execute_columnar(sql, self.params(rewrite))
-        table_ids = result.arrays[0][0]
-        row_ids = result.arrays[1][0]
-        super_keys = result.arrays[2][0]
-        if len(table_ids) == 0:
-            return table_ids, row_ids, super_keys
-        order = np.lexsort((row_ids, table_ids))
-        table_ids = table_ids[order]
-        row_ids = row_ids[order]
-        super_keys = super_keys[order]
-        first = np.ones(len(table_ids), dtype=bool)
-        first[1:] = (table_ids[1:] != table_ids[:-1]) | (row_ids[1:] != row_ids[:-1])
-        return table_ids[first], row_ids[first], super_keys[first]
+        from the SQL join, sorted by ``(TableId, RowId)``."""
+        return mc_fetch_candidates([self], context, rewrite)
 
     def superkey_filter_batch(
         self,
@@ -413,69 +373,15 @@ class MultiColumnSeeker(Seeker):
         super_keys: np.ndarray,
         context: SeekerContext,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 2: prune rows whose super key cannot contain any tuple
-        -- one bitwise-AND pass per distinct query hash over the full
-        candidate array."""
-        mask = may_contain_batch(super_keys, self._tuple_hash_array(context))
-        return table_ids[mask], row_ids[mask]
+        """Phase 2: prune rows whose super key cannot contain any tuple."""
+        return mc_superkey_filter([self], table_ids, row_ids, super_keys, context)[0]
 
     def validate_batch(
         self, table_ids: np.ndarray, row_ids: np.ndarray, context: SeekerContext
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 3: exact containment check against the lake tuples --
-        survivors grouped per table, each table's candidate rows gathered
-        in one lake call (out-of-range row ids from stale index rows are
-        dropped), then ONE global check over factorized token codes.
-
-        A row contains a tuple row-aligned iff, for every distinct token
-        of the tuple, the row holds at least as many cells with that token
-        as the tuple does (Hall's condition -- positions of distinct
-        tokens are disjoint, so the bipartite matching of the scalar
-        oracle decomposes into per-token counts). For tuples without
-        repeated tokens -- the overwhelmingly common case -- that is a
-        presence check, evaluated for all (row, tuple) pairs at once as
-        an integer matmul against the tuple-incidence matrix.
-        """
-        if len(table_ids) == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        requirements = self._query_requirements()
-        order = np.argsort(table_ids, kind="stable")
-        sorted_tables = table_ids[order]
-        sorted_rows = row_ids[order]
-        boundaries = np.nonzero(sorted_tables[1:] != sorted_tables[:-1])[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(sorted_tables)]))
-        kept_tables: list[np.ndarray] = []
-        kept_rows: list[np.ndarray] = []
-        gathered: list[tuple] = []
-        for start, end in zip(starts, ends):
-            table_id = int(sorted_tables[start])
-            kept, rows = context.lake.gather_rows(table_id, sorted_rows[start:end])
-            if not rows:
-                continue
-            kept_tables.append(np.full(len(kept), table_id, dtype=np.int64))
-            kept_rows.append(np.asarray(kept, dtype=np.int64))
-            gathered.extend(rows)
-        if not gathered:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-            )
-        counts = _token_count_matrix(
-            gathered, requirements.vocabulary, self._cell_memo
-        )
-        valid = np.zeros(len(gathered), dtype=bool)
-        if requirements.incidence is not None:
-            hits = (counts > 0).astype(np.int32) @ requirements.incidence
-            valid |= (hits == requirements.widths).any(axis=1)
-        for codes, required in requirements.multisets:
-            valid |= (counts[:, codes] >= required).all(axis=1)
-        all_tables = np.concatenate(kept_tables)
-        all_rows = np.concatenate(kept_rows)
-        return all_tables[valid], all_rows[valid]
+        """Phase 3: the candidates (in input order) whose lake row
+        contains some query tuple row-aligned."""
+        return mc_validate([self], [(table_ids, row_ids)], context)[0]
 
     def _tuple_hash_array(self, context: SeekerContext) -> np.ndarray:
         """Distinct query-tuple hashes, computed once per hash config."""
@@ -525,16 +431,13 @@ class MultiColumnSeeker(Seeker):
         return self._requirements
 
     def query_cardinality(self) -> int:
-        return sum(len(self.column_tokens(i)) for i in range(self.width))
+        return len(self.query_tokens())
 
     def query_columns(self) -> int:
         return self.width
 
     def query_tokens(self) -> list[str]:
-        tokens: list[str] = []
-        for i in range(self.width):
-            tokens.extend(self.column_tokens(i))
-        return tokens
+        return [token for i in range(self.width) for token in self.column_tokens(i)]
 
 
 @dataclass(frozen=True)
@@ -555,18 +458,17 @@ class _QueryRequirements:
 _MISS = object()
 
 
-def _token_count_matrix(
-    rows: list[tuple], vocabulary: dict[str, int], memo: dict[Any, int]
-) -> np.ndarray:
+def _token_count_matrix(rows: list[tuple], vocabulary: dict[str, int]) -> np.ndarray:
     """Per-row occurrence counts of each query-vocabulary token.
 
-    One dict probe per cell: *memo* maps raw cell values to their vocab
+    One dict probe per cell: a memo maps raw cell values to their vocab
     code (``-1`` = not a query token), so repeated values -- the common
     case in skewed lakes -- skip normalisation entirely. Booleans bypass
     the memo: ``True == 1`` in Python, so they must never share memo
     slots with the numbers they compare equal to (their *tokens* differ:
     ``"true"`` vs ``"1"``).
     """
+    memo: dict[Any, int] = {}
     counts = np.zeros((len(rows), len(vocabulary)), dtype=np.int32)
     for i, row in enumerate(rows):
         for value in row:
@@ -583,6 +485,169 @@ def _token_count_matrix(
             if code >= 0:
                 counts[i, code] += 1
     return counts
+
+
+# -- the MC phases: one body each, over a GROUP of seekers. A solo query is the
+# -- group of one (the phase methods of MultiColumnSeeker); a serving batch
+# -- (:mod:`repro.core.batch`) passes the queries that share a join. ----------------
+
+
+def _mc_params(
+    group: Sequence[MultiColumnSeeker], rewrite: Optional[Rewrite] = None
+) -> dict[str, Any]:
+    """Per-column ``IN`` lists of the group's phase-1 join: the ordered
+    union of the members' column tokens (a group of one unions to its own
+    tokens)."""
+    params: dict[str, Any] = {
+        f"q{i}": list(dict.fromkeys(row[i] for seeker in group for row in seeker.tuples))
+        for i in range(group[0].width)
+    }
+    if rewrite:
+        params["__rewrite_ids"] = list(rewrite.table_ids)
+    return params
+
+
+def _pair_runs(table_ids: np.ndarray, row_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(TableId, RowId)`` sort order of the input plus, in that
+    order, the mask of each distinct pair's first occurrence."""
+    order = np.lexsort((row_ids, table_ids))
+    tables, rows = table_ids[order], row_ids[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (tables[1:] != tables[:-1]) | (rows[1:] != rows[:-1])
+    return order, first
+
+
+def mc_fetch_candidates(
+    group: Sequence[MultiColumnSeeker],
+    context: SeekerContext,
+    rewrite: Optional[Rewrite] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 1 for a same-width group: ONE join over the union of the
+    members' per-column token lists, straight from the executor as
+    ``(TableId, RowId, SuperKey)`` columns (no per-row Python tuples),
+    deduplicated and sorted by ``(TableId, RowId)``.
+
+    Each per-column ``IN`` list is a superset of every member's own, so
+    the result is a superset of every member's own candidate set; phase 2
+    prunes the cross-member extras and phase 3 is exact, so every member
+    gets its solo answer. A *rewrite* restricts all members alike
+    (batches are built from independent requests, which have none)."""
+    sql = group[0].sql(rewrite).format(index=context.index_table)
+    result = context.db.execute_columnar(sql, _mc_params(group, rewrite))
+    table_ids, row_ids, super_keys = (result.arrays[i][0] for i in range(3))
+    order, first = _pair_runs(table_ids, row_ids)
+    distinct = order[first]
+    return table_ids[distinct], row_ids[distinct], super_keys[distinct]
+
+
+def mc_superkey_filter(
+    group: Sequence[MultiColumnSeeker],
+    table_ids: np.ndarray,
+    row_ids: np.ndarray,
+    super_keys: np.ndarray,
+    context: SeekerContext,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Phase 2: each member's ``(TableId, RowId)`` survivors among the
+    shared candidates -- the rows whose super key can bit-contain one of
+    its tuple hashes (no false negatives), one blocked bitwise-AND pass
+    per member. In a group the same mask drops the candidates that only
+    other members' tokens pulled into the shared join."""
+    survivors = []
+    for seeker in group:
+        mask = may_contain_batch(super_keys, seeker._tuple_hash_array(context))
+        survivors.append((table_ids[mask], row_ids[mask]))
+    return survivors
+
+
+def mc_validate(
+    group: Sequence[MultiColumnSeeker],
+    survivors: Sequence[tuple[np.ndarray, np.ndarray]],
+    context: SeekerContext,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Phase 3: exact containment against the lake tuples. *survivors*
+    holds one ``(TableId, RowId)`` pair of arrays per member; the result
+    is, per member, those of its pairs (in input order) whose lake row
+    contains one of its tuples row-aligned.
+
+    Each distinct ``(table, row)`` across the group is gathered ONCE, one
+    lake call per table (out-of-range row ids from stale index rows are
+    dropped), and counted ONCE into a matrix over the group's combined
+    vocabulary; every member then checks its own requirements on its
+    slice of that matrix.
+
+    A row contains a tuple row-aligned iff, for every distinct token of
+    the tuple, the row holds at least as many cells with that token as
+    the tuple does (Hall's condition -- positions of distinct tokens are
+    disjoint, so the bipartite matching of the scalar oracle decomposes
+    into per-token counts). For tuples without repeated tokens -- the
+    overwhelmingly common case -- that is a presence check, evaluated for
+    all (row, tuple) pairs at once as an integer matmul against the
+    tuple-incidence matrix.
+    """
+    all_tables = np.concatenate([tables for tables, _ in survivors])
+    all_rows = np.concatenate([rows for _, rows in survivors])
+    if len(all_tables) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return [(empty, empty)] * len(group)
+
+    # Group vocabulary, and per member the gather from its local codes
+    # into it: iterating a vocabulary dict yields tokens in local-code
+    # order, so position i of the map IS local code i.
+    vocabulary: dict[str, int] = {}
+    requirements = [seeker._query_requirements() for seeker in group]
+    code_maps = [
+        np.fromiter(
+            (vocabulary.setdefault(token, len(vocabulary)) for token in req.vocabulary),
+            dtype=np.int64,
+            count=len(req.vocabulary),
+        )
+        for req in requirements
+    ]
+
+    order, first = _pair_runs(all_tables, all_rows)
+    pair_tables, pair_rows = all_tables[order[first]], all_rows[order[first]]
+    pair_of_survivor = np.empty(len(order), dtype=np.int64)
+    pair_of_survivor[order] = np.cumsum(first) - 1
+
+    boundaries = np.nonzero(pair_tables[1:] != pair_tables[:-1])[0] + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(pair_tables)]))
+    gathered: list[tuple] = []
+    # Distinct pair -> its row of the count matrix; -1 = dropped by the
+    # lake's bounds check.
+    matrix_row = np.full(len(pair_tables), -1, dtype=np.int64)
+    for start, end in zip(starts, ends):
+        requested = pair_rows[start:end]
+        kept, rows = context.lake.gather_rows(int(pair_tables[start]), requested)
+        if rows:
+            positions = start + np.searchsorted(requested, np.asarray(kept))
+            matrix_row[positions] = np.arange(len(gathered), len(gathered) + len(rows))
+            gathered.extend(rows)
+    counts = _token_count_matrix(gathered, vocabulary)
+
+    validated = []
+    offset = 0
+    for (tables, rows), req, code_map in zip(survivors, requirements, code_maps):
+        mine = matrix_row[pair_of_survivor[offset : offset + len(tables)]]
+        offset += len(tables)
+        present = np.nonzero(mine >= 0)[0]
+        # take() keeps the slice C-ordered (``[:, code_map]`` would not),
+        # which the matmul below is sensitive to.
+        local_counts = counts.take(mine[present], axis=0).take(code_map, axis=1)
+        valid = np.zeros(len(present), dtype=bool)
+        if req.incidence is not None:
+            hits = (local_counts > 0).astype(np.int32) @ req.incidence
+            valid |= (hits == req.widths).any(axis=1)
+        for codes, required in req.multisets:
+            valid |= (local_counts[:, codes] >= required).all(axis=1)
+        keep = present[valid]
+        validated.append((tables[keep], rows[keep]))
+    return validated
+
+
+def mc_count_partials(validated_table_ids: np.ndarray) -> SeekerPartials:
+    """The MC tail: validated joinable rows per table, as a counts partial."""
+    return count_partials(*np.unique(validated_table_ids, return_counts=True))
 
 
 class CorrelationSeeker(Seeker):

@@ -14,8 +14,9 @@ Typical use::
     result = blend.run(plan)
     print(result.output.table_ids())
 
-Convenience task methods (``join_search``, ``union_search``, ...) build
-the standard plans of §VII-A.
+Queries enter through three methods: ``run`` (a ``Plan``), ``discover``
+(one or several named modalities over one query, fused) and
+``union_search`` (the §VII-A Counter plan plus self-exclusion).
 """
 
 from __future__ import annotations
@@ -443,10 +444,6 @@ class Blend:
         uniformly/alpha. *exact* forces the semantic lane's brute-force
         mode (defaults: SS approximate, HY exact -- the deterministic
         sharding mode).
-
-        The legacy task methods (``keyword_search``, ``join_search``,
-        ``semantic_search``, ``multi_column_join_search``) are thin
-        wrappers over this facade.
         """
         from .hybrid import DiscoveryResult, HybridSeeker
         from .results import fuse_rankings
@@ -538,22 +535,6 @@ class Blend:
             per_modality=per_modality,
         )
 
-    def hybrid_search(
-        self,
-        values: Iterable[Cell],
-        about: Optional[Iterable[Cell]] = None,
-        k: int = 10,
-        alpha: float = 0.5,
-    ) -> ResultList:
-        """Hybrid exact+semantic discovery via the HY fusion seeker."""
-        return self.discover(
-            values, modalities=("hybrid",), k=k, about=about, alpha=alpha
-        ).output
-
-    def semantic_search(self, values: Iterable[Cell], k: int = 10) -> ResultList:
-        """Semantic join/union discovery via the SS seeker extension."""
-        return self.discover(values, modalities=("semantic",), k=k).output
-
     # -- online phase ----------------------------------------------------------
 
     def plan_for(self, plan: Plan, optimize: bool = True) -> ExecutionPlan:
@@ -569,37 +550,6 @@ class Blend:
         return PlanExecutor(self.context()).run(plan, execution_plan)
 
     # -- standard tasks (§VII-A) ---------------------------------------------------
-
-    def keyword_search(self, keywords: Iterable[Cell], k: int = 10) -> ResultList:
-        """Simple task: a single KW seeker (thin ``discover`` wrapper)."""
-        return self.discover(keywords, modalities=("keyword",), k=k).output
-
-    def join_search(self, values: Iterable[Cell], k: int = 10) -> ResultList:
-        """Single-column join discovery (the JOSIE task; thin
-        ``discover`` wrapper)."""
-        return self.discover(values, modalities=("join",), k=k).output
-
-    def multi_column_join_search(
-        self, rows: Iterable[Sequence[Cell]] | Table, k: int = 10
-    ) -> ResultList:
-        """Multi-column join discovery (the MATE task; thin ``discover``
-        wrapper)."""
-        return self.discover(rows, modalities=("multi_column",), k=k).output
-
-    def correlation_search(
-        self,
-        keys: Iterable[Cell],
-        targets: Iterable[Cell],
-        k: int = 10,
-        h: int = 256,
-        min_support: int = 3,
-    ) -> ResultList:
-        """Correlation discovery (the QCR task)."""
-        plan = Plan().add(
-            "corr",
-            Seekers.Correlation(keys, targets, k=k, h=h, min_support=min_support),
-        )
-        return self.run(plan).output
 
     def union_search(
         self, table: Table, k: int = 10, per_column_k: int = 100

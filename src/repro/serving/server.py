@@ -213,6 +213,12 @@ def _make_handler(server: BlendServer):
         def log_message(self, *args: Any) -> None:  # quiet by default
             pass
 
+        # Buffered, so headers and body leave in ONE write (flushed per
+        # request by ``handle_one_request``). As two small segments, the
+        # body would wait -- Nagle -- for the client's delayed ACK of the
+        # headers: ~40 ms on every keep-alive request.
+        wbufsize = 1 << 16
+
         def _reply(self, status: int, body: dict[str, Any]) -> None:
             data = json.dumps(body).encode()
             self.send_response(status)

@@ -47,7 +47,7 @@ class TestJosie:
         for query in join_bench.queries[:4]:
             assert (
                 josie.search(list(query.values), k=10).table_ids()
-                == blend.join_search(query.values, k=10).table_ids()
+                == blend.discover(query.values, "join", k=10).output.table_ids()
             )
 
     def test_scores_are_overlaps(self, join_bench, josie):
@@ -92,7 +92,7 @@ class TestMate:
             }
             mate_ids = set(mate.search(query.table.rows, k=100).table_ids())
             blend_ids = set(
-                blend.multi_column_join_search(query.table.rows, k=100).table_ids()
+                blend.discover(query.table.rows, "multi_column", k=100).output.table_ids()
             )
             assert truly_joinable <= mate_ids
             assert truly_joinable <= blend_ids

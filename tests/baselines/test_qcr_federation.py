@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Blend
+from repro import Blend, Plan, Seekers
 from repro.baselines import (
     JosieIndex,
     MateIndex,
@@ -83,11 +83,8 @@ class TestQcrBaseline:
             qcr_found = set(
                 qcr_index.search(list(query.keys), list(query.targets), k=5).table_ids()
             )
-            blend_found = set(
-                blend.correlation_search(
-                    list(query.keys), list(query.targets), k=5, h=256
-                ).table_ids()
-            )
+            seeker = Seekers.Correlation(list(query.keys), list(query.targets), k=5, h=256)
+            blend_found = set(blend.run(Plan().add("c", seeker)).output.table_ids())
             assert len(blend_found & truth) > len(qcr_found & truth)
 
     def test_storage_positive(self, qcr):

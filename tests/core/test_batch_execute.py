@@ -6,9 +6,10 @@ storage backends, across mixed and edge-case batches."""
 import random
 
 import pytest
+from oracles import mc_scalar
 
 from repro import Blend, DataLake, Seekers, Table
-from repro.core.batch import execute_batch
+from repro.core.batch import _MC_FETCH_CHUNK, execute_batch
 
 
 CITIES = ["berlin", "paris", "rome", "madrid", "lisbon", "vienna", "oslo", "cairo"]
@@ -71,7 +72,7 @@ def test_blend_execute_batch_entry_point(serving_blend):
 
 
 def test_single_seeker_batches(serving_blend):
-    """Singleton batches take the solo path but must agree too."""
+    """A batch of one agrees with solo execution."""
     context = serving_blend.context()
     for seeker in (
         Seekers.SC(["berlin", "paris"], k=4),
@@ -120,3 +121,70 @@ def test_mixed_width_mc_batch(serving_blend):
     context = serving_blend.context()
     serial = [seeker.execute(context) for seeker in seekers]
     assert execute_batch(seekers, context) == serial
+
+
+# -- MC edge cases: solo == batch of one == inside a mixed batch == scalar oracle -----
+
+
+@pytest.fixture(scope="module", params=["row", "column"])
+def edge_context(request):
+    """A lake holding every MC edge case at once; the ``stale`` table
+    shrinks AFTER indexing, so ``AllTables`` references rows 3..7 of it
+    that the lake no longer has."""
+    lake = DataLake("edges")
+    lake.add(Table("dup", ["p", "q"], [("a", "a"), ("a", "b"), ("b", "a")]))
+    lake.add(Table("dup3", ["p", "q", "r"], [("a", "x", "a"), ("a", "y", "z"), ("a", "b", "c")]))
+    lake.add(
+        Table("bools", ["flag", "tag"], [(True, "x"), (1, "x"), (1.0, "x"), (False, "x")])
+    )
+    lake.add(Table("pairs", ["city", "country"], PAIRS))
+    lake.add(Table("stale", ["city", "country"], PAIRS))
+    blend = Blend(lake, backend=request.param)
+    blend.build_index()
+    del lake.by_name("stale").rows[3:]
+    return blend.context()
+
+
+# name -> (tuples, expected (table name -> validated rows))
+_EDGE_QUERIES = {
+    "repeated-token": ([("a", "a")], {"dup": 1, "dup3": 1}),
+    "true-is-not-1": ([(True, "x")], {"bools": 1}),
+    "1-is-not-true": ([(1, "x")], {"bools": 2}),
+    "all-ghost": ([("ghost", "nowhere"), ("nobody", "home")], {}),
+    "stale-rows": (PAIRS, {"pairs": 8, "stale": 3}),
+    "width-3": ([("a", "x", "a"), ("a", "b", "c"), ("ghost", "x", "a")], {"dup3": 2}),
+    "width-3-repeated": ([("a", "a", "x")], {"dup3": 1}),
+}
+
+
+def _edge_seekers() -> list:
+    """Fresh seekers: the seven named edge cases plus enough plain
+    width-2 queries to spill past one ``_MC_FETCH_CHUNK`` join."""
+    queries = [tuples for tuples, _ in _EDGE_QUERIES.values()]
+    queries += [[PAIRS[i], PAIRS[(i + 3) % len(PAIRS)], ("a", "b")] for i in range(6)]
+    assert sum(len(q[0]) == 2 for q in queries) > _MC_FETCH_CHUNK
+    return [Seekers.MC(tuples, k=6) for tuples in queries]
+
+
+def test_mc_edge_cases_agree_in_every_composition(edge_context):
+    lake = edge_context.lake
+    expected = [mc_scalar.execute(seeker, edge_context) for seeker in _edge_seekers()]
+    for (name, (_, rows_per_table)), result in zip(_EDGE_QUERIES.items(), expected):
+        assert {lake.name_of(h.table_id): h.score for h in result} == rows_per_table, name
+
+    solo = [seeker.execute(edge_context) for seeker in _edge_seekers()]
+    assert solo == expected
+    batch_of_one = [execute_batch([seeker], edge_context)[0] for seeker in _edge_seekers()]
+    assert batch_of_one == expected
+
+    # One mixed batch: widths 2 and 3 interleaved, > _MC_FETCH_CHUNK
+    # same-width members, SC / KW riders in between.
+    riders = [Seekers.SC(["berlin", "a"], k=4), Seekers.KW(["x", "rome"], k=4)]
+    batch = _edge_seekers()
+    batch[2:2] = riders[:1]
+    batch[7:7] = riders[1:]
+    results = execute_batch(batch, edge_context)
+    assert [r for s, r in zip(batch, results) if s.kind == "MC"] == expected
+    assert [r for s, r in zip(batch, results) if s.kind != "MC"] == [
+        rider.execute(edge_context) for rider in riders
+    ]

@@ -25,7 +25,7 @@ from repro.core.results import (
     ranked_partials,
 )
 from repro.core.semantic import SemanticSeeker
-from repro.errors import BlendError, PlanError, SeekerError
+from repro.errors import BlendError, SeekerError
 from repro.index.alltables import IndexConfig
 from repro.serving import ShardCoordinator
 from repro.snapshot import save_sharded
@@ -231,21 +231,24 @@ def test_fuse_rankings_skips_zero_weight_lanes():
 # -- the discover() facade --------------------------------------------------------
 
 
-def test_discover_single_modality_matches_legacy_wrappers():
+def test_discover_single_modality_is_the_seeker_itself():
+    """One modality, no fusion: ``discover(...).output`` is exactly what
+    the modality's seeker returns when executed directly."""
     blend = _blend(19, "column")
+    context = blend.context()
     values = [NAMES[0], NAMES[1], NAMES[6]]
     assert blend.discover(values, modalities="join", k=5).output == (
-        blend.join_search(values, k=5)
+        Seekers.SC(values, k=5).execute(context)
     )
     assert blend.discover(values, modalities=("keyword",), k=5).output == (
-        blend.keyword_search(values, k=5)
+        Seekers.KW(values, k=5).execute(context)
     )
     assert blend.discover(values, modalities=("semantic",), k=5).output == (
-        blend.semantic_search(values, k=5)
+        SemanticSeeker(values, k=5).execute(context)
     )
     rows = [(NAMES[0], TOPICS[0]), (NAMES[1], TOPICS[1])]
     assert blend.discover(rows, modalities=("multi_column",), k=5).output == (
-        blend.multi_column_join_search(rows, k=5)
+        Seekers.MC(rows, k=5).execute(context)
     )
 
 
@@ -305,7 +308,7 @@ def test_grammar_ss_and_mixed_predicates():
     blend = _blend(29, "column")
     bindings = {"q": [NAMES[2], NAMES[3]], "topic": [TOPICS[1]]}
     ss = blend.run(parse_plan("SS($topic, k=4)", bindings)).output
-    assert ss == blend.semantic_search(bindings["topic"], k=4)
+    assert ss == blend.discover(bindings["topic"], "semantic", k=4).output
     mixed = blend.run(
         parse_plan("Intersect(SC($q), HY($q, about=$topic, alpha=0.5))", bindings, k=6)
     ).output

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from oracles import mc_scalar
 
-from repro.core.seekers import MultiColumnSeeker, SeekerContext
+from repro.core.batch import execute_batch
+from repro.core.seekers import MultiColumnSeeker, SeekerContext, mc_validate
 from repro.engine import Database
 from repro.index import IndexConfig, build_alltables
 from repro.lake.datalake import DataLake
@@ -142,19 +143,23 @@ def test_repeated_token_tuple_requires_distinct_columns():
     seeker = MultiColumnSeeker([("a", "a")], k=5)
     for backend in ("row", "column"):
         context = _context(lake, backend, 63)
-        for execute in (seeker.execute, lambda ctx: mc_scalar.execute(seeker, ctx)):
+        for execute in (
+            seeker.execute,
+            lambda ctx: execute_batch([seeker], ctx)[0],
+            lambda ctx: mc_scalar.execute(seeker, ctx),
+        ):
             hits = [(h.table_id, h.score) for h in execute(context)]
             assert hits == [(0, 1.0), (1, 1.0)], backend
 
 
-def test_validate_batch_drops_out_of_range_rows():
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_validate_batch_drops_out_of_range_rows(backend):
     """Index rows beyond a table's current length are skipped, exactly
-    like the scalar oracle's bounds check."""
+    like the scalar oracle's bounds check -- for a solo query and for
+    every member of a group sharing the gather."""
     lake = DataLake("bounds")
     lake.add(Table("t", ["p", "q"], [("a", "b"), ("c", "d")]))
-    db = Database(backend="column")
-    build_alltables(lake, db)
-    context = SeekerContext(db=db, lake=lake)
+    context = _context(lake, backend, 63)
     seeker = MultiColumnSeeker([("a", "b")], k=5)
     table_ids = np.array([0, 0, 0], dtype=np.int64)
     row_ids = np.array([0, 99, -1], dtype=np.int64)
@@ -163,3 +168,19 @@ def test_validate_batch_drops_out_of_range_rows():
     # The scalar oracle agrees -- including that negative ids never wrap
     # around to the last row.
     assert mc_scalar.validate(seeker, [(0, 0), (0, 99), (0, -1)], context) == [(0, 0)]
+
+    # In a group: the stale pairs are shared, each member keeps only its
+    # own live, matching rows -- in its own input order.
+    other = MultiColumnSeeker([("c", "d")], k=5)
+    other_rows = np.array([-1, 1, 0, 99], dtype=np.int64)
+    survivors = [(table_ids, row_ids), (np.zeros(4, dtype=np.int64), other_rows)]
+    validated = mc_validate([seeker, other], survivors, context)
+    assert [list(zip(t.tolist(), r.tolist())) for t, r in validated] == [
+        [(0, 0)],
+        [(0, 1)],
+    ]
+    assert mc_scalar.validate(other, [(0, int(r)) for r in other_rows], context) == [(0, 1)]
+    # ... and a group whose every pair is stale validates nothing.
+    stale = (np.zeros(2, dtype=np.int64), np.array([7, -3], dtype=np.int64))
+    for tables, rows in mc_validate([seeker, other], [stale, stale], context):
+        assert len(tables) == len(rows) == 0

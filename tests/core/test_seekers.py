@@ -17,7 +17,7 @@ from tests.core.conftest import DEPARTMENTS
 
 class TestSingleColumnSeeker:
     def test_finds_department_columns(self, fig1_blend, fig1_lake):
-        result = fig1_blend.join_search(DEPARTMENTS, k=3)
+        result = fig1_blend.discover(DEPARTMENTS, "join", k=3).output
         ids = result.table_ids()
         # T2/T3 contain all 6 departments, T1 contains 5 (no R&D).
         assert set(ids) == {0, 1, 2}
@@ -26,20 +26,20 @@ class TestSingleColumnSeeker:
         assert result.score_of(fig1_lake.id_of("T2")) == 6.0
 
     def test_k_truncates(self, fig1_blend):
-        assert len(fig1_blend.join_search(DEPARTMENTS, k=1)) == 1
+        assert len(fig1_blend.discover(DEPARTMENTS, "join", k=1).output) == 1
 
     def test_no_match_returns_empty(self, fig1_blend):
-        result = fig1_blend.join_search(["nonexistent-token-xyz"], k=5)
+        result = fig1_blend.discover(["nonexistent-token-xyz"], "join", k=5).output
         assert len(result) == 0
 
     def test_values_are_normalized(self, fig1_blend):
         # Case and surrounding whitespace must not matter.
-        lower = fig1_blend.join_search(["hr", "it"], k=3).table_ids()
-        messy = fig1_blend.join_search(["  HR ", "It"], k=3).table_ids()
+        lower = fig1_blend.discover(["hr", "it"], "join", k=3).output.table_ids()
+        messy = fig1_blend.discover(["  HR ", "It"], "join", k=3).output.table_ids()
         assert lower == messy
 
     def test_numeric_values_match_text_tokens(self, fig1_blend):
-        result = fig1_blend.join_search([33, 92], k=3)
+        result = fig1_blend.discover([33, 92], "join", k=3).output
         assert result.table_ids() == [0]  # only T1 has the sizes column
 
     def test_empty_values_rejected(self):
@@ -71,15 +71,15 @@ class TestSingleColumnSeeker:
 class TestKeywordSeeker:
     def test_whole_table_overlap(self, fig1_blend):
         # "2022" and "firenze" co-occur only in T2 (different columns!).
-        result = fig1_blend.keyword_search(["2022", "Firenze"], k=3)
+        result = fig1_blend.discover(["2022", "Firenze"], "keyword", k=3).output
         assert result.table_ids()[0] == 1
         assert result.score_of(1) == 2.0
 
     def test_kw_differs_from_sc(self, fig1_blend):
         # SC needs the overlap within ONE column; KW counts table-wide.
         keywords = ["2022", "Firenze"]
-        kw_score = fig1_blend.keyword_search(keywords, k=1).score_of(1)
-        sc_result = fig1_blend.join_search(keywords, k=3)
+        kw_score = fig1_blend.discover(keywords, "keyword", k=1).output.score_of(1)
+        sc_result = fig1_blend.discover(keywords, "join", k=3).output
         assert kw_score == 2.0
         assert sc_result.score_of(1) == 1.0  # best single column has 1
 
@@ -91,22 +91,22 @@ class TestKeywordSeeker:
 class TestMultiColumnSeeker:
     def test_projection_lookup(self, fig1_blend):
         # ("HR", "Firenze") appears row-aligned in T2 and T3 only.
-        result = fig1_blend.multi_column_join_search([("HR", "Firenze")], k=5)
+        result = fig1_blend.discover([("HR", "Firenze")], "multi_column", k=5).output
         assert set(result.table_ids()) == {1, 2}
 
     def test_outdated_tuple_only_in_t2(self, fig1_blend):
-        result = fig1_blend.multi_column_join_search([("IT", "Tom Riddle")], k=5)
+        result = fig1_blend.discover([("IT", "Tom Riddle")], "multi_column", k=5).output
         assert result.table_ids() == [1]
 
     def test_misaligned_values_rejected(self, fig1_blend):
         # "Firenze" and "IT" exist in T2/T3 but never in the same row.
-        result = fig1_blend.multi_column_join_search([("IT", "Firenze")], k=5)
+        result = fig1_blend.discover([("IT", "Firenze")], "multi_column", k=5).output
         assert result.table_ids() == []
 
     def test_scores_count_joinable_rows(self, fig1_blend):
-        result = fig1_blend.multi_column_join_search(
-            [("HR", "Firenze"), ("Finance", "Harry Potter")], k=5
-        )
+        result = fig1_blend.discover(
+            [("HR", "Firenze"), ("Finance", "Harry Potter")], "multi_column", k=5
+        ).output
         assert result.score_of(1) == 2.0
         assert result.score_of(2) == 2.0
 
@@ -127,9 +127,7 @@ class TestMultiColumnSeeker:
             MultiColumnSeeker([("a", "b"), ("c", "d", "e")])
 
     def test_three_column_key(self, fig1_blend):
-        result = fig1_blend.multi_column_join_search(
-            [("Firenze", "2022", "HR")], k=5
-        )
+        result = fig1_blend.discover([("Firenze", "2022", "HR")], "multi_column", k=5).output
         assert result.table_ids() == [1]
 
     def test_phases_are_monotone(self, fig1_blend):
@@ -148,7 +146,7 @@ class TestCorrelationSeeker:
         # T1.size correlates with this target by construction.
         keys = ["HR", "Marketing", "Finance", "IT", "Sales"]
         targets = [33, 28, 31, 92, 80]
-        result = fig1_blend.correlation_search(keys, targets, k=3)
+        result = fig1_blend.discover((keys, targets), "correlation", k=3).output
         assert result.table_ids()[0] == 0
         assert result.score_of(0) == pytest.approx(1.0)
 
@@ -172,7 +170,9 @@ class TestCorrelationSeeker:
     def test_numeric_join_keys_supported(self, fig1_blend):
         # Sizes as join keys against the year column: no crash, and keys
         # are matched as tokens (the advantage over the QCR baseline).
-        result = fig1_blend.correlation_search([31, 28, 33, 92, 80], [1, 2, 3, 4, 5], k=3)
+        result = fig1_blend.discover(
+            ([31, 28, 33, 92, 80], [1, 2, 3, 4, 5]), "correlation", k=3
+        ).output
         assert isinstance(result.table_ids(), list)
 
 
@@ -229,13 +229,13 @@ class TestBackendConsistency:
             blend = Blend(fig1_lake, backend=backend)
             blend.build_index()
             results[backend] = (
-                blend.join_search(DEPARTMENTS, k=3).table_ids(),
-                blend.keyword_search(["2022", "Firenze"], k=3).table_ids(),
-                blend.multi_column_join_search([("HR", "Firenze")], k=3).table_ids(),
-                blend.correlation_search(
-                    ["HR", "Marketing", "Finance", "IT", "Sales"],
-                    [33, 28, 31, 92, 80],
+                blend.discover(DEPARTMENTS, "join", k=3).output.table_ids(),
+                blend.discover(["2022", "Firenze"], "keyword", k=3).output.table_ids(),
+                blend.discover([("HR", "Firenze")], "multi_column", k=3).output.table_ids(),
+                blend.discover(
+                    (["HR", "Marketing", "Finance", "IT", "Sales"], [33, 28, 31, 92, 80]),
+                    "correlation",
                     k=3,
-                ).table_ids(),
+                ).output.table_ids(),
             )
         assert results["row"] == results["column"]

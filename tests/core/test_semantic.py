@@ -81,13 +81,13 @@ class TestSemanticIndex:
 
 class TestSemanticSeeker:
     def test_exact_vocabulary_match_ranks_first(self, blend, lake):
-        result = blend.semantic_search(["berlin", "hamburg", "munich"], k=3)
+        result = blend.discover(["berlin", "hamburg", "munich"], "semantic", k=3).output
         assert result.table_ids()[0] == lake.id_of("cities_eu")
 
     def test_morphological_similarity(self, blend, lake):
         """No token overlap, but 'customer_4..6' should land near
         'customer_1..3' via trigram features -- the semantic-ish part."""
-        result = blend.semantic_search(["customer_7", "customer_8"], k=2)
+        result = blend.discover(["customer_7", "customer_8"], "semantic", k=2).output
         top2 = set(result.table_ids())
         assert lake.id_of("customers") in top2
         assert lake.id_of("clients") in top2
@@ -96,7 +96,7 @@ class TestSemanticSeeker:
         plain = Blend(lake, backend="column")
         plain.build_index()
         with pytest.raises(SeekerError, match="enable_semantic"):
-            plain.semantic_search(["berlin"], k=2)
+            plain.discover(["berlin"], "semantic", k=2).output
 
     def test_empty_values_rejected(self):
         with pytest.raises(SeekerError):
@@ -107,7 +107,7 @@ class TestSemanticSeeker:
             SemanticSeeker(["x"]).sql()
 
     def test_scores_are_descending_similarities(self, blend):
-        result = blend.semantic_search(["berlin", "hamburg"], k=5)
+        result = blend.discover(["berlin", "hamburg"], "semantic", k=5).output
         scores = [hit.score for hit in result]
         assert scores == sorted(scores, reverse=True)
         assert all(score <= 1.0 + 1e-9 for score in scores)

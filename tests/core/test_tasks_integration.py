@@ -3,7 +3,7 @@ lakes with ground truth, on both storage backends."""
 
 import pytest
 
-from repro import Blend
+from repro import Blend, Plan
 from repro.core import tasks
 from repro.core.seekers import CorrelationSeeker
 from repro.errors import SeekerError
@@ -84,6 +84,11 @@ class TestNegativeExamplesPlan:
         assert own_ids <= set(run.output.table_ids())
 
 
+def _correlation(blend, query, **options):
+    seeker = CorrelationSeeker(list(query.keys), list(query.targets), **options)
+    return blend.run(Plan().add("c", seeker)).output
+
+
 class TestCorrelationThresholds:
     @pytest.fixture(scope="class")
     def corr_blend(self):
@@ -98,9 +103,7 @@ class TestCorrelationThresholds:
     def test_min_support_filters_stray_collisions(self, corr_blend):
         bench, blend = corr_blend
         query = bench.queries[0]
-        strict = blend.correlation_search(
-            list(query.keys), list(query.targets), k=10, min_support=3
-        )
+        strict = _correlation(blend, query, k=10, min_support=3)
         truth = bench.ground_truth(query, 10)
         assert set(strict.table_ids()) <= set(truth) | set(strict.table_ids())
         assert strict.table_ids()[0] in truth
@@ -108,12 +111,8 @@ class TestCorrelationThresholds:
     def test_min_support_one_admits_tiny_groups(self, corr_blend):
         bench, blend = corr_blend
         query = bench.queries[0]
-        loose = blend.correlation_search(
-            list(query.keys), list(query.targets), k=30, min_support=1
-        )
-        strict = blend.correlation_search(
-            list(query.keys), list(query.targets), k=30, min_support=5
-        )
+        loose = _correlation(blend, query, k=30, min_support=1)
+        strict = _correlation(blend, query, k=30, min_support=5)
         assert len(loose) >= len(strict)
 
     def test_min_qcr_threshold(self, corr_blend):

@@ -183,10 +183,10 @@ class TestIncrementalMaintenance:
         lake.add(Table("t0", ["c"], [("alpha",), ("beta",)]))
         blend = Blend(lake, backend="column")
         blend.build_index()
-        assert blend.join_search(["gamma"], k=5).table_ids() == []
+        assert blend.discover(["gamma"], "join", k=5).output.table_ids() == []
 
         new_id = blend.add_table(Table("t1", ["c"], [("gamma",), ("delta",)]))
-        assert blend.join_search(["gamma", "delta"], k=5).table_ids() == [new_id]
+        assert blend.discover(["gamma", "delta"], "join", k=5).output.table_ids() == [new_id]
         # Statistics were maintained too (cost-model feature path).
         assert blend.stats.frequency("gamma") == 1
         assert blend.stats.num_tables == 2
@@ -199,4 +199,4 @@ class TestIncrementalMaintenance:
         blend = Blend(lake, backend="row")
         blend.build_index()
         new_id = blend.add_table(Table("t1", ["c"], [("omega",)]))
-        assert blend.join_search(["omega"], k=5).table_ids() == [new_id]
+        assert blend.discover(["omega"], "join", k=5).output.table_ids() == [new_id]

@@ -270,10 +270,10 @@ def test_replace_serves_new_contents_immediately():
     lake.add(Table("t1", ["k"], [("other",)]))
     blend = Blend(lake, backend="column")
     blend.build_index()
-    assert blend.keyword_search(["old_token"]).table_ids() == [0]
+    assert blend.discover(["old_token"], "keyword").output.table_ids() == [0]
     blend.replace_table(0, Table("t0v2", ["k"], [("new_token",)]))
-    assert blend.keyword_search(["old_token"]).table_ids() == []
-    assert blend.keyword_search(["new_token"]).table_ids() == [0]
+    assert blend.discover(["old_token"], "keyword").output.table_ids() == []
+    assert blend.discover(["new_token"], "keyword").output.table_ids() == [0]
     assert blend.lake.name_of(0) == "t0v2"
 
 
@@ -301,7 +301,7 @@ def test_fresh_context_after_mutation_serves():
     blend.remove_table(blend.lake.table_ids()[0])
     table = blend.lake.by_id(blend.lake.table_ids()[0])
     values = [v for v in table.column_values(table.columns[0]) if v is not None]
-    assert blend.keyword_search(values[:4], k=5) is not None  # no raise
+    assert blend.discover(values[:4], "keyword", k=5).output is not None  # no raise
 
 
 def test_shuffle_maintenance_matches_rebuild():
@@ -461,5 +461,5 @@ def test_semantic_extension_maintained():
     }
     assert removed_id not in vec_ids
     assert new_id in vec_ids
-    hits = blend.semantic_search(["alpha1", "alpha2"], k=5)
+    hits = blend.discover(["alpha1", "alpha2"], "semantic", k=5).output
     assert removed_id not in hits.table_ids()

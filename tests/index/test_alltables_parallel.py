@@ -255,7 +255,7 @@ class TestFailureModes:
         assert db.execute("SELECT * FROM AllTables").rows == expected
         blend.build_index()
         assert blend.db.execute("SELECT * FROM AllTables").rows == expected
-        assert blend.keyword_search(["mended"]).table_ids() == [1]
+        assert blend.discover(["mended"], "keyword").output.table_ids() == [1]
 
     def test_unhashable_cells_index_like_the_scalar_oracle(self, pooled):
         """Unhashable cells (lists) cannot take the fused value->code

@@ -259,8 +259,8 @@ def test_semantic_extension_round_trips(tmp_path):
     path = blend.save(tmp_path / "snap")
     loaded = Blend.load(path)
     probe = ["alpha", "beta"]
-    assert loaded.semantic_search(probe, k=5).table_ids() == (
-        blend.semantic_search(probe, k=5).table_ids()
+    assert loaded.discover(probe, "semantic", k=5).output.table_ids() == (
+        blend.discover(probe, "semantic", k=5).output.table_ids()
     )
     assert loaded._semantic.snapshot_meta() == blend._semantic.snapshot_meta()
 
@@ -289,9 +289,9 @@ def test_semantic_config_flows_through_snapshot(tmp_path):
     assert loaded.index_config == config
     probe = ["alpha", "beta"]
     assert (
-        loaded.semantic_search(probe, k=5).table_ids()
-        == blend.semantic_search(probe, k=5).table_ids()
-        == explicit.semantic_search(probe, k=5).table_ids()
+        loaded.discover(probe, "semantic", k=5).output.table_ids()
+        == blend.discover(probe, "semantic", k=5).output.table_ids()
+        == explicit.discover(probe, "semantic", k=5).output.table_ids()
     )
 
 
@@ -480,8 +480,8 @@ def test_unpersisted_semantic_extension_round_trips(tmp_path):
     loaded = Blend.load(path)
     assert loaded.db.has_table("AllVectors")
     probe = ["alpha", "beta"]
-    assert loaded.semantic_search(probe, k=5).table_ids() == (
-        blend.semantic_search(probe, k=5).table_ids()
+    assert loaded.discover(probe, "semantic", k=5).output.table_ids() == (
+        blend.discover(probe, "semantic", k=5).output.table_ids()
     )
 
 

@@ -1,14 +1,17 @@
 """HTTP front-end tests: route behaviour, parity with direct execution,
 error mapping, stats exposure, and the snapshot /swap endpoint."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro import Blend, Seekers, Table
+from repro import Blend, Seekers
 from repro.serving import BlendServer
 
 from tests.serving.conftest import build_blend, make_lake
@@ -96,6 +99,29 @@ def test_concurrent_http_queries_batch_and_stay_correct(server, served_blend):
     for status, payload in results:
         assert status == 200
         assert _hits(payload) == expected
+
+
+def test_keep_alive_requests_do_not_stall_on_delayed_ack(server):
+    """A reply written as two small segments (headers, then body) makes
+    every request on a keep-alive connection wait out the client's ~40 ms
+    delayed ACK before the body is sent; a reply sent in one write does
+    not."""
+    connection = http.client.HTTPConnection(*server.address, timeout=30)
+    body = json.dumps({"modality": "kw", "values": ["germany", "france"], "k": 4})
+    latencies = []
+    try:
+        for _ in range(15):
+            started = time.perf_counter()
+            connection.request(
+                "POST", "/query", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            latencies.append(time.perf_counter() - started)
+            assert response.status == 200, payload
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 def test_bad_requests_are_400(server):
