@@ -24,7 +24,7 @@ import numpy as np
 from ..engine.database import Database
 from ..errors import SeekerError, StaleContextError
 from ..index.quadrant import split_keys_by_target
-from ..index.xash import may_contain_batch, tuple_hashes_batch
+from ..index.xash import may_contain_batch, xash_batch
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, Table, normalize_cell
 from .results import (
@@ -290,6 +290,11 @@ class MultiColumnSeeker(Seeker):
        actual lake tuples ("application-level" in the paper).
 
     Tables are ranked by their number of validated joinable rows.
+
+    The query is factorised ONCE, at construction, into a token
+    vocabulary plus the distinct tuples as a ``(tuples x width)`` matrix
+    of vocabulary codes; the phase-1 ``IN`` lists, the phase-2 tuple
+    hashes and the phase-3 requirements are all read off that matrix.
     """
 
     kind = "MC"
@@ -305,21 +310,38 @@ class MultiColumnSeeker(Seeker):
             self.tuples.append(tokens)  # type: ignore[arg-type]
         if not self.tuples:
             raise SeekerError("MC seeker requires at least one fully non-null tuple")
-        widths = {len(t) for t in self.tuples}
-        if len(widths) != 1:
+        self.width = len(self.tuples[0])
+        if any(len(t) != self.width for t in self.tuples):
             raise SeekerError("MC seeker tuples must all have the same width")
-        self.width = widths.pop()
         if self.width < 2:
             raise SeekerError("MC seeker requires a composite key (>= 2 columns)")
-        # Lazy per-(hash_size, xash_chars) tuple-hash arrays and the
-        # factorized validation requirements (built on first execution,
-        # reused across executions and rewrites).
+        # Token -> dense code in first-seen order, and the distinct tuples
+        # as rows of those codes.
+        flat = [token for query_tuple in dict.fromkeys(self.tuples) for token in query_tuple]
+        self._vocabulary = {token: code for code, token in enumerate(dict.fromkeys(flat))}
+        self._tuple_codes = np.fromiter(
+            map(self._vocabulary.__getitem__, flat), dtype=np.int64, count=len(flat)
+        ).reshape(-1, self.width)
+        tokens = list(self._vocabulary)
+        self._column_tokens = [
+            [tokens[code] for code in dict.fromkeys(column)]
+            for column in self._tuple_codes.T.tolist()
+        ]
+        # Validation requirements. A row contains a repeat-free tuple iff
+        # every one of its tokens is PRESENT; the rare tuples with a
+        # repeated token need explicit per-code minimum counts.
+        ordered = np.sort(self._tuple_codes, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        self._repeat_free = self._tuple_codes[~repeated]
+        self._multisets = [
+            np.unique(codes, return_counts=True) for codes in self._tuple_codes[repeated]
+        ]
+        # The one lazy left: tuple hashes depend on (hash_size, xash_chars).
         self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._requirements: Optional[_QueryRequirements] = None
 
     def column_tokens(self, position: int) -> list[str]:
         """Distinct tokens of one query column, in first-seen order."""
-        return list(dict.fromkeys(row[position] for row in self.tuples))
+        return list(self._column_tokens[position])
 
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
         # The rewrite predicate goes INSIDE every derived table, where it
@@ -384,75 +406,26 @@ class MultiColumnSeeker(Seeker):
         return mc_validate([self], [(table_ids, row_ids)], context)[0]
 
     def _tuple_hash_array(self, context: SeekerContext) -> np.ndarray:
-        """Distinct query-tuple hashes, computed once per hash config."""
+        """Distinct query-tuple hashes, computed once per hash config:
+        XASH over the vocabulary, OR-reduced along the code matrix."""
         key = (context.hash_size, context.xash_chars)
         cached = self._hash_cache.get(key)
         if cached is None:
-            distinct = list(dict.fromkeys(self.tuples))
-            cached = np.unique(tuple_hashes_batch(distinct, *key))
+            token_hashes = xash_batch(list(self._vocabulary), *key)
+            cached = np.unique(
+                np.bitwise_or.reduce(token_hashes[self._tuple_codes], axis=1)
+            )
             self._hash_cache[key] = cached
         return cached
 
-    def _query_requirements(self) -> "_QueryRequirements":
-        """The factorized containment requirements of this query, built
-        once: token -> dense code vocabulary, a (vocab x tuples)
-        incidence matrix for repeat-free tuples, and explicit
-        ``(codes, counts)`` multisets for tuples with repeated tokens."""
-        if self._requirements is None:
-            vocabulary: dict[str, int] = {}
-            simple: list[list[int]] = []
-            multisets: list[tuple[np.ndarray, np.ndarray]] = []
-            for query_tuple in dict.fromkeys(self.tuples):
-                needed: dict[int, int] = {}
-                for token in query_tuple:
-                    code = vocabulary.setdefault(token, len(vocabulary))
-                    needed[code] = needed.get(code, 0) + 1
-                if all(count == 1 for count in needed.values()):
-                    simple.append(list(needed))
-                else:
-                    multisets.append(
-                        (
-                            np.fromiter(needed.keys(), dtype=np.int64, count=len(needed)),
-                            np.fromiter(needed.values(), dtype=np.int64, count=len(needed)),
-                        )
-                    )
-            incidence: Optional[np.ndarray] = None
-            widths = np.empty(0, dtype=np.int32)
-            if simple:
-                incidence = np.zeros((len(vocabulary), len(simple)), dtype=np.int32)
-                for column, codes in enumerate(simple):
-                    incidence[codes, column] = 1
-                widths = np.fromiter(
-                    (len(codes) for codes in simple), dtype=np.int32, count=len(simple)
-                )
-            self._requirements = _QueryRequirements(
-                vocabulary, incidence, widths, multisets
-            )
-        return self._requirements
-
     def query_cardinality(self) -> int:
-        return len(self.query_tokens())
+        return sum(map(len, self._column_tokens))
 
     def query_columns(self) -> int:
         return self.width
 
     def query_tokens(self) -> list[str]:
-        return [token for i in range(self.width) for token in self.column_tokens(i)]
-
-
-@dataclass(frozen=True)
-class _QueryRequirements:
-    """Factorized containment requirements of one MC query.
-
-    ``incidence``/``widths`` cover tuples without repeated tokens (a row
-    contains such a tuple iff its token-presence vector hits the tuple's
-    full width); ``multisets`` lists the rare repeated-token tuples as
-    explicit per-code minimum counts."""
-
-    vocabulary: dict[str, int]
-    incidence: Optional[np.ndarray]
-    widths: np.ndarray
-    multisets: list[tuple[np.ndarray, np.ndarray]]
+        return [token for column in self._column_tokens for token in column]
 
 
 _MISS = object()
@@ -499,7 +472,9 @@ def _mc_params(
     union of the members' column tokens (a group of one unions to its own
     tokens)."""
     params: dict[str, Any] = {
-        f"q{i}": list(dict.fromkeys(row[i] for seeker in group for row in seeker.tuples))
+        f"q{i}": list(
+            dict.fromkeys(token for seeker in group for token in seeker._column_tokens[i])
+        )
         for i in range(group[0].width)
     }
     if rewrite:
@@ -572,17 +547,17 @@ def mc_validate(
     Each distinct ``(table, row)`` across the group is gathered ONCE, one
     lake call per table (out-of-range row ids from stale index rows are
     dropped), and counted ONCE into a matrix over the group's combined
-    vocabulary; every member then checks its own requirements on its
-    slice of that matrix.
+    vocabulary; every member then checks its own tuples against its rows
+    of that matrix, addressing the shared columns through its code map.
 
     A row contains a tuple row-aligned iff, for every distinct token of
     the tuple, the row holds at least as many cells with that token as
     the tuple does (Hall's condition -- positions of distinct tokens are
     disjoint, so the bipartite matching of the scalar oracle decomposes
     into per-token counts). For tuples without repeated tokens -- the
-    overwhelmingly common case -- that is a presence check, evaluated for
-    all (row, tuple) pairs at once as an integer matmul against the
-    tuple-incidence matrix.
+    overwhelmingly common case -- that is a presence check: one column
+    gather of the boolean presence matrix per tuple position, AND-ed --
+    O(rows x tuples x width), whatever the vocabulary size.
     """
     all_tables = np.concatenate([tables for tables, _ in survivors])
     all_rows = np.concatenate([rows for _, rows in survivors])
@@ -594,14 +569,13 @@ def mc_validate(
     # into it: iterating a vocabulary dict yields tokens in local-code
     # order, so position i of the map IS local code i.
     vocabulary: dict[str, int] = {}
-    requirements = [seeker._query_requirements() for seeker in group]
     code_maps = [
         np.fromiter(
-            (vocabulary.setdefault(token, len(vocabulary)) for token in req.vocabulary),
+            (vocabulary.setdefault(token, len(vocabulary)) for token in seeker._vocabulary),
             dtype=np.int64,
-            count=len(req.vocabulary),
+            count=len(seeker._vocabulary),
         )
-        for req in requirements
+        for seeker in group
     ]
 
     order, first = _pair_runs(all_tables, all_rows)
@@ -624,23 +598,28 @@ def mc_validate(
             matrix_row[positions] = np.arange(len(gathered), len(gathered) + len(rows))
             gathered.extend(rows)
     counts = _token_count_matrix(gathered, vocabulary)
+    present = counts > 0
 
     validated = []
     offset = 0
-    for (tables, rows), req, code_map in zip(survivors, requirements, code_maps):
+    for seeker, (tables, rows), code_map in zip(group, survivors, code_maps):
         mine = matrix_row[pair_of_survivor[offset : offset + len(tables)]]
         offset += len(tables)
-        present = np.nonzero(mine >= 0)[0]
-        # take() keeps the slice C-ordered (``[:, code_map]`` would not),
-        # which the matmul below is sensitive to.
-        local_counts = counts.take(mine[present], axis=0).take(code_map, axis=1)
-        valid = np.zeros(len(present), dtype=bool)
-        if req.incidence is not None:
-            hits = (local_counts > 0).astype(np.int32) @ req.incidence
-            valid |= (hits == req.widths).any(axis=1)
-        for codes, required in req.multisets:
-            valid |= (local_counts[:, codes] >= required).all(axis=1)
-        keep = present[valid]
+        live = np.nonzero(mine >= 0)[0]
+        # (row, tuple) is True iff the row holds the tuple's token at
+        # every position; take() keeps the gathers C-ordered.
+        my_rows = mine[live]
+        my_present = present.take(my_rows, axis=0)
+        columns = code_map[seeker._repeat_free].T
+        hit = my_present.take(columns[0], axis=1)
+        for column in columns[1:]:
+            hit &= my_present.take(column, axis=1)
+        valid = hit.any(axis=1)
+        if seeker._multisets:
+            my_counts = counts.take(my_rows, axis=0)
+            for codes, required in seeker._multisets:
+                valid |= (my_counts[:, code_map[codes]] >= required).all(axis=1)
+        keep = live[valid]
         validated.append((tables[keep], rows[keep]))
     return validated
 

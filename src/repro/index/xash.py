@@ -199,49 +199,11 @@ def xash_batch(
 
 def segmented_or(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """OR-reduce contiguous segments of *values* (``int64`` or object
-    Python ints) starting at *starts* -- the shared super-key fold used by
-    both the offline ingest (per-row cell hashes) and the online MC seeker
-    (per-tuple query hashes)."""
+    Python ints) starting at *starts* -- the offline ingest's super-key
+    fold over each row's cell hashes."""
     if len(values) == 0:
         return np.empty(0, dtype=values.dtype)
     return np.bitwise_or.reduceat(values, starts)
-
-
-def tuple_hashes_batch(
-    tuples: Sequence[Sequence[str]],
-    hash_size: int = DEFAULT_HASH_SIZE,
-    num_chars: int = DEFAULT_NUM_CHARS,
-) -> np.ndarray:
-    """Vectorised :func:`tuple_hash` over a batch of normalised-token
-    tuples: XASH runs once over the batch's *unique* tokens and each
-    tuple's hash is an OR over its token positions -- the online mirror of
-    the ingest pipeline's unique-token broadcast.
-
-    Returns one hash per tuple (``int64`` for ``hash_size <= 63``, object
-    otherwise), bit-identical to calling ``tuple_hash`` per tuple.
-    """
-    out_dtype = hash_dtype(hash_size)
-    if not tuples:
-        return np.empty(0, dtype=out_dtype)
-    vocab: dict[str, int] = {}
-    flat: list[int] = []
-    lengths = np.empty(len(tuples), dtype=np.int64)
-    for i, values in enumerate(tuples):
-        lengths[i] = len(values)
-        for token in values:
-            code = vocab.get(token)
-            if code is None:
-                code = len(vocab)
-                vocab[token] = code
-            flat.append(code)
-    unique_hashes = xash_batch(list(vocab), hash_size, num_chars)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    hashes = np.zeros(len(tuples), dtype=out_dtype)
-    occupied = lengths > 0
-    gathered = unique_hashes[np.asarray(flat, dtype=np.int64)]
-    if occupied.any():
-        hashes[occupied] = segmented_or(gathered, starts[occupied])
-    return hashes
 
 
 # Bound on the (candidates x hashes) bitwise matrix: ~32 MB of int64.

@@ -19,9 +19,12 @@ Endpoints::
                    "drained": true, "seconds": ...}
 
 Errors map to status codes: malformed request / bad seeker spec -> 400,
-deadline missed -> 408, snapshot problems on swap -> 409, scheduler
-shut down -> 503, anything else -> 500. Every error body is
-``{"error": "<type>", "detail": "<message>"}``.
+deadline missed -> 408, snapshot problems on swap -> 409, body over
+``_MAX_BODY`` -> 413, scheduler shut down -> 503, anything else -> 500.
+Every error body is ``{"error": "<type>", "detail": "<message>"}``. A
+reply to a request whose declared body was not read closes the
+connection: on keep-alive the unread bytes would be parsed as the next
+request.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ from .scheduler import BatchScheduler
 from .stats import ServingStats
 
 _MAX_BODY = 8 << 20  # requests are queries, not uploads
+
+
+class PayloadTooLarge(ValueError):
+    """The declared ``Content-Length`` exceeds ``_MAX_BODY`` (-> 413)."""
 
 
 def build_seeker(payload: dict[str, Any]) -> tuple[Seeker, tuple]:
@@ -197,6 +204,8 @@ class BlendServer:
 def _status_of(error: BaseException) -> int:
     if isinstance(error, RequestTimeoutError):
         return 408
+    if isinstance(error, PayloadTooLarge):
+        return 413
     if isinstance(error, SnapshotError):
         return 409
     if isinstance(error, ServingError):
@@ -224,14 +233,30 @@ def _make_handler(server: BlendServer):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
 
+        def _skip_body(self) -> None:
+            """This route reads no body. If the request declared one, its
+            bytes stay on the socket, where a keep-alive connection would
+            parse them as the NEXT request (smuggling) -- so close."""
+            if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+                self.close_connection = True
+
         def _json_body(self) -> dict[str, Any]:
+            # Until the declared body is read off the socket, every way
+            # out of here closes the connection (see ``_skip_body``).
+            closing, self.close_connection = self.close_connection, True
             length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0 or length > _MAX_BODY:
+            if length > _MAX_BODY:
+                raise PayloadTooLarge(f"request body exceeds {_MAX_BODY} bytes")
+            if length <= 0:
                 raise ValueError("request needs a JSON body")
-            payload = json.loads(self.rfile.read(length))
+            raw = self.rfile.read(length)
+            self.close_connection = closing
+            payload = json.loads(raw)
             if not isinstance(payload, dict):
                 raise ValueError("request body must be a JSON object")
             return payload
@@ -250,6 +275,7 @@ def _make_handler(server: BlendServer):
                 self._reply(500, {"error": type(exc).__name__, "detail": str(exc)})
 
         def do_GET(self) -> None:
+            self._skip_body()
             if self.path == "/stats":
                 self._dispatch(server.handle_stats)
             elif self.path == "/health":
@@ -263,6 +289,7 @@ def _make_handler(server: BlendServer):
             elif self.path == "/swap":
                 self._dispatch(lambda: server.handle_swap(self._json_body()))
             else:
+                self._skip_body()
                 self._reply(404, {"error": "not_found", "detail": self.path})
 
     return Handler

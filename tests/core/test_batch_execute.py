@@ -10,6 +10,7 @@ from oracles import mc_scalar
 
 from repro import Blend, DataLake, Seekers, Table
 from repro.core.batch import _MC_FETCH_CHUNK, execute_batch
+from repro.index import IndexConfig
 
 
 CITIES = ["berlin", "paris", "rome", "madrid", "lisbon", "vienna", "oslo", "cairo"]
@@ -126,20 +127,38 @@ def test_mixed_width_mc_batch(serving_blend):
 # -- MC edge cases: solo == batch of one == inside a mixed batch == scalar oracle -----
 
 
-@pytest.fixture(scope="module", params=["row", "column"])
+@pytest.fixture(scope="module", params=[("row", 63), ("column", 63), ("row", 128)])
 def edge_context(request):
     """A lake holding every MC edge case at once; the ``stale`` table
     shrinks AFTER indexing, so ``AllTables`` references rows 3..7 of it
-    that the lake no longer has."""
+    that the lake no longer has. ``("row", 128)`` runs the object-dtype
+    (Python int) tuple hashes."""
+    backend, hash_size = request.param
     lake = DataLake("edges")
-    lake.add(Table("dup", ["p", "q"], [("a", "a"), ("a", "b"), ("b", "a")]))
+    lake.add(Table("dup", ["p", "q"], [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]))
     lake.add(Table("dup3", ["p", "q", "r"], [("a", "x", "a"), ("a", "y", "z"), ("a", "b", "c")]))
     lake.add(
-        Table("bools", ["flag", "tag"], [(True, "x"), (1, "x"), (1.0, "x"), (False, "x")])
+        Table(
+            "bools",
+            ["flag", "tag"],
+            [(True, "x"), (1, "x"), (1.0, "x"), (False, "x"), ("1", "x"), ("true", "x")],
+        )
     )
     lake.add(Table("pairs", ["city", "country"], PAIRS))
     lake.add(Table("stale", ["city", "country"], PAIRS))
-    blend = Blend(lake, backend=request.param)
+    lake.add(
+        Table(
+            "wide",
+            ["c0", "c1", "c2", "c3", "c4"],
+            [
+                ("w1", "w2", "w3", "w4", "w5"),
+                ("w4", "w3", "w2", "w1", "w9"),
+                ("w1", "w1", "w2", "w3", "w9"),
+                ("w1", "w2", "w3", "w9", "w9"),
+            ],
+        )
+    )
+    blend = Blend(lake, backend=backend, index_config=IndexConfig(hash_size=hash_size))
     blend.build_index()
     del lake.by_name("stale").rows[3:]
     return blend.context()
@@ -147,19 +166,30 @@ def edge_context(request):
 
 # name -> (tuples, expected (table name -> validated rows))
 _EDGE_QUERIES = {
+    # every tuple repeats a token: the repeat-free code matrix is empty
     "repeated-token": ([("a", "a")], {"dup": 1, "dup3": 1}),
-    "true-is-not-1": ([(True, "x")], {"bools": 1}),
-    "1-is-not-true": ([(1, "x")], {"bools": 2}),
+    "all-repeated": ([("a", "a"), ("b", "b"), ("ghost", "ghost")], {"dup": 2, "dup3": 1}),
+    "mixed-multiset": ([("a", "a"), ("a", "b")], {"dup": 3, "dup3": 2}),
+    "permuted": ([("a", "b"), ("b", "a")], {"dup": 2, "dup3": 1}),
+    "duplicated": ([("a", "b"), ("a", "b"), ("a", "b")], {"dup": 2, "dup3": 1}),
+    # True / "true" are one token, 1 / 1.0 / "1" another
+    "true-is-not-1": ([(True, "x")], {"bools": 2}),
+    "1-is-not-true": ([(1, "x")], {"bools": 3}),
+    "1.0-is-1": ([(1.0, "x"), ("1", "x")], {"bools": 3}),
     "all-ghost": ([("ghost", "nowhere"), ("nobody", "home")], {}),
     "stale-rows": (PAIRS, {"pairs": 8, "stale": 3}),
     "width-3": ([("a", "x", "a"), ("a", "b", "c"), ("ghost", "x", "a")], {"dup3": 2}),
     "width-3-repeated": ([("a", "a", "x")], {"dup3": 1}),
+    "width-4": ([("w1", "w2", "w3", "w4"), ("w9", "w9", "w1", "w2")], {"wide": 3}),
+    "width-4-repeated": ([("w1", "w1", "w2", "w3")], {"wide": 1}),
 }
 
 
 def _edge_seekers() -> list:
-    """Fresh seekers: the seven named edge cases plus enough plain
-    width-2 queries to spill past one ``_MC_FETCH_CHUNK`` join."""
+    """Fresh seekers: the named edge cases (members with overlapping
+    vocabularies -- the ``a``/``b`` family -- with disjoint ones, and one
+    with zero survivors) plus enough plain width-2 queries to spill past
+    one ``_MC_FETCH_CHUNK`` join."""
     queries = [tuples for tuples, _ in _EDGE_QUERIES.values()]
     queries += [[PAIRS[i], PAIRS[(i + 3) % len(PAIRS)], ("a", "b")] for i in range(6)]
     assert sum(len(q[0]) == 2 for q in queries) > _MC_FETCH_CHUNK
@@ -177,7 +207,7 @@ def test_mc_edge_cases_agree_in_every_composition(edge_context):
     batch_of_one = [execute_batch([seeker], edge_context)[0] for seeker in _edge_seekers()]
     assert batch_of_one == expected
 
-    # One mixed batch: widths 2 and 3 interleaved, > _MC_FETCH_CHUNK
+    # One mixed batch: widths 2, 3 and 4 interleaved, > _MC_FETCH_CHUNK
     # same-width members, SC / KW riders in between.
     riders = [Seekers.SC(["berlin", "a"], k=4), Seekers.KW(["x", "rome"], k=4)]
     batch = _edge_seekers()

@@ -8,6 +8,11 @@ Two invariants, checked over seeded random lakes and query tuples:
   stays 100 % (paper Table V) for both hash widths, oracle and seeker;
 * **oracle parity** -- the seeker's array phases produce the oracle's
   candidate sets, survivor sets, validated sets, and final rankings.
+
+Plus the shapes the code-gather validation kernel can get wrong, checked
+phase by phase: the query's one factorisation (per-column ``IN`` lists,
+tuple hashes) and ``mc_validate`` over EVERY lake row, solo and as one
+group sharing the presence matrix.
 """
 
 import random
@@ -20,6 +25,7 @@ from repro.core.batch import execute_batch
 from repro.core.seekers import MultiColumnSeeker, SeekerContext, mc_validate
 from repro.engine import Database
 from repro.index import IndexConfig, build_alltables
+from repro.index.xash import tuple_hash
 from repro.lake.datalake import DataLake
 from repro.lake.table import Table
 
@@ -184,3 +190,106 @@ def test_validate_batch_drops_out_of_range_rows(backend):
     stale = (np.zeros(2, dtype=np.int64), np.array([7, -3], dtype=np.int64))
     for tables, rows in mc_validate([seeker, other], [stale, stale], context):
         assert len(tables) == len(rows) == 0
+
+
+# -- the code-gather kernel, shape by shape ---------------------------------------------
+
+_KERNEL_QUERIES = {
+    "all-repeated": [("a", "a"), ("b", "b")],  # empty repeat-free code matrix
+    "mixed-multiset": [("a", "a"), ("a", "b"), ("b", "b")],
+    "permuted": [("a", "b"), ("b", "a")],
+    "duplicated": [("a", "b"), ("a", "b"), ("b", "c"), ("a", "b")],
+    "cell-types": [(True, "x"), (1, "x"), ("1", "y"), (1.0, "y"), (2.5, "x")],
+    "width-3": [("a", "x", "a"), ("a", "b", "c"), ("c", "b", "a"), ("ghost", "x", "a")],
+    "width-4": [("w1", "w2", "w3", "w4"), ("w9", "w9", "w1", "w2"), ("w1", "w1", "w2", "w3")],
+    "disjoint": [("berlin", "germany"), ("rome", "italy")],
+    "ghosts": [("ghost", "nowhere"), ("nobody", "home")],
+}
+
+
+def _kernel_lake() -> DataLake:
+    lake = DataLake("kernel")
+    lake.add(Table("dup", ["p", "q"], [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("b", "c")]))
+    lake.add(Table("dup3", ["p", "q", "r"], [("a", "x", "a"), ("a", "y", "z"), ("a", "b", "c")]))
+    lake.add(
+        Table(
+            "cells",
+            ["flag", "tag"],
+            [(True, "x"), (1, "x"), (1.0, "y"), ("1", "y"), (" TRUE ", "x"), (2.5, "x")],
+        )
+    )
+    lake.add(Table("geo", ["city", "country"], [("berlin", "germany"), ("rome", "france")]))
+    lake.add(
+        Table(
+            "wide",
+            ["c0", "c1", "c2", "c3", "c4"],
+            [
+                ("w1", "w2", "w3", "w4", "w5"),
+                ("w4", "w3", "w2", "w1", "w9"),
+                ("w1", "w1", "w2", "w3", "w9"),
+                ("w2", "w9", None, "w9", "w1"),
+            ],
+        )
+    )
+    return lake
+
+
+def _pairs(arrays) -> list[tuple[int, int]]:
+    return list(zip(arrays[0].tolist(), arrays[1].tolist()))
+
+
+@pytest.mark.parametrize("backend,hash_size", [("column", 63), ("row", 63), ("row", 128)])
+def test_query_factorisation_feeds_every_phase(backend, hash_size):
+    """Per-column IN lists, cost-model features and tuple hashes all read
+    the one (tuples x width) code matrix; each equals its definition
+    over ``seeker.tuples``."""
+    context = _context(_kernel_lake(), backend, hash_size)
+    for name, tuples in _KERNEL_QUERIES.items():
+        seeker = MultiColumnSeeker(tuples, k=5)
+        columns = [
+            list(dict.fromkeys(row[i] for row in seeker.tuples)) for i in range(seeker.width)
+        ]
+        assert [seeker.column_tokens(i) for i in range(seeker.width)] == columns, name
+        assert seeker.params() == {f"q{i}": column for i, column in enumerate(columns)}, name
+        assert seeker.query_tokens() == [token for column in columns for token in column], name
+        assert seeker.query_cardinality() == sum(map(len, columns)), name
+        hashes = seeker._tuple_hash_array(context)
+        assert hashes.tolist() == sorted(
+            {tuple_hash(t, hash_size, context.xash_chars) for t in seeker.tuples}
+        ), name
+        assert seeker._tuple_hash_array(context) is hashes  # cached per hash config
+    assert MultiColumnSeeker(_KERNEL_QUERIES["all-repeated"])._repeat_free.shape == (0, 2)
+
+
+@pytest.mark.parametrize("backend,hash_size", [("column", 63), ("row", 63), ("row", 128)])
+def test_validation_kernel_matches_oracle_on_every_row(backend, hash_size):
+    """Phase 3 with EVERY lake row as a survivor (so rows no filter would
+    let through are judged too): solo, then all queries as one group --
+    overlapping and disjoint vocabularies, mixed widths, each member with
+    its own shuffled subset of the rows, one member with none."""
+    lake = _kernel_lake()
+    context = _context(lake, backend, hash_size)
+    every = [
+        (table_id, row)
+        for table_id in lake.table_ids()
+        for row in range(lake.by_id(table_id).num_rows)
+    ]
+
+    def arrays(pairs):
+        tables, rows = zip(*pairs) if pairs else ((), ())
+        return np.array(tables, dtype=np.int64), np.array(rows, dtype=np.int64)
+
+    seekers = {name: MultiColumnSeeker(tuples, k=5) for name, tuples in _KERNEL_QUERIES.items()}
+    for name, seeker in seekers.items():
+        expected = mc_scalar.validate(seeker, every, context)
+        assert _pairs(seeker.validate_batch(*arrays(every), context)) == expected, name
+        assert bool(expected) == (name != "ghosts"), name
+
+    rng = random.Random(17)
+    subsets = []
+    for name in seekers:
+        subset = [] if name == "duplicated" else rng.sample(every, rng.randint(5, len(every)))
+        subsets.append(subset)
+    validated = mc_validate(list(seekers.values()), [arrays(s) for s in subsets], context)
+    for (name, seeker), subset, mine in zip(seekers.items(), subsets, validated):
+        assert _pairs(mine) == mc_scalar.validate(seeker, subset, context), name

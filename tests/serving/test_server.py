@@ -3,6 +3,7 @@ error mapping, stats exposure, and the snapshot /swap endpoint."""
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -13,6 +14,7 @@ import pytest
 
 from repro import Blend, Seekers
 from repro.serving import BlendServer
+from repro.serving.server import _MAX_BODY
 
 from tests.serving.conftest import build_blend, make_lake
 
@@ -150,6 +152,53 @@ def test_bad_requests_are_400(server):
         status = error.code
         error.read()
     assert status == 400
+
+
+def _raw_exchange(address, request: bytes) -> bytes:
+    """Send *request* on one keep-alive connection and return every byte
+    the server answers until it closes the connection (or goes quiet)."""
+    received = b""
+    with socket.create_connection(address, timeout=30) as sock:
+        sock.sendall(request)
+        sock.settimeout(0.5)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except socket.timeout:
+            pass  # still open: the server kept the connection alive
+    return received
+
+
+@pytest.mark.parametrize(
+    "request_line,length,status",
+    [
+        ("POST /query", _MAX_BODY + 10, 413),  # oversized: refused unread
+        ("POST /query", "nonsense", 400),  # body extent unknown
+        ("POST /nope", 51, 404),  # no route reads it
+        ("GET /health", 51, 200),
+    ],
+)
+def test_unread_body_is_not_parsed_as_the_next_request(server, request_line, length, status):
+    """A request whose declared body the server does not read must end
+    the keep-alive connection: left open, the body bytes are parsed as a
+    second request (here one spelling ``POST /swap``)."""
+    smuggled = b"POST /swap HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+    assert len(smuggled) == 51
+    head = f"{request_line} HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+    received = _raw_exchange(server.address, head.encode() + smuggled)
+    assert received.startswith(f"HTTP/1.1 {status} ".encode()), received[:80]
+    assert received.count(b"HTTP/1.1 ") == 1, received
+    assert b"Connection: close" in received
+
+
+def test_consumed_body_keeps_the_connection_alive(server):
+    """The counterpart: a body that WAS read leaves nothing behind, so
+    the connection stays open and the next request on it is served."""
+    body = json.dumps({"modality": "kw", "values": ["germany"], "k": 2}).encode()
+    head = f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+    received = _raw_exchange(server.address, (head.encode() + body) * 2)
+    assert received.count(b"HTTP/1.1 200 ") == 2, received
+    assert b"Connection: close" not in received
 
 
 def test_unknown_route_is_404(server):
