@@ -6,15 +6,16 @@ The lake reuses the MC-heavy shape of the seeker suite (shared
 through :class:`repro.serving.BatchScheduler` over a
 :class:`repro.serving.DeploymentManager`. Both timed phases run the SAME
 worker pool (2 workers) and the SAME concurrent client threads; the only
-difference is admission batching:
+difference is ``max_batch`` -- whether a worker may take the backlog
+behind a request along with it:
 
 ==================  ========================================================
 serving_serial      ``max_batch=1``: every request is one full pass
                     through the kernels (the pre-serving baseline shape)
-serving_batched     ``max_batch=64``, 2 ms admission window: concurrent
-                    same-modality requests coalesce into single stacked
-                    passes (one scan per SC/KW window, one phase-2/3
-                    pass per MC window)
+serving_batched     ``max_batch=64``: same-modality requests that queued
+                    while the workers were busy coalesce into single
+                    stacked passes (one scan per SC/KW batch, one
+                    phase-2/3 pass per MC batch)
 serving_swap        sustained mixed load while the deployment hot-swaps
                     between two lake generations every ~80 ms; zero
                     failed requests is an assertion, not a metric
@@ -117,7 +118,7 @@ def _workload(lake: DataLake, seed: int, count: int) -> list:
     must also carry without regressing). A fifth of the stream re-issues
     one of a handful of canned hot queries -- the dashboard/retry traffic
     every serving tier sees -- which the batched tier answers once per
-    admission window via key coalescing while the serialized tier runs
+    batch via key coalescing while the serialized tier runs
     each copy in full."""
     rng = random.Random(seed + 3)
     pool = lake._bench_pool  # type: ignore[attr-defined]
@@ -214,18 +215,19 @@ def run_benchmark(
     def fixed_oracle(i: int, generation: int):
         return oracle[i]
 
-    # serving_serial: same pool, same clients, no admission batching.
+    # serving_serial: same pool, same clients, max_batch=1 -- every
+    # request is its own batch however deep the backlog.
     manager = DeploymentManager(blend)
     with BatchScheduler(
-        manager, workers=2, max_batch=1, batch_window=0.0
+        manager, workers=2, max_batch=1
     ) as scheduler:
         seconds, latencies = _drive(scheduler, queries, fixed_oracle)
     results["serving_serial"] = _phase(seconds, len(queries), latencies)
 
-    # serving_batched: only the admission policy changes.
+    # serving_batched: only max_batch changes; batches form from backlog.
     manager = DeploymentManager(blend)
     with BatchScheduler(
-        manager, workers=2, max_batch=64, batch_window=0.002
+        manager, workers=2, max_batch=64
     ) as scheduler:
         seconds, latencies = _drive(scheduler, queries, fixed_oracle)
     results["serving_batched"] = _phase(seconds, len(queries), latencies)
@@ -254,7 +256,7 @@ def run_benchmark(
             swaps["n"] += 1
 
     with BatchScheduler(
-        manager, workers=2, max_batch=64, batch_window=0.002
+        manager, workers=2, max_batch=64
     ) as scheduler:
         swapper = threading.Thread(target=churn)
         swapper.start()
@@ -297,7 +299,7 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
 
         manager = DeploymentManager(blend)
         with BatchScheduler(
-            manager, workers=2, max_batch=32, batch_window=0.002
+            manager, workers=2, max_batch=32
         ) as scheduler:
             _drive(scheduler, queries, lambda i, gen: oracle[i], threads=8)
         checked += 1
@@ -317,7 +319,7 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
     }
     manager = DeploymentManager(blend)
     with BatchScheduler(
-        manager, workers=2, max_batch=32, batch_window=0.002
+        manager, workers=2, max_batch=32
     ) as scheduler:
         swapped = {"report": None}
 

@@ -127,12 +127,7 @@ def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict:
         save_sharded(blend, root / "shards2", num_shards=2)
 
         for phase, shards in (("sharded_scatter2", 2), ("sharded_scatter4", 4)):
-            # batch_window=0: one serial client drives the coordinator,
-            # so there is nothing to coalesce -- waiting out an admission
-            # window per shard would just tax every query.
-            with ShardCoordinator.load(
-                root / f"shards{shards}", batch_window=0.0
-            ) as coordinator:
+            with ShardCoordinator.load(root / f"shards{shards}") as coordinator:
                 seconds, latencies = _drive_coordinator(coordinator, queries, oracle)
             results[phase] = _phase(seconds, len(queries), latencies)
     finally:

@@ -56,8 +56,8 @@ def main() -> None:
     with BlendServer(blend, workers=2, max_batch=32).start() as server:
         print(f"serving on {server.url}  (generation {get(server.url + '/health')['generation']})\n")
 
-        # A concurrent burst: same-modality requests landing inside one
-        # admission window share a single index pass.
+        # A concurrent burst: same-modality requests that queue while the
+        # workers are busy share a single index pass.
         queries = [
             {"modality": "sc", "values": random.Random(i).sample(CITIES, 3), "k": 5}
             for i in range(16)

@@ -1,10 +1,14 @@
 """Admission control and cross-query batching for the serving tier.
 
-Requests enter one queue; a pool of workers pulls them off, coalescing
-same-modality requests that arrive within a short batch window into ONE
-``Blend.execute_batch`` call -- a single index scan for an SC/KW window,
-one stacked super-key pass and one combined count-matrix validation for
-an MC window. Identical requests (same query, same k) coalesce further:
+Requests enter one queue; a pool of workers pulls them off. An idle
+worker starts a request the moment it arrives; a worker that comes free
+takes the queue's head plus every same-modality request that queued up
+behind it while the pool was busy, and runs them as ONE
+``Blend.execute_batch_partials`` call -- a single index scan for an
+SC/KW batch, one stacked super-key pass and one combined validation for
+an MC batch. Batches therefore form from backlog alone, exactly when
+there is load to amortise, and no worker ever sleeps on a request it
+holds. Identical requests (same query, same k) coalesce further:
 executed once, answered many times.
 
 Deadlines are per-request and enforced at both ends: a worker drops a
@@ -35,7 +39,6 @@ from .deployment import DeploymentManager
 from .stats import ServingStats
 
 DEFAULT_MAX_BATCH = 32
-DEFAULT_BATCH_WINDOW = 0.002  # seconds; a few ms, per the batching design
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,13 @@ class PendingQuery:
 
 
 class BatchScheduler:
-    """The worker pool plus batching queue over a deployment manager."""
+    """The worker pool plus batching queue over a deployment manager.
+
+    *workers* threads serve the queue; *max_batch* bounds how many
+    queued same-modality requests one worker takes at once (a batch's
+    memory and tail latency). The batch size itself is not configured:
+    it is whatever backlog the queue holds when a worker comes free.
+    """
 
     def __init__(
         self,
@@ -147,7 +156,6 @@ class BatchScheduler:
         stats: Optional[ServingStats] = None,
         workers: int = 2,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
     ) -> None:
         if workers < 1:
             raise ServingError("scheduler needs at least one worker")
@@ -156,7 +164,6 @@ class BatchScheduler:
         self.manager = manager
         self.stats = stats if stats is not None else ServingStats()
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self._queue: deque[_Request] = deque()
         self._cond = threading.Condition()
         self._closed = False
@@ -187,13 +194,28 @@ class BatchScheduler:
         (the shard-worker path) alongside the locally-merged result.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        request = _Request(seeker, deadline, key, want_partials=partials)
+        return self._enqueue([_Request(seeker, deadline, key, partials)])[0]
+
+    def submit_many(
+        self, seekers: Sequence[Seeker], partials: bool = False
+    ) -> list[PendingQuery]:
+        """Enqueue a burst as one unit: no worker can observe part of
+        it, so its same-modality members reach the kernels as one batch
+        (per ``max_batch``) however the threads are scheduled."""
+        return self._enqueue(
+            [_Request(seeker, None, None, partials) for seeker in seekers]
+        )
+
+    def _enqueue(self, requests: list[_Request]) -> list[PendingQuery]:
         with self._cond:
             if self._closed:
                 raise ServingError("scheduler is shut down")
-            self._queue.append(request)
-            self._cond.notify()
-        return PendingQuery(request, self.stats)
+            self._queue.extend(requests)
+            # One wake-up per request, as separate submits would give: a
+            # burst of several modalities (or past max_batch) is more
+            # than one batch, and the idle workers should share it.
+            self._cond.notify(len(requests))
+        return [PendingQuery(request, self.stats) for request in requests]
 
     def execute(
         self,
@@ -229,25 +251,30 @@ class BatchScheduler:
     # -- worker side -----------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            first = self._next_request()
-            if first is None:
-                return
-            batch = self._fill_batch(first)
+        while (batch := self._take_batch()) is not None:
+            batch = [request for request in batch if self._admit(request)]
             if batch:
                 self._run_batch(batch)
 
-    def _next_request(self) -> Optional[_Request]:
-        """Block for the next live request; drop expired ones cleanly."""
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    self._cond.wait()
-                if not self._queue:
-                    return None  # closed and drained
+    def _take_batch(self) -> Optional[list[_Request]]:
+        """The one place a worker blocks: wait for the queue to be
+        non-empty, pop its head, and sweep what is already queued for
+        requests of the head's modality, up to ``max_batch``. Whatever
+        arrives later is the next free worker's batch. ``None`` means
+        closed and drained."""
+        with self._cond:
+            while not self._queue:
+                if self._closed:
+                    return None
+                self._cond.wait()
+            batch = [self._queue.popleft()]
+            kind = batch[0].seeker.kind
+            skipped: list[_Request] = []
+            while self._queue and len(batch) < self.max_batch:
                 request = self._queue.popleft()
-            if self._admit(request):
-                return request
+                (batch if request.seeker.kind == kind else skipped).append(request)
+            self._queue.extendleft(reversed(skipped))
+        return batch
 
     def _admit(self, request: _Request) -> bool:
         """Deadline check at dequeue: a request that aged out while
@@ -261,48 +288,6 @@ class BatchScheduler:
                 self.stats.record_timeout()
             return False
         return True
-
-    def _fill_batch(self, first: _Request) -> list[_Request]:
-        """Collect same-modality requests for *first*'s batch: everything
-        already queued, then whatever arrives within the batch window, up
-        to ``max_batch``. The window stays open only while it keeps
-        filling -- a wait round that produces no same-kind arrival means
-        the burst is collected, and idling out the rest of the window
-        would only stall this batch and anything queued behind it."""
-        batch = [first]
-        if self.max_batch == 1:
-            return batch
-        kind = first.seeker.kind
-        window_end = time.monotonic() + self.batch_window
-        waited = False
-        while len(batch) < self.max_batch:
-            with self._cond:
-                taken: list[_Request] = []
-                kept: deque[_Request] = deque()
-                for request in self._queue:
-                    if (
-                        request.seeker.kind == kind
-                        and len(batch) + len(taken) < self.max_batch
-                    ):
-                        taken.append(request)
-                    else:
-                        kept.append(request)
-                self._queue = kept
-                closed = self._closed
-            batch.extend(r for r in taken if self._admit(r))
-            if closed or len(batch) >= self.max_batch:
-                break
-            if waited and not taken:
-                break  # the queue went quiet; run what we have
-            remaining = window_end - time.monotonic()
-            if remaining <= 0:
-                break
-            # Wait for stragglers (bounded by the window's remainder).
-            with self._cond:
-                if not any(r.seeker.kind == kind for r in self._queue):
-                    self._cond.wait(remaining)
-                    waited = True
-        return batch
 
     def _run_batch(self, batch: list[_Request]) -> None:
         """Execute one batch against a leased deployment and finalize

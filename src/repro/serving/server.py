@@ -4,7 +4,8 @@ Stdlib-only (``http.server.ThreadingHTTPServer``); each connection gets
 a handler thread that parses the request, submits it to the shared
 :class:`BatchScheduler`, and blocks on the outcome -- which is exactly
 what makes batching work: N concurrent connections become N queued
-requests inside one batch window.
+requests, and whatever queued while the workers were busy runs as one
+batch.
 
 Endpoints::
 
@@ -44,7 +45,7 @@ from ..errors import (
     SnapshotError,
 )
 from .deployment import DeploymentManager
-from .scheduler import BatchScheduler
+from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 from .stats import ServingStats
 
 _MAX_BODY = 8 << 20  # requests are queries, not uploads
@@ -62,7 +63,7 @@ def build_seeker(payload: dict[str, Any]) -> tuple[Seeker, tuple]:
         raise SeekerError("request must name a modality: sc, kw, or mc")
     modality = modality.lower()
     k = payload.get("k", 10)
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise SeekerError("k must be a positive integer")
     if modality in ("sc", "kw"):
         values = payload.get("values")
@@ -93,8 +94,7 @@ class BlendServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        max_batch: int = 32,
-        batch_window: float = 0.002,
+        max_batch: int = DEFAULT_MAX_BATCH,
         default_timeout: Optional[float] = 30.0,
     ) -> None:
         self.stats = ServingStats()
@@ -104,7 +104,6 @@ class BlendServer:
             stats=self.stats,
             workers=workers,
             max_batch=max_batch,
-            batch_window=batch_window,
         )
         self.default_timeout = default_timeout
         handler = _make_handler(self)
@@ -156,7 +155,11 @@ class BlendServer:
         timeout = self.default_timeout
         timeout_ms = payload.get("timeout_ms")
         if timeout_ms is not None:
-            if not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0:
+            if (
+                isinstance(timeout_ms, bool)
+                or not isinstance(timeout_ms, (int, float))
+                or timeout_ms <= 0
+            ):
                 raise SeekerError("timeout_ms must be a positive number")
             timeout = timeout_ms / 1e3
         outcome = self.scheduler.execute(seeker, timeout=timeout, key=key)

@@ -52,7 +52,7 @@ from ..errors import LakeError, ServingError, SnapshotError, StaleContextError
 from ..lake.table import Table
 from ..snapshot import read_shard_manifest
 from .deployment import DeploymentManager
-from .scheduler import DEFAULT_BATCH_WINDOW, DEFAULT_MAX_BATCH, BatchScheduler
+from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 
 __all__ = [
     "LocalShardWorker",
@@ -74,9 +74,11 @@ class LocalShardWorker:
     """One shard served in-process behind the PR 6 batching tier.
 
     The worker owns a :class:`DeploymentManager` (so the shard can be
-    hot-swapped independently) and a :class:`BatchScheduler` (so
-    concurrent coordinator queries coalesce into cross-query kernel
-    calls *per shard*). The coordinator speaks a tiny op protocol --
+    hot-swapped independently) and a :class:`BatchScheduler`: a
+    coordinator batch is enqueued whole and reaches the kernels as one
+    call per modality, and concurrent coordinator queries that queue up
+    behind a busy worker join the next batch *per shard*. The
+    coordinator speaks a tiny op protocol --
     ``send(op, payload)`` then ``recv()`` -- split in two phases so a
     broadcast overlaps across workers instead of serialising.
     """
@@ -87,12 +89,10 @@ class LocalShardWorker:
         *,
         workers: int = 2,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
     ) -> None:
         self.manager = DeploymentManager(blend)
         self.scheduler = BatchScheduler(
-            self.manager, workers=workers, max_batch=max_batch,
-            batch_window=batch_window,
+            self.manager, workers=workers, max_batch=max_batch
         )
         self._pending: Optional[tuple[str, Any]] = None
 
@@ -106,10 +106,7 @@ class LocalShardWorker:
             raise ServingError("shard worker already has an op in flight")
         if op == "partials":
             try:
-                handles = [
-                    self.scheduler.submit(seeker, partials=True)
-                    for seeker in payload
-                ]
+                handles = self.scheduler.submit_many(payload, partials=True)
             except BaseException as exc:  # scheduler closed, bad seeker, ...
                 self._pending = ("error", exc)
                 return
@@ -178,17 +175,13 @@ def _shard_worker_main(
     verify: bool,
     workers: int,
     max_batch: int,
-    batch_window: float,
 ) -> None:
     """Child-process loop: load the shard snapshot, then serve ops off
     the pipe until ``close`` or EOF. Every reply is ``("ok", value)`` or
     ``("err", exception)`` so the parent re-raises faithfully."""
     try:
         blend = Blend.load(snapshot_path, verify=verify)
-        worker = LocalShardWorker(
-            blend, workers=workers, max_batch=max_batch,
-            batch_window=batch_window,
-        )
+        worker = LocalShardWorker(blend, workers=workers, max_batch=max_batch)
     except BaseException as exc:
         conn.send(("err", exc))
         return
@@ -233,16 +226,12 @@ class ProcessShardWorker:
         verify: bool = True,
         workers: int = 2,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
     ) -> None:
         ctx = _mp_context()
         self._conn, child_conn = ctx.Pipe()
         self._process = ctx.Process(
             target=_shard_worker_main,
-            args=(
-                child_conn, str(snapshot_path), verify, workers, max_batch,
-                batch_window,
-            ),
+            args=(child_conn, str(snapshot_path), verify, workers, max_batch),
             daemon=True,
         )
         self._process.start()
@@ -352,7 +341,6 @@ class ShardCoordinator:
         verify: bool = True,
         workers: int = 2,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
     ) -> "ShardCoordinator":
         """Spin up one worker per shard of a
         :func:`repro.snapshot.save_sharded` directory and wire the
@@ -372,7 +360,7 @@ class ShardCoordinator:
                     shard_workers.append(
                         ProcessShardWorker(
                             root / name, verify=verify, workers=workers,
-                            max_batch=max_batch, batch_window=batch_window,
+                            max_batch=max_batch,
                         )
                     )
                 else:
@@ -380,7 +368,6 @@ class ShardCoordinator:
                         LocalShardWorker(
                             Blend.load(root / name, verify=verify),
                             workers=workers, max_batch=max_batch,
-                            batch_window=batch_window,
                         )
                     )
         except BaseException:

@@ -22,8 +22,8 @@ class ServingStats:
 
     Latencies are kept in a bounded window (most recent
     ``_LATENCY_WINDOW`` requests); percentiles are computed on demand.
-    Batch sizes feed a histogram keyed by exact size -- batch windows are
-    small, so the key space is too.
+    Batch sizes feed a histogram keyed by exact size -- ``max_batch``
+    bounds a batch, so it bounds the key space too.
     """
 
     def __init__(self, clock=None) -> None:

@@ -150,7 +150,7 @@ def test_compaction_under_sustained_load_zero_failures(tmp_path):
     stop = threading.Event()
 
     with BatchScheduler(
-        manager, workers=3, max_batch=16, batch_window=0.002
+        manager, workers=3, max_batch=16
     ) as scheduler:
 
         def load(worker_id: int) -> None:

@@ -60,7 +60,7 @@ def test_swap_under_sustained_load_zero_failures(generations):
     stop = threading.Event()
 
     with BatchScheduler(
-        manager, workers=3, max_batch=16, batch_window=0.002
+        manager, workers=3, max_batch=16
     ) as scheduler:
 
         def load(worker_id: int) -> None:

@@ -22,7 +22,7 @@ from tests.serving.conftest import build_blend, make_lake
 @pytest.fixture(scope="module")
 def server(served_blend):
     with BlendServer(
-        served_blend, workers=2, max_batch=16, batch_window=0.002
+        served_blend, workers=2, max_batch=16
     ).start() as srv:
         yield srv
 
@@ -134,6 +134,8 @@ def test_bad_requests_are_400(server):
         {"modality": "mc", "tuples": []},
         {"modality": "sc", "values": ["x"], "k": 0},
         {"modality": "sc", "values": ["x"], "timeout_ms": -5},
+        {"modality": "sc", "values": ["x"], "k": True},  # bool is an int
+        {"modality": "sc", "values": ["x"], "timeout_ms": True},
     ):
         status, payload = _post(server.url, "/query", body)
         assert status == 400, (body, payload)

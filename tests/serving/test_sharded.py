@@ -114,6 +114,22 @@ def test_batched_execution_matches_serial(tmp_path):
             assert list(result) == list(seeker.execute(context))
 
 
+def test_coordinator_batch_lands_whole_on_a_shard(tmp_path):
+    """A coordinator batch is enqueued on each shard as one unit, so its
+    same-kind seekers reach the kernels as ONE batch -- not as however
+    many the worker thread happened to see between submits."""
+    blend = _build_blend(seed=303, backend="column")
+    rng = random.Random(505)
+    seekers = [Seekers.SC(rng.sample(NAMES, 3), k=4) for _ in range(6)]
+    with _coordinator(blend, tmp_path, 1, workers=1) as coordinator:
+        batched = coordinator.execute_batch(seekers)
+        context = blend.context()
+        for seeker, result in zip(seekers, batched):
+            assert list(result) == list(seeker.execute(context))
+        (shard,) = coordinator.stats()["shards"]
+    assert shard["batch_size_histogram"] == {"6": 1}
+
+
 # -- lifecycle ops interleaved with queries ------------------------------------
 
 
