@@ -6,13 +6,7 @@ Phases measured (all on a seeded Table-II-style generated lake):
 ==================  ========================================================
 build_scalar        the cell-at-a-time reference oracle
                     (``tests/oracles/alltables_scalar.py``)
-build               ``build_alltables`` (batch XASH + ``insert_columns``),
-                    in-process
-build_parallel_wN   ``build_alltables`` with ``IndexConfig(workers=N)``
-                    (the ``--workers`` axis; the worker count is clamped
-                    to the available CPUs, so on a single-CPU host this
-                    repeats ``build`` and the fan-out engages where
-                    cores exist)
+build               ``build_alltables`` (batch XASH + ``insert_columns``)
 normalize_scalar    per-cell ``normalize_cell`` loop over the lake's full
                     cell matrix (the old flush-path tokenisation)
 normalize           the batched ``normalize_tokens`` kernel on the same
@@ -48,8 +42,8 @@ from oracles.alltables_scalar import build_alltables_scalar
 
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
-from repro.index import IndexConfig, build_alltables
-from repro.index.alltables import ALLTABLES_SCHEMA, _available_cpus
+from repro.index import build_alltables
+from repro.index.alltables import ALLTABLES_SCHEMA
 from repro.index.xash import xash
 from repro.lake.generators import CorpusConfig, generate_corpus
 from repro.lake.table import normalize_cell, normalize_tokens
@@ -87,12 +81,9 @@ def _bench_lake(seed: int, scale: float = 1.0):
     return lake
 
 
-def run_benchmark(
-    seed: int = DEFAULT_SEED, scale: float = 1.0, workers: int = 4
-) -> dict[str, dict[str, float]]:
+def run_benchmark(seed: int = DEFAULT_SEED, scale: float = 1.0) -> dict[str, dict[str, float]]:
     """Time every phase on a freshly generated lake; returns the
-    ``BENCH_index.json`` payload. *workers* adds one ``build_parallel_wN``
-    phase for the sharded build (0 disables the phase)."""
+    ``BENCH_index.json`` payload."""
     lake = _bench_lake(seed, scale)
     results: dict[str, dict[str, float]] = {}
 
@@ -106,18 +97,6 @@ def run_benchmark(
     db_vector = Database(backend="column")
     seconds, _ = _timed(lambda: build_alltables(lake, db_vector))
     results["build"] = _phase(seconds, index_rows)
-
-    if workers:
-        db_parallel = Database(backend="column")
-        seconds, parallel_report = _timed(
-            lambda: build_alltables(lake, db_parallel, IndexConfig(workers=workers))
-        )
-        if parallel_report.num_index_rows != index_rows:
-            raise AssertionError(
-                f"parallel build produced {parallel_report.num_index_rows} "
-                f"index rows, in-process produced {index_rows}"
-            )
-        results[f"build_parallel_w{workers}"] = _phase(seconds, index_rows)
 
     # -- flush-path tokenisation: scalar loop vs batched kernel ---------------
     cells = [value for table in lake for row in table.rows for value in row]
@@ -230,17 +209,6 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
     fast = results.get("build", {}).get("seconds")
     if build and fast:
         lines.append(f"build speedup: {build / fast:.1f}x")
-    parallel = [
-        (phase, numbers["seconds"])
-        for phase, numbers in results.items()
-        if phase.startswith("build_parallel_w")
-    ]
-    for phase, seconds in parallel:
-        if fast and seconds:
-            lines.append(
-                f"parallel build speedup ({phase[len('build_parallel_'):]}, "
-                f"{_available_cpus()} cpu available): {fast / seconds:.2f}x vs in-process"
-            )
     norm_scalar, norm_kernel = (
         results.get("normalize_scalar", {}).get("seconds"),
         results.get("normalize", {}).get("seconds"),
@@ -262,10 +230,9 @@ def format_report(results: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -> str:
+def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25) -> str:
     """Hardware-independent parity smoke (``run_bench.py --check-only``):
-    assert the scalar oracle and ``build_alltables`` (in-process and
-    with ``workers``, which fans out where CPUs exist) produce
+    assert the scalar oracle and ``build_alltables`` produce
     byte-identical ``AllTables`` relations on a reduced-scale lake, and
     that the batched ``normalize_tokens`` kernel matches the per-cell
     ``normalize_cell`` oracle cell-for-cell over the same lake.
@@ -282,21 +249,17 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -
     oracle_db = Database(backend="column")
     build_alltables_scalar(lake, oracle_db)
     reference = oracle_db.execute("SELECT * FROM AllTables").rows
-    configs = {"in_process": IndexConfig()}
-    if workers:  # 0 disables the parallel build, mirroring run_benchmark
-        configs[f"parallel_w{workers}"] = IndexConfig(workers=workers)
-    for name, config in configs.items():
-        db = Database(backend="column")
-        build_alltables(lake, db, config)
-        produced = db.execute("SELECT * FROM AllTables").rows
-        if produced != reference:
-            raise AssertionError(
-                f"build parity violated: {name} produced {len(produced)} rows "
-                f"diverging from the scalar oracle ({len(reference)} rows)"
-            )
+    db = Database(backend="column")
+    build_alltables(lake, db)
+    produced = db.execute("SELECT * FROM AllTables").rows
+    if produced != reference:
+        raise AssertionError(
+            f"build parity violated: the pipeline produced {len(produced)} rows "
+            f"diverging from the scalar oracle ({len(reference)} rows)"
+        )
     return (
-        f"index build parity OK: oracle + {len(configs)} schedules x "
-        f"{len(reference)} identical AllTables rows (scale={scale}); "
+        f"index build parity OK: oracle and pipeline agree on "
+        f"{len(reference)} AllTables rows (scale={scale}); "
         f"normalize kernel matches the scalar oracle on {len(cells)} cells"
     )
 
@@ -304,7 +267,6 @@ def run_check(seed: int = DEFAULT_SEED, scale: float = 0.25, workers: int = 4) -
 PHASES = (
     "build_scalar",
     "build",
-    "build_parallel_w4",
     "normalize_scalar",
     "normalize",
     "ingest_rows",

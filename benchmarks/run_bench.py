@@ -33,22 +33,19 @@ output JSON and leaves rows owned by sibling suites untouched.
 Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py [--suite S] [--seed N]
-        [--scale S] [--output PATH] [--repeat R] [--workers N]
-        [--check-only]
+        [--scale S] [--output PATH] [--repeat R] [--check-only]
 
 ``--repeat`` keeps the fastest-of-R result per phase, damping scheduler
 noise. ``--output`` overrides the artefact path for single-suite runs.
-``--workers`` sets the sharded-build axis of the index suite
-(``build_parallel_wN``; 0 disables it). ``--check-only`` runs each
-suite's oracle-parity assertions on a reduced-scale lake and writes no
-artefact -- no timing thresholds, so the exit code is hardware
-independent (the CI smoke job runs exactly this).
+``--check-only`` runs each suite's oracle-parity assertions on a
+reduced-scale lake and writes no artefact -- no timing thresholds, so
+the exit code is hardware independent (the CI smoke job runs exactly
+this).
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from pathlib import Path
@@ -80,20 +77,10 @@ SUITES = {
 }
 
 
-def _suite_kwargs(fn, args, **overrides) -> dict:
-    """Keyword arguments for a suite entry point (only the index suite
-    has a workers axis; forwarding is signature-driven so suites stay
-    decoupled)."""
-    kwargs = {"seed": args.seed, "scale": args.scale, **overrides}
-    if "workers" in inspect.signature(fn).parameters:
-        kwargs["workers"] = args.workers
-    return kwargs
-
-
 def _run_suite(module, output: Path, args) -> None:
     best: dict[str, dict[str, float]] = {}
     for _ in range(max(1, args.repeat)):
-        results = module.run_benchmark(**_suite_kwargs(module.run_benchmark, args))
+        results = module.run_benchmark(seed=args.seed, scale=args.scale)
         for phase, numbers in results.items():
             if phase not in best or numbers["seconds"] < best[phase]["seconds"]:
                 best[phase] = numbers
@@ -120,8 +107,7 @@ def _run_checks(selected: list[str], args) -> int:
     check_scale = min(args.scale, 0.25)
     for name in selected:
         module, _ = SUITES[name]
-        kwargs = _suite_kwargs(module.run_check, args, scale=check_scale)
-        summary = module.run_check(**kwargs)
+        summary = module.run_check(seed=args.seed, scale=check_scale)
         print(f"[{name}] {summary}")
     return 0
 
@@ -132,12 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--scale", type=float, default=1.0, help="lake size multiplier")
     parser.add_argument("--repeat", type=int, default=1, help="keep fastest of N runs")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="sharded-build axis of the index suite (0 disables)",
-    )
     parser.add_argument(
         "--check-only",
         action="store_true",

@@ -5,10 +5,8 @@ The AllTables builder is one pipeline (per-flush token factorisation,
 batch XASH over unique tokens via ``xash_batch``, segmented super-key
 OR-reduction, quadrant bits from ``column_quadrant_matrix``, one global
 sorted dictionary, bulk ``insert_columns`` appends) shared by the
-offline build and the incremental maintenance entry points;
-``IndexConfig(workers=N)`` fans its per-table stages out over worker
-processes where CPUs exist, with byte-identical output. The scalar
-cell-at-a-time reference it is pinned against is a test oracle
+offline build and the incremental maintenance entry points, in-process.
+The scalar cell-at-a-time reference it is pinned against is a test oracle
 (``tests/oracles/alltables_scalar.py``), not part of the package.
 ``benchmarks/run_bench.py`` tracks the build rows in ``BENCH_index.json``.
 """

@@ -32,33 +32,25 @@ incremental maintenance entry points alike (:func:`build_alltables`,
    are OR-reduced per row, and everything is bulk-appended through the
    typed ``insert_columns`` API.
 
-Steps 1-2 run in-process, or fanned out over worker processes when
-``IndexConfig(workers=N)`` asks for them *and* the process may run on
-more than one CPU: the lake is partitioned into cell-balanced contiguous
-shards and shard outputs are merged in shard order, so the relation is
-byte-identical for any worker count. The cell-at-a-time reference loop
-this pipeline is pinned against lives in ``tests/oracles/alltables_scalar.py``.
+The whole pipeline runs in-process, in one mode; the cell-at-a-time
+reference loop it is pinned against lives in
+``tests/oracles/alltables_scalar.py``.
 """
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import multiprocessing
-import os
 import random
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..engine.database import Database
 from ..engine.storage.column_store import DictEncodedText
 from ..errors import IndexingError
-from ..lake.datalake import DataLake, LakeShard
-from ..lake.table import normalize_cell, normalize_tokens
+from ..lake.datalake import DataLake
+from ..lake.table import Table, normalize_cell, normalize_tokens
 from .quadrant import column_quadrant_matrix
 from .xash import (
     DEFAULT_HASH_SIZE,
@@ -104,13 +96,8 @@ class IndexConfig:
 
     ``hash_size`` > 63 (MATE's 128-bit XASH variant) only fits the row
     backend -- the column store's ``SuperKey`` column is int64, and the
-    build rejects the combination up front.
-
-    ``workers`` asks for a parallel build: ``N >= 1`` partitions the lake
-    into cell-balanced shards and fans them out over up to ``N`` worker
-    processes, clamped to the CPUs this process may actually use
-    (spawning more just adds IPC); ``None`` (default) builds in-process.
-    The output is byte-identical for every setting.
+    build rejects the combination up front, as it does a ``hash_size``,
+    ``xash_chars`` or ``semantic_dimensions`` below 1.
     """
 
     table_name: str = "AllTables"
@@ -118,9 +105,6 @@ class IndexConfig:
     xash_chars: int = DEFAULT_NUM_CHARS
     shuffle_rows: bool = False  # BLEND (rand): pre-shuffle rows per table
     shuffle_seed: int = 0
-    build_value_index: bool = True
-    build_table_index: bool = True
-    workers: Optional[int] = None  # N >= 1: fan out over worker processes
     # Semantic extension: build AllVectors + the HNSW alongside AllTables,
     # so build/load/shard paths configure it uniformly (SS and HY seekers
     # need it). Blend.enable_semantic() flips this on after the fact.
@@ -161,7 +145,7 @@ def build_alltables(
             "drop it or index into a fresh database"
         )
     _check_hash_width(config, db)
-    _check_workers(config)
+    _check_config(config)
     db.create_table(config.table_name, ALLTABLES_SCHEMA)
     try:
         # The offline build emits rows in (TableId, RowId, ColumnId)
@@ -170,12 +154,10 @@ def build_alltables(
         # this layout, which is what makes compacted storage
         # byte-identical to a fresh build.
         db.set_cluster_keys(config.table_name, ("TableId", "RowId", "ColumnId"))
-        parts = _encode_lake(lake, config)
+        parts = _encode_tables(lake.items(), config)
         _merge_and_insert(db, config, parts)
-        if config.build_value_index:
-            db.create_index(config.table_name, "CellValue")
-        if config.build_table_index:
-            db.create_index(config.table_name, "TableId")
+        db.create_index(config.table_name, "CellValue")
+        db.create_index(config.table_name, "TableId")
     except BaseException:
         # A half-built, index-less relation must not outlive the failure:
         # it would make the retry die on "already contains".
@@ -202,13 +184,15 @@ def _check_hash_width(config: IndexConfig, db: Database) -> None:
         )
 
 
-def _check_workers(config: IndexConfig) -> None:
-    """Reject unusable worker settings up front."""
-    if config.workers is not None and config.workers < 1:
-        raise IndexingError(
-            f"IndexConfig.workers must be >= 1 (or None for an in-process "
-            f"build), got {config.workers}"
-        )
+def _check_config(config: IndexConfig) -> None:
+    """Reject sizes no build can honour, before any relation exists:
+    below 1 they otherwise surface as a divide-by-zero warning, an
+    ``OverflowError`` or a silently mis-hashed index."""
+    for name in ("hash_size", "xash_chars", "semantic_dimensions"):
+        if getattr(config, name) < 1:
+            raise IndexingError(
+                f"IndexConfig.{name} must be >= 1, got {getattr(config, name)}"
+            )
 
 
 # --------------------------------------------------------------------------
@@ -390,12 +374,10 @@ class _ShardPart:
     All arrays are aligned on the part's non-null cells in emission order
     (row-major within each table, tables in id order). ``codes`` index
     into the part-local ``tokens`` dictionary (first-seen order); the
-    merge recodes them into the global sorted dictionary. ``super_keys``
-    is per-cell and either already folded (pool mode hashes inside the
-    worker) or ``None`` with ``row_starts`` marking the (table, row)
-    segments so the fold can run after the global dictionary is hashed
-    once (in-process mode). Plain slots of NumPy arrays: cheap to pickle
-    back from worker processes.
+    merge recodes them into the global sorted dictionary. ``row_starts``
+    marks the (table, row) segments, so the super-key fold can run once
+    the global dictionary is hashed. An all-null batch keeps only its
+    ``null_count``; every array field is ``None``.
     """
 
     __slots__ = (
@@ -405,44 +387,39 @@ class _ShardPart:
         "column_ids",
         "row_ids",
         "quadrant",
-        "super_keys",
         "row_starts",
         "null_count",
     )
 
     def __init__(self, codes, tokens, table_ids, column_ids, row_ids, quadrant,
-                 super_keys, row_starts, null_count):
+                 row_starts, null_count):
         self.codes = codes
         self.tokens = tokens
         self.table_ids = table_ids
         self.column_ids = column_ids
         self.row_ids = row_ids
         self.quadrant = quadrant
-        self.super_keys = super_keys
         self.row_starts = row_starts
         self.null_count = null_count
 
 
-def _encode_part(
-    buffer: list[_TableParts], factorizer: _Factorizer, task: _ShardTask
-) -> _ShardPart:
+def _encode_part(buffer: list[_TableParts], factorizer: _Factorizer) -> _ShardPart:
     """Encode one buffered batch of tables into a :class:`_ShardPart`.
 
     The id/quadrant columns are laid out filtered by the batch-wide
     non-null mask; the batch's token dictionary stays in first-seen
-    order (the merge recodes it against the global sorted dictionary).
-    With ``task.hash_in_worker`` XASH runs over the batch's unique tokens
-    and super keys are OR-reduced per (table, row) segment in one
-    ``reduceat``; otherwise the segment starts are kept so the fold can
-    run against globally-hashed tokens at merge time. All-null batches yield a part
-    whose array fields are ``None`` (only the NULL count survives).
+    order (the merge recodes it against the global sorted dictionary),
+    and the (table, row) segment starts are kept so the super-key fold
+    can run against globally-hashed tokens at merge time. All-null
+    batches yield a part whose array fields are ``None`` (only the NULL
+    count survives).
     """
     raw_codes = _concat([parts.codes for parts in buffer])
     quadrant = _concat([parts.quadrant for parts in buffer])
     non_null = raw_codes >= 0
     null_count = len(raw_codes) - int(non_null.sum())
     if null_count == len(raw_codes):
-        return _ShardPart(None, None, None, None, None, None, None, None, null_count)
+        return _ShardPart(None, None, None, None, None, None, None, null_count)
 
     tokens = np.empty(len(factorizer.tokens), dtype=object)
     tokens[:] = factorizer.tokens
@@ -479,22 +456,16 @@ def _encode_part(
     occupied = counts > 0
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[occupied]
 
-    part = _ShardPart(
+    return _ShardPart(
         cell_codes,
         tokens,
         table_ids,
         column_ids,
         row_ids_full[non_null],
         quadrant[non_null],
-        None,
         starts.astype(np.int64),
         null_count,
     )
-    if task.hash_in_worker:
-        unique_hashes = xash_batch(factorizer.tokens, task.hash_size, task.xash_chars)
-        part.super_keys = _fold_super_keys(part, unique_hashes[cell_codes])
-        part.row_starts = None
-    return part
 
 
 def _fold_super_keys(part: _ShardPart, cell_hashes: np.ndarray) -> np.ndarray:
@@ -533,108 +504,32 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Shard, fan out, merge
+# Encode, merge
 # --------------------------------------------------------------------------
 
-# Shards per worker process: finer than the pool so a skewed shard does
-# not leave the other workers idle at the tail of the build.
-_SHARDS_PER_WORKER = 2
 
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """One picklable unit of shard work sent to a worker process."""
-
-    shard: LakeShard
-    shuffle_seed: Optional[int]  # per-table seeded shuffle, None = no shuffle
-    hash_size: int
-    xash_chars: int
-    hash_in_worker: bool  # False: defer XASH to the global merge
-
-
-def _shard_task(shard: LakeShard, config: IndexConfig, hash_in_worker: bool) -> _ShardTask:
-    return _ShardTask(
-        shard,
-        config.shuffle_seed if config.shuffle_rows else None,
-        config.hash_size,
-        config.xash_chars,
-        hash_in_worker,
-    )
-
-
-def _shard_worker(task: _ShardTask) -> list[_ShardPart]:
-    """Process one shard: factorise + quadrant every table, flush into
-    encoded parts. Runs in a worker process in pool mode (hashing its
-    parts locally) and inline otherwise (hashing deferred to the merge,
-    where the global dictionary is hashed once).
-    """
+def _encode_tables(tables: Iterable[tuple[int, Table]], config: IndexConfig) -> list[_ShardPart]:
+    """Factorise + quadrant every ``(table_id, table)`` pair, flushing
+    ~``_FLUSH_ROWS``-cell batches (whole tables, one fresh factoriser
+    each) into encoded parts, in table order."""
     parts: list[_ShardPart] = []
     factorizer = _Factorizer()
     buffer: list[_TableParts] = []
     buffered = 0
-    for table_id, table in zip(task.shard.table_ids, task.shard.tables):
+    for table_id, table in tables:
         perm = None
-        if task.shuffle_seed is not None:
-            # Per-table seeded permutation: derivable inside any worker
-            # from the stable table id alone, no shared rng to thread
-            # through the fan-out.
-            perm = shuffle_permutation(task.shuffle_seed, table_id, table.num_rows)
+        if config.shuffle_rows:
+            perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
         table_parts = _table_parts(table_id, table, factorizer, perm)
         if table_parts is not None:
             buffer.append(table_parts)
             buffered += len(table_parts.codes)
         if buffered >= _FLUSH_ROWS:
-            parts.append(_encode_part(buffer, factorizer, task))
+            parts.append(_encode_part(buffer, factorizer))
             buffer, buffered = [], 0
             factorizer = _Factorizer()
     if buffer:
-        parts.append(_encode_part(buffer, factorizer, task))
-    return parts
-
-
-def _encode_lake(lake: DataLake, config: IndexConfig) -> list[_ShardPart]:
-    """Shard the lake and encode every shard, in shard (= table-id) order.
-
-    Shuffle permutations are seeded per table id
-    (:func:`shuffle_permutation`), so every worker derives its own
-    tables' permutations locally, and the merge of the returned parts is
-    byte-identical for any worker count.
-    """
-    workers = _effective_workers(config)
-    if workers <= 1 or len(lake) <= 1:
-        # In-process: no IPC, and XASH runs once over the merged global
-        # dictionary instead of once per shard.
-        return _shard_worker(_shard_task(lake.shard(0, len(lake)), config, False))
-    tasks = [
-        _shard_task(shard, config, True)
-        for shard in lake.shard_plan(workers * _SHARDS_PER_WORKER)
-    ]
-    return _run_shard_tasks(tasks, workers)
-
-
-def _run_shard_tasks(tasks: list[_ShardTask], workers: int) -> list[_ShardPart]:
-    """Fan shard tasks out over the shared worker pool, preserving shard
-    order. A worker that dies (OOM-kill, segfault, ``os._exit``) breaks
-    the pool: that surfaces as an :class:`IndexingError` naming the
-    cause, never a hang, and the poisoned pool is discarded so the next
-    build starts fresh. Ordinary worker exceptions propagate unchanged.
-    """
-    pool = _shared_pool(workers)
-    futures = [pool.submit(_shard_worker, task) for task in tasks]
-    parts: list[_ShardPart] = []
-    try:
-        for future in futures:
-            parts.extend(future.result())
-    except BrokenProcessPool as exc:
-        _discard_pool(workers)
-        raise IndexingError(
-            "parallel AllTables build aborted: a shard worker process died "
-            f"({exc}); the worker pool was discarded -- rerun, or build "
-            "in-process with IndexConfig(workers=None)"
-        ) from exc
-    finally:
-        for future in futures:
-            future.cancel()
+        parts.append(_encode_part(buffer, factorizer))
     return parts
 
 
@@ -642,8 +537,9 @@ def _merge_and_insert(db: Database, config: IndexConfig, parts: list[_ShardPart]
     """Deterministic merge: recode every part's local token codes into
     one global sorted dictionary (one ``np.unique`` over the concatenated
     part dictionaries; its inverse *is* each part's local -> global
-    remap) and bulk-append the parts in shard order. Every part shares
-    the single global dictionary object, so the column store's
+    remap), XASH that dictionary once, fold each part's super keys over
+    its row segments and bulk-append the parts in order. Every part
+    shares the single global dictionary object, so the column store's
     incremental seal concatenates code arrays without re-deriving a
     union. Returns the number of index rows inserted.
     """
@@ -654,73 +550,15 @@ def _merge_and_insert(db: Database, config: IndexConfig, parts: list[_ShardPart]
         _concat([part.tokens for part in live]), return_inverse=True
     )
     remap = remap.astype(np.int32)
-    global_hashes = None
-    if any(part.super_keys is None for part in live):
-        global_hashes = xash_batch(global_dict.tolist(), config.hash_size, config.xash_chars)
+    global_hashes = xash_batch(global_dict.tolist(), config.hash_size, config.xash_chars)
     inserted = 0
     offset = 0
     for part in live:
         codes = remap[offset : offset + len(part.tokens)][part.codes]
         offset += len(part.tokens)
-        super_keys = part.super_keys
-        if super_keys is None:
-            super_keys = _fold_super_keys(part, global_hashes[codes])
+        super_keys = _fold_super_keys(part, global_hashes[codes])
         inserted += _insert_part(db, config, part, codes, global_dict, super_keys)
     return inserted
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (cgroup/affinity aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def _effective_workers(config: IndexConfig) -> int:
-    """Worker processes to use: the requested count clamped to the
-    available CPUs (processes beyond them only add IPC and memory);
-    1 means in-process."""
-    return max(1, min(config.workers or 1, _available_cpus()))
-
-
-# Long-lived worker pools, keyed by size. Builds are frequent and short
-# (every lake [re]index), so pool spawn cost is paid once per process,
-# not once per build; atexit tears the pools down.
-_POOLS: dict[int, concurrent.futures.ProcessPoolExecutor] = {}
-
-
-def _mp_context():
-    """Prefer fork where the platform offers it (no re-import cost in
-    workers); otherwise the platform default (spawn)."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _shared_pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=_mp_context()
-        )
-        _POOLS[workers] = pool
-    return pool
-
-
-def _discard_pool(workers: int) -> None:
-    pool = _POOLS.pop(workers, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _shutdown_pools() -> None:
-    while _POOLS:
-        _, pool = _POOLS.popitem()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(_shutdown_pools)
 
 
 # --------------------------------------------------------------------------
@@ -741,6 +579,7 @@ def _check_maintenance(db: Database, config: IndexConfig) -> None:
             f"no {config.table_name!r} relation; run build_alltables first"
         )
     _check_hash_width(config, db)
+    _check_config(config)
 
 
 def index_table(
@@ -755,8 +594,7 @@ def index_table(
     (paper §V: heterogeneous per-system indexes are the alternative) --
     appending a table is a plain INSERT; the in-database hash indexes
     absorb the new rows. Runs the same pipeline as ``build_alltables``
-    over a one-table shard, in-process. Returns the number of index rows
-    added.
+    over the one table. Returns the number of index rows added.
     """
     _check_maintenance(db, config)
     # Populate the table's normalized-token cache: this maintenance path
@@ -766,7 +604,7 @@ def index_table(
     # later ``replace_table``/re-add skips it entirely.
     if hasattr(table, "normalized_cells"):
         table.normalized_cells()
-    parts = _shard_worker(_shard_task(LakeShard((table_id,), (table,)), config, False))
+    parts = _encode_tables([(table_id, table)], config)
     return _merge_and_insert(db, config, parts)
 
 

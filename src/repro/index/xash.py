@@ -108,9 +108,7 @@ def hash_dtype(hash_size: int):
     """Array dtype for *hash_size*-bit hashes: ``int64`` up to 63 bits
     (the column store's ``SuperKey`` width), object arrays of Python ints
     beyond (MATE's 128-bit variant). One definition shared by every
-    batch producer -- including each shard worker of the parallel
-    ``AllTables`` build, whose parts must concatenate without dtype
-    surprises at the merge."""
+    batch producer."""
     return object if hash_size > 63 else np.int64
 
 

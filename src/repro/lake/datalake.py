@@ -40,12 +40,12 @@ class LakeStats:
 class LakeShard:
     """A picklable slice of a lake's live tables.
 
-    The unit of work of the sharded ``AllTables`` build: table ids are
-    carried explicitly (lakes that lived through removals have holes, so
-    ids are no longer implicit in position), and :class:`Table` holds
-    only plain Python lists/tuples (plus its cached type-inference
-    flags), so a shard crosses a process boundary with one pickle
-    round-trip and no lake-level state.
+    The unit :meth:`DataLake.shard_plan` partitions a lake into for a
+    sharded deployment: table ids are carried explicitly (lakes that
+    lived through removals have holes, so ids are no longer implicit in
+    position), and :class:`Table` holds only plain Python lists/tuples
+    (plus its cached type-inference flags), so a shard crosses a process
+    boundary with one pickle round-trip and no lake-level state.
     """
 
     table_ids: tuple[int, ...]
@@ -238,25 +238,14 @@ class DataLake:
 
     # -- sharding ---------------------------------------------------------------------
 
-    def shard(self, start: int, stop: int) -> LakeShard:
-        """The live tables at ordinal positions ``[start, stop)`` (in
-        ascending-id order) as one picklable shard."""
-        if not 0 <= start <= stop <= self._num_live:
-            raise LakeError(
-                f"invalid shard range [{start}, {stop}) for a lake of "
-                f"{self._num_live} tables"
-            )
-        return _shard_of(list(self.items()), start, stop)
-
     def shard_plan(self, num_shards: int) -> list[LakeShard]:
         """Partition the live tables into up to *num_shards* contiguous
         shards of roughly equal **cell** count (tables vary by orders of
-        magnitude, so balancing by table count would skew worker
-        runtimes).
+        magnitude, so balancing by table count would skew the shard
+        children's runtimes).
 
-        Contiguity (in ascending-id order) keeps the merge deterministic
-        and trivial: emitting shard outputs in shard order reproduces the
-        serial build's table-id emission order exactly. Greedy splitting
+        Contiguity (in ascending-id order) makes every shard one table-id
+        range, in shard order. Greedy splitting
         against the ideal per-shard quota; every shard holds at least one
         table, and fewer shards than requested are returned when the lake
         is small.

@@ -63,13 +63,6 @@ def test_run_bench_cli(tmp_path):
     assert set(payload) >= set(PHASES)
 
 
-def test_workers_axis_disabled(tmp_path):
-    """``--workers 0`` drops the parallel phase but keeps the rest."""
-    results = run_benchmark(seed=3, scale=0.05, workers=0)
-    assert not any(phase.startswith("build_parallel") for phase in results)
-    assert "build" in results
-
-
 class TestCheckOnly:
     """``run_bench.py --check-only``: the CI parity smoke."""
 

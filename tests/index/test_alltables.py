@@ -84,6 +84,32 @@ class TestBuildAllTables:
         with pytest.raises(IndexingError):
             build_alltables(small_lake, db)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"hash_size": 0},
+            {"hash_size": -5},
+            {"xash_chars": 0},
+            {"xash_chars": -1},
+            {"semantic": True, "semantic_dimensions": 0},
+        ],
+        ids=lambda bad: ",".join(f"{key}={value}" for key, value in bad.items()),
+    )
+    def test_unusable_config_rejected_at_the_door(self, small_lake, bad):
+        """Sizes below 1 are a typed error before any relation exists
+        (not a numpy warning, an OverflowError or a mis-hashed index),
+        and the same ``Database`` then builds with a corrected config."""
+        from repro.index.alltables import index_table
+
+        db = Database(backend="column")
+        with pytest.raises(IndexingError, match="must be >= 1"):
+            build_alltables(small_lake, db, IndexConfig(**bad))
+        assert not db.has_table("AllTables")
+        report = build_alltables(small_lake, db, IndexConfig())
+        with pytest.raises(IndexingError, match="must be >= 1"):
+            index_table(2, Table("t2", ["a"], [("x",)]), db, IndexConfig(**bad))
+        assert db.num_rows("AllTables") == report.num_index_rows == 6
+
     def test_shuffle_preserves_row_alignment(self):
         lake = DataLake("s")
         lake.add(

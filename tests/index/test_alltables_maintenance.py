@@ -431,18 +431,16 @@ class TestLakeLifecycle:
         assert stats.num_cells == 2
 
 
-def test_parallel_build_on_mutated_lake_byte_identical(pooled):
-    """The build handles lakes with id holes (explicit shard table
-    ids) under either schedule, byte-identical to the oracle."""
+def test_rebuild_on_mutated_lake_byte_identical():
+    """A from-scratch build handles lakes with id holes, byte-identical
+    to the oracle."""
     blend = Blend(_base_lake(13), backend="column")
     blend.build_index()
     _mutate(blend, random.Random(5), ops=6, tag="par")
     lake = blend.lake
-    expected = alltables_rows(lake)[0]
-    for config in (IndexConfig(), IndexConfig(workers=3)):
-        db = Database(backend="column")
-        build_alltables(lake, db, config)
-        assert db.execute("SELECT * FROM AllTables").rows == expected
+    db = Database(backend="column")
+    build_alltables(lake, db)
+    assert db.execute("SELECT * FROM AllTables").rows == alltables_rows(lake)[0]
 
 
 def test_semantic_extension_maintained():

@@ -527,16 +527,28 @@ def test_inconsistent_manifest_hash_width_refused(saved):
 
 def test_manifest_with_retired_config_keys_loads(saved):
     """Snapshots written before the build pipelines were collapsed carry
-    the retired ``vectorized`` / ``pin_workers`` keys in their manifest's
-    ``index_config``; they still load, the keys ignored."""
+    retired keys in their manifest's ``index_config`` (``vectorized`` /
+    ``pin_workers``; ``workers`` and the two index switches, as every
+    snapshot up to PR 17 wrote them); they still load, the keys ignored."""
     blend, path = saved
     manifest = json.loads((path / "manifest.json").read_text())
-    manifest["index_config"].update({"vectorized": True, "pin_workers": False})
+    manifest["index_config"].update(
+        {
+            "vectorized": True,
+            "pin_workers": False,
+            "workers": None,
+            "build_value_index": True,
+            "build_table_index": True,
+        }
+    )
     (path / "manifest.json").write_text(json.dumps(manifest))
     loaded = Blend.load(path)
     assert loaded.index_config == blend.index_config
     sql = "SELECT * FROM AllTables"
     assert loaded.db.execute(sql).rows == blend.db.execute(sql).rows
+    for column in ("CellValue", "TableId"):
+        assert loaded.db.table("AllTables").has_index(column)
+        assert blend.db.table("AllTables").has_index(column)
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 Randomised lakes -- with real BOOLEAN columns, bool/int duality
 collisions, NULLs, numeric strings, and huge integral floats -- are
-indexed by the scalar oracle and by the build pipeline under both
-schedules (in-process, worker pool) on every valid backend x hash-width
-combination. The bar: **byte-identical** ``AllTables`` relations and
-identical seeker results, regardless of what built the index or which
-backend stores it. This is the contract the README's "Ingest contract"
-section promises: one canonical tokenisation, scheduling is invisible.
+indexed by the scalar oracle and by the build pipeline on every valid
+backend x hash-width combination. The bar: **byte-identical**
+``AllTables`` relations and identical seeker results, regardless of what
+built the index or which backend stores it. This is the contract the
+README's "Ingest contract" section promises: one canonical tokenisation.
 """
 
 import random
@@ -24,8 +23,6 @@ from repro.lake import DataLake, Table
 # super keys exceed the int64 SuperKey column) -- same valid matrix as
 # the snapshot compatibility suite.
 BACKEND_HASH = [("row", 63), ("row", 128), ("column", 63)]
-
-SCHEDULES = {"in-process": None, "pooled": 2}  # IndexConfig.workers
 
 
 def _random_lake(seed: int, num_tables: int = 8) -> DataLake:
@@ -101,7 +98,7 @@ class TestPipelineParityProperty:
         "backend,hash_size", BACKEND_HASH, ids=lambda v: str(v)
     )
     def test_alltables_and_seekers_identical_to_oracle(
-        self, seed, backend, hash_size, pooled
+        self, seed, backend, hash_size
     ):
         lake = _random_lake(seed)
         reference_db = _build(
@@ -110,11 +107,10 @@ class TestPipelineParityProperty:
         reference_rows = reference_db.execute("SELECT * FROM AllTables").rows
         assert reference_rows, "property lake produced an empty index"
         reference_results = _results(reference_db, lake, hash_size)
-        for name, workers in SCHEDULES.items():
-            db = _build(lake, backend, IndexConfig(hash_size=hash_size, workers=workers))
-            rows = db.execute("SELECT * FROM AllTables").rows
-            assert rows == reference_rows, f"{name} diverged from the scalar oracle"
-            assert _results(db, lake, hash_size) == reference_results, name
+        db = _build(lake, backend, IndexConfig(hash_size=hash_size))
+        rows = db.execute("SELECT * FROM AllTables").rows
+        assert rows == reference_rows, "pipeline diverged from the scalar oracle"
+        assert _results(db, lake, hash_size) == reference_results
 
     @pytest.mark.parametrize("seed", [3, 17, 88])
     def test_boolean_tokens_identical_across_backends(self, seed):

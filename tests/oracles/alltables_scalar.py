@@ -57,10 +57,8 @@ def build_alltables_scalar(
         index_rows, table_nulls = table_index_rows(table_id, table, config)
         null_cells += table_nulls
         db.insert(config.table_name, index_rows)
-    if config.build_value_index:
-        db.create_index(config.table_name, "CellValue")
-    if config.build_table_index:
-        db.create_index(config.table_name, "TableId")
+    db.create_index(config.table_name, "CellValue")
+    db.create_index(config.table_name, "TableId")
     return IndexBuildReport(
         table_name=config.table_name,
         num_tables=len(lake),
