@@ -329,6 +329,9 @@ class _Sum(_Accumulator):
             self.count += 1
 
     def result(self) -> Any:
+        if isinstance(self.total, int) and not -(2**63) <= self.total < 2**63:
+            # Integer sums are BIGINT, as on the column executor.
+            raise ExecutionError("integer out of range")
         return self.total if self.count else None
 
 

@@ -102,6 +102,8 @@ def compile_vector_expression(
 
 
 def _compile_literal(value: Any) -> VectorEvaluator:
+    value = _item(value)  # a NumPy scalar parameter broadcasts as its Python value
+
     def broadcast(source: ColumnSource) -> VectorResult:
         length = source.length
         if value is None:

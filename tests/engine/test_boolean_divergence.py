@@ -37,7 +37,7 @@ def test_boolean_result_types_match_across_backends():
 
 def test_boolean_min_max_type_parity():
     """MIN/MAX over a BOOLEAN column returns bool on both backends (the
-    column backend's float64 min/max scratch must re-type on the way out)."""
+    column backend's int64 min/max scratch must re-type on the way out)."""
     for backend in ("row", "column"):
         result = _boolean_db(backend).execute("SELECT MIN(flag), MAX(flag) FROM t")
         (lo, hi), = result.rows

@@ -6,15 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database
+from repro.errors import ExecutionError
 
 # Small alphabets make collisions (joins, group keys) likely.
 TEXTS = st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d", "e"]))
 INTS = st.one_of(st.none(), st.integers(min_value=-3, max_value=3))
+# Values whose span dwarfs any row count (the column executor's grouping
+# sorts them instead of ranking them through a bitmap) and whose sums
+# leave float64's exact range or int64 altogether.
+WIDE_VALUES = [2**40, -(2**40), 2**62, -3, 0]
+WIDE_INTS = st.one_of(st.none(), st.sampled_from(WIDE_VALUES))
 FLOATS = st.one_of(
     st.none(), st.floats(min_value=-5, max_value=5, allow_nan=False, width=32)
 )
 
 ROWS = st.lists(st.tuples(TEXTS, INTS, FLOATS), min_size=0, max_size=40)
+WIDE_ROWS = st.lists(st.tuples(TEXTS, WIDE_INTS, FLOATS), min_size=0, max_size=40)
 
 AGGREGATE_QUERIES = [
     "SELECT t, COUNT(*), COUNT(i), COUNT(DISTINCT i) FROM data GROUP BY t ORDER BY t",
@@ -28,12 +35,67 @@ AGGREGATE_QUERIES = [
     "SELECT AVG(f) FROM data WHERE f IS NOT NULL",
 ]
 
+INTEGER_AGGREGATE_QUERIES = [
+    "SELECT t, SUM(i), MIN(i), MAX(i) FROM data GROUP BY t ORDER BY t",
+    "SELECT SUM(i), MIN(i), MAX(i), COUNT(DISTINCT i) FROM data",
+    "SELECT t, SUM(DISTINCT i) FROM data GROUP BY t ORDER BY t",
+    "SELECT i, t, COUNT(*), MAX(f) FROM data GROUP BY i, t ORDER BY i, t",
+]
+
+# A small AllTables: one row per lake cell, as the seekers query it.
+CELLS_SCHEMA = [
+    ("TableId", "integer"),
+    ("ColumnId", "integer"),
+    ("RowId", "integer"),
+    ("CellValue", "text"),
+    ("Quadrant", "integer"),
+]
+NARROW_IDS = [0, 1, 2, 3]
+
+
+@st.composite
+def cell_rows(draw, table_ids):
+    cell = st.tuples(
+        st.sampled_from(table_ids),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=3),
+        TEXTS,
+        st.one_of(st.none(), st.sampled_from([0, 1])),
+    )
+    return draw(st.lists(cell, max_size=40))
+
+
+SEEKER_SHAPES = [
+    # SC: overlap per (table, column), ranked with a LIMIT
+    "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM cells "
+    "WHERE CellValue IN ('a', 'b', 'c') GROUP BY TableId, ColumnId "
+    "ORDER BY overlap DESC, TableId, ColumnId LIMIT 4",
+    # C: self-join on (table, row) across different columns, HAVING
+    "SELECT k.TableId, "
+    "ABS((2.0 * SUM(((k.CellValue IN ('a', 'b') AND n.Quadrant = 0) "
+    "OR (k.CellValue IN ('c') AND n.Quadrant = 1))::int) - COUNT(*)) / COUNT(*)) AS qcr "
+    "FROM (SELECT * FROM cells WHERE RowId < 3 AND CellValue IN ('a', 'b', 'c')) k "
+    "INNER JOIN (SELECT * FROM cells WHERE RowId < 3 AND Quadrant IS NOT NULL) n "
+    "ON k.TableId = n.TableId AND k.RowId = n.RowId AND k.ColumnId <> n.ColumnId "
+    "GROUP BY k.TableId, n.ColumnId, k.ColumnId "
+    "HAVING COUNT(*) >= 2 "
+    "ORDER BY qcr DESC, k.TableId, n.ColumnId, k.ColumnId",
+]
+
 
 def _build(backend, rows):
     db = Database(backend=backend)
     db.create_table("data", [("t", "text"), ("i", "integer"), ("f", "float")])
     db.insert("data", rows)
     return db
+
+
+def _outcome(db, query):
+    """Result rows, or the error class when the query is out of range."""
+    try:
+        return _approx_rows(db.execute(query).rows)
+    except ExecutionError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def _approx_rows(rows):
@@ -55,6 +117,28 @@ class TestExecutorAgreement:
         row_result = _build("row", rows).execute(query).rows
         column_result = _build("column", rows).execute(query).rows
         assert _approx_rows(row_result) == _approx_rows(column_result)
+
+    @pytest.mark.parametrize("query", INTEGER_AGGREGATE_QUERIES)
+    @given(rows=WIDE_ROWS)
+    @settings(max_examples=25, deadline=None)
+    def test_wide_integers_agree(self, query, rows):
+        """Wide-span keys group alike, and integer SUM / MIN / MAX are
+        exact on both backends (a SUM outside int64 fails on both)."""
+        assert _outcome(_build("row", rows), query) == _outcome(_build("column", rows), query)
+
+    @pytest.mark.parametrize("query", SEEKER_SHAPES)
+    @pytest.mark.parametrize("table_ids", [NARROW_IDS, WIDE_VALUES], ids=["narrow", "wide"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_seeker_shapes_agree(self, query, table_ids, data):
+        rows = data.draw(cell_rows(table_ids))
+        outcomes = []
+        for backend in ("row", "column"):
+            db = Database(backend=backend)
+            db.create_table("cells", CELLS_SCHEMA)
+            db.insert("cells", rows)
+            outcomes.append(_outcome(db, query))
+        assert outcomes[0] == outcomes[1]
 
     @given(rows=ROWS, values=st.lists(st.sampled_from(["a", "b", "z"]), max_size=3))
     @settings(max_examples=25, deadline=None)

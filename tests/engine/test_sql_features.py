@@ -2,6 +2,7 @@
 aggregates, LIKE, COALESCE, string functions, casts, and edge shapes the
 seeker queries rely on."""
 
+import numpy as np
 import pytest
 
 from repro.engine import Database
@@ -114,6 +115,19 @@ class TestCastsAndArithmetic:
 
     def test_text_cast(self, db):
         assert db.execute("SELECT 12::text").scalar() == "12"
+
+
+def test_column_results_are_python_values():
+    """The column backend hands back Python scalars for every column type,
+    NumPy scalar parameters included."""
+    db = Database(backend="column")
+    db.create_table("t", [("s", "text"), ("i", "integer"), ("f", "float"), ("b", "boolean")])
+    db.insert("t", [("x", 1, 0.5, True), (None, None, None, None)])
+    rows = db.execute(
+        "SELECT s, i, f, b, :n, :w FROM t ORDER BY i", {"n": np.int64(7), "w": np.str_("w")}
+    ).rows
+    assert rows == [("x", 1, 0.5, True, 7, "w"), (None, None, None, None, 7, "w")]
+    assert [type(v) for v in rows[0]] == [str, int, float, bool, int, str]
 
 
 class TestNullPropagation:
