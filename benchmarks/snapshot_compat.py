@@ -36,15 +36,10 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_snapshot import (  # noqa: E402
-    assert_lifecycle_rebuild_parity,
-    seeker_results,
-)
-from repro import Blend, Table  # noqa: E402
+from repro import Blend, Database, Seekers, Table  # noqa: E402
 from repro.errors import SnapshotError  # noqa: E402
-from repro.index import IndexConfig  # noqa: E402
+from repro.index import IndexConfig, build_alltables  # noqa: E402
 from repro.lake.generators import CorpusConfig, generate_corpus  # noqa: E402
 
 DEFAULT_SEED = 71
@@ -62,6 +57,42 @@ def _semantic_results(blend: Blend) -> list[int]:
     return blend.discover(
         SEMANTIC_PROBE, modalities=("semantic",), k=8, exact=True
     ).table_ids()
+
+
+def _seeker_results(blend: Blend) -> dict:
+    """One ranked result list per seeker template (SC, KW and, when the
+    first table is wide enough, MC) over the first live table's values."""
+    table = blend.lake.by_id(blend.lake.table_ids()[0])
+    values = [v for v in table.column_values(table.columns[0]) if v is not None]
+    seekers = {
+        "SC": Seekers.SC(values[:8], k=10),
+        "KW": Seekers.KW(values[:8], k=10),
+    }
+    wide = [r[:2] for r in table.rows if all(v is not None for v in r[:2])]
+    if table.num_columns >= 2 and len(wide) >= 2:
+        seekers["MC"] = Seekers.MC(wide[:6], k=10)
+    context = blend.context()
+    return {
+        kind: [(hit.table_id, hit.score) for hit in seeker.execute(context)]
+        for kind, seeker in seekers.items()
+    }
+
+
+def _assert_lifecycle_rebuild_parity(loaded: Blend, backend: str) -> None:
+    """Mutate a loaded deployment (add + remove) and assert its index
+    equals a from-scratch build of the final lake. Must run while the
+    snapshot files are still on disk: the base arrays stay read-only
+    mmaps for the life of the deployment (mutations land in the delta
+    layer, never promote the base)."""
+    sql = "SELECT * FROM AllTables"
+    loaded.add_table(
+        Table("snap_check_add", ["a", "b"], [(f"v{i}", i) for i in range(6)])
+    )
+    loaded.remove_table(loaded.lake.table_ids()[0])
+    fresh = Database(backend=backend)
+    build_alltables(loaded.lake, fresh, loaded.index_config)
+    if sorted(loaded.db.execute(sql).rows) != sorted(fresh.execute(sql).rows):
+        raise AssertionError(f"[{backend}] post-load lifecycle diverges from rebuild")
 
 
 def _lake(seed: int, scale: float):
@@ -135,12 +166,12 @@ def load(root: Path) -> int:
         lake = _lake(seed, scale)
         base_reference = Blend(lake, backend=backend, index_config=INDEX_CONFIG)
         base_reference.build_index()
-        base_results = seeker_results(base_reference)
+        base_results = _seeker_results(base_reference)
 
         # Bare base first: delta=False must reproduce the pre-mutation
         # build without reading a byte of the delta layer.
         bare = Blend.load(root / backend, backend=backend, delta=False)
-        if seeker_results(bare) != base_results:
+        if _seeker_results(bare) != base_results:
             raise AssertionError(f"[{backend}] cross-version base results diverge")
         if _semantic_results(bare) != _semantic_results(base_reference):
             raise AssertionError(f"[{backend}] cross-version semantic base diverges")
@@ -152,7 +183,7 @@ def load(root: Path) -> int:
         reference = base_reference
         _mutate_for_delta(reference)
         loaded = Blend.load(root / backend, backend=backend)
-        if seeker_results(loaded) != seeker_results(reference):
+        if _seeker_results(loaded) != _seeker_results(reference):
             raise AssertionError(f"[{backend}] cross-version seeker results diverge")
         if sorted(loaded.db.execute(sql).rows) != sorted(reference.db.execute(sql).rows):
             raise AssertionError(f"[{backend}] cross-version AllTables rows diverge")
@@ -174,7 +205,7 @@ def load(root: Path) -> int:
             raise AssertionError(f"[{backend}] compacted base+delta rows diverge")
 
         # The loaded deployment is first-class: mutate, then rebuild parity.
-        assert_lifecycle_rebuild_parity(loaded, backend)
+        _assert_lifecycle_rebuild_parity(loaded, backend)
         print(f"[load] {backend}: OK ({len(reference.db.execute(sql).rows)} index rows)")
 
     # Corruption must fail loudly, on this interpreter too -- in the base

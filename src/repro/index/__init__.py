@@ -8,7 +8,7 @@ sorted dictionary, bulk ``insert_columns`` appends) shared by the
 offline build and the incremental maintenance entry points, in-process.
 The scalar cell-at-a-time reference it is pinned against is a test oracle
 (``tests/oracles/alltables_scalar.py``), not part of the package.
-``benchmarks/run_bench.py`` tracks the build rows in ``BENCH_index.json``.
+``benchmarks/e2e`` measures it (the ``index.build.*`` per-layer rows).
 """
 
 from .alltables import (

@@ -745,7 +745,7 @@ def save_sharded(
 
 
 def read_shard_manifest(path: Union[str, Path]) -> dict:
-    """Parse and version-check a :func:`save_sharded` routing manifest."""
+    """Parse, version-check and validate a :func:`save_sharded` routing manifest."""
     root = Path(path)
     target = root / _SHARD_MANIFEST
     if not target.is_file():
@@ -769,6 +769,24 @@ def read_shard_manifest(path: Union[str, Path]) -> dict:
         raise SnapshotError(
             f"shard manifest {target} lists {len(manifest['shards'])} shard "
             f"directories but records num_shards={manifest.get('num_shards')}"
+        )
+    num_shards, routing = len(manifest["shards"]), manifest["table_shard"]
+    if not isinstance(routing, dict):
+        raise SnapshotError(f"shard manifest {target}: table_shard is not an object")
+    for table_id, shard in routing.items():
+        if not (table_id.isascii() and table_id.isdigit()):
+            raise SnapshotError(f"shard manifest {target} routes table id {table_id!r}")
+        if type(shard) is not int or not 0 <= shard < num_shards:
+            raise SnapshotError(
+                f"shard manifest {target} routes table {table_id} to shard "
+                f"{shard!r} of {num_shards}"
+            )
+    next_id = manifest["next_table_id"]
+    top = max(map(int, routing), default=-1)
+    if type(next_id) is not int or next_id <= top:
+        raise SnapshotError(
+            f"shard manifest {target} records next_table_id={next_id!r}; "
+            f"it must be an integer above every routed table id ({top})"
         )
     return manifest
 

@@ -1,7 +1,6 @@
 """Root test configuration: puts ``tests/`` on ``sys.path`` so every test
-directory (and the legacy micro-benches) can ``import oracles`` -- the
-scalar reference implementations the production pipelines are pinned
-against."""
+directory can ``import oracles`` -- the scalar reference implementations
+the production pipelines are pinned against."""
 
 import sys
 from pathlib import Path

@@ -95,18 +95,21 @@ def test_hybrid_shard_count_invariance(tmp_path, backend, seed):
         assert sharded == solo, f"{num_shards}-shard hybrid diverges from solo"
 
 
+@pytest.mark.parametrize("about", [None, [TOPICS[1], TOPICS[4]]], ids=["values", "about"])
 @pytest.mark.parametrize("alpha,lane", [(0.0, "exact"), (1.0, "semantic")])
-def test_alpha_degenerates_to_pure_lane(alpha, lane):
+def test_alpha_degenerates_to_pure_lane(alpha, lane, about):
     """alpha=0 reproduces the pure exact ranking, alpha=1 the pure
-    semantic ranking (table order; fusion rescales scores)."""
+    semantic ranking (table order; fusion rescales scores) -- whether the
+    semantic topic is the query values or a separate ``about``."""
     blend = _blend(7, "column")
     context = blend.context()
     values = [NAMES[0], NAMES[3], NAMES[5]]
-    hybrid = HybridSeeker(values, k=5, alpha=alpha)
+    hybrid = HybridSeeker(values, about=about, k=5, alpha=alpha)
     if lane == "exact":
         oracle = Seekers.SC(values, k=5).execute(context).table_ids()
     else:
-        oracle = SemanticSeeker(values, k=5, exact=True).execute(context).table_ids()
+        topic = values if about is None else about
+        oracle = SemanticSeeker(topic, k=5, exact=True).execute(context).table_ids()
     assert hybrid.execute(context).table_ids() == oracle
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.lake.generators import CorpusConfig, generate_corpus
 from repro.lake.table import (
     Table,
     _normalize_tokens_typed,
@@ -151,6 +152,17 @@ class TestAdversarialTokens:
         for _ in range(50):
             cells = [rng.choice(pool) for _ in range(rng.randint(0, 400))]
             _assert_matches_oracle(kernel, cells)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+    def test_generated_corpus_cell_for_cell(self, kernel):
+        """Every cell of a Table-II-style generated lake (typed numeric
+        columns, NULLs, Zipf-skewed strings) in one batch, as the offline
+        build feeds it."""
+        lake = generate_corpus(
+            CorpusConfig(name="tokens", num_tables=50, min_rows=25, max_rows=100, seed=71)
+        )
+        cells = [value for table in lake for row in table.rows for value in row]
+        _assert_matches_oracle(kernel, cells)
 
 
 class TestHugeIntegralFloats:

@@ -31,13 +31,15 @@ def _queries():
     ]
 
 
-@pytest.fixture(scope="module")
-def generations():
-    """(old blend, new blend, fresh rebuild of the new lake)."""
-    old = build_blend(seed=23)
-    new = build_blend(seed=23)
+@pytest.fixture(scope="module", params=["column", "row"])
+def generations(request):
+    """(old blend, new blend, fresh rebuild of the new lake), on each
+    storage backend."""
+    backend = request.param
+    old = build_blend(seed=23, backend=backend)
+    new = build_blend(seed=23, backend=backend)
     new.add_table(Table("extra", ["city", "country", "pop"], copy.deepcopy(EXTRA_ROWS)))
-    fresh = Blend(make_lake(23, extra_rows=copy.deepcopy(EXTRA_ROWS)), backend="column")
+    fresh = Blend(make_lake(23, extra_rows=copy.deepcopy(EXTRA_ROWS)), backend=backend)
     fresh.build_index()
     return old, new, fresh
 

@@ -23,7 +23,7 @@ from repro.serving import (
 )
 from repro.serving.sharded import _shard_worker_main
 
-from tests.serving.conftest import CITIES, COUNTRIES, PAIRS
+from tests.serving.conftest import CITIES, COUNTRIES, PAIRS, build_blend
 
 
 class SlowSeeker:
@@ -185,14 +185,16 @@ def test_submit_after_close_raises(served_blend):
         scheduler.submit(Seekers.SC(["berlin"], k=1))
 
 
-def test_concurrent_mixed_load_all_correct(served_blend):
+@pytest.mark.parametrize("backend", ["column", "row"])
+def test_concurrent_mixed_load_all_correct(backend):
     """A burst of concurrent callers across modalities: every answer
-    equals direct execution, no request is lost."""
+    equals direct execution, no request is lost -- on both backends."""
     import random
 
     rng = random.Random(77)
-    manager = DeploymentManager(served_blend)
-    context = served_blend.context()
+    blend = build_blend(backend=backend)
+    manager = DeploymentManager(blend)
+    context = blend.context()
     queries = []
     for _ in range(40):
         roll = rng.random()

@@ -4,6 +4,7 @@ any K, both backends, and across interleaved lifecycle mutations. The
 oracle is always a plain solo :class:`Blend` driven through the exact
 same operation sequence."""
 
+import json
 import random
 
 import pytest
@@ -103,8 +104,9 @@ def test_shard_count_invariance(tmp_path, backend, num_shards):
             _assert_parity(coordinator, blend, _queries(rng))
 
 
-def test_batched_execution_matches_serial(tmp_path):
-    blend = _build_blend(seed=303, backend="column")
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_batched_execution_matches_serial(tmp_path, backend):
+    blend = _build_blend(seed=303, backend=backend)
     rng = random.Random(404)
     seekers = _queries(rng)
     with _coordinator(blend, tmp_path, 3) as coordinator:
@@ -133,11 +135,12 @@ def test_coordinator_batch_lands_whole_on_a_shard(tmp_path):
 # -- lifecycle ops interleaved with queries ------------------------------------
 
 
-def test_interleaved_lifecycle_parity(tmp_path):
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_interleaved_lifecycle_parity(tmp_path, backend):
     """Drive the same add/remove/replace sequence through the
     coordinator and a solo oracle; ids and rankings must stay locked
     together the whole way."""
-    blend = _build_blend(seed=505, backend="column")
+    blend = _build_blend(seed=505, backend=backend)
     rng = random.Random(606)
     with _coordinator(blend, tmp_path, 3) as coordinator:
         for step in range(6):
@@ -183,8 +186,9 @@ def test_lifecycle_routing_errors(tmp_path):
 # -- generation stamping through the coordinator -------------------------------
 
 
-def test_generation_stamping_rejects_stale_readers(tmp_path):
-    blend = _build_blend(seed=909, backend="column", tables=6)
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_generation_stamping_rejects_stale_readers(tmp_path, backend):
+    blend = _build_blend(seed=909, backend=backend, tables=6)
     seeker = Seekers.SC(NAMES[:3], k=3)
     with _coordinator(blend, tmp_path, 2) as coordinator:
         generation = coordinator.generation
@@ -199,11 +203,12 @@ def test_generation_stamping_rejects_stale_readers(tmp_path):
 # -- shard hot-swap ------------------------------------------------------------
 
 
-def test_swap_shard_parity_and_routing(tmp_path):
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_swap_shard_parity_and_routing(tmp_path, backend):
     """Replace one shard's snapshot wholesale (its tables with one
     swapped out for new content); queries match an oracle that applied
     the same replacement, and routing follows the new table set."""
-    blend = _build_blend(seed=111, backend="column")
+    blend = _build_blend(seed=111, backend=backend)
     rng = random.Random(222)
     with _coordinator(blend, tmp_path, 3) as coordinator:
         shard = 1
@@ -222,7 +227,7 @@ def test_swap_shard_parity_and_routing(tmp_path):
             shard_lake.add_at(
                 tid, replacement_table if tid == victim else tables[tid]
             )
-        sub = Blend(shard_lake, backend="column")
+        sub = Blend(shard_lake, backend=backend)
         sub.build_index()
         sub.enable_semantic()
         snapshot = tmp_path / "shard-v2"
@@ -335,6 +340,33 @@ def test_load_checks_backend(tmp_path):
     save_sharded(blend, root, num_shards=2)
     with pytest.raises(SnapshotError):
         ShardCoordinator.load(root, backend="row")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda m: m["table_shard"].update({"0": 7}), id="shard-7-of-2"),
+        pytest.param(lambda m: m["table_shard"].update({"x": 0}), id="table-id-x"),
+        pytest.param(lambda m: m.update(next_table_id="abc"), id="next-id-abc"),
+        pytest.param(lambda m: m.update(next_table_id=3), id="next-id-taken"),
+    ],
+)
+def test_malformed_routing_refused_at_load(tmp_path, corrupt):
+    """A routing entry the coordinator would trip over later (a shard
+    index out of range, a non-integer table id, an unusable next id) is a
+    SnapshotError naming shards.json at load, not an IndexError or a raw
+    ValueError on the first lifecycle op."""
+    blend = _build_blend(seed=999, backend="column", tables=4)  # table ids 0-3
+    root = tmp_path / "snap"
+    save_sharded(blend, root, num_shards=2)
+    manifest_path = root / "shards.json"
+    manifest = json.loads(manifest_path.read_text())
+    corrupt(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match=r"shards\.json"):
+        read_shard_manifest(root)
+    with pytest.raises(SnapshotError, match=r"shards\.json"):
+        ShardCoordinator.load(root)
 
 
 def test_coordinator_requires_workers():
