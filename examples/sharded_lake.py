@@ -1,13 +1,13 @@
 """Scale out a lake across shards: build, shard-save, scatter-gather.
 
 Builds a lake, saves it as per-shard snapshots, spins up a
-:class:`repro.serving.ShardCoordinator` over shard workers (each with
-its own deployment manager and batching scheduler), and shows that the
-scatter-gather answers are byte-identical to direct single-process
-execution. Then exercises the distributed lifecycle: add a table (the
-coordinator routes it to the least-loaded shard under a globally stable
-id), and hot-swap ONE shard to a new snapshot without ever refusing a
-query:
+:class:`repro.serving.ShardCoordinator` over shard workers (each a
+``Blend`` loaded from its shard snapshot behind one op loop, reached
+over a pipe), and shows that the scatter-gather answers are
+byte-identical to direct single-process execution. Then exercises the
+distributed lifecycle: add a table (the coordinator routes it to the
+least-loaded shard under a globally stable id), and hot-swap ONE shard
+to a new snapshot while the others keep their tables:
 
     $ python examples/sharded_lake.py
 """
@@ -61,8 +61,9 @@ def main() -> None:
         print("saved 3 shard snapshots:",
               sorted(p.name for p in (root / "shards").iterdir()))
 
-        # processes=True would give each shard its own child process;
-        # in-process workers keep the example quick and portable.
+        # processes=True would give each shard its own child process; the
+        # default runs each shard's op loop on a thread of this process,
+        # over the same pipe, which keeps the example quick and portable.
         coordinator = ShardCoordinator.load(root / "shards")
         context = blend.context()
         for seeker in queries():

@@ -88,6 +88,13 @@ class ServingError(BlendError):
     loaded, malformed request)."""
 
 
+class ShardUnavailableError(ServingError):
+    """A shard worker's transport broke -- its thread or child process is
+    gone -- so the request could not reach it or its reply never came.
+    Distinct from an error the shard raised while serving an op, which
+    crosses the wire as itself."""
+
+
 class RequestTimeoutError(ServingError):
     """A served request missed its deadline: it was either still queued
     when its deadline passed (dropped at admission, never executed) or

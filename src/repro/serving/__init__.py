@@ -13,9 +13,9 @@ Layers, bottom up:
 * :mod:`repro.serving.server` -- the stdlib HTTP front end
   (``/query``, ``/stats``, ``/health``, ``/swap``).
 * :mod:`repro.serving.sharded` -- scatter-gather over K shard workers
-  (each a deployment manager + scheduler of its own, in-process or in a
-  child process), merging per-shard partials into rankings
-  byte-identical to single-process execution.
+  (each a ``Blend`` behind one op loop, on a thread or in a child
+  process, reached over the same pipe), merging per-shard partials into
+  rankings byte-identical to single-process execution.
 * :mod:`repro.serving.compaction` -- background folding of the
   streaming-ingest delta layer into clean base generations, deployed
   through the hot-swap protocol (solo) or per-shard routing (sharded).
@@ -25,7 +25,7 @@ from .compaction import CompactionReport, SnapshotCompactor, compact_snapshot
 from .deployment import DeploymentManager, ServingDeployment, SwapReport
 from .scheduler import BatchScheduler, PendingQuery, QueryOutcome
 from .server import BlendServer, build_seeker
-from .sharded import LocalShardWorker, ProcessShardWorker, ShardCoordinator
+from .sharded import ShardCoordinator, ShardWorker
 from .stats import ServingStats
 
 __all__ = [
@@ -33,13 +33,12 @@ __all__ = [
     "BlendServer",
     "CompactionReport",
     "DeploymentManager",
-    "LocalShardWorker",
     "PendingQuery",
-    "ProcessShardWorker",
     "QueryOutcome",
     "ServingDeployment",
     "ServingStats",
     "ShardCoordinator",
+    "ShardWorker",
     "SnapshotCompactor",
     "SwapReport",
     "build_seeker",

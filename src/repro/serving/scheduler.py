@@ -44,17 +44,11 @@ DEFAULT_MAX_BATCH = 32
 @dataclass(frozen=True)
 class QueryOutcome:
     """A completed request: its ranking, the snapshot generation that
-    served it, and how many requests shared its batch.
-
-    ``partials`` is populated only for requests submitted with
-    ``partials=True`` -- the shard-worker path, where the caller is a
-    scatter-gather coordinator that merges this worker's partial with its
-    siblings' instead of consuming the locally-merged ``result``."""
+    served it, and how many requests shared its batch."""
 
     result: ResultList
     generation: int
     batch_size: int
-    partials: Optional[SeekerPartials] = None
 
 
 class _Request:
@@ -68,7 +62,6 @@ class _Request:
         "finalized",
         "outcome",
         "error",
-        "want_partials",
     )
 
     def __init__(
@@ -76,12 +69,10 @@ class _Request:
         seeker: Seeker,
         deadline: Optional[float],
         key: Optional[Hashable],
-        want_partials: bool = False,
     ) -> None:
         self.seeker = seeker
         self.key = key
         self.deadline = deadline
-        self.want_partials = want_partials
         self.submitted = time.monotonic()
         self.event = threading.Event()
         self.lock = threading.Lock()
@@ -183,49 +174,30 @@ class BatchScheduler:
         seeker: Seeker,
         timeout: Optional[float] = None,
         key: Optional[Hashable] = None,
-        partials: bool = False,
     ) -> PendingQuery:
         """Enqueue *seeker*; returns immediately with a handle.
 
         *timeout* is seconds from now to the request's deadline. *key*,
         when given, identifies the query semantically (same key = same
-        answer): concurrent duplicates execute once. *partials* asks for
-        the request's mergeable :class:`SeekerPartials` on the outcome
-        (the shard-worker path) alongside the locally-merged result.
+        answer): concurrent duplicates execute once.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        return self._enqueue([_Request(seeker, deadline, key, partials)])[0]
-
-    def submit_many(
-        self, seekers: Sequence[Seeker], partials: bool = False
-    ) -> list[PendingQuery]:
-        """Enqueue a burst as one unit: no worker can observe part of
-        it, so its same-modality members reach the kernels as one batch
-        (per ``max_batch``) however the threads are scheduled."""
-        return self._enqueue(
-            [_Request(seeker, None, None, partials) for seeker in seekers]
-        )
-
-    def _enqueue(self, requests: list[_Request]) -> list[PendingQuery]:
+        request = _Request(seeker, deadline, key)
         with self._cond:
             if self._closed:
                 raise ServingError("scheduler is shut down")
-            self._queue.extend(requests)
-            # One wake-up per request, as separate submits would give: a
-            # burst of several modalities (or past max_batch) is more
-            # than one batch, and the idle workers should share it.
-            self._cond.notify(len(requests))
-        return [PendingQuery(request, self.stats) for request in requests]
+            self._queue.append(request)
+            self._cond.notify()
+        return PendingQuery(request, self.stats)
 
     def execute(
         self,
         seeker: Seeker,
         timeout: Optional[float] = None,
         key: Optional[Hashable] = None,
-        partials: bool = False,
     ) -> QueryOutcome:
         """Blocking convenience: ``submit(...).result()``."""
-        return self.submit(seeker, timeout, key, partials).result()
+        return self.submit(seeker, timeout, key).result()
 
     def close(self) -> None:
         """Stop accepting work, fail whatever is still queued, join the
@@ -348,9 +320,7 @@ class BatchScheduler:
                     error = exc
             recipients = [request] + followers.get(i, [])
             for recipient in recipients:
-                self._deliver(
-                    recipient, result, part, error, generation, batch_size
-                )
+                self._deliver(recipient, result, error, generation, batch_size)
 
     def _run_individually(
         self, deployment: Any, seekers: Sequence[Seeker]
@@ -368,7 +338,6 @@ class BatchScheduler:
         self,
         request: _Request,
         result: Optional[ResultList],
-        part: Optional[SeekerPartials],
         error: Optional[BaseException],
         generation: int,
         batch_size: int,
@@ -378,12 +347,7 @@ class BatchScheduler:
             if request.finalize(error=error):
                 self.stats.record_error()
             return
-        outcome = QueryOutcome(
-            result,
-            generation,
-            batch_size,
-            partials=part if request.want_partials else None,
-        )
+        outcome = QueryOutcome(result, generation, batch_size)
         if request.finalize(outcome=outcome):
             self.stats.record_completed(
                 request.seeker.kind, time.monotonic() - request.submitted

@@ -3,39 +3,32 @@
 A lake too large for one box is split with
 :meth:`~repro.lake.datalake.DataLake.shard_plan` and saved as K
 independent shard snapshots (:func:`repro.snapshot.save_sharded`). Each
-shard keeps its tables at their *global* id slots, so shard workers emit
-:class:`~repro.core.results.SeekerPartials` whose table ids need no
-translation, and the coordinator's
+shard keeps its tables at their *global* id slots, so the partials it
+emits need no translation, and the coordinator's
 :func:`~repro.core.results.merge_partials` over K gathered partials is
 *the same function* a solo seeker runs over one -- scatter-gather results
 are byte-identical to single-process execution by construction, for
 every seeker modality.
 
-Three pieces:
+* :class:`ShardWorker` -- one shard: a :class:`~repro.core.system.Blend`
+  behind one op loop (:func:`_serve`), on a daemon thread or in a child
+  process. Both transports pickle every op and reply over the same
+  ``multiprocessing`` Pipe, so the in-thread one exercises the exact
+  wire format a child process (or, later, a socket) carries.
+* :class:`ShardCoordinator` -- scatters each seeker batch to every shard,
+  gathers, merges; routes lifecycle ops to the owning shard by stable
+  table id and stamps every mutation with a new generation so stale
+  readers fail fast (:class:`~repro.errors.StaleContextError`).
 
-* :class:`LocalShardWorker` -- one shard served in-process: a
-  :class:`~repro.serving.deployment.DeploymentManager` plus its own
-  :class:`~repro.serving.scheduler.BatchScheduler` (the PR 6 batching
-  tier), answering ``partials`` requests and single-shard lifecycle ops.
-* :class:`ProcessShardWorker` -- the same contract over a
-  ``multiprocessing`` pipe: a child process loads its shard snapshot and
-  runs a :class:`LocalShardWorker` loop, so shards scale past the GIL
-  (and, with a network transport in place of the pipe, past one box).
-* :class:`ShardCoordinator` -- broadcasts each seeker to every shard,
-  gathers partials, runs the global merge; routes lifecycle ops to the
-  single owning shard by stable table id and stamps every mutation with
-  a new generation so stale readers fail fast
-  (:class:`~repro.errors.StaleContextError`), mirroring the
-  single-process context protocol.
-
-Failure semantics: a lifecycle op touches exactly one shard, so
-concurrent queries observe either the whole pre-state or the whole
-post-state of that shard (the worker's scheduler retries stale contexts
-across the mutation); the coordinator's generation stamp lets callers
-pin a multi-query session to one consistent view. A worker that dies
-mid-request surfaces the transport error to the caller -- the
-coordinator never silently drops a shard from the merge, which would
-break the byte-parity contract.
+Failure semantics: a shard answers one op at a time, so a query sees the
+whole pre- or post-state of a mutation, and a shard swap blocks only that
+shard, for the length of its snapshot load. Concurrent callers serialise
+per coordinator: each wire round trip (a scatter plus its gather, or one
+lifecycle request) holds the wire lock and reads every reply it sent for
+before raising, so no caller ever reads another's reply. A shard whose
+thread or process is gone raises
+:class:`~repro.errors.ShardUnavailableError` naming it -- a shard is
+never silently dropped from a merge.
 """
 
 from __future__ import annotations
@@ -48,234 +41,155 @@ from typing import Any, Optional, Sequence, Union
 from ..core.results import ResultList, SeekerPartials, merge_partials
 from ..core.seekers import Seeker
 from ..core.system import Blend
-from ..errors import LakeError, ServingError, SnapshotError, StaleContextError
+from ..errors import (
+    LakeError, ServingError, ShardUnavailableError, SnapshotError, StaleContextError,
+)
 from ..lake.table import Table
 from ..snapshot import read_shard_manifest
-from .deployment import DeploymentManager
-from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 
-__all__ = [
-    "LocalShardWorker",
-    "ProcessShardWorker",
-    "ShardCoordinator",
-]
+__all__ = ["ShardCoordinator", "ShardWorker"]
 
 
 def _mp_context():
-    """Fork when available (cheap; the parent's scheduler threads hold no
-    locks the child touches -- the child never runs parent threads), else
-    the platform default."""
+    """Fork when available (cheap; the child runs only :func:`_serve`,
+    never a parent thread, so no lock a parent thread held is touched),
+    else the platform default."""
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
-class LocalShardWorker:
-    """One shard served in-process behind the PR 6 batching tier.
+def _load(path: str, verify: bool) -> Blend:
+    blend = Blend.load(path, verify=verify)
+    blend.warm()  # before the first op: no reader races first-touch state
+    return blend
 
-    The worker owns a :class:`DeploymentManager` (so the shard can be
-    hot-swapped independently) and a :class:`BatchScheduler`: a
-    coordinator batch is enqueued whole and reaches the kernels as one
-    call per modality, and concurrent coordinator queries that queue up
-    behind a busy worker join the next batch *per shard*. The
-    coordinator speaks a tiny op protocol --
-    ``send(op, payload)`` then ``recv()`` -- split in two phases so a
-    broadcast overlaps across workers instead of serialising.
-    """
 
-    def __init__(
-        self,
-        blend: Blend,
-        *,
-        workers: int = 2,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ) -> None:
-        self.manager = DeploymentManager(blend)
-        self.scheduler = BatchScheduler(
-            self.manager, workers=workers, max_batch=max_batch
-        )
-        self._pending: Optional[tuple[str, Any]] = None
+def _apply(blend: Blend, op: str, payload: Any) -> Any:
+    if op == "partials":
+        return blend.execute_batch_partials(payload)
+    if op == "add":
+        table_id, table = payload
+        return blend.add_table(table, table_id=table_id)
+    if op == "remove":
+        blend.remove_table(payload)
+        return None
+    if op == "replace":
+        table_id, table = payload
+        blend.replace_table(table_id, table)
+        return None
+    if op == "table_ids":
+        return blend.lake.table_ids()
+    if op == "save_delta":  # the snapshot path written: what compact_shard folds
+        return str(blend.save_delta(payload))
+    if op == "delta_stats":
+        return blend.delta_stats()
+    raise ServingError(f"unknown shard worker op: {op!r}")
 
-    # -- two-phase op protocol -------------------------------------------------
 
-    def send(self, op: str, payload: Any = None) -> None:
-        """Start one op. ``partials`` ops are submitted to the scheduler
-        and complete asynchronously; everything else runs inline (still
-        cheap) with the outcome parked for :meth:`recv`."""
-        if self._pending is not None:
-            raise ServingError("shard worker already has an op in flight")
-        if op == "partials":
-            try:
-                handles = self.scheduler.submit_many(payload, partials=True)
-            except BaseException as exc:  # scheduler closed, bad seeker, ...
-                self._pending = ("error", exc)
-                return
-            self._pending = ("partials", handles)
-            return
+def _reply(conn, status: str, value: Any) -> None:
+    try:
+        conn.send((status, value))
+    except OSError:
+        raise
+    except Exception as exc:  # the reply does not pickle: send what it was
+        detail = f"{type(value).__name__}: {value}"[:200]
+        conn.send(("err", ServingError(f"shard reply does not pickle ({exc}): {detail}")))
+
+
+def _serve(conn, snapshot_path: str, verify: bool) -> None:
+    """The shard: load and warm *snapshot_path*, then answer ops off
+    *conn* in arrival order until ``close`` or the client hangs up. A
+    ``swap`` op loads and warms the new snapshot, then rebinds the
+    shard's blend. Every reply is ``("ok", value)`` or
+    ``("err", exception)`` so the client re-raises faithfully."""
+    with conn:
         try:
-            self._pending = ("value", self._apply(op, payload))
-        except BaseException as exc:
-            self._pending = ("error", exc)
-
-    def recv(self) -> Any:
-        """Finish the op started by :meth:`send`; raises what it raised."""
-        if self._pending is None:
-            raise ServingError("shard worker has no op in flight")
-        tag, value = self._pending
-        self._pending = None
-        if tag == "error":
-            raise value
-        if tag == "partials":
-            return [handle.result().partials for handle in value]
-        return value
-
-    def request(self, op: str, payload: Any = None) -> Any:
-        """``send`` + ``recv`` in one step (single-worker convenience)."""
-        self.send(op, payload)
-        return self.recv()
-
-    # -- op implementations ----------------------------------------------------
-
-    def _apply(self, op: str, payload: Any) -> Any:
-        blend = self.manager.current().blend
-        if op == "add":
-            table_id, table = payload
-            return blend.add_table(table, table_id=table_id)
-        if op == "remove":
-            blend.remove_table(payload)
-            return None
-        if op == "replace":
-            table_id, table = payload
-            blend.replace_table(table_id, table)
-            return None
-        if op == "swap":
-            replacement = Blend.load(payload)
-            self.manager.swap(replacement)
-            return self.manager.current().blend.lake.table_ids()
-        if op == "table_ids":
-            return blend.lake.table_ids()
-        if op == "stats":
-            return self.scheduler.stats.snapshot()
-        if op == "save_delta":
-            # Persist this shard's mutations since its base snapshot
-            # (O(delta)); returns the snapshot path written, which is
-            # what the coordinator compacts from.
-            return str(blend.save_delta(payload))
-        if op == "delta_stats":
-            return blend.delta_stats()
-        raise ServingError(f"unknown shard worker op: {op!r}")
-
-    def close(self) -> None:
-        self.scheduler.close()
-
-
-def _shard_worker_main(
-    conn,
-    snapshot_path: str,
-    verify: bool,
-    workers: int,
-    max_batch: int,
-) -> None:
-    """Child-process loop: load the shard snapshot, then serve ops off
-    the pipe until ``close`` or EOF. Every reply is ``("ok", value)`` or
-    ``("err", exception)`` so the parent re-raises faithfully."""
-    try:
-        blend = Blend.load(snapshot_path, verify=verify)
-        worker = LocalShardWorker(blend, workers=workers, max_batch=max_batch)
-    except BaseException as exc:
-        conn.send(("err", exc))
-        return
-    conn.send(("ok", "ready"))
-    try:
-        while True:
             try:
-                op, payload = conn.recv()
-            except EOFError:
-                break
-            if op == "close":
-                conn.send(("ok", None))
-                break
-            try:
-                worker.send(op, payload)
-                conn.send(("ok", worker.recv()))
-            except BaseException as exc:
+                blend = _load(snapshot_path, verify)
+            except Exception as exc:
+                _reply(conn, "err", exc)
+                return
+            _reply(conn, "ok", "ready")
+            while (request := conn.recv())[0] != "close":
+                op, payload = request
                 try:
-                    conn.send(("err", exc))
-                except Exception:  # unpicklable exception: downgrade
-                    conn.send(("err", ServingError(f"{type(exc).__name__}: {exc}")))
-    finally:
-        worker.close()
-        conn.close()
+                    if op == "swap":
+                        blend = _load(payload, verify)
+                        value = blend.lake.table_ids()
+                    else:
+                        value = _apply(blend, op, payload)
+                except Exception as exc:
+                    _reply(conn, "err", exc)
+                else:
+                    _reply(conn, "ok", value)
+            _reply(conn, "ok", None)
+        except (EOFError, OSError):  # the client hung up
+            pass
 
 
-class ProcessShardWorker:
-    """One shard served by a child process, same op contract as
-    :class:`LocalShardWorker`.
+class ShardWorker:
+    """Client end of one shard's op loop.
 
-    The child loads its shard snapshot itself (snapshots are the
-    handoff format -- nothing heavyweight crosses the pipe) and wraps a
-    :class:`LocalShardWorker`; the parent ships ops and gets back
-    partials / exceptions. Seekers, tables, and
-    :class:`SeekerPartials` all pickle cleanly by design.
+    ``process=False`` runs :func:`_serve` on a daemon thread,
+    ``process=True`` in a child process; the shard loads its own snapshot
+    (snapshots are the handoff format -- nothing heavyweight crosses the
+    pipe). ``send`` / ``recv`` are split so a coordinator's broadcast
+    overlaps across shards; ``recv`` re-raises the error an op raised,
+    and a broken transport raises :class:`ShardUnavailableError`.
     """
 
     def __init__(
-        self,
-        snapshot_path: Union[str, Path],
-        *,
-        verify: bool = True,
-        workers: int = 2,
-        max_batch: int = DEFAULT_MAX_BATCH,
+        self, snapshot_path: Union[str, Path], *, process: bool = False, verify: bool = True
     ) -> None:
         ctx = _mp_context()
         self._conn, child_conn = ctx.Pipe()
-        self._process = ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, str(snapshot_path), verify, workers, max_batch),
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        self._closed = False
-        status, payload = self._conn.recv()  # startup handshake
-        if status == "err":
-            self._process.join()
-            self._closed = True
-            raise payload
+        args = (child_conn, str(snapshot_path), verify)
+        if process:
+            self._runner = ctx.Process(target=_serve, args=args, daemon=True)
+        else:
+            self._runner = threading.Thread(target=_serve, args=args, daemon=True)
+        self._runner.start()
+        if process:
+            child_conn.close()  # the child holds its own copy
+        try:
+            self.recv()  # startup handshake: "ready", or the load error
+        except BaseException:
+            self.close()
+            raise
 
     def send(self, op: str, payload: Any = None) -> None:
-        if self._closed:
-            raise ServingError("shard worker process is closed")
-        self._conn.send((op, payload))
+        try:
+            self._conn.send((op, payload))
+        except OSError as exc:
+            raise ShardUnavailableError(f"shard worker is gone ({exc!r})") from exc
 
     def recv(self) -> Any:
         try:
-            status, payload = self._conn.recv()
-        except EOFError:
-            self._closed = True
-            raise ServingError("shard worker process died mid-request")
+            status, value = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ShardUnavailableError(f"shard worker died mid-request ({exc!r})") from exc
         if status == "err":
-            raise payload
-        return payload
+            raise value
+        return value
 
     def request(self, op: str, payload: Any = None) -> Any:
         self.send(op, payload)
         return self.recv()
 
     def close(self) -> None:
-        if self._closed:
+        if self._conn.closed:
             return
-        self._closed = True
         try:
             self._conn.send(("close", None))
             self._conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
+        except (EOFError, OSError):  # the loop is already gone
             pass
         self._conn.close()
-        self._process.join(timeout=10)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join()
+        self._runner.join(timeout=10)
+        if self._runner.is_alive() and not isinstance(self._runner, threading.Thread):
+            self._runner.terminate()
+            self._runner.join()
 
 
 class ShardCoordinator:
@@ -307,11 +221,14 @@ class ShardCoordinator:
         if not workers:
             raise ServingError("coordinator needs at least one shard worker")
         self.workers = list(workers)
-        self._lock = threading.RLock()
+        self._lock = threading.RLock()  # routing: one lifecycle op at a time
+        self._wire = threading.Lock()  # one round trip on the wire at a time
+        self._closed = False
         if routing is None:
             routing = {}
-            for shard, worker in enumerate(self.workers):
-                for table_id in worker.request("table_ids"):
+            shards = range(len(self.workers))
+            for shard, table_ids in enumerate(self._round_trip(shards, "table_ids")):
+                for table_id in table_ids:
                     if int(table_id) in routing:
                         raise ServingError(
                             f"table id {table_id} appears on shards "
@@ -323,7 +240,6 @@ class ShardCoordinator:
             next_table_id = max(self._routing, default=-1) + 1
         self._next_table_id = int(next_table_id)
         self._generation = 0
-        self._closed = False
         # Per-shard snapshot directory (known after load()/swap_shard;
         # None for workers handed in without one) -- what compact_shard
         # reads the base+delta from.
@@ -339,13 +255,11 @@ class ShardCoordinator:
         processes: bool = False,
         backend: Optional[str] = None,
         verify: bool = True,
-        workers: int = 2,
-        max_batch: int = DEFAULT_MAX_BATCH,
     ) -> "ShardCoordinator":
-        """Spin up one worker per shard of a
+        """Spin up one :class:`ShardWorker` per shard of a
         :func:`repro.snapshot.save_sharded` directory and wire the
         coordinator's routing table from its manifest. ``processes=True``
-        gives each shard its own child process."""
+        gives each shard its own child process, else its own thread."""
         manifest = read_shard_manifest(path)
         if backend is not None and backend != manifest["backend"]:
             raise SnapshotError(
@@ -353,38 +267,63 @@ class ShardCoordinator:
                 f"expected {backend!r}"
             )
         root = Path(path)
-        shard_workers: list[Any] = []
+        shard_workers: list[ShardWorker] = []
         try:
             for name in manifest["shards"]:
-                if processes:
-                    shard_workers.append(
-                        ProcessShardWorker(
-                            root / name, verify=verify, workers=workers,
-                            max_batch=max_batch,
-                        )
-                    )
-                else:
-                    shard_workers.append(
-                        LocalShardWorker(
-                            Blend.load(root / name, verify=verify),
-                            workers=workers, max_batch=max_batch,
-                        )
-                    )
+                shard_workers.append(ShardWorker(root / name, process=processes, verify=verify))
         except BaseException:
             for worker in shard_workers:
                 worker.close()
             raise
-        routing = {
-            int(table_id): shard
-            for table_id, shard in manifest["table_shard"].items()
-        }
-        coordinator = cls(
-            shard_workers,
-            routing=routing,
-            next_table_id=manifest["next_table_id"],
-        )
+        routing = {int(table_id): shard for table_id, shard in manifest["table_shard"].items()}
+        coordinator = cls(shard_workers, routing=routing, next_table_id=manifest["next_table_id"])
         coordinator._shard_paths = [str(root / name) for name in manifest["shards"]]
         return coordinator
+
+    # -- the wire --------------------------------------------------------------
+
+    def _round_trip(self, shards: Sequence[int], op: str, payload: Any = None) -> list[Any]:
+        """Send *op* to each of *shards*, then read the reply of every
+        shard it reached before raising the first failure -- so no reply
+        is left queued for the next request. Holds the wire lock
+        throughout: concurrent callers take turns."""
+        with self._wire:
+            if self._closed:
+                raise ServingError("coordinator is closed")
+            failure: Optional[BaseException] = None
+            reached: list[int] = []
+            for shard in shards:
+                try:
+                    self.workers[shard].send(op, payload)
+                except Exception as exc:
+                    failure = self._name_shard(shard, exc)
+                    break
+                reached.append(shard)
+            replies = []
+            for shard in reached:
+                try:
+                    replies.append(self.workers[shard].recv())
+                except Exception as exc:
+                    failure = failure or self._name_shard(shard, exc)
+            if failure is not None:
+                try:
+                    raise failure
+                finally:
+                    failure = None  # no frame <-> traceback cycle for the GC to tear down
+            return replies
+
+    @staticmethod
+    def _name_shard(shard: int, exc: Exception) -> Exception:
+        if isinstance(exc, ShardUnavailableError):
+            error = ShardUnavailableError(f"shard {shard}: {exc}")
+            error.__cause__ = exc
+            return error
+        return exc
+
+    def _request(self, shard: int, op: str, payload: Any = None) -> Any:
+        if not 0 <= shard < len(self.workers):
+            raise ServingError(f"no such shard: {shard}")
+        return self._round_trip([shard], op, payload)[0]
 
     # -- querying --------------------------------------------------------------
 
@@ -411,11 +350,9 @@ class ShardCoordinator:
     def execute_batch(
         self, seekers: Sequence[Seeker], generation: Optional[int] = None
     ) -> list[ResultList]:
-        """Broadcast a batch: one ``partials`` round-trip per shard for
-        the whole batch, then one merge per seeker. Shards answer
-        concurrently (each behind its own scheduler / process)."""
-        if self._closed:
-            raise ServingError("coordinator is closed")
+        """Broadcast a batch: one ``partials`` round trip per shard for
+        the whole batch (one ``execute_batch_partials`` call there), then
+        one merge per seeker. Shards compute concurrently."""
         if generation is not None and generation != self._generation:
             raise StaleContextError(
                 f"coordinator generation is {self._generation}, "
@@ -424,11 +361,9 @@ class ShardCoordinator:
         seekers = list(seekers)
         if not seekers:
             return []
-        for worker in self.workers:
-            worker.send("partials", seekers)
-        gathered: list[list[SeekerPartials]] = [
-            worker.recv() for worker in self.workers
-        ]
+        gathered: list[list[SeekerPartials]] = self._round_trip(
+            range(len(self.workers)), "partials", seekers
+        )
         return [
             merge_partials([parts[i] for parts in gathered], seeker.k)
             for i, seeker in enumerate(seekers)
@@ -452,10 +387,8 @@ class ShardCoordinator:
                 for owner in self._routing.values():
                     loads[owner] += 1
                 shard = loads.index(min(loads))
-            elif not 0 <= shard < len(self.workers):
-                raise ServingError(f"no such shard: {shard}")
             table_id = self._next_table_id
-            self.workers[shard].request("add", (table_id, table))
+            self._request(shard, "add", (table_id, table))
             self._next_table_id += 1
             self._routing[table_id] = shard
             self._generation += 1
@@ -464,30 +397,23 @@ class ShardCoordinator:
     def remove_table(self, table_id: int) -> None:
         with self._lock:
             shard = self._owner(table_id)
-            self.workers[shard].request("remove", int(table_id))
+            self._request(shard, "remove", int(table_id))
             del self._routing[int(table_id)]
             self._generation += 1
 
     def replace_table(self, table_id: int, table: Table) -> None:
         with self._lock:
             shard = self._owner(table_id)
-            self.workers[shard].request("replace", (int(table_id), table))
+            self._request(shard, "replace", (int(table_id), table))
             self._generation += 1
 
     def swap_shard(self, shard: int, snapshot_path: Union[str, Path]) -> list[int]:
-        """Hot-swap one shard to a new snapshot (zero downtime: the
-        worker's :class:`DeploymentManager` drains in-flight queries on
-        the old generation while new ones hit the replacement). Returns
-        the shard's table ids after the swap; routing follows."""
+        """Hot-swap one shard to a new snapshot: the shard loads and warms
+        it, then rebinds, while the other shards keep answering (queries
+        wait only for this shard's load). Returns the shard's table ids
+        after the swap; routing follows."""
         with self._lock:
-            if not 0 <= shard < len(self.workers):
-                raise ServingError(f"no such shard: {shard}")
-            new_ids = [
-                int(table_id)
-                for table_id in self.workers[shard].request(
-                    "swap", str(snapshot_path)
-                )
-            ]
+            new_ids = [int(tid) for tid in self._request(shard, "swap", str(snapshot_path))]
             for table_id in new_ids:
                 owner = self._routing.get(table_id)
                 if owner is not None and owner != shard:
@@ -495,16 +421,10 @@ class ShardCoordinator:
                         f"swap would place table id {table_id} on shard "
                         f"{shard}, but shard {owner} already owns it"
                     )
-            self._routing = {
-                table_id: owner
-                for table_id, owner in self._routing.items()
-                if owner != shard
-            }
+            self._routing = {t: o for t, o in self._routing.items() if o != shard}
             for table_id in new_ids:
                 self._routing[table_id] = shard
-            self._next_table_id = max(
-                self._next_table_id, max(new_ids, default=-1) + 1
-            )
+            self._next_table_id = max(self._next_table_id, max(new_ids, default=-1) + 1)
             self._shard_paths[shard] = str(snapshot_path)
             self._generation += 1
             return new_ids
@@ -513,9 +433,7 @@ class ShardCoordinator:
         """One shard's base-vs-delta storage occupancy (see
         :meth:`repro.Blend.delta_stats`) -- the per-shard compaction
         trigger input."""
-        if not 0 <= shard < len(self.workers):
-            raise ServingError(f"no such shard: {shard}")
-        return self.workers[shard].request("delta_stats")
+        return self._request(shard, "delta_stats")
 
     def compact_shard(
         self, shard: int, destination: Union[str, Path], verify: bool = True
@@ -528,17 +446,15 @@ class ShardCoordinator:
         persists its live delta into its base directory (O(delta)),
         the coordinator rebuilds a compacted generation beside it
         (:func:`~repro.serving.compaction.compact_snapshot`), and the
-        shard flips through its own :class:`DeploymentManager` with the
-        usual drain. Each shard compacts independently -- the fleet
-        never pauses in lockstep. Returns the shard's table ids after
-        the swap."""
+        shard swaps onto it. Each shard compacts independently -- the
+        fleet never pauses in lockstep. Returns the shard's table ids
+        after the swap."""
         from .compaction import compact_snapshot
 
         with self._lock:
             if not 0 <= shard < len(self.workers):
                 raise ServingError(f"no such shard: {shard}")
-            source = self._shard_paths[shard]
-            source = self.workers[shard].request("save_delta", source)
+            source = self._request(shard, "save_delta", self._shard_paths[shard])
             compact_snapshot(source, destination, verify=verify)
             return self.swap_shard(shard, destination)
 
@@ -549,20 +465,22 @@ class ShardCoordinator:
         return sorted(self._routing)
 
     def stats(self) -> dict[str, Any]:
-        """Per-shard scheduler stats plus coordinator counters."""
+        """Coordinator counters (per-shard storage occupancy is
+        :meth:`shard_delta_stats`)."""
         return {
             "generation": self._generation,
             "num_shards": len(self.workers),
             "num_tables": len(self._routing),
-            "shards": [worker.request("stats") for worker in self.workers],
         }
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self.workers:
-            worker.close()
+        """Stop every shard; waits for an in-flight round trip first."""
+        with self._wire:
+            if self._closed:
+                return
+            self._closed = True
+            for worker in self.workers:
+                worker.close()
 
     def __enter__(self) -> "ShardCoordinator":
         return self

@@ -213,32 +213,36 @@ def test_background_loop_compacts_past_threshold(tmp_path):
 
 
 def _sharded_with_mutations(tmp_path, num_shards=3):
-    blend = build_blend(seed=43, tables=12)
+    """A sharded deployment and a solo Blend driven through the same
+    seeded mutations."""
+    solo = build_blend(seed=43, tables=12)
     root = tmp_path / "shards"
-    save_sharded(blend, root, num_shards=num_shards)
+    save_sharded(solo, root, num_shards=num_shards)
     coordinator = ShardCoordinator.load(root)
     rng = random.Random(7)
-    coordinator.add_table(Table("extra", ["city", "country", "pop"], EXTRA_ROWS))
-    coordinator.remove_table(rng.choice(coordinator.table_ids()))
+    extra = Table("extra", ["city", "country", "pop"], EXTRA_ROWS)
+    assert coordinator.add_table(extra) == solo.add_table(extra)
     victim = rng.choice(coordinator.table_ids())
-    coordinator.replace_table(
-        victim, Table(f"swap{victim}", ["city", "country", "pop"], EXTRA_ROWS[:6])
-    )
-    return coordinator
+    coordinator.remove_table(victim)
+    solo.remove_table(victim)
+    victim = rng.choice(coordinator.table_ids())
+    replacement = Table(f"swap{victim}", ["city", "country", "pop"], EXTRA_ROWS[:6])
+    coordinator.replace_table(victim, replacement)
+    solo.replace_table(victim, replacement)
+    return coordinator, solo
 
 
-def _solo_oracle(coordinator: ShardCoordinator) -> Blend:
+def _solo_oracle(solo: Blend) -> Blend:
+    """A from-scratch build of *solo*'s current lake."""
     oracle = Blend(DataLake("oracle"), backend="column")
-    for shard in range(coordinator.num_shards):
-        shard_blend = coordinator.workers[shard].manager.current().blend
-        for table_id in shard_blend.lake.table_ids():
-            oracle.lake.add_at(table_id, shard_blend.lake.by_id(table_id))
+    for table_id in solo.lake.table_ids():
+        oracle.lake.add_at(table_id, solo.lake.by_id(table_id))
     oracle.build_index()
     return oracle
 
 
 def test_compact_shard_parity_and_independence(tmp_path):
-    coordinator = _sharded_with_mutations(tmp_path)
+    coordinator, solo = _sharded_with_mutations(tmp_path)
     try:
         before = {
             q.kind: list(coordinator.execute(q)) for q in _queries()
@@ -254,17 +258,17 @@ def test_compact_shard_parity_and_independence(tmp_path):
         after = {q.kind: list(coordinator.execute(q)) for q in _queries()}
         assert after == before
 
-        oracle = _solo_oracle(coordinator)
+        assert coordinator.table_ids() == solo.lake.table_ids()
+        oracle = _solo_oracle(solo)
         for query in _queries():
             assert list(coordinator.execute(query)) == list(
                 query.execute(oracle.context())
             )
 
         # Compacted shards keep taking lifecycle ops and delta saves.
-        coordinator.add_table(
-            Table("post", ["city", "country", "pop"], EXTRA_ROWS[:3])
-        )
-        oracle2 = _solo_oracle(coordinator)
+        post = Table("post", ["city", "country", "pop"], EXTRA_ROWS[:3])
+        assert coordinator.add_table(post) == solo.add_table(post)
+        oracle2 = _solo_oracle(solo)
         for query in _queries():
             assert list(coordinator.execute(query)) == list(
                 query.execute(oracle2.context())
@@ -274,7 +278,7 @@ def test_compact_shard_parity_and_independence(tmp_path):
 
 
 def test_compact_shard_validates_shard_index(tmp_path):
-    coordinator = _sharded_with_mutations(tmp_path, num_shards=2)
+    coordinator, _ = _sharded_with_mutations(tmp_path, num_shards=2)
     try:
         with pytest.raises(ServingError, match="no such shard"):
             coordinator.compact_shard(9, tmp_path / "nope")

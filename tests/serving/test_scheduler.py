@@ -17,11 +17,9 @@ from repro.serving import (
     BatchScheduler,
     BlendServer,
     DeploymentManager,
-    LocalShardWorker,
-    ProcessShardWorker,
     ShardCoordinator,
+    ShardWorker,
 )
-from repro.serving.sharded import _shard_worker_main
 
 from tests.serving.conftest import CITIES, COUNTRIES, PAIRS, build_blend
 
@@ -341,11 +339,10 @@ def test_sweep_loses_and_duplicates_nothing_under_contention(served_blend):
             def client(i: int) -> None:
                 for r in range(rounds):
                     if (i + r) % 2:
-                        seekers = protos
-                        handles = scheduler.submit_many(seekers)
+                        seekers = protos  # a burst: back-to-back submits
                     else:
                         seekers = [protos[(i + r) % 3]]
-                        handles = [scheduler.submit(seekers[0])]
+                    handles = [scheduler.submit(seeker) for seeker in seekers]
                     for seeker, handle in zip(seekers, handles):
                         answer = handle.result().result
                         answered[i].append(answer == expected[seeker.kind])
@@ -377,9 +374,7 @@ def test_sweep_loses_and_duplicates_nothing_under_contention(served_blend):
     [
         BatchScheduler,
         BlendServer,
-        LocalShardWorker,
-        _shard_worker_main,
-        ProcessShardWorker,
+        ShardWorker,
         ShardCoordinator.load,
     ],
 )

@@ -5,7 +5,11 @@ oracle is always a plain solo :class:`Blend` driven through the exact
 same operation sequence."""
 
 import json
+import os
 import random
+import signal
+import sys
+import threading
 
 import pytest
 
@@ -24,10 +28,11 @@ from repro.errors import (
     LakeError,
     SeekerError,
     ServingError,
+    ShardUnavailableError,
     SnapshotError,
     StaleContextError,
 )
-from repro.serving import LocalShardWorker, ShardCoordinator
+from repro.serving import ShardCoordinator, ShardWorker
 from repro.snapshot import read_shard_manifest, save_sharded
 
 NAMES = [f"e{i}" for i in range(40)]
@@ -116,20 +121,27 @@ def test_batched_execution_matches_serial(tmp_path, backend):
             assert list(result) == list(seeker.execute(context))
 
 
-def test_coordinator_batch_lands_whole_on_a_shard(tmp_path):
-    """A coordinator batch is enqueued on each shard as one unit, so its
-    same-kind seekers reach the kernels as ONE batch -- not as however
-    many the worker thread happened to see between submits."""
+def test_coordinator_batch_lands_whole_on_a_shard(tmp_path, monkeypatch):
+    """A coordinator batch reaches each shard as ONE
+    ``execute_batch_partials`` call, so its same-kind seekers share the
+    kernels' index passes."""
     blend = _build_blend(seed=303, backend="column")
     rng = random.Random(505)
     seekers = [Seekers.SC(rng.sample(NAMES, 3), k=4) for _ in range(6)]
-    with _coordinator(blend, tmp_path, 1, workers=1) as coordinator:
+    calls: list[list] = []
+    real = Blend.execute_batch_partials
+
+    def spy(self, batch):
+        calls.append([seeker.kind for seeker in batch])
+        return real(self, batch)
+
+    monkeypatch.setattr(Blend, "execute_batch_partials", spy)
+    with _coordinator(blend, tmp_path, 1) as coordinator:
         batched = coordinator.execute_batch(seekers)
-        context = blend.context()
-        for seeker, result in zip(seekers, batched):
-            assert list(result) == list(seeker.execute(context))
-        (shard,) = coordinator.stats()["shards"]
-    assert shard["batch_size_histogram"] == {"6": 1}
+    context = blend.context()
+    for seeker, result in zip(seekers, batched):
+        assert list(result) == list(seeker.execute(context))
+    assert calls == [["SC"] * 6]
 
 
 # -- lifecycle ops interleaved with queries ------------------------------------
@@ -260,6 +272,94 @@ def test_process_worker_smoke(tmp_path):
             coordinator.remove_table(424242)
 
 
+# -- failure contract: errors, concurrent callers, dead shards ----------------
+
+
+class ExplodingSeeker:
+    """Picklable seeker whose shard-side partials raise."""
+
+    kind = "BOOM"
+    k = 3
+
+    def partials(self, context):
+        raise RuntimeError("boom")
+
+
+TRANSPORTS = pytest.mark.parametrize("processes", [False, True], ids=["thread", "process"])
+
+
+@TRANSPORTS
+def test_failed_gather_leaves_coordinator_in_step(tmp_path, processes):
+    """Every shard raises; the coordinator still reads every reply, so
+    the next good query gets its own answer, not a leftover."""
+    blend = _build_blend(seed=121, backend="column", tables=9)
+    good = Seekers.SC(NAMES[:4], k=5)
+    expected = list(good.execute(blend.context()))
+    with _coordinator(blend, tmp_path, 3, processes=processes) as coordinator:
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="boom"):
+                coordinator.execute_batch([good, ExplodingSeeker()])
+            assert list(coordinator.execute(good)) == expected
+
+
+@TRANSPORTS
+def test_concurrent_callers_get_their_own_answers(tmp_path, processes):
+    blend = _build_blend(seed=131, backend="column", tables=8)
+    rng = random.Random(141)
+    seekers = [Seekers.SC(rng.sample(NAMES, 3), k=4) for _ in range(40)]
+    context = blend.context()
+    expected = [list(seeker.execute(context)) for seeker in seekers]
+    answers: list = [None] * len(seekers)
+    errors: list[BaseException] = []
+    interval = sys.getswitchinterval()
+    with _coordinator(blend, tmp_path, 2, processes=processes) as coordinator:
+
+        def caller(first: int) -> None:
+            for i in range(first, len(seekers), 4):
+                try:
+                    answers[i] = list(coordinator.execute(seekers[i]))
+                except Exception as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(t,)) for t in range(4)]
+        sys.setswitchinterval(1e-5)  # force thread switches mid round trip
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert answers == expected
+
+
+def test_killed_shard_child_raises_typed_error(tmp_path):
+    """SIGKILL one shard child: queries raise ShardUnavailableError naming
+    it, the live shards' replies are drained (their next requests read
+    their own answers), and close() still returns."""
+    blend = _build_blend(seed=151, backend="column", tables=9)
+    seeker = Seekers.SC(NAMES[:4], k=5)
+    coordinator = _coordinator(blend, tmp_path, 3, processes=True)
+    try:
+        coordinator.execute(seeker)
+        victim = coordinator.workers[1]._runner
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10)
+        for _ in range(2):
+            with pytest.raises(ShardUnavailableError, match="shard 1"):
+                coordinator.execute(seeker)
+        for shard in (0, 2):
+            assert "delta_fraction" in coordinator.shard_delta_stats(shard)
+        table = _make_table(random.Random(5), "survivor")
+        assert coordinator.table_shard(coordinator.add_table(table, shard=2)) == 2
+        with pytest.raises(ShardUnavailableError, match="shard 1"):
+            coordinator.add_table(table, shard=1)
+    finally:
+        coordinator.close()
+
+
 # -- merge_partials edge cases -------------------------------------------------
 
 
@@ -374,11 +474,13 @@ def test_coordinator_requires_workers():
         ShardCoordinator([])
 
 
-def test_worker_rejects_unknown_op(tmp_path):
+@pytest.mark.parametrize("process", [False, True], ids=["thread", "process"])
+def test_worker_rejects_unknown_op(tmp_path, process):
     blend = _build_blend(seed=888, backend="column", tables=4)
-    worker = LocalShardWorker(blend)
+    worker = ShardWorker(blend.save(tmp_path / "solo"), process=process)
     try:
         with pytest.raises(ServingError):
             worker.request("frobnicate")
+        assert worker.request("table_ids") == blend.lake.table_ids()
     finally:
         worker.close()
