@@ -80,10 +80,9 @@ def _seeker_results(blend: Blend) -> dict:
 
 def _assert_lifecycle_rebuild_parity(loaded: Blend, backend: str) -> None:
     """Mutate a loaded deployment (add + remove) and assert its index
-    equals a from-scratch build of the final lake. Must run while the
-    snapshot files are still on disk: the base arrays stay read-only
-    mmaps for the life of the deployment (mutations land in the delta
-    layer, never promote the base)."""
+    equals a from-scratch build of the final lake. Mutations land in the
+    delta layer and never write to the base, which stays a read-only
+    mmap of the snapshot files until a compaction replaces it."""
     sql = "SELECT * FROM AllTables"
     loaded.add_table(
         Table("snap_check_add", ["a", "b"], [(f"v{i}", i) for i in range(6)])

@@ -1,7 +1,7 @@
 """Cross-query batched seeker execution for the serving tier.
 
 This module batches *across* concurrently-arriving queries of the same
-modality so a serving batch window runs a fixed number of index passes
+modality so a serving batch runs a fixed number of index passes
 regardless of how many requests it coalesces:
 
 * **SC / KW** -- all queries' tokens union into ONE index scan; each

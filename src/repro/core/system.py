@@ -181,20 +181,17 @@ class Blend:
     def delta_stats(self) -> dict:
         """Aggregate base-vs-delta occupancy across the maintained
         storage tables: how much of the deployment's state lives in
-        delta segments and tombstones rather than the frozen base --
+        delta segments and tombstones rather than the immutable base --
         the compaction trigger's input (see
         :mod:`repro.serving.compaction`)."""
         base_rows = delta_rows = deleted_rows = 0
-        frozen = False
         for name in self.db.table_names():
             stats = self.db.table(name).delta_stats()
-            frozen = frozen or stats["frozen"]
             base_rows += stats["base_rows"]
             delta_rows += stats["delta_rows"]
             deleted_rows += stats["deleted_rows"]
         churn = delta_rows + deleted_rows
         return {
-            "frozen": frozen,
             "base_rows": base_rows,
             "delta_rows": delta_rows,
             "deleted_rows": deleted_rows,
@@ -208,7 +205,6 @@ class Blend:
         lake: Optional[DataLake] = None,
         backend: Optional[str] = None,
         hash_size: Optional[int] = None,
-        mmap: bool = True,
         verify: bool = True,
         delta: bool = True,
     ) -> "Blend":
@@ -217,9 +213,9 @@ class Blend:
         The loaded system is functionally identical to the fresh build
         it was saved from: same seeker results, same statistics, same
         optimizer behaviour, byte-identical sealed storage. Lifecycle
-        ops keep working -- memory-mapped arrays are promoted to private
-        copies on first mutation (copy-on-write), so N serving processes
-        can share one snapshot on disk. Pass *lake* to skip the
+        ops keep working -- the memory-mapped arrays are each table's
+        base and mutations land in its delta segment, so N serving
+        processes can share one snapshot on disk. Pass *lake* to skip the
         snapshot's cell payload (it is validated against the manifest's
         lake metadata); *backend* / *hash_size* assert the snapshot
         matches the expected deployment. Corrupted, truncated, or
@@ -239,7 +235,6 @@ class Blend:
             lake=lake,
             backend=backend,
             hash_size=hash_size,
-            mmap=mmap,
             verify=verify,
             delta=delta,
         )
@@ -345,8 +340,9 @@ class Blend:
         tombstones dropped, text dictionaries re-encoded, rows restored
         to the offline build's clustering order -- after which storage is
         byte-identical to a from-scratch ``build_index()`` on the current
-        lake (the rebuild-parity invariant; compaction also triggers
-        automatically once deletes cross the storage threshold)."""
+        lake (the rebuild-parity invariant). Mutations never compact on
+        their own: this call, ``Database.compact`` and the snapshot
+        compactor are the only ways storage is rewritten."""
         if not self._indexed:
             raise BlendError("call build_index() before compacting")
         self.db.compact(self.index_config.table_name)
@@ -388,8 +384,8 @@ class Blend:
 
     def execute_batch(self, seekers: Sequence["Seeker"]) -> list[ResultList]:
         """Execute several independent seekers against one context,
-        coalescing same-modality queries into shared index passes (the
-        serving tier's batch window). Results are positionally aligned
+        coalescing same-modality queries into shared index passes (one
+        serving-tier batch). Results are positionally aligned
         and identical to per-seeker ``execute`` -- see
         :mod:`repro.core.batch`."""
         from .batch import execute_batch

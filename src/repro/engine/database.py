@@ -292,10 +292,9 @@ class Database:
         """Typed bulk-append: *columns* is one ``(data, null_mask)`` pair
         per schema column (``null_mask`` may be ``None``). Bypasses the
         per-cell coercion of :meth:`insert` -- the vectorised ``AllTables``
-        ingest path, and the append side of the sharded build's merge
-        (one call per shard part; parts sharing one ``DictEncodedText``
-        dictionary object concatenate without a union at seal time).
-        Returns the number of rows appended."""
+        ingest path (one call per build part; parts sharing one
+        ``DictEncodedText`` dictionary object concatenate without a union
+        at seal time). Returns the number of rows appended."""
         inserted = self._catalog.get(table_name).insert_columns(columns)
         if inserted:
             self._data_epoch += 1
@@ -303,16 +302,12 @@ class Database:
 
     def delete_rows(self, table_name: str, column_name: str, values: Iterable[Any]) -> int:
         """Delete every row whose *column_name* equals any of *values*
-        (tombstoned in storage; compaction triggers automatically past the
-        table's dead-row threshold). The ``AllTables`` maintenance
-        primitive behind ``deindex_table``. Returns rows deleted."""
-        table = self._catalog.get(table_name)
-        before = getattr(table, "compactions", 0)
-        deleted = table.delete_rows(column_name, values)
+        (tombstoned in storage until :meth:`compact`). The ``AllTables``
+        maintenance primitive behind ``deindex_table``. Returns rows
+        deleted."""
+        deleted = self._catalog.get(table_name).delete_rows(column_name, values)
         if deleted:
             self._data_epoch += 1
-        if getattr(table, "compactions", 0) != before:
-            self._invalidate_plans_for(table_name)
         return deleted
 
     def compact(self, table_name: str) -> None:

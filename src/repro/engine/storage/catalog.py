@@ -61,7 +61,6 @@ class StoredTable(Protocol):
 
     schema: TableSchema
     cluster_keys: tuple[str, ...]
-    compact_threshold: float
     compactions: int
 
     @property

@@ -16,33 +16,27 @@ Two ingest paths feed a table:
   text via ``np.unique`` and bypassing ``coerce_to_type`` entirely. This
   is what the vectorised ``AllTables`` builder uses.
 
-Sealing is *incremental*: new rows (from either path) are merged into the
-existing sealed arrays instead of invalidating and rebuilding the whole
-table, so interleaved bulk loads stay linear.
+Every table is an **immutable base plus a delta**. The first non-empty
+seal becomes the base -- the offline build's bulk load, or the arrays a
+snapshot load adopts (typically read-only ``np.memmap`` views shared by
+every worker mapping the same snapshot). The base is never rewritten
+between compactions: every later seal merges its rows into the *delta
+segment*, one extra ``_ColumnData`` run per column. Reads serve the
+concatenation (storage position ``p`` lives in the base when ``p <
+len(base)``, else at ``p - len(base)`` in the delta); text columns
+expose a lazily-cached sorted union dictionary over both segments so
+dictionary-code consumers keep the code-order == string-order contract.
 
-Deletes (``delete_rows``) are **tombstones**: a boolean mask over the
-sealed arrays marks dead rows, and every public read API serves the
-*live* view (row numbering skips the dead rows, so the executor never
-sees them). Once the dead fraction reaches ``compact_threshold`` the
-table compacts: surviving rows are rebuilt into fresh sealed runs, text
-dictionaries are re-encoded down to the surviving values, and (when
-``cluster_keys`` is set) rows are re-sorted into the declared clustering
+Deletes (``delete_rows``) are **tombstones**: a boolean mask over base ∪
+delta marks dead rows, and every public read API serves the *live* view
+(row numbering skips the dead rows, so the executor never sees them). A
+delete never rewrites storage. Only an explicit :meth:`compact` does:
+it folds both segments into a fresh base, drops the tombstoned rows,
+re-encodes text dictionaries down to the surviving values and (when
+``cluster_keys`` is set) re-sorts rows into the declared clustering
 order -- compacted storage is byte-identical to a fresh bulk load of the
-same rows.
-
-Tables adopted from a snapshot are **frozen-base**: their sealed arrays
-(typically read-only ``np.memmap`` views shared by every worker mapping
-the same snapshot) are never rewritten. Mutations append to a *delta
-segment* instead -- one extra ``_ColumnData`` run per column holding
-every row ingested since the load, plus the ordinary tombstone mask
-over base ∪ delta. Reads serve the concatenation (storage position
-``p`` lives in the base when ``p < len(base)``, else at ``p -
-len(base)`` in the delta); text columns expose a lazily-cached sorted
-union dictionary over both segments so dictionary-code consumers keep
-the code-order == string-order contract. Folding the delta back into a
-single private segment (:meth:`compact`) produces arrays byte-identical
-to a fresh bulk load of the same rows, which is what the background
-snapshot compactor persists as the next base generation.
+same rows, which is what the background snapshot compactor persists as
+the next base generation.
 
 Secondary indexes are *declared* once (``create_index``) and survive
 mutations: ``insert_columns`` appends merge each new chunk's sorted run
@@ -71,9 +65,6 @@ from .catalog import TableSchema
 # dtype (int8 with -1 meaning NULL is accepted directly when null_mask is
 # None).
 ColumnChunk = tuple[np.ndarray, Optional[np.ndarray]]
-
-# Dead-row fraction at which delete_rows triggers automatic compaction.
-DEFAULT_COMPACT_THRESHOLD = 0.3
 
 
 class DictEncodedText:
@@ -178,7 +169,8 @@ class ColumnTable:
         # backlog so an F-flush bulk load pays ONE multiway merge at first
         # read instead of re-merging all prior rows on every flush.
         self._backlog: list[list[_ColumnData]] = []
-        self._sealed: Optional[list[_ColumnData]] = None
+        self._sealed: Optional[list[_ColumnData]] = None  # the base segment
+        self._delta: Optional[list[_ColumnData]] = None
         self._num_rows = 0  # live rows (appends - deletes)
         # Declared index columns (lowercased) vs their materialised
         # postings: declarations survive every mutation; postings are
@@ -189,18 +181,8 @@ class ColumnTable:
         self._deleted: Optional[np.ndarray] = None  # tombstones over sealed rows
         self._num_deleted = 0
         self._live: Optional[np.ndarray] = None  # cached live storage positions
-        self.compact_threshold = DEFAULT_COMPACT_THRESHOLD
         self.cluster_keys: tuple[str, ...] = ()
         self.compactions = 0  # bumped per physical compaction
-        # True while sealed arrays are memory-mapped snapshot payloads
-        # (read-only views over the on-disk .npy files, possibly shared
-        # by other serving processes mapping the same snapshot).
-        self._mmap_backed = False
-        # Frozen-base mode (snapshot-adopted tables): the sealed arrays
-        # are immutable and every appended row lands in the write-ahead
-        # delta segment below instead of being merged into them.
-        self._frozen_base = False
-        self._delta: Optional[list[_ColumnData]] = None
         # Per-text-column cache of (union dictionary, base code remap,
         # delta code remap) over both segments; dropped when the delta
         # grows.
@@ -220,17 +202,19 @@ class ColumnTable:
         first, so the arrays are exactly what a reader would see) plus
         the tombstone mask, ``None`` while the table holds no deletes.
 
-        Frozen-base tables fold base + delta into fresh merged arrays
-        *without* touching the table: a full save of a mutated loaded
-        table must not cost this process (or its siblings) the shared
-        base mmap."""
+        Base + delta fold into fresh merged arrays *without* touching
+        the table: a full save of a mutated loaded table must not cost
+        this process (or its siblings) the shared base mmap."""
+        return self._folded(), self._deleted
+
+    def _folded(self) -> list[_ColumnData]:
+        """Base ∪ delta as one segment per column. Storage positions are
+        preserved (delta row ``i`` sits at ``len(base) + i``), so the
+        tombstone mask and index postings stay valid over the result."""
         sealed = self._seal()
-        if self._delta is not None:
-            sealed = [
-                _merge_many([base, delta])
-                for base, delta in zip(sealed, self._delta)
-            ]
-        return sealed, self._deleted
+        if self._delta is None:
+            return sealed
+        return [_merge_many(pair) for pair in zip(sealed, self._delta)]
 
     @classmethod
     def from_snapshot(
@@ -242,62 +226,27 @@ class ColumnTable:
         num_deleted: int = 0,
         index_columns: Iterable[str] = (),
         cluster_keys: Sequence[str] = (),
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
         compactions: int = 0,
-        mmap_backed: bool = True,
     ) -> "ColumnTable":
         """Rebuild a table around already-sealed column arrays (the
-        snapshot load path). The arrays are adopted as-is -- typically
-        read-only ``np.memmap`` views over the snapshot's ``.npy``
-        payloads, so loading is I/O-bound -- and **frozen**: mutations
-        append to the write-ahead delta segment, never to these arrays,
-        so the snapshot files on disk (possibly shared by many serving
-        processes) stay mapped read-only forever. Secondary-index
-        *declarations* are restored; postings rematerialise lazily on
-        the first look-up, exactly as after a delete."""
+        snapshot load path). The arrays are adopted as-is as the base --
+        typically read-only ``np.memmap`` views over the snapshot's
+        ``.npy`` payloads, so loading is I/O-bound, and mutations land
+        in the delta segment, so the snapshot files on disk (possibly
+        shared by many serving processes) stay mapped read-only until
+        compaction. *deleted* must be a private, writable mask (deletes
+        update it in place). Secondary-index *declarations* are
+        restored; postings rematerialise lazily on the first look-up,
+        exactly as after a delete."""
         table = cls(schema)
         table._sealed = columns
         table._num_rows = num_rows
-        if deleted is not None and isinstance(deleted, np.memmap):
-            # The tombstone mask is the one base-coordinate structure
-            # deletes keep writing; give it a private copy up front.
-            deleted = np.array(deleted)
         table._deleted = deleted
         table._num_deleted = num_deleted
         table._index_columns = {name.lower() for name in index_columns}
         table.cluster_keys = tuple(cluster_keys)
-        table.compact_threshold = compact_threshold
         table.compactions = compactions
-        table._mmap_backed = mmap_backed
-        table._frozen_base = True
         return table
-
-    def _materialize_merged(self) -> None:
-        """Fold the delta segment (and any memory-mapped base arrays)
-        into one private single-segment form -- the shape the pre-delta
-        code paths, notably :meth:`compact`'s cluster sort, operate on.
-        The snapshot files on disk stay untouched; this table simply
-        stops sharing them. Storage positions are preserved (base rows
-        keep their positions, delta row ``i`` stays at ``len(base) +
-        i``), so tombstones and index postings remain valid."""
-        self._seal()
-        if self._delta is not None:
-            self._sealed = [
-                _merge_many([base, delta])
-                for base, delta in zip(self._sealed, self._delta)
-            ]
-            self._delta = None
-        else:
-            for column in self._sealed or []:
-                for attr in ("codes", "data", "null"):
-                    array = getattr(column, attr)
-                    if isinstance(array, np.memmap):
-                        setattr(column, attr, np.array(array))
-        if isinstance(self._deleted, np.memmap):
-            self._deleted = np.array(self._deleted)
-        self._merged_text = {}
-        self._frozen_base = False
-        self._mmap_backed = False
 
     def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
         """Buffer *rows* for columnar sealing; secondary indexes are
@@ -370,12 +319,15 @@ class ColumnTable:
             self._pending = [[] for _ in self.schema.columns]
 
     def _seal(self) -> list[_ColumnData]:
-        """Merge buffered values into the typed arrays (idempotent).
+        """Merge buffered values into the sealed segments (idempotent);
+        returns the base.
 
-        Incremental: batches inserted since the last seal are merged onto
-        the existing arrays in ONE multiway pass (single dictionary union
-        for text columns), so sealing stays linear in total rows no matter
-        how many flushes fed the table."""
+        The first non-empty seal becomes the base; every later one
+        merges into the delta segment, so the base is never rewritten
+        between compactions. Batches inserted since the last seal merge
+        in ONE multiway pass (single dictionary union for text columns),
+        so sealing stays linear no matter how many flushes fed the
+        table."""
         self._flush_pending_to_backlog()
         if not self._backlog:
             if self._sealed is None:
@@ -384,29 +336,12 @@ class ColumnTable:
                     for column_def in self.schema.columns
                 ]
             return self._sealed
-        if self._frozen_base and self._sealed is not None:
-            # Frozen-base tables: buffered batches merge into the
-            # write-ahead delta segment. The base arrays -- read-only
-            # memmaps possibly shared across serving processes -- are
-            # never rewritten.
+        if self._storage_length():
             parts = ([self._delta] if self._delta is not None else []) + self._backlog
-            if len(parts) == 1:
-                self._delta = parts[0]
-            else:
-                self._delta = [
-                    _merge_many([part[position] for part in parts])
-                    for position in range(len(self.schema.columns))
-                ]
+            self._delta = _merge_batches(parts)
             self._merged_text = {}
         else:
-            parts = ([self._sealed] if self._sealed is not None else []) + self._backlog
-            if len(parts) == 1:
-                self._sealed = parts[0]
-            else:
-                self._sealed = [
-                    _merge_many([part[position] for part in parts])
-                    for position in range(len(self.schema.columns))
-                ]
+            self._sealed = _merge_batches(self._backlog)
         self._backlog = []
         if self._deleted is not None:
             # Newly sealed rows are live: pad the tombstone mask out to
@@ -429,7 +364,7 @@ class ColumnTable:
 
     def _segments(self, position: int) -> tuple[_ColumnData, Optional[_ColumnData]]:
         """One column's sealed ``(base, delta)`` pair; ``delta`` is None
-        for single-segment (non-frozen or unmutated) tables."""
+        until the first append after the base seals."""
         sealed = self._seal()
         delta = self._delta[position] if self._delta is not None else None
         return sealed[position], delta
@@ -456,12 +391,10 @@ class ColumnTable:
         (the ``AllTables`` maintenance primitive: ``TableId IN (...)``).
 
         Deletion is logical: the rows are masked out of every read path
-        but stay in the sealed arrays until the dead fraction reaches
-        ``compact_threshold``, at which point :meth:`compact` rebuilds
-        the storage. Frozen-base tables never self-compact (folding the
-        base is the background compactor's job, not a surprise O(lake)
-        stall on the mutation path); they expose the dead fraction via
-        :meth:`delta_stats` instead. Returns the number of rows deleted.
+        but stay in the sealed arrays until an explicit :meth:`compact`
+        (never a surprise O(table) rewrite on the mutation path); the
+        dead fraction shows in :meth:`delta_stats`. Returns the number
+        of rows deleted.
         """
         position = self.schema.position_of(column_name)  # validates existence
         self._seal()
@@ -482,29 +415,24 @@ class ColumnTable:
         self._live = None
         # Postings are storage-coordinate with dead rows filtered at
         # look-up, so they survive deletes untouched: O(delta) mutation.
-        if (
-            not self._frozen_base
-            and self._num_deleted >= self.compact_threshold * len(self._deleted)
-        ):
-            self.compact()
         return deleted
 
     def compact(self) -> None:
-        """Physically rebuild the sealed arrays without tombstoned rows.
+        """Fold base + delta into a fresh base without tombstoned rows.
 
         Text dictionaries are re-encoded down to the surviving values and
         rows are re-sorted into ``cluster_keys`` order when declared, so
         the result is byte-identical to a fresh bulk load of the live
         rows (the rebuild-parity invariant of the AllTables maintenance
-        path). Frozen-base tables first fold their delta segment into a
-        private single-segment form (storage positions are preserved, so
-        the tombstone mask stays valid) -- this fold is the primitive
-        the background snapshot compactor persists as the next base
-        generation. Materialised index postings are dropped for lazy
+        path) -- the primitive the background snapshot compactor
+        persists as the next base generation. The positional gather
+        copies, so the new base never aliases memory-mapped snapshot
+        arrays. Materialised index postings are dropped for lazy
         rebuild.
         """
-        self._materialize_merged()
-        sealed = self._seal()
+        sealed = self._folded()
+        self._delta = None
+        self._merged_text = {}
         if not sealed:
             return
         total = _column_length(sealed[0])
@@ -813,21 +741,13 @@ class ColumnTable:
     # -- delta accounting ----------------------------------------------------------
 
     def delta_stats(self) -> dict[str, Any]:
-        """Mutation debt of this table: storage rows in the (frozen)
-        base segment, rows appended since (delta segment + unsealed
-        buffers), and tombstones. The background compactor's trigger
-        signal."""
+        """Mutation debt of this table: storage rows in the base segment,
+        rows appended since (delta segment + unsealed buffers), and
+        tombstones. The background compactor's trigger signal."""
         total = self._num_rows + self._num_deleted  # incl. unsealed buffers
-        if not self._frozen_base or self._sealed is None:
-            return {
-                "frozen": False,
-                "base_rows": total,
-                "delta_rows": 0,
-                "deleted_rows": self._num_deleted,
-            }
         base = _column_length(self._sealed[0]) if self._sealed else 0
+        base = base or total  # rows buffered into an empty base seal into it
         return {
-            "frozen": True,
             "base_rows": base,
             "delta_rows": total - base,
             "deleted_rows": self._num_deleted,
@@ -918,7 +838,15 @@ def _encode_chunk(sql_type: SqlType, data: np.ndarray, null: Optional[np.ndarray
     return column
 
 
-def _merge_many(columns: list[_ColumnData]) -> _ColumnData:
+def _merge_batches(batches: list[list[_ColumnData]]) -> list[_ColumnData]:
+    """One sealed segment from sealed batches (one ``_ColumnData`` per
+    column each), in arrival order."""
+    if len(batches) == 1:
+        return batches[0]
+    return [_merge_many(columns) for columns in zip(*batches)]
+
+
+def _merge_many(columns: Sequence[_ColumnData]) -> _ColumnData:
     """Concatenate sealed batches of one column (incremental seal). Text
     dictionaries are merged by ONE sorted union across all batches, with
     every batch's code range remapped -- one pass regardless of how many
@@ -935,9 +863,9 @@ def _merge_many(columns: list[_ColumnData]) -> _ColumnData:
             d is dictionaries[0] for d in dictionaries[1:]
         ):
             # One batch, or every batch shares one dictionary *object* --
-            # the sharded AllTables merge appends all its parts against a
-            # single global dictionary, so the union (and every remap) is
-            # free: the codes just concatenate.
+            # the AllTables build appends all its parts against a single
+            # global dictionary, so the union (and every remap) is free:
+            # the codes just concatenate.
             union = dictionaries[0]
         else:
             union = np.unique(np.concatenate(dictionaries)).astype(object)

@@ -8,11 +8,11 @@ look-ups through indexes, comparatively expensive full scans and
 aggregations.
 
 Deletes (``delete_rows``) are **tombstones**: matching rows are masked
-out, every read path skips them, and once the dead fraction crosses
-``compact_threshold`` the table is compacted -- rows physically dropped,
-indexes rebuilt, and (when ``cluster_keys`` is set) rows re-sorted into
-the declared clustering order, so compacted storage is indistinguishable
-from a freshly bulk-loaded table.
+out and every read path skips them. A delete never rewrites storage;
+only an explicit :meth:`RowTable.compact` does -- rows physically
+dropped, indexes rebuilt, and (when ``cluster_keys`` is set) rows
+re-sorted into the declared clustering order, so compacted storage is
+indistinguishable from a freshly bulk-loaded table.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .catalog import TableSchema
 _BYTES_PER_POINTER = 8
 _BYTES_TUPLE_OVERHEAD = 56
 
-# Dead-row fraction at which delete_rows triggers automatic compaction.
-DEFAULT_COMPACT_THRESHOLD = 0.3
-
 
 class RowTable:
     """A table stored as a list of tuples plus optional hash indexes."""
@@ -45,12 +42,12 @@ class RowTable:
         self._indexes: dict[str, dict[Any, list[int]]] = {}
         self._deleted: Optional[list[bool]] = None  # tombstone mask
         self._num_deleted = 0
-        self.compact_threshold = DEFAULT_COMPACT_THRESHOLD
         self.cluster_keys: tuple[str, ...] = ()
         self.compactions = 0  # bumped per physical compaction
-        # Storage rows adopted from a snapshot base (delta accounting
-        # only -- the row store has no mmap sharing to protect, so
-        # mutations need no structural base/delta split).
+        # Storage rows in the base -- adopted from a snapshot or left by
+        # the last compaction; 0 while every row is base. Delta
+        # accounting only: the row store has no mapped pages to
+        # protect, so mutations need no structural base/delta split.
         self._base_rows = 0
 
     # -- data ----------------------------------------------------------------
@@ -80,7 +77,6 @@ class RowTable:
         deleted: Optional[list[bool]] = None,
         index_columns: Iterable[str] = (),
         cluster_keys: Sequence[str] = (),
-        compact_threshold: float = DEFAULT_COMPACT_THRESHOLD,
         compactions: int = 0,
     ) -> "RowTable":
         """Rebuild a table around already-typed snapshot rows. Declared
@@ -91,7 +87,6 @@ class RowTable:
         table._deleted = list(deleted) if deleted is not None else None
         table._num_deleted = sum(table._deleted) if table._deleted else 0
         table.cluster_keys = tuple(cluster_keys)
-        table.compact_threshold = compact_threshold
         table.compactions = compactions
         table._base_rows = len(table._rows)
         for name in index_columns:
@@ -160,9 +155,8 @@ class RowTable:
         (the ``AllTables`` maintenance primitive: ``TableId IN (...)``).
 
         Deletion is logical -- scans, fetches, and index look-ups skip the
-        masked rows -- until the dead fraction reaches
-        ``compact_threshold``, at which point the table is physically
-        compacted. Returns the number of rows deleted.
+        masked rows until an explicit :meth:`compact`. Returns the number
+        of rows deleted.
         """
         position = self.schema.position_of(column_name)
         wanted = {v for v in values if v is not None}
@@ -185,8 +179,6 @@ class RowTable:
                 mask[p] = True
                 deleted += 1
         self._num_deleted += deleted
-        if deleted and self._num_deleted >= self.compact_threshold * len(self._rows):
-            self.compact()
         return deleted
 
     def compact(self) -> None:
@@ -215,7 +207,7 @@ class RowTable:
             self._indexes[key] = {}
             self._build_index(key)
         self.compactions += 1
-        self._base_rows = 0  # the base/delta boundary is gone
+        self._base_rows = len(rows)  # the compacted rows are the new base
 
     def scan(self) -> Iterator[tuple]:
         """Iterate live rows in insertion order."""
@@ -306,15 +298,14 @@ class RowTable:
     # -- delta accounting ---------------------------------------------------------
 
     def delta_stats(self) -> dict[str, Any]:
-        """Mutation debt since the snapshot load (interface parity with
-        :meth:`ColumnTable.delta_stats`; the trigger signal the
-        background snapshot compactor polls)."""
+        """Mutation debt since the snapshot load or last compaction
+        (interface parity with :meth:`ColumnTable.delta_stats`; the
+        trigger signal the background snapshot compactor polls)."""
         total = len(self._rows)
-        base = min(self._base_rows, total)
+        base = self._base_rows or total
         return {
-            "frozen": self._base_rows > 0,
-            "base_rows": base if base else total,
-            "delta_rows": total - base if base else 0,
+            "base_rows": base,
+            "delta_rows": total - base,
             "deleted_rows": self._num_deleted,
         }
 

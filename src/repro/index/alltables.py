@@ -619,8 +619,8 @@ def deindex_table(
 
     The single-relation layout makes removal one predicate delete --
     ``TableId IN (table_id)`` -- that cannot touch any other table's rows
-    or super keys; storage tombstones the rows and compacts past its
-    threshold. Returns the number of ``AllTables`` rows removed.
+    or super keys; storage tombstones the rows until an explicit
+    compaction. Returns the number of ``AllTables`` rows removed.
     """
     _check_maintenance(db, config)
     removed = db.delete_rows(config.table_name, "TableId", [table_id])

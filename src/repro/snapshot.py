@@ -27,11 +27,11 @@ On-disk layout (all paths relative to the snapshot directory)::
                               ``(name, columns, rows)`` tuples per slot)
 
 Numeric payloads load via ``np.load(mmap_mode="r")``: warm start is
-I/O-bound, not compute-bound, and the arrays stay read-only views over
-the snapshot files **forever** -- a loaded deployment's mutations land
-in the storage layer's write-ahead delta segments, never in the base
-arrays, so N serving workers keep sharing one snapshot through an
-arbitrary lifecycle.
+I/O-bound, not compute-bound, and the arrays are each table's base:
+read-only views over the snapshot files until an explicit compaction --
+a loaded deployment's mutations land in the storage layer's delta
+segments, never in the base arrays, so N serving workers keep sharing
+one snapshot through an arbitrary lifecycle.
 
 **Incremental persistence** builds on that split: a deployment loaded
 from a snapshot records its base identity (:class:`SnapshotBase`), and
@@ -164,10 +164,9 @@ class _Reader:
     """Loads payload files, enforcing the manifest's size (always) and
     CRC-32 (``verify=True``) records before any bytes are interpreted."""
 
-    def __init__(self, root: Path, files: dict, mmap: bool, verify: bool) -> None:
+    def __init__(self, root: Path, files: dict, verify: bool) -> None:
         self.root = root
         self.files = files
-        self.mmap = mmap
         self.verify = verify
 
     def check_all(self) -> None:
@@ -209,12 +208,11 @@ class _Reader:
                 )
         return target
 
-    def load_array(self, rel: str, mmap: Optional[bool] = None) -> np.ndarray:
+    def load_array(self, rel: str, mmap: bool = True) -> np.ndarray:
         self._require_listed(rel)
         target = self.root / rel
-        mode = "r" if (self.mmap if mmap is None else mmap) else None
         try:
-            return np.load(target, mmap_mode=mode, allow_pickle=False)
+            return np.load(target, mmap_mode="r" if mmap else None, allow_pickle=False)
         except SnapshotError:
             raise
         except Exception as exc:
@@ -413,7 +411,6 @@ def _table_meta(storage, kind: str) -> dict:
         if kind == "column"
         else sorted(storage._indexes),
         "cluster_keys": list(storage.cluster_keys),
-        "compact_threshold": storage.compact_threshold,
         "compactions": storage.compactions,
     }
 
@@ -595,8 +592,15 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
             f"delta manifest {delta_path} was written against base snapshot "
             f"{delta.get('base_id')!r}; this base is {base_id!r}"
         )
+    generation = delta.get("generation")
+    base_generation = int(manifest["lake"]["generation"])
+    if type(generation) is not int or generation < base_generation:
+        raise SnapshotError(
+            f"delta manifest {delta_path} records generation {generation!r}; "
+            f"expected an integer no lower than the base generation {base_generation}"
+        )
     files = delta.get("files", {})
-    reader = _Reader(root, files, mmap=False, verify=verify)
+    reader = _Reader(root, files, verify=verify)
     reader.check_all()
     removes: list[int] = []
     adds: list[tuple[int, str]] = []
@@ -652,7 +656,7 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
             return stats
 
         blend._stats_loader = _stats_with_delta
-    blend.lake._generation = int(delta["generation"])
+    blend.lake._generation = generation
 
 
 # --------------------------------------------------------------------------
@@ -666,10 +670,9 @@ def save_sharded(
     """Persist *blend* as K per-shard snapshots plus a routing manifest.
 
     The lake is partitioned with :meth:`DataLake.shard_plan` (contiguous,
-    cell-balanced -- the same partitioning the sharded *build* uses); each
-    shard becomes a standalone :func:`save_blend` snapshot under
-    ``<path>/shard<i>/`` whose lake places every table at its **global**
-    id slot, so per-shard ``AllTables`` rows carry globally-stable
+    cell-balanced); each shard becomes a standalone :func:`save_blend`
+    snapshot under ``<path>/shard<i>/`` whose lake places every table at
+    its **global** id slot, so per-shard ``AllTables`` rows carry globally-stable
     ``TableId``s and per-shard seeker partials merge without translation.
     ``shards.json`` records the table-id -> shard routing and the next
     free global id, which is everything a
@@ -828,7 +831,6 @@ def load_blend(
     lake: Optional[DataLake] = None,
     backend: Optional[str] = None,
     hash_size: Optional[int] = None,
-    mmap: bool = True,
     verify: bool = True,
     delta: bool = True,
 ):
@@ -836,11 +838,11 @@ def load_blend(
 
     *lake* skips the snapshot's cell payload and serves from the given
     (validated, identical) lake instead; *backend* / *hash_size* assert
-    the snapshot matches the deployment the caller expects. ``mmap``
-    keeps numeric payloads as read-only file-backed views (copy-on-write
-    on first mutation); ``verify`` additionally checks every payload's
-    CRC-32 (sizes are always checked). ``delta`` replays the directory's
-    incremental layer (``delta.json``) on top of the base; pass
+    the snapshot matches the deployment the caller expects. Numeric
+    payloads load as read-only file-backed views that serve as each
+    table's base until compaction; ``verify`` additionally checks every
+    payload's CRC-32 (sizes are always checked). ``delta`` replays the
+    directory's incremental layer (``delta.json``) on top of the base; pass
     ``delta=False`` to recover the bare base snapshot when the delta is
     damaged — the delta manifest is then never even read.
     """
@@ -879,7 +881,7 @@ def load_blend(
             "column-backend SuperKey column"
         )
 
-    reader = _Reader(root, manifest["files"], mmap=mmap, verify=verify)
+    reader = _Reader(root, manifest["files"], verify=verify)
     reader.check_all()
 
     lake_meta = manifest["lake"]
@@ -1000,11 +1002,6 @@ def _load_column_table(reader: _Reader, meta: dict) -> ColumnTable:
             f"snapshot arrays for table {meta['name']!r} have ragged lengths "
             f"{sorted(lengths)}"
         )
-    deleted = (
-        reader.load_array(meta["deleted"], mmap=False)
-        if meta.get("deleted")
-        else None
-    )
     storage_rows = lengths.pop() if lengths else 0
     if storage_rows - (meta.get("num_deleted") or 0) != meta["num_rows"]:
         raise SnapshotError(
@@ -1016,13 +1013,37 @@ def _load_column_table(reader: _Reader, meta: dict) -> ColumnTable:
         schema,
         sealed,
         num_rows=meta["num_rows"],
-        deleted=deleted,
+        deleted=_load_tombstones(reader, meta, storage_rows),
         num_deleted=meta.get("num_deleted") or 0,
         index_columns=meta.get("index_columns", ()),
         cluster_keys=meta.get("cluster_keys", ()),
-        compact_threshold=meta.get("compact_threshold", 0.3),
         compactions=meta.get("compactions", 0),
     )
+
+
+def _load_tombstones(reader: _Reader, meta: dict, storage_rows: int) -> Optional[np.ndarray]:
+    """A table's private tombstone mask, checked against its storage:
+    one flag per stored row, exactly ``num_deleted`` of them set."""
+    num_deleted = meta.get("num_deleted") or 0
+    if not meta.get("deleted"):
+        if num_deleted:
+            raise SnapshotError(
+                f"table {meta['name']!r} records {num_deleted} deleted rows "
+                "but no tombstone mask"
+            )
+        return None
+    mask = reader.load_array(meta["deleted"], mmap=False)
+    if (
+        mask.dtype != bool
+        or mask.shape != (storage_rows,)
+        or int(mask.sum()) != num_deleted
+    ):
+        raise SnapshotError(
+            f"tombstone mask {meta['deleted']!r} of table {meta['name']!r} "
+            f"(shape {mask.shape}, dtype {mask.dtype}) does not flag exactly "
+            f"{num_deleted} of the table's {storage_rows} stored rows"
+        )
+    return mask
 
 
 def _load_row_table(reader: _Reader, meta: dict) -> RowTable:
@@ -1033,16 +1054,13 @@ def _load_row_table(reader: _Reader, meta: dict) -> RowTable:
             f"snapshot payload {meta['payload']!r} for table {meta['name']!r} "
             "does not hold a row list"
         )
-    deleted = None
-    if meta.get("deleted"):
-        deleted = reader.load_array(meta["deleted"], mmap=False).tolist()
+    deleted = _load_tombstones(reader, meta, len(rows))
     table = RowTable.from_snapshot(
         schema,
         rows,
-        deleted=deleted,
+        deleted=None if deleted is None else deleted.tolist(),
         index_columns=meta.get("index_columns", ()),
         cluster_keys=meta.get("cluster_keys", ()),
-        compact_threshold=meta.get("compact_threshold", 0.3),
         compactions=meta.get("compactions", 0),
     )
     if table.num_rows != meta["num_rows"]:

@@ -1,6 +1,7 @@
 """The storage-layer mutation primitives behind index maintenance:
-``delete_rows`` (tombstone masks), threshold-triggered compaction
-(dictionary re-encode + sealed-run rebuild + cluster-key re-sort), and
+``delete_rows`` (tombstone masks), explicit compaction (dictionary
+re-encode + sealed-run rebuild + cluster-key re-sort; a delete never
+compacts), and
 the data-epoch / plan-invalidation plumbing in ``Database``."""
 
 import numpy as np
@@ -92,24 +93,24 @@ class TestDeleteRows:
 
 @pytest.mark.parametrize("backend", ["row", "column"])
 class TestCompaction:
-    def test_threshold_triggers_automatically(self, backend):
+    def test_deletes_never_compact(self, backend):
+        """Only an explicit compact rewrites storage -- not even deleting
+        every row does -- so a delete keeps the cached plans."""
         db = _db(backend)
         storage = db.table("t")
-        storage.compact_threshold = 0.4
-        db.delete_rows("t", "v", ["x"])  # 2/6 dead: below threshold
-        assert storage.compactions == 0
-        db.delete_rows("t", "n", [2])  # 3/6 dead: crosses it
-        assert storage.compactions == 1
-        assert db.num_rows("t") == 3
-
-    def test_threshold_knob(self, backend):
-        db = _db(backend)
-        storage = db.table("t")
-        storage.compact_threshold = 1.1  # never auto-compact
+        db.execute("SELECT COUNT(*) FROM t")
         db.delete_rows("t", "v", ["x", "y", "z"])
+        db.delete_rows("t", "n", [None])  # no-op: NULL never matches
+        db.delete_rows("t", "b", [False, True])
         assert storage.compactions == 0
+        assert storage.delta_stats()["deleted_rows"] == 5
+        assert db.plan_cache_stats()["size"] == 1
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
         db.compact("t")
         assert storage.compactions == 1
+        assert storage.delta_stats()["deleted_rows"] == 0
+        assert db.plan_cache_stats()["size"] == 0
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
 
     def test_cluster_keys_restore_canonical_order(self, backend):
         db = Database(backend=backend)
@@ -150,7 +151,6 @@ class TestColumnStoreCompactionLayout:
     def test_dictionary_reencoded_to_survivors(self):
         db = _db("column")
         table = db.table("t")
-        table.compact_threshold = 1.1  # hold compaction for the mid-state check
         db.delete_rows("t", "v", ["x", "z"])
         # pre-compaction: dictionary still holds the dead values
         assert list(table._seal()[0].dictionary) == ["x", "y", "z"]
@@ -175,7 +175,6 @@ class TestColumnStoreCompactionLayout:
     def test_tombstone_mask_extends_over_appends(self):
         db = _db("column")
         table = db.table("t")
-        table.compact_threshold = 1.1
         db.delete_rows("t", "v", ["x"])
         db.insert("t", [("new1", 7, 7.5, True), ("new2", 8, 8.5, False)])
         got = db.execute("SELECT v FROM t WHERE n IN (7, 8) ORDER BY n").column()
@@ -186,7 +185,6 @@ class TestColumnStoreCompactionLayout:
     def test_live_translation_of_position_reads(self):
         db = _db("column")
         table = db.table("t")
-        table.compact_threshold = 1.1
         db.delete_rows("t", "n", [1])
         # live row 0 is now the old storage row 1
         data, null = table.column_values("v", np.array([0]))

@@ -12,7 +12,7 @@ interleaving of ``add_table`` / ``remove_table`` / ``replace_table``,
 
 plus the guard rails around it: stale contexts raise
 ``StaleContextError`` instead of silently serving dead table ids,
-threshold deletes auto-compact, ``shuffle_rows`` (BLEND (rand)) configs
+deletes never compact on their own, ``shuffle_rows`` (BLEND (rand)) configs
 are maintainable via the per-table seeded permutation, and raw
 ``index_table`` / ``reindex_table`` / ``deindex_table`` streams agree
 with the scalar oracle (``tests/oracles/alltables_scalar.py``).
@@ -232,21 +232,41 @@ def test_maintenance_stream_matches_oracle(backend, hash_size, shuffle):
     assert sorted(db.execute(sql).rows) == sorted(alltables_rows(lake, config, backend)[0])
 
 
-def test_threshold_deletes_auto_compact():
-    """Removing most tables crosses the dead-row threshold and compacts
-    without an explicit compact_index() call."""
-    lake = DataLake("auto")
-    for i in range(6):
-        lake.add(Table(f"t{i}", ["a"], [(f"v{i}_{j}",) for j in range(10)]))
-    blend = Blend(lake, backend="column")
+@pytest.mark.parametrize("backend", ["row", "column"])
+@pytest.mark.parametrize("loaded", [False, True])
+def test_mass_removal_never_compacts(backend, loaded, tmp_path):
+    """Removing >= 90 % of the tables only tombstones: no delete rewrites
+    storage on either backend, in memory or loaded from a snapshot, and
+    answers still equal a from-scratch build until an explicit
+    compact_index() folds the tombstones away."""
+    lake = DataLake("mass")
+    for i in range(20):
+        lake.add(Table(f"t{i}", ["a", "b"], [(f"v{i}_{j}", j) for j in range(8)]))
+    blend = Blend(lake, backend=backend)
     blend.build_index()
+    if loaded:
+        blend = Blend.load(blend.save(tmp_path / "snap"))
     storage = blend.db.table("AllTables")
-    assert storage.compactions == 0
-    for table_id in range(4):
+    for table_id in range(18):
         blend.remove_table(table_id)
-    assert storage.compactions >= 1
-    assert storage._deleted is None  # tombstones physically gone
-    assert blend.db.num_rows("AllTables") == 20
+    assert storage.compactions == 0
+    assert blend.delta_stats()["deleted_rows"] == 18 * 16
+
+    sql = "SELECT * FROM AllTables"
+    fresh_db = Database(backend=backend)
+    build_alltables(blend.lake, fresh_db)
+    assert blend.db.execute(sql).rows == fresh_db.execute(sql).rows
+    assert sorted(blend.db.execute(sql).rows) == sorted(
+        alltables_rows(blend.lake, IndexConfig(), backend)[0]
+    )
+    seekers = _query_seekers(blend.lake)
+    fresh_context = SeekerContext(db=fresh_db, lake=blend.lake)
+    assert _results(blend.context(), seekers) == _results(fresh_context, seekers)
+
+    blend.compact_index()
+    assert storage.compactions == 1
+    assert blend.delta_stats()["deleted_rows"] == 0
+    assert blend.db.execute(sql).rows == fresh_db.execute(sql).rows
 
 
 def test_remove_leaves_other_super_keys_untouched():

@@ -5,9 +5,9 @@ Headline invariants:
 * mutations on a loaded deployment never touch the base snapshot's
   memory-mapped arrays (no promote-to-private-copy -- N workers keep
   sharing one on-disk base forever),
-* every read over base ∪ delta is byte-identical to a from-scratch
-  build of the final lake (the rebuild-parity matrix, extended to the
-  frozen-base mode),
+* every table is an immutable base plus a delta -- in memory as after a
+  load -- and every read over base ∪ delta is byte-identical to a
+  from-scratch build of the final lake (the rebuild-parity matrix),
 * ``save()`` against the base is incremental -- it writes only the
   per-slot diff (``delta.json`` + payloads) and round-trips exactly,
 * ``load(delta=False)`` recovers the bare base without reading a byte
@@ -93,9 +93,8 @@ def test_mutations_never_promote_the_base(tmp_path):
     rng = random.Random(5)
     _mutate(loaded, rng, rounds=10)
 
-    assert storage._frozen_base
     stats = loaded.delta_stats()
-    assert stats["frozen"] and (stats["delta_rows"] > 0 or stats["deleted_rows"] > 0)
+    assert stats["delta_rows"] > 0 or stats["deleted_rows"] > 0
     base_after = storage._seal()
     for before, after in zip(base_before, base_after):
         for name in ("codes", "data", "null"):
@@ -200,15 +199,62 @@ def test_repeated_delta_saves_supersede_payloads(tmp_path):
 def test_delta_stats_tracks_churn(tmp_path):
     blend = Blend(_lake(9, num_tables=6), backend="column")
     blend.build_index()
-    assert blend.delta_stats()["frozen"] is False
+    assert set(blend.delta_stats()) == {
+        "base_rows",
+        "delta_rows",
+        "deleted_rows",
+        "delta_fraction",
+    }
     assert blend.delta_stats()["delta_fraction"] == 0.0
     path = blend.save(tmp_path / "snap")
     loaded = Blend.load(path)
     assert loaded.delta_stats()["delta_fraction"] == 0.0
     loaded.add_table(Table("churn", ["a"], [(f"c{i}",) for i in range(9)]))
     stats = loaded.delta_stats()
-    assert stats["frozen"] and stats["delta_rows"] > 0
+    assert stats["delta_rows"] == 9
     assert 0.0 < stats["delta_fraction"] < 1.0
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_in_memory_appends_land_in_the_delta(shuffle):
+    """An in-memory deployment follows the one storage model: the build
+    seals one base segment, later appends never rewrite it, and
+    compaction folds base + delta into storage byte-identical to a fresh
+    build of the final lake."""
+    config = IndexConfig(shuffle_rows=shuffle, shuffle_seed=3)
+    blend = Blend(_lake(31, num_tables=8), backend="column", index_config=config)
+    blend.build_index()
+    storage = blend.db.table("AllTables")
+    base = storage._seal()
+    assert storage._delta is None
+    arrays = [
+        (column, name, getattr(column, name))
+        for column in base
+        for name in ("codes", "data", "null")
+        if getattr(column, name) is not None
+    ]
+    base_rows = blend.delta_stats()["base_rows"]
+
+    added = blend.add_table(Table("late", ["a", "b"], [(f"z{i}", i) for i in range(7)]))
+    blend.remove_table(0)
+    blend.replace_table(added, Table("later", ["a"], [("y",), ("x",), (None,)]))
+    stats = storage.delta_stats()
+    assert stats["base_rows"] == base_rows
+    assert stats["delta_rows"] == 14 + 2
+    assert stats["deleted_rows"] > 14
+    assert storage._seal() is base
+    for column, name, array in arrays:
+        assert getattr(column, name) is array
+
+    fresh = Database(backend="column")
+    build_alltables(blend.lake, fresh, config)
+    sql = "SELECT * FROM AllTables"
+    assert sorted(blend.db.execute(sql).rows) == sorted(fresh.execute(sql).rows)
+    blend.compact_index()
+    assert storage._delta is None
+    assert blend.delta_stats()["delta_fraction"] == 0.0
+    assert blend.db.execute(sql).rows == fresh.execute(sql).rows
+    _storage_identical(blend.db, fresh, "AllTables")
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ seeker results, exact ``LakeStatistics``, byte-identical sealed storage
 arrays and (lazily rematerialised) index postings -- on both storage
 backends and both hash widths; and a loaded deployment keeps its full
 lifecycle (mutations after load preserve rebuild parity, with the
-on-disk snapshot untouched -- copy-on-write).
+on-disk snapshot untouched -- they land in the delta segment).
 
 The guard rails: corrupted, truncated, or version-mismatched snapshots
 raise ``SnapshotError`` naming the offending file; so do backend /
@@ -14,6 +14,7 @@ hash-width / lake mismatches at load time. A bad snapshot must never
 load into garbage results.
 """
 
+import io
 import json
 import random
 import zlib
@@ -195,7 +196,7 @@ def test_round_trip_then_mutate_matches_fresh_build(backend, hash_size, seed, tm
     _storage_identical(loaded.db, fresh_db, "AllTables")
     assert loaded.stats == LakeStatistics.from_lake(loaded.lake)
 
-    # Copy-on-write: all that mutation never wrote a byte to the snapshot.
+    # Base + delta: all that mutation never wrote a byte to the snapshot.
     assert (Path(path) / "manifest.json").read_bytes() == manifest_bytes
     reloaded = Blend.load(path)
     original = Blend(_lake(seed), backend=backend, index_config=config)
@@ -233,7 +234,6 @@ def test_snapshot_preserves_lifecycle_state(tmp_path):
     blend = Blend(lake, backend="column")
     blend.build_index()
     storage = blend.db.table("AllTables")
-    storage.compact_threshold = 1.1  # keep tombstones resident
     blend.remove_table(2)
     blend.remove_table(5)
     assert storage._deleted is not None
@@ -249,6 +249,52 @@ def test_snapshot_preserves_lifecycle_state(tmp_path):
     # ids keep never-reusing after load
     new_id = loaded.add_table(Table("fresh", ["a"], [("y",)]))
     assert new_id == 8
+
+
+def _rewrite_payload(path: Path, rel: str, array: np.ndarray) -> None:
+    """Replace one array payload AND its manifest size/CRC record, so the
+    tampering passes the integrity gate and only a semantic check can
+    catch it."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    payload = buffer.getvalue()
+    (path / rel).write_bytes(payload)
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["files"][rel] = {"bytes": len(payload), "crc32": zlib.crc32(payload)}
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("backend", ["row", "column"])
+@pytest.mark.parametrize("tamper", ["short", "popcount", "dtype"])
+def test_tombstone_mask_must_match_storage(backend, tamper, tmp_path):
+    """A persisted tombstone mask that does not cover exactly the stored
+    rows with exactly ``num_deleted`` flags set is refused by table name
+    -- a shorter mask would otherwise drop tail rows from scans."""
+    lake = DataLake("masks")
+    for i in range(8):
+        lake.add(Table(f"t{i}", ["a"], [(f"v{i}_{j}",) for j in range(6)]))
+    blend = Blend(lake, backend=backend)
+    blend.build_index()
+    blend.remove_table(2)
+    path = Path(blend.save(tmp_path / "snap"))
+    meta = next(
+        table
+        for table in read_manifest(path)["tables"]
+        if table["name"] == "AllTables"
+    )
+    mask = np.load(path / meta["deleted"])
+    assert mask.sum() == meta["num_deleted"] == 6 and not mask[-1]
+    if tamper == "short":
+        mask = mask[:-1]  # same popcount, one stored row uncovered
+    elif tamper == "popcount":
+        mask = mask.copy()
+        mask[-1] = True
+    else:
+        mask = mask.astype(np.int8)
+    _rewrite_payload(path, meta["deleted"], mask)
+    with pytest.raises(SnapshotError, match="tombstone mask") as excinfo:
+        Blend.load(path)
+    assert "AllTables" in str(excinfo.value)
 
 
 def test_semantic_extension_round_trips(tmp_path):
@@ -648,6 +694,26 @@ def test_malformed_delta_op_refused(saved_delta):
     (path / "delta.json").write_text(json.dumps(delta))
     with pytest.raises(SnapshotError, match="malformed op"):
         Blend.load(path)
+    Blend.load(path, delta=False)
+
+
+@pytest.mark.parametrize("generation", ["x", None, True, -1])
+def test_bad_delta_generation_refused_before_replay(saved_delta, generation, monkeypatch):
+    """The delta's lake generation must be an integer no lower than the
+    base's; anything else is refused by name before a single op runs."""
+    _, path = saved_delta
+    delta = json.loads((path / "delta.json").read_text())
+    delta["generation"] = generation
+    (path / "delta.json").write_text(json.dumps(delta))
+    replayed = []
+    monkeypatch.setattr(
+        Blend, "remove_table", lambda self, table_id: replayed.append(table_id)
+    )
+    with pytest.raises(SnapshotError, match="generation") as excinfo:
+        Blend.load(path)
+    assert "delta.json" in str(excinfo.value)
+    assert replayed == []
+    monkeypatch.undo()
     Blend.load(path, delta=False)
 
 
