@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..engine.storage.column_store import DictCodes
 from .results import (
     RANKED,
     ResultList,
@@ -45,6 +44,7 @@ from .seekers import (
     Seeker,
     SeekerContext,
     SingleColumnSeeker,
+    _vocab_codes,
     mc_count_partials,
     mc_fetch_candidates,
     mc_superkey_filter,
@@ -114,28 +114,6 @@ def execute_batch_partials(
 
 
 # -- SC / KW: one scan, per-query bincount rankings ---------------------------------
-
-
-def _vocab_codes(values: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
-    """Translate the scan's ``CellValue`` column into batch-vocabulary
-    codes. Dictionary-coded columns (the column backend's text columns,
-    surfaced by ``decode_text=False``) translate per DISTINCT store code
-    -- a handful of dict probes plus one integer gather -- instead of one
-    Python probe per scanned row; object arrays (the row backend) keep
-    the per-row probe."""
-    if isinstance(values, DictCodes):
-        store_codes = np.asarray(values)
-        present = np.unique(store_codes)
-        dictionary = values.dictionary
-        lut = np.fromiter(
-            (vocabulary[dictionary[code]] for code in present),
-            dtype=np.int64,
-            count=len(present),
-        )
-        return lut[np.searchsorted(present, store_codes)]
-    return np.fromiter(
-        (vocabulary[value] for value in values), dtype=np.int64, count=len(values)
-    )
 
 
 def _execute_value_batch(

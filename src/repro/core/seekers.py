@@ -22,9 +22,10 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from ..engine.database import Database
+from ..engine.storage.column_store import DictCodes
 from ..errors import SeekerError, StaleContextError
 from ..index.quadrant import split_keys_by_target
-from ..index.xash import may_contain_batch, xash_batch
+from ..index.xash import may_contain_batch, xash_memoized
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, Table, normalize_cell
 from .results import (
@@ -286,8 +287,9 @@ class MultiColumnSeeker(Seeker):
     2. **Super-key filter** -- candidate rows whose XASH super key cannot
        bit-contain any query tuple's hash are pruned without touching the
        data (no false negatives).
-    3. **Exact validation** -- surviving rows are checked against the
-       actual lake tuples ("application-level" in the paper).
+    3. **Exact validation** -- surviving rows are checked against their
+       tokens as ``AllTables`` holds them ("application-level" in the
+       paper), bounded by the table's current row count.
 
     Tables are ranked by their number of validated joinable rows.
 
@@ -336,8 +338,6 @@ class MultiColumnSeeker(Seeker):
         self._multisets = [
             np.unique(codes, return_counts=True) for codes in self._tuple_codes[repeated]
         ]
-        # The one lazy left: tuple hashes depend on (hash_size, xash_chars).
-        self._hash_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def column_tokens(self, position: int) -> list[str]:
         """Distinct tokens of one query column, in first-seen order."""
@@ -401,22 +401,17 @@ class MultiColumnSeeker(Seeker):
     def validate_batch(
         self, table_ids: np.ndarray, row_ids: np.ndarray, context: SeekerContext
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 3: the candidates (in input order) whose lake row
+        """Phase 3: the candidates (in input order) whose indexed row
         contains some query tuple row-aligned."""
         return mc_validate([self], [(table_ids, row_ids)], context)[0]
 
     def _tuple_hash_array(self, context: SeekerContext) -> np.ndarray:
-        """Distinct query-tuple hashes, computed once per hash config:
-        XASH over the vocabulary, OR-reduced along the code matrix."""
-        key = (context.hash_size, context.xash_chars)
-        cached = self._hash_cache.get(key)
-        if cached is None:
-            token_hashes = xash_batch(list(self._vocabulary), *key)
-            cached = np.unique(
-                np.bitwise_or.reduce(token_hashes[self._tuple_codes], axis=1)
-            )
-            self._hash_cache[key] = cached
-        return cached
+        """Distinct query-tuple hashes: the vocabulary's XASH (from the
+        process-wide token memo), OR-reduced along the code matrix."""
+        token_hashes = xash_memoized(
+            list(self._vocabulary), context.hash_size, context.xash_chars
+        )
+        return np.unique(np.bitwise_or.reduce(token_hashes[self._tuple_codes], axis=1))
 
     def query_cardinality(self) -> int:
         return sum(map(len, self._column_tokens))
@@ -428,36 +423,26 @@ class MultiColumnSeeker(Seeker):
         return [token for column in self._column_tokens for token in column]
 
 
-_MISS = object()
-
-
-def _token_count_matrix(rows: list[tuple], vocabulary: dict[str, int]) -> np.ndarray:
-    """Per-row occurrence counts of each query-vocabulary token.
-
-    One dict probe per cell: a memo maps raw cell values to their vocab
-    code (``-1`` = not a query token), so repeated values -- the common
-    case in skewed lakes -- skip normalisation entirely. Booleans bypass
-    the memo: ``True == 1`` in Python, so they must never share memo
-    slots with the numbers they compare equal to (their *tokens* differ:
-    ``"true"`` vs ``"1"``).
-    """
-    memo: dict[Any, int] = {}
-    counts = np.zeros((len(rows), len(vocabulary)), dtype=np.int32)
-    for i, row in enumerate(rows):
-        for value in row:
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                code = vocabulary.get("true" if value else "false", -1)
-            else:
-                code = memo.get(value, _MISS)
-                if code is _MISS:
-                    token = normalize_cell(value)
-                    code = -1 if token is None else vocabulary.get(token, -1)
-                    memo[value] = code
-            if code >= 0:
-                counts[i, code] += 1
-    return counts
+def _vocab_codes(values: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
+    """Translate the scan's ``CellValue`` column into batch-vocabulary
+    codes. Dictionary-coded columns (the column backend's text columns,
+    surfaced by ``decode_text=False``) translate per DISTINCT store code
+    -- a handful of dict probes plus one integer gather -- instead of one
+    Python probe per scanned row; object arrays (the row backend) keep
+    the per-row probe."""
+    if isinstance(values, DictCodes):
+        store_codes = np.asarray(values)
+        present = np.unique(store_codes)
+        dictionary = values.dictionary
+        lut = np.fromiter(
+            (vocabulary[dictionary[code]] for code in present),
+            dtype=np.int64,
+            count=len(present),
+        )
+        return lut[np.searchsorted(present, store_codes)]
+    return np.fromiter(
+        (vocabulary[value] for value in values), dtype=np.int64, count=len(values)
+    )
 
 
 # -- the MC phases: one body each, over a GROUP of seekers. A solo query is the
@@ -539,16 +524,20 @@ def mc_validate(
     survivors: Sequence[tuple[np.ndarray, np.ndarray]],
     context: SeekerContext,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Phase 3: exact containment against the lake tuples. *survivors*
-    holds one ``(TableId, RowId)`` pair of arrays per member; the result
-    is, per member, those of its pairs (in input order) whose lake row
-    contains one of its tuples row-aligned.
+    """Phase 3: exact containment against the indexed row tokens.
+    *survivors* holds one ``(TableId, RowId)`` pair of arrays per member;
+    the result is, per member, those of its pairs (in input order) whose
+    row contains one of its tuples row-aligned.
 
-    Each distinct ``(table, row)`` across the group is gathered ONCE, one
-    lake call per table (out-of-range row ids from stale index rows are
-    dropped), and counted ONCE into a matrix over the group's combined
-    vocabulary; every member then checks its own tuples against its rows
-    of that matrix, addressing the shared columns through its code map.
+    ONE ``AllTables`` scan over the group's combined vocabulary is
+    matched to the distinct ``(table, row)`` pairs by a packed int64 key
+    and marked into a boolean presence matrix over that vocabulary; every
+    member then checks its own tuples against its rows of that matrix,
+    addressing the shared columns through its code map. No lake cell is
+    read: row ids are bounded by the table's current row count (stale
+    index rows of a shrunk table, and negative ids, validate nothing),
+    and a cell edited in place without ``replace_table`` is judged by its
+    indexed token, as phases 1 and 2 judge it.
 
     A row contains a tuple row-aligned iff, for every distinct token of
     the tuple, the row holds at least as many cells with that token as
@@ -583,22 +572,30 @@ def mc_validate(
     pair_of_survivor = np.empty(len(order), dtype=np.int64)
     pair_of_survivor[order] = np.cumsum(first) - 1
 
-    boundaries = np.nonzero(pair_tables[1:] != pair_tables[:-1])[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(pair_tables)]))
-    gathered: list[tuple] = []
-    # Distinct pair -> its row of the count matrix; -1 = dropped by the
-    # lake's bounds check.
+    # Distinct pair -> its row of the presence matrix; -1 = out of the
+    # table's current row range. The in-range pairs stay in (table, row)
+    # order, so their packed keys are sorted.
+    distinct_tables, table_of_pair = np.unique(pair_tables, return_inverse=True)
+    limits = np.array([len(context.lake.by_id(t).rows) for t in distinct_tables.tolist()])
+    live_pairs = np.nonzero((pair_rows >= 0) & (pair_rows < limits[table_of_pair]))[0]
     matrix_row = np.full(len(pair_tables), -1, dtype=np.int64)
-    for start, end in zip(starts, ends):
-        requested = pair_rows[start:end]
-        kept, rows = context.lake.gather_rows(int(pair_tables[start]), requested)
-        if rows:
-            positions = start + np.searchsorted(requested, np.asarray(kept))
-            matrix_row[positions] = np.arange(len(gathered), len(gathered) + len(rows))
-            gathered.extend(rows)
-    counts = _token_count_matrix(gathered, vocabulary)
-    present = counts > 0
+    matrix_row[live_pairs] = np.arange(len(live_pairs))
+    keys = (pair_tables[live_pairs] << 32) + pair_rows[live_pairs]
+
+    # Presence always; per-token counts only for tuples that repeat a token.
+    present = np.zeros((len(live_pairs), len(vocabulary)), dtype=bool)
+    counts = np.zeros(present.shape, np.int32) if any(s._multisets for s in group) else None
+    if len(live_pairs):
+        sql = f"SELECT TableId, RowId, CellValue FROM {context.index_table} WHERE CellValue IN (:q)"
+        result = context.db.execute_columnar(sql, {"q": list(vocabulary)}, decode_text=False)
+        cell_tables, cell_rows, cell_values = (result.arrays[i][0] for i in range(3))
+        cell_keys = (cell_tables.astype(np.int64) << 32) + cell_rows.astype(np.int64)
+        slot = np.minimum(np.searchsorted(keys, cell_keys), len(keys) - 1)
+        matched = keys[slot] == cell_keys
+        cell = (slot[matched], _vocab_codes(cell_values[matched], vocabulary))
+        present[cell] = True
+        if counts is not None:
+            np.add.at(counts, cell, 1)
 
     validated = []
     offset = 0

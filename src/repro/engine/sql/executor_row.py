@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Mapping, Optional
 
 from ...errors import ExecutionError, PlanningError
@@ -196,6 +197,15 @@ class RowExecutor:
 
     def _execute_project(self, node: ProjectNode) -> list[tuple]:
         rows = self.execute(node.child)
+        if len(node.expressions) >= 2 and all(
+            isinstance(expression, ast.ColumnRef) for expression in node.expressions
+        ):
+            # Plain column pass-through: one C-level gather per row.
+            schema = node.child.schema
+            getter = itemgetter(
+                *(schema.resolve(column.name, column.table) for column in node.expressions)
+            )
+            return list(map(getter, rows))
         evaluators = [
             compile_expression(expression, node.child.schema, self._params)
             for expression in node.expressions

@@ -18,6 +18,7 @@ in the column store; MATE's 128-bit variant is available via ``hash_size``.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -193,6 +194,39 @@ def xash_batch(
     bits = np.left_shift(ones, final_bit.astype(object))
     bits[~valid] = 0
     return np.bitwise_or.reduce(bits, axis=1)
+
+
+# Query-side token -> XASH memo, one dict per (hash_size, num_chars),
+# shared by every thread of the process. Reads take no lock; a write that
+# would push a config past the bound clears it wholesale first.
+_MEMO_SIZE = 200_000
+_memo: dict[tuple[int, int], dict[str, int]] = {}
+_memo_lock = threading.Lock()
+
+
+def xash_memoized(
+    tokens: Sequence[str],
+    hash_size: int = DEFAULT_HASH_SIZE,
+    num_chars: int = DEFAULT_NUM_CHARS,
+) -> np.ndarray:
+    """:func:`xash_batch` through the token memo: only unseen tokens are
+    hashed, in one ``xash_batch`` call (the scalar :func:`xash` cache
+    would hash them one by one). It pays off when query tokens repeat
+    across requests. The result is assembled from this call's own
+    lookups and fresh hashes, never re-read from the memo, so a
+    concurrent clear cannot lose an entry mid-call."""
+    memo = _memo.setdefault((hash_size, num_chars), {})  # atomic: one C call
+    hashes = [memo.get(token) for token in tokens]
+    missing = [token for token, cached in zip(tokens, hashes) if cached is None]
+    if missing:
+        fresh = dict(zip(missing, xash_batch(missing, hash_size, num_chars).tolist()))
+        hashes = [fresh[t] if h is None else h for t, h in zip(tokens, hashes)]
+        with _memo_lock:
+            if len(memo) + len(fresh) > _MEMO_SIZE:
+                memo.clear()
+            if len(fresh) <= _MEMO_SIZE:
+                memo.update(fresh)
+    return np.array(hashes, dtype=hash_dtype(hash_size))
 
 
 def segmented_or(values: np.ndarray, starts: np.ndarray) -> np.ndarray:

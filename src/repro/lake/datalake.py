@@ -216,26 +216,6 @@ class DataLake:
     def name_of(self, table_id: int) -> str:
         return self.by_id(table_id).name
 
-    def gather_rows(self, table_id: int, row_ids: Iterable[int]) -> tuple[list[int], list[tuple]]:
-        """Bulk row access for one table: ``(kept_row_ids, rows)``.
-
-        The batched MC validation path fetches all surviving candidate
-        rows of a table in one call instead of re-resolving the table per
-        candidate. Row ids beyond the table's current length are dropped
-        (the index may reference rows of a table that has since shrunk) --
-        mirroring the per-row bounds check of the scalar seeker path.
-        """
-        rows = self.by_id(table_id).rows
-        limit = len(rows)
-        kept: list[int] = []
-        gathered: list[tuple] = []
-        for row_id in row_ids:
-            row_id = int(row_id)
-            if 0 <= row_id < limit:
-                kept.append(row_id)
-                gathered.append(rows[row_id])
-        return kept, gathered
-
     # -- sharding ---------------------------------------------------------------------
 
     def shard_plan(self, num_shards: int) -> list[LakeShard]:

@@ -15,6 +15,7 @@ tuple hashes) and ``mc_validate`` over EVERY lake row, solo and as one
 group sharing the presence matrix.
 """
 
+import importlib
 import random
 
 import numpy as np
@@ -28,6 +29,9 @@ from repro.index import IndexConfig, build_alltables
 from repro.index.xash import tuple_hash
 from repro.lake.datalake import DataLake
 from repro.lake.table import Table
+
+# The package re-exports the ``xash`` function under the module's name.
+xash_module = importlib.import_module("repro.index.xash")
 
 
 def _random_lake(rng: random.Random, num_tables: int = 10, vocab_size: int = 24) -> DataLake:
@@ -238,8 +242,12 @@ def _pairs(arrays) -> list[tuple[int, int]]:
     return list(zip(arrays[0].tolist(), arrays[1].tolist()))
 
 
+def _no_rehash(*args, **kwargs):
+    raise AssertionError("token memo missed a token it had just hashed")
+
+
 @pytest.mark.parametrize("backend,hash_size", [("column", 63), ("row", 63), ("row", 128)])
-def test_query_factorisation_feeds_every_phase(backend, hash_size):
+def test_query_factorisation_feeds_every_phase(backend, hash_size, monkeypatch):
     """Per-column IN lists, cost-model features and tuple hashes all read
     the one (tuples x width) code matrix; each equals its definition
     over ``seeker.tuples``."""
@@ -257,7 +265,10 @@ def test_query_factorisation_feeds_every_phase(backend, hash_size):
         assert hashes.tolist() == sorted(
             {tuple_hash(t, hash_size, context.xash_chars) for t in seeker.tuples}
         ), name
-        assert seeker._tuple_hash_array(context) is hashes  # cached per hash config
+        # The second call is served from the token memo: nothing is rehashed.
+        with monkeypatch.context() as patch:
+            patch.setattr(xash_module, "xash_batch", _no_rehash)
+            assert seeker._tuple_hash_array(context).tolist() == hashes.tolist(), name
     assert MultiColumnSeeker(_KERNEL_QUERIES["all-repeated"])._repeat_free.shape == (0, 2)
 
 
