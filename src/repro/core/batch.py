@@ -9,11 +9,12 @@ regardless of how many requests it coalesces:
   bincount over the shared scan, replicating its solo SQL byte for byte.
   A lone query of its kind keeps its solo SQL aggregation: a different
   algorithm, cheaper when there is nothing to share.
-* **MC** -- this module decides only *which* queries share a join: same
-  tuple width, at most ``_MC_FETCH_CHUNK`` per join. The three phases
-  are the group bodies of :mod:`repro.core.seekers` (``mc_fetch_candidates``
-  / ``mc_superkey_filter`` / ``mc_validate``), the same code a solo
-  ``MultiColumnSeeker.partials`` runs as the group of one.
+* **MC** -- ONE ``AllTables`` scan over the union of all MC queries'
+  vocabularies, whatever their widths, serves the whole batch. The
+  three phases are the group bodies of :mod:`repro.core.seekers`
+  (``mc_fetch_candidates`` / ``mc_superkey_filter`` / ``mc_validate``),
+  the same code a solo ``MultiColumnSeeker.partials`` runs as the group
+  of one.
 
 Every kernel emits the same :class:`~repro.core.results.SeekerPartials`
 the serial path does, so serial, batched, and sharded execution share one
@@ -106,10 +107,13 @@ def execute_batch_partials(
         )
         for i, result in zip(indices, batch):
             results[i] = result
-    if mc_group:
-        batch = _execute_mc_batch([seekers[i] for i in mc_group], context)
-        for i, result in zip(mc_group, batch):
-            results[i] = result
+    if mc_group:  # one scan for every MC query, whatever its width
+        group = [seekers[i] for i in mc_group]
+        candidates = mc_fetch_candidates(group, context)
+        survivors = mc_superkey_filter(group, candidates, context)
+        validated = mc_validate(group, survivors, context, candidates[0].scan)
+        for i, (tables, _) in zip(mc_group, validated):
+            results[i] = mc_count_partials(tables)
     return results  # type: ignore[return-value]
 
 
@@ -206,36 +210,3 @@ def _execute_value_batch(
             )
         )
     return results
-
-
-# -- MC: what is cross-query -- which seekers share a join. The phases themselves
-# -- are the group bodies of :mod:`repro.core.seekers`. -----------------------------
-
-# Queries unioned into one phase-1 join per chunk; past this size the
-# union's cross-query candidate blowup outweighs the saved SQL passes.
-_MC_FETCH_CHUNK = 8
-
-
-def _execute_mc_batch(
-    seekers: Sequence[MultiColumnSeeker], context: SeekerContext
-) -> list[SeekerPartials]:
-    """Batched MC pipeline: phases 1 and 2 per chunk of up to
-    ``_MC_FETCH_CHUNK`` same-width queries (the join's shape depends on
-    the width, and the union's candidate superset grows superlinearly
-    with the number of unioned queries), phase 3 once for the whole
-    batch, so a lake row that several queries reach is read once."""
-    width_groups: dict[int, list[int]] = {}
-    for q, seeker in enumerate(seekers):
-        width_groups.setdefault(seeker.width, []).append(q)
-    survivors: list = [None] * len(seekers)
-    for members in width_groups.values():
-        for start in range(0, len(members), _MC_FETCH_CHUNK):
-            chunk = members[start : start + _MC_FETCH_CHUNK]
-            group = [seekers[q] for q in chunk]
-            candidates = mc_fetch_candidates(group, context)
-            for q, kept in zip(chunk, mc_superkey_filter(group, *candidates, context)):
-                survivors[q] = kept
-    return [
-        mc_count_partials(tables)
-        for tables, _ in mc_validate(seekers, survivors, context)
-    ]

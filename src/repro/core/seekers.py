@@ -1,7 +1,7 @@
 """Seeker operators (paper §IV-A, §VI): SC, KW, MC, and Correlation.
 
-Each seeker compiles to a SQL statement over ``AllTables`` -- the same
-statements as the paper's Listings 1-3, extended with:
+Each seeker compiles to a SQL statement over ``AllTables`` -- the paper's
+Listings 1-3 (MC runs Listing 2 as one equivalent scan), extended with:
 
 * a ``/*REWRITE*/`` placeholder where the optimizer injects
   combiner-dependent predicates (``TableId [NOT] IN :ir``, §VII-B), and
@@ -17,6 +17,7 @@ factor bounds the group fan-out per table (exact for tables with up to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -280,22 +281,25 @@ class KeywordSeeker(Seeker):
 class MultiColumnSeeker(Seeker):
     """MC: top-k tables containing query tuples row-aligned (Listing 2).
 
-    Three phases, as in MATE:
+    Three phases, as in MATE, all over ONE ``AllTables`` scan of the
+    query vocabulary (:class:`MCScan`) -- the only SQL statement a query
+    runs:
 
-    1. **SQL candidate fetch** -- an inner-join chain over ``AllTables``
-       finds rows containing a value from every query column.
+    1. **Candidate fetch** -- the rows whose scanned cells cover every
+       query column, i.e. exactly the rows Listing 2's inner-join chain
+       (:meth:`sql`, the scalar oracle's statement) returns.
     2. **Super-key filter** -- candidate rows whose XASH super key cannot
        bit-contain any query tuple's hash are pruned without touching the
        data (no false negatives).
     3. **Exact validation** -- surviving rows are checked against their
-       tokens as ``AllTables`` holds them ("application-level" in the
-       paper), bounded by the table's current row count.
+       tokens as the scan holds them ("application-level" in the paper),
+       bounded by the table's current row count.
 
     Tables are ranked by their number of validated joinable rows.
 
     The query is factorised ONCE, at construction, into a token
     vocabulary plus the distinct tuples as a ``(tuples x width)`` matrix
-    of vocabulary codes; the phase-1 ``IN`` lists, the phase-2 tuple
+    of vocabulary codes; the phase-1 column sets, the phase-2 tuple
     hashes and the phase-3 requirements are all read off that matrix.
     """
 
@@ -344,6 +348,8 @@ class MultiColumnSeeker(Seeker):
         return list(self._column_tokens[position])
 
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
+        # Listing 2, as the paper states it; execution runs the equivalent
+        # single scan of :class:`MCScan` instead.
         # The rewrite predicate goes INSIDE every derived table, where it
         # is sargable against the TableId index (Example 2's
         # ``WHERE Q1_index_hits.TableId IN (IR_SC)``, pushed down --
@@ -362,7 +368,12 @@ class MultiColumnSeeker(Seeker):
         return "".join(parts)
 
     def params(self, rewrite: Optional[Rewrite] = None) -> dict[str, Any]:
-        return _mc_params([self], rewrite)
+        params: dict[str, Any] = {
+            f"q{i}": list(column) for i, column in enumerate(self._column_tokens)
+        }
+        if rewrite:
+            params["__rewrite_ids"] = list(rewrite.table_ids)
+        return params
 
     def partials(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
@@ -370,11 +381,9 @@ class MultiColumnSeeker(Seeker):
         """Exact per-table validated-row counts -- the counts-kind
         partial; per-shard counts sum in the merge before the top-k."""
         context.ensure_fresh()
-        table_ids, row_ids, super_keys = self.fetch_candidate_arrays(context, rewrite)
-        table_ids, row_ids = self.superkey_filter_batch(
-            table_ids, row_ids, super_keys, context
-        )
-        table_ids, _ = self.validate_batch(table_ids, row_ids, context)
+        candidates = self.fetch_candidate_arrays(context, rewrite)
+        table_ids, row_ids = self.superkey_filter_batch(*candidates, context)
+        table_ids, _ = self.validate_batch(table_ids, row_ids, context, candidates.scan)
         return mc_count_partials(table_ids)
 
     # -- the three MC phases as the group-of-one forms of the group bodies
@@ -383,10 +392,10 @@ class MultiColumnSeeker(Seeker):
 
     def fetch_candidate_arrays(
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phase 1: deduplicated ``(TableId, RowId, SuperKey)`` columns
-        from the SQL join, sorted by ``(TableId, RowId)``."""
-        return mc_fetch_candidates([self], context, rewrite)
+    ) -> "MCCandidates":
+        """Phase 1: ``(TableId, RowId, SuperKey)`` columns of the rows
+        Listing 2 joins, one per row, sorted by ``(TableId, RowId)``."""
+        return mc_fetch_candidates([self], context, rewrite)[0]
 
     def superkey_filter_batch(
         self,
@@ -396,14 +405,19 @@ class MultiColumnSeeker(Seeker):
         context: SeekerContext,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Phase 2: prune rows whose super key cannot contain any tuple."""
-        return mc_superkey_filter([self], table_ids, row_ids, super_keys, context)[0]
+        return mc_superkey_filter([self], [(table_ids, row_ids, super_keys)], context)[0]
 
     def validate_batch(
-        self, table_ids: np.ndarray, row_ids: np.ndarray, context: SeekerContext
+        self,
+        table_ids: np.ndarray,
+        row_ids: np.ndarray,
+        context: SeekerContext,
+        scan: Optional["MCScan"] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Phase 3: the candidates (in input order) whose indexed row
-        contains some query tuple row-aligned."""
-        return mc_validate([self], [(table_ids, row_ids)], context)[0]
+        contains some query tuple row-aligned, read from phase 1's *scan*
+        (run afresh when not given)."""
+        return mc_validate([self], [(table_ids, row_ids)], context, scan)[0]
 
     def _tuple_hash_array(self, context: SeekerContext) -> np.ndarray:
         """Distinct query-tuple hashes: the vocabulary's XASH (from the
@@ -435,85 +449,114 @@ def _vocab_codes(values: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
         present = np.unique(store_codes)
         dictionary = values.dictionary
         lut = np.fromiter(
-            (vocabulary[dictionary[code]] for code in present),
+            map(vocabulary.__getitem__, dictionary[present].tolist()),
             dtype=np.int64,
             count=len(present),
         )
         return lut[np.searchsorted(present, store_codes)]
-    return np.fromiter(
-        (vocabulary[value] for value in values), dtype=np.int64, count=len(values)
-    )
+    return np.fromiter(map(vocabulary.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 # -- the MC phases: one body each, over a GROUP of seekers. A solo query is the
 # -- group of one (the phase methods of MultiColumnSeeker); a serving batch
-# -- (:mod:`repro.core.batch`) passes the queries that share a join. ----------------
+# -- (:mod:`repro.core.batch`) passes all its MC queries, of any widths. ------------
 
 
-def _mc_params(
-    group: Sequence[MultiColumnSeeker], rewrite: Optional[Rewrite] = None
-) -> dict[str, Any]:
-    """Per-column ``IN`` lists of the group's phase-1 join: the ordered
-    union of the members' column tokens (a group of one unions to its own
-    tokens)."""
-    params: dict[str, Any] = {
-        f"q{i}": list(
-            dict.fromkeys(token for seeker in group for token in seeker._column_tokens[i])
+class MCScan:
+    """The one SQL statement of an MC group: every ``AllTables`` cell
+    holding a token of the group's combined vocabulary, with its row's
+    super key, sorted by ``(TableId, RowId)`` into one run of cells per
+    row (``starts``; ``keys`` packs ``(table << 32) + row``, sorted).
+    ``codes`` are the cells' group-vocabulary codes; ``code_maps`` gather
+    each member's local codes into them (iterating a vocabulary dict
+    yields tokens in local-code order). A *rewrite* restricts the scan.
+    """
+
+    def __init__(
+        self,
+        group: Sequence[MultiColumnSeeker],
+        context: SeekerContext,
+        rewrite: Optional[Rewrite] = None,
+    ) -> None:
+        tokens = list(dict.fromkeys(chain.from_iterable(seeker._vocabulary for seeker in group)))
+        self.vocabulary = vocabulary = dict(zip(tokens, range(len(tokens))))
+        self.code_maps = [
+            np.fromiter(
+                map(vocabulary.__getitem__, seeker._vocabulary),
+                dtype=np.int64,
+                count=len(seeker._vocabulary),
+            )
+            for seeker in group
+        ]
+        params: dict[str, Any] = {"q": tokens}
+        if rewrite:
+            params["__rewrite_ids"] = list(rewrite.table_ids)
+        sql = (
+            f"SELECT TableId, RowId, SuperKey, CellValue FROM {context.index_table} "
+            "WHERE CellValue IN (:q)" + (rewrite.predicate_sql() if rewrite else "")
         )
-        for i in range(group[0].width)
-    }
-    if rewrite:
-        params["__rewrite_ids"] = list(rewrite.table_ids)
-    return params
+        result = context.db.execute_columnar(sql, params, decode_text=False)
+        tables, rows, super_keys, values = (result.arrays[i][0] for i in range(4))
+        tables, rows = tables.astype(np.int64, copy=False), rows.astype(np.int64, copy=False)
+        keys = (tables << 32) + rows
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self.starts = np.nonzero(first)[0]
+        self.run_of_cell = np.cumsum(first) - 1
+        self.codes = _vocab_codes(values, self.vocabulary)[order]
+        self.keys = keys[self.starts]
+        head = order[self.starts]
+        self.table_ids, self.row_ids, self.super_keys = tables[head], rows[head], super_keys[head]
 
 
-def _pair_runs(table_ids: np.ndarray, row_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(TableId, RowId)`` sort order of the input plus, in that
-    order, the mask of each distinct pair's first occurrence."""
-    order = np.lexsort((row_ids, table_ids))
-    tables, rows = table_ids[order], row_ids[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (tables[1:] != tables[:-1]) | (rows[1:] != rows[:-1])
-    return order, first
+class MCCandidates(tuple):
+    """One member's phase-1 candidates: unpacks as ``(table_ids, row_ids,
+    super_keys)`` and carries the :class:`MCScan` it was read from, which
+    phase 3 reuses instead of scanning again."""
+
+    def __new__(cls, arrays: tuple[np.ndarray, ...], scan: MCScan) -> "MCCandidates":
+        candidates = super().__new__(cls, arrays)
+        candidates.scan = scan
+        return candidates
 
 
 def mc_fetch_candidates(
     group: Sequence[MultiColumnSeeker],
     context: SeekerContext,
     rewrite: Optional[Rewrite] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phase 1 for a same-width group: ONE join over the union of the
-    members' per-column token lists, straight from the executor as
-    ``(TableId, RowId, SuperKey)`` columns (no per-row Python tuples),
-    deduplicated and sorted by ``(TableId, RowId)``.
-
-    Each per-column ``IN`` list is a superset of every member's own, so
-    the result is a superset of every member's own candidate set; phase 2
-    prunes the cross-member extras and phase 3 is exact, so every member
-    gets its solo answer. A *rewrite* restricts all members alike
-    (batches are built from independent requests, which have none)."""
-    sql = group[0].sql(rewrite).format(index=context.index_table)
-    result = context.db.execute_columnar(sql, _mc_params(group, rewrite))
-    table_ids, row_ids, super_keys = (result.arrays[i][0] for i in range(3))
-    order, first = _pair_runs(table_ids, row_ids)
-    distinct = order[first]
-    return table_ids[distinct], row_ids[distinct], super_keys[distinct]
+) -> list[MCCandidates]:
+    """Phase 1: ONE :class:`MCScan` for the whole group, then per member
+    the rows whose run of cells covers each of its query columns (an OR
+    per column over the run: some cell's token is in that column's
+    tokens). That is Listing 2's join, which equates only ``(TableId,
+    RowId)``, so one cell may serve several columns."""
+    scan = MCScan(group, context, rewrite)
+    candidates = []
+    for seeker, code_map in zip(group, scan.code_maps):
+        runs = np.empty(0, dtype=np.int64)
+        if len(scan.starts):
+            in_column = np.zeros((seeker.width, len(scan.vocabulary)), dtype=bool)
+            in_column[np.arange(seeker.width), code_map[seeker._tuple_codes]] = True
+            covered = np.logical_or.reduceat(in_column[:, scan.codes], scan.starts, axis=1)
+            runs = np.nonzero(covered.all(axis=0))[0]
+        arrays = (scan.table_ids[runs], scan.row_ids[runs], scan.super_keys[runs])
+        candidates.append(MCCandidates(arrays, scan))
+    return candidates
 
 
 def mc_superkey_filter(
     group: Sequence[MultiColumnSeeker],
-    table_ids: np.ndarray,
-    row_ids: np.ndarray,
-    super_keys: np.ndarray,
+    candidates: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     context: SeekerContext,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Phase 2: each member's ``(TableId, RowId)`` survivors among the
-    shared candidates -- the rows whose super key can bit-contain one of
-    its tuple hashes (no false negatives), one blocked bitwise-AND pass
-    per member. In a group the same mask drops the candidates that only
-    other members' tokens pulled into the shared join."""
+    """Phase 2: each member's ``(TableId, RowId)`` survivors among its
+    ``(table_ids, row_ids, super_keys)`` candidates -- the rows whose
+    super key can bit-contain one of its tuple hashes (no false
+    negatives), one blocked bitwise-AND pass per member."""
     survivors = []
-    for seeker in group:
+    for seeker, (table_ids, row_ids, super_keys) in zip(group, candidates):
         mask = may_contain_batch(super_keys, seeker._tuple_hash_array(context))
         survivors.append((table_ids[mask], row_ids[mask]))
     return survivors
@@ -523,21 +566,22 @@ def mc_validate(
     group: Sequence[MultiColumnSeeker],
     survivors: Sequence[tuple[np.ndarray, np.ndarray]],
     context: SeekerContext,
+    scan: Optional[MCScan] = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Phase 3: exact containment against the indexed row tokens.
     *survivors* holds one ``(TableId, RowId)`` pair of arrays per member;
     the result is, per member, those of its pairs (in input order) whose
     row contains one of its tuples row-aligned.
 
-    ONE ``AllTables`` scan over the group's combined vocabulary is
-    matched to the distinct ``(table, row)`` pairs by a packed int64 key
-    and marked into a boolean presence matrix over that vocabulary; every
-    member then checks its own tuples against its rows of that matrix,
-    addressing the shared columns through its code map. No lake cell is
-    read: row ids are bounded by the table's current row count (stale
-    index rows of a shrunk table, and negative ids, validate nothing),
-    and a cell edited in place without ``replace_table`` is judged by its
-    indexed token, as phases 1 and 2 judge it.
+    The tokens come from *scan* (phase 1's, or a fresh one): each
+    survivor is found among its runs by packed key and marked into a
+    boolean presence matrix over the group vocabulary; every member then
+    checks its own tuples against its rows of that matrix, through its
+    code map. No lake cell is read: row ids are bounded by the table's
+    current row count (stale index rows of a shrunk table, and negative
+    ids, validate nothing), and a cell edited in place without
+    ``replace_table`` is judged by its indexed token, as phases 1 and 2
+    judge it.
 
     A row contains a tuple row-aligned iff, for every distinct token of
     the tuple, the row holds at least as many cells with that token as
@@ -550,62 +594,42 @@ def mc_validate(
     """
     all_tables = np.concatenate([tables for tables, _ in survivors])
     all_rows = np.concatenate([rows for _, rows in survivors])
-    if len(all_tables) == 0:
+    if scan is None and len(all_tables):
+        scan = MCScan(group, context)
+    if len(all_tables) == 0 or len(scan.keys) == 0:
         empty = np.empty(0, dtype=np.int64)
         return [(empty, empty)] * len(group)
 
-    # Group vocabulary, and per member the gather from its local codes
-    # into it: iterating a vocabulary dict yields tokens in local-code
-    # order, so position i of the map IS local code i.
-    vocabulary: dict[str, int] = {}
-    code_maps = [
-        np.fromiter(
-            (vocabulary.setdefault(token, len(vocabulary)) for token in seeker._vocabulary),
-            dtype=np.int64,
-            count=len(seeker._vocabulary),
-        )
-        for seeker in group
-    ]
-
-    order, first = _pair_runs(all_tables, all_rows)
-    pair_tables, pair_rows = all_tables[order[first]], all_rows[order[first]]
-    pair_of_survivor = np.empty(len(order), dtype=np.int64)
-    pair_of_survivor[order] = np.cumsum(first) - 1
-
-    # Distinct pair -> its row of the presence matrix; -1 = out of the
-    # table's current row range. The in-range pairs stay in (table, row)
-    # order, so their packed keys are sorted.
-    distinct_tables, table_of_pair = np.unique(pair_tables, return_inverse=True)
+    # Survivor -> its run of the scan, live iff the run is its row and the
+    # row is in the table's current row range.
+    distinct_tables, table_of = np.unique(all_tables, return_inverse=True)
     limits = np.array([len(context.lake.by_id(t).rows) for t in distinct_tables.tolist()])
-    live_pairs = np.nonzero((pair_rows >= 0) & (pair_rows < limits[table_of_pair]))[0]
-    matrix_row = np.full(len(pair_tables), -1, dtype=np.int64)
-    matrix_row[live_pairs] = np.arange(len(live_pairs))
-    keys = (pair_tables[live_pairs] << 32) + pair_rows[live_pairs]
+    keys = (all_tables << 32) + all_rows
+    run = np.minimum(np.searchsorted(scan.keys, keys), len(scan.keys) - 1)
+    live = (scan.keys[run] == keys) & (all_rows >= 0) & (all_rows < limits[table_of])
 
     # Presence always; per-token counts only for tuples that repeat a token.
-    present = np.zeros((len(live_pairs), len(vocabulary)), dtype=bool)
-    counts = np.zeros(present.shape, np.int32) if any(s._multisets for s in group) else None
-    if len(live_pairs):
-        sql = f"SELECT TableId, RowId, CellValue FROM {context.index_table} WHERE CellValue IN (:q)"
-        result = context.db.execute_columnar(sql, {"q": list(vocabulary)}, decode_text=False)
-        cell_tables, cell_rows, cell_values = (result.arrays[i][0] for i in range(3))
-        cell_keys = (cell_tables.astype(np.int64) << 32) + cell_rows.astype(np.int64)
-        slot = np.minimum(np.searchsorted(keys, cell_keys), len(keys) - 1)
-        matched = keys[slot] == cell_keys
-        cell = (slot[matched], _vocab_codes(cell_values[matched], vocabulary))
-        present[cell] = True
-        if counts is not None:
-            np.add.at(counts, cell, 1)
+    needed = np.zeros(len(scan.keys), dtype=bool)
+    needed[run[live]] = True
+    matrix_row = np.cumsum(needed) - 1
+    cells = np.nonzero(needed[scan.run_of_cell])[0]
+    cell = (matrix_row[scan.run_of_cell[cells]], scan.codes[cells])
+    present = np.zeros((matrix_row[-1] + 1, len(scan.vocabulary)), dtype=bool)
+    present[cell] = True
+    counts = None
+    if any(seeker._multisets for seeker in group):
+        counts = np.zeros(present.shape, np.int32)
+        np.add.at(counts, cell, 1)
 
     validated = []
     offset = 0
-    for seeker, (tables, rows), code_map in zip(group, survivors, code_maps):
-        mine = matrix_row[pair_of_survivor[offset : offset + len(tables)]]
+    for seeker, (tables, rows), code_map in zip(group, survivors, scan.code_maps):
+        mine = slice(offset, offset + len(tables))
         offset += len(tables)
-        live = np.nonzero(mine >= 0)[0]
+        keep = np.nonzero(live[mine])[0]
         # (row, tuple) is True iff the row holds the tuple's token at
         # every position; take() keeps the gathers C-ordered.
-        my_rows = mine[live]
+        my_rows = matrix_row[run[mine][keep]]
         my_present = present.take(my_rows, axis=0)
         columns = code_map[seeker._repeat_free].T
         hit = my_present.take(columns[0], axis=1)
@@ -616,7 +640,7 @@ def mc_validate(
             my_counts = counts.take(my_rows, axis=0)
             for codes, required in seeker._multisets:
                 valid |= (my_counts[:, code_map[codes]] >= required).all(axis=1)
-        keep = live[valid]
+        keep = keep[valid]
         validated.append((tables[keep], rows[keep]))
     return validated
 

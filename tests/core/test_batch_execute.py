@@ -9,7 +9,7 @@ import pytest
 from oracles import mc_scalar
 
 from repro import Blend, DataLake, Seekers, Table
-from repro.core.batch import _MC_FETCH_CHUNK, execute_batch
+from repro.core.batch import execute_batch
 from repro.index import IndexConfig
 
 
@@ -189,10 +189,10 @@ def _edge_seekers() -> list:
     """Fresh seekers: the named edge cases (members with overlapping
     vocabularies -- the ``a``/``b`` family -- with disjoint ones, and one
     with zero survivors) plus enough plain width-2 queries to spill past
-    one ``_MC_FETCH_CHUNK`` join."""
+    eight same-width members."""
     queries = [tuples for tuples, _ in _EDGE_QUERIES.values()]
     queries += [[PAIRS[i], PAIRS[(i + 3) % len(PAIRS)], ("a", "b")] for i in range(6)]
-    assert sum(len(q[0]) == 2 for q in queries) > _MC_FETCH_CHUNK
+    assert sum(len(q[0]) == 2 for q in queries) > 8
     return [Seekers.MC(tuples, k=6) for tuples in queries]
 
 
@@ -207,7 +207,7 @@ def test_mc_edge_cases_agree_in_every_composition(edge_context):
     batch_of_one = [execute_batch([seeker], edge_context)[0] for seeker in _edge_seekers()]
     assert batch_of_one == expected
 
-    # One mixed batch: widths 2, 3 and 4 interleaved, > _MC_FETCH_CHUNK
+    # One mixed batch: widths 2, 3 and 4 interleaved, > 8
     # same-width members, SC / KW riders in between.
     riders = [Seekers.SC(["berlin", "a"], k=4), Seekers.KW(["x", "rome"], k=4)]
     batch = _edge_seekers()

@@ -2,8 +2,8 @@
 tokens ``AllTables`` holds, and the lake is consulted only for each
 table's row count. Every table of the served lake here raises on any
 cell access but keeps ``len()``; MC answers must still equal the scalar
-oracle run over an unguarded copy -- solo, in a mixed-width batch past
-one phase-1 chunk, and through a 2-shard coordinator, on both backends.
+oracle run over an unguarded copy -- solo, in a mixed-width batch of
+more than 8, and through a 2-shard coordinator, on both backends.
 Reading the index's tokens also makes shuffled-RowId builds validate
 the row the index actually names."""
 
@@ -13,7 +13,6 @@ import pytest
 from oracles import mc_scalar
 
 from repro import Blend, DataLake, Seekers, Table
-from repro.core.batch import _MC_FETCH_CHUNK
 from repro.core.results import merge_partials
 from repro.core.seekers import SeekerContext
 from repro.index import IndexConfig
@@ -57,12 +56,12 @@ def _lake(seed: int = 3) -> DataLake:
 
 
 def _seekers(lake: DataLake) -> list:
-    """More than one phase-1 chunk of width-2 queries plus width-3 ones,
+    """More than eight width-2 queries plus width-3 ones,
     each mixing real row slices, token shuffles, a ghost and a
     repeated-token tuple."""
     rng = random.Random(11)
     seekers = []
-    for width in [2] * (_MC_FETCH_CHUNK + 2) + [3] * 3:
+    for width in [2] * 10 + [3] * 3:
         tables = [t for t in lake if t.num_columns >= width]
         tuples = []
         for _ in range(3):
