@@ -711,10 +711,11 @@ class CorrelationSeeker(Seeker):
         return self.k0 + self.k1
 
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
-        # The rewrite predicate restricts BOTH subqueries: the join
-        # equates TableId across sides, so filtering nums as well is
-        # equivalent -- and it turns the nums side from a full index scan
-        # into a TableId-index look-up.
+        # The engine already reduces nums to the tables the keys side
+        # matched (a TableId-index look-up with the keys' TableIds, see
+        # planner.JoinNode). The rewrite predicate restricts BOTH
+        # subqueries -- the join equates TableId across sides, so
+        # filtering nums as well is equivalent -- and narrows nums further.
         predicate = rewrite.predicate_sql("") if rewrite else ""
         template = (
             "SELECT keys.TableId, "

@@ -3,7 +3,9 @@
 Interprets the same physical plans as :mod:`.executor_row`, but operates on
 whole columns at a time with NumPy kernels: dictionary-code membership
 scans, factorise-and-bincount aggregation, and vectorised equi-joins over
-dense key codes. GROUP BY keys, aggregate DISTINCT pairs and join keys are
+dense key codes; a join's indexed right scan reads only its left keys' rows
+(sideways reduction: C's ``nums`` reads only the tables ``keys`` matched).
+GROUP BY keys, aggregate DISTINCT pairs and join keys are
 ranked by one helper, ``_unique``: integer keys whose value span is within
 a constant multiple of their count (table, column and row ids, dictionary
 codes, mixed-radix combined keys) are ranked through a bitmap over the
@@ -41,6 +43,7 @@ from .planner import (
     LimitNode,
     PlanNode,
     ProjectNode,
+    SargablePredicate,
     ScanNode,
     SliceColumnsNode,
     SortNode,
@@ -136,6 +139,7 @@ class ColumnExecutor:
         self._catalog = catalog
         self._params = params
         self.stats = stats if stats is not None else QueryStats()
+        self._reductions: dict[int, list] = {}  # scan id -> ``_reduce``'s predicate
 
     # -- dispatch --------------------------------------------------------------
 
@@ -180,7 +184,7 @@ class ColumnExecutor:
         names = [name for _, name in node.schema.columns]
 
         positions: Optional[np.ndarray] = None
-        remaining_sargable = list(node.sargable)
+        remaining_sargable = self._reductions.pop(id(node), []) + node.sargable
         indexed = next((p for p in remaining_sargable if table.has_index(p.column)), None)
         if indexed is not None:
             positions = table.index_lookup(indexed.column, indexed.values)
@@ -238,6 +242,7 @@ class ColumnExecutor:
 
     def _execute_join(self, node: JoinNode) -> Batch:
         left = self.execute(node.left)
+        self._reduce(node, left)
         right = self.execute(node.right)
 
         if not node.left_key_positions:
@@ -292,6 +297,19 @@ class ColumnExecutor:
                 combined = _concat_batches(combined, pad)
         self.stats.rows_joined += combined.length
         return combined
+
+    def _reduce(self, node: JoinNode, left: Batch) -> None:
+        """Give the right scan ``key IN (left keys)`` on its first indexed key."""
+        for position, column in node.reduce_keys:
+            if self._catalog.get(node.reduce_scan.table).has_index(column):
+                data, null = left.column(position)
+                values = decode_if_coded(data)[~null]
+                if values.dtype != object:
+                    values = _unique(values)[0]
+                if values.dtype.kind != "f" or not np.isnan(values).any():  # NaN: no index
+                    predicate = SargablePredicate(column, values.tolist())
+                    self._reductions[id(node.reduce_scan)] = [predicate]
+                return
 
     def _cross_join(self, node: JoinNode, left: Batch, right: Batch) -> Batch:
         left_idx = np.repeat(np.arange(left.length), right.length)

@@ -27,6 +27,7 @@ from .planner import (
     LimitNode,
     PlanNode,
     ProjectNode,
+    SargablePredicate,
     ScanNode,
     SliceColumnsNode,
     SortNode,
@@ -59,6 +60,7 @@ class RowExecutor:
         self._catalog = catalog
         self._params = params
         self.stats = stats if stats is not None else QueryStats()
+        self._reductions: dict[int, list] = {}  # scan id -> ``_reduce``'s predicate
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -97,8 +99,9 @@ class RowExecutor:
                 f"table {node.table!r} is not row-store backed; "
                 "use the matching executor for the database backend"
             )
-        indexed = [p for p in node.sargable if table.has_index(p.column)]
-        unindexed = [p for p in node.sargable if not table.has_index(p.column)]
+        sargable = self._reductions.pop(id(node), []) + node.sargable
+        indexed = [p for p in sargable if table.has_index(p.column)]
+        unindexed = [p for p in sargable if not table.has_index(p.column)]
         residual_evaluators = [
             compile_expression(predicate, node.schema, self._params)
             for predicate in node.residual
@@ -145,6 +148,7 @@ class RowExecutor:
 
     def _execute_join(self, node: JoinNode) -> list[tuple]:
         left_rows = self.execute(node.left)
+        self._reduce(node, left_rows)
         right_rows = self.execute(node.right)
         left_positions = node.left_key_positions
         right_positions = node.right_key_positions
@@ -178,15 +182,24 @@ class RowExecutor:
         for left_row in left_rows:
             key = tuple(left_row[p] for p in left_positions)
             matches = build.get(key) if not any(part is None for part in key) else None
-            if matches:
-                for right_row in matches:
-                    combined = left_row + right_row
-                    if all(ev(combined) is True for ev in residual_evaluators):
-                        output.append(combined)
-            elif node.join_type == "left":
+            emitted = len(output)
+            for right_row in matches or ():
+                combined = left_row + right_row
+                if all(ev(combined) is True for ev in residual_evaluators):
+                    output.append(combined)
+            if node.join_type == "left" and len(output) == emitted:  # no ON match
                 output.append(left_row + null_right)
         self.stats.rows_joined += len(output)
         return output
+
+    def _reduce(self, node: JoinNode, left_rows: list[tuple]) -> None:  # as ColumnExecutor's
+        for position, column in node.reduce_keys:
+            if self._catalog.get(node.reduce_scan.table).has_index(column):
+                values = {row[position] for row in left_rows} - {None}
+                if all(value == value for value in values):  # no index finds NaN
+                    predicate = SargablePredicate(column, list(values))
+                    self._reductions[id(node.reduce_scan)] = [predicate]
+                return
 
     # -- filter / project ---------------------------------------------------------
 

@@ -116,12 +116,18 @@ class SubqueryNode(PlanNode):
 
 @dataclass
 class JoinNode(PlanNode):
+    """Equi-join. ``reduce_scan`` is the scan the right side passes through,
+    ``reduce_keys`` its ``(left key position, scan column)`` pairs: executors
+    drive that scan from an index with the left side's distinct keys."""
+
     left: PlanNode
     right: PlanNode
     left_key_positions: list[int]
     right_key_positions: list[int]
     residual: list[ast.Node]
     join_type: str = "inner"
+    reduce_scan: Optional[ScanNode] = field(default=None, repr=False, compare=False)
+    reduce_keys: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.schema = self.left.schema.concat(self.right.schema)
@@ -236,6 +242,7 @@ def plan_select(
     root = _Planner(resolver, params).plan(select)
     _prune_columns(root, set(range(len(root.schema))))
     _annotate_coded(root, [True] * len(root.schema))
+    _annotate_reduction(root)
     return root
 
 
@@ -404,6 +411,28 @@ def _annotate_coded(node: PlanNode, safe: list[bool]) -> None:
         _annotate_coded(node.child, child_safe)
         return
     raise PlanningError(f"cannot annotate coded columns of {type(node).__name__}")
+
+
+def _annotate_reduction(node: PlanNode) -> None:
+    """Mark each join whose right side is a scan seen through pass-throughs.
+    Dropping right rows no left key equals cannot change an inner/LEFT join."""
+    for child in (getattr(node, name, None) for name in ("child", "left", "right")):
+        if child is not None:
+            _annotate_reduction(child)
+    if not isinstance(node, JoinNode):
+        return
+    scan, positions = node.right, node.right_key_positions
+    while isinstance(scan, (SubqueryNode, SliceColumnsNode, ProjectNode)):
+        if isinstance(scan, ProjectNode):
+            if not all(isinstance(e, ast.ColumnRef) for e in scan.expressions):
+                return
+            refs = [scan.expressions[p] for p in positions]
+            positions = [scan.child.schema.resolve(ref.name, ref.table) for ref in refs]
+        scan = scan.child
+    if isinstance(scan, ScanNode):
+        node.reduce_scan = scan
+        keys = zip(node.left_key_positions, positions)
+        node.reduce_keys = [(left, scan.schema.columns[right][1]) for left, right in keys]
 
 
 class _Planner:
