@@ -42,14 +42,12 @@ class DeepJoinIndex:
         self.lake = lake
         self.dimensions = dimensions
         self._hnsw = HnswIndex(dimensions, m=m, ef_construction=ef_construction, seed=seed)
-        self._num_columns = 0
         for table_id, table in lake.items():
             for position in range(table.num_columns):
                 vector = embed_column(table, position, dimensions)
                 if not np.any(vector):
                     continue
                 self._hnsw.add(ColumnRef(table_id, position), vector)
-                self._num_columns += 1
 
     def search(self, values: Sequence[Cell], k: int = 10, ef: int = 96) -> ResultList:
         """Top-k tables whose best column is nearest to the query column
@@ -69,4 +67,5 @@ class DeepJoinIndex:
         )
 
     def storage_bytes(self) -> int:
-        return self._num_columns * self.dimensions * 8 + self._hnsw.storage_bytes()
+        # The HNSW's count includes its vector matrix.
+        return self._hnsw.storage_bytes()

@@ -43,15 +43,16 @@ class StarmieIndex:
     ) -> None:
         self.lake = lake
         self.dimensions = dimensions
-        self._vectors: dict[ColumnRef, np.ndarray] = {}
         self._hnsw = HnswIndex(dimensions, m=m, ef_construction=ef_construction, seed=seed)
+        # Each column's row in the HNSW's vector matrix (the only copy).
+        self._row_of: dict[ColumnRef, int] = {}
         for table_id, table in lake.items():
             for position in range(table.num_columns):
                 vector = embed_column(table, position, dimensions)
                 if not np.any(vector):
                     continue
                 ref = ColumnRef(table_id, position)
-                self._vectors[ref] = vector
+                self._row_of[ref] = len(self._hnsw)
                 self._hnsw.add(ref, vector)
 
     # -- search -------------------------------------------------------------------
@@ -89,11 +90,11 @@ class StarmieIndex:
         scored: list[TableHit] = []
         for table_id in candidate_tables:
             table = self.lake.by_id(table_id)
-            columns = [
-                self._vectors.get(ColumnRef(table_id, position))
+            rows = [
+                self._row_of.get(ColumnRef(table_id, position))
                 for position in range(table.num_columns)
             ]
-            columns = [c for c in columns if c is not None]
+            columns = [self._hnsw.vectors[row] for row in rows if row is not None]
             if not columns:
                 continue
             score = self._alignment_score(query_vectors, columns)
@@ -127,5 +128,5 @@ class StarmieIndex:
     # -- storage accounting -----------------------------------------------------------
 
     def storage_bytes(self) -> int:
-        vectors = len(self._vectors) * self.dimensions * 8
-        return vectors + self._hnsw.storage_bytes()
+        # The HNSW's count includes its vector matrix.
+        return self._hnsw.storage_bytes()

@@ -9,11 +9,14 @@ efficient vector indexing using methods like HNSW or IVFFlat."*
 This module implements that extension end to end:
 
 * the offline phase embeds every lake column (see
-  :mod:`repro.baselines.embeddings` for the encoder substitution) and
-  serialises the vectors into a database relation ``AllVectors(TableId,
-  ColumnId, Dim, Weight)`` -- the "in-DB embeddings";
-* an HNSW index over the same vectors provides the efficient
-  vector-search path;
+  :mod:`repro.baselines.embeddings` for the encoder substitution) into
+  one vector matrix owned by the HNSW index, and writes its non-zero
+  weights as typed columns into a database relation ``AllVectors(TableId,
+  ColumnId, Dim, Weight)`` -- the "in-DB embeddings"; load scatters them back;
+* the HNSW graph over the matrix provides the efficient vector-search
+  path and ``exact=True`` scans the whole matrix; both score through the
+  HNSW's one row-independent distance kernel, so a shard's exact scan
+  scores each column exactly as the whole lake's does;
 * :class:`SemanticSeeker` (kind ``SS``) plugs into the Plan/combiner
   algebra like any other seeker, so semantic and exact operators compose
   (e.g. ``Intersect(SS($q), SC($q))`` -- tables that match both
@@ -50,7 +53,8 @@ ALLVECTORS_SCHEMA = [
 
 
 class SemanticIndex:
-    """Column embeddings, persisted in-DB, searchable via HNSW."""
+    """Column embeddings, persisted in-DB, searchable via HNSW (whose
+    keys and matrix rows are the only copy of the vectors)."""
 
     def __init__(
         self,
@@ -65,19 +69,22 @@ class SemanticIndex:
         self._m = m
         self._ef_construction = ef_construction
         self._seed = seed
-        self._hnsw = HnswIndex(dimensions, m=m, ef_construction=ef_construction, seed=seed)
-        self._vectors: dict[tuple[int, int], np.ndarray] = {}
+        self._hnsw = self._new_graph()
         for table_id, table in lake.items():
-            for position in range(table.num_columns):
-                vector = embed_column(table, position, dimensions)
-                if not np.any(vector):
-                    continue
-                self._vectors[(table_id, position)] = vector
+            self._embed_table(table_id, table)
+
+    def _new_graph(self) -> HnswIndex:
+        return HnswIndex(self.dimensions, self._m, self._ef_construction, self._seed)
+
+    def _embed_table(self, table_id: int, table) -> None:
+        for position in range(table.num_columns):
+            vector = embed_column(table, position, self.dimensions)
+            if np.any(vector):
                 self._hnsw.add((table_id, position), vector)
 
     @property
     def num_columns(self) -> int:
-        return len(self._vectors)
+        return len(self._hnsw)
 
     # -- lifecycle maintenance -----------------------------------------------------
 
@@ -85,18 +92,10 @@ class SemanticIndex:
         """Embed one added (or replacement) table's columns and graft them
         into the vector index; with *db*, the new ``AllVectors`` rows are
         persisted alongside."""
-        rows = []
-        for position in range(table.num_columns):
-            vector = embed_column(table, position, self.dimensions)
-            if not np.any(vector):
-                continue
-            self._vectors[(table_id, position)] = vector
-            self._hnsw.add((table_id, position), vector)
-            if db is not None:
-                for dim in np.nonzero(vector)[0]:
-                    rows.append((table_id, position, int(dim), float(vector[dim])))
-        if db is not None and db.has_table("AllVectors") and rows:
-            db.insert("AllVectors", rows)
+        start = len(self._hnsw)
+        self._embed_table(table_id, table)
+        if db is not None and db.has_table("AllVectors"):
+            db.insert_columns("AllVectors", self._coordinate_columns(start))
 
     def remove_table(self, table_id: int, db: Optional[Database] = None) -> None:
         """Drop one table's column vectors. The HNSW graph does not
@@ -104,18 +103,12 @@ class SemanticIndex:
         surviving vectors -- still offline-phase work, and exactly what a
         fresh :meth:`load` of the maintained ``AllVectors`` relation
         would produce. With *db*, the persisted rows are deleted too."""
-        stale = [key for key in self._vectors if key[0] == table_id]
-        if stale:
-            for key in stale:
-                del self._vectors[key]
-            self._hnsw = HnswIndex(
-                self.dimensions,
-                m=self._m,
-                ef_construction=self._ef_construction,
-                seed=self._seed,
-            )
-            for key, vector in self._vectors.items():
-                self._hnsw.add(key, vector)
+        old = self._hnsw
+        survivors = [row for row, key in enumerate(old.keys) if key[0] != table_id]
+        if len(survivors) < len(old):
+            self._hnsw = self._new_graph()
+            for row in survivors:
+                self._hnsw.add(old.keys[row], old.vectors[row])
         if db is not None and db.has_table("AllVectors"):
             db.delete_rows("AllVectors", "TableId", [table_id])
 
@@ -123,17 +116,21 @@ class SemanticIndex:
         self.remove_table(table_id, db)
         self.add_table(table_id, table, db)
 
+    def _coordinate_columns(self, start: int = 0) -> list:
+        """Typed ``AllVectors`` columns for the vectors from row *start*
+        on: one row per non-zero weight, by vector, then dimension."""
+        matrix = self._hnsw.vectors[start:]
+        rows, dims = np.nonzero(matrix)
+        keys = np.array(self._hnsw.keys[start:], dtype=np.int64).reshape(-1, 2)[rows]
+        return [(keys[:, 0], None), (keys[:, 1], None), (dims, None), (matrix[rows, dims], None)]
+
     def persist(self, db: Database, table_name: str = "AllVectors") -> int:
         """Serialise the embeddings into a database relation (sparse
         coordinate layout), enabling in-DB inspection and maintenance of
         the vector index alongside ``AllTables``. Returns rows written."""
         if not db.has_table(table_name):
             db.create_table(table_name, ALLVECTORS_SCHEMA)
-        rows = []
-        for (table_id, column_id), vector in self._vectors.items():
-            for dim in np.nonzero(vector)[0]:
-                rows.append((table_id, column_id, int(dim), float(vector[dim])))
-        inserted = db.insert(table_name, rows)
+        inserted = db.insert_columns(table_name, self._coordinate_columns())
         db.create_index(table_name, "TableId")
         return inserted
 
@@ -174,19 +171,18 @@ class SemanticIndex:
         # rebuild (remove_table) reconstructs with identical settings.
         instance._m = instance._hnsw.m
         instance._ef_construction = instance._hnsw.ef_construction
-        instance._vectors = {}
-        result = db.execute(
+        result = db.execute_columnar(
             f"SELECT TableId, ColumnId, Dim, Weight FROM {table_name} "
             "ORDER BY TableId, ColumnId, Dim"
         )
-        for table_id, column_id, dim, weight in result.rows:
-            key = (table_id, column_id)
-            vector = instance._vectors.get(key)
-            if vector is None:
-                vector = np.zeros(dimensions, dtype=np.float64)
-                instance._vectors[key] = vector
-            vector[dim] = weight
-        for key, vector in instance._vectors.items():
+        tables, columns, dims, weights = (data for data, _ in result.arrays)
+        # One scatter: a vector starts wherever the sorted key changes.
+        starts = np.ones(len(tables), dtype=bool)
+        starts[1:] = (tables[1:] != tables[:-1]) | (columns[1:] != columns[:-1])
+        row_of = np.cumsum(starts) - 1
+        matrix = np.zeros((int(starts.sum()), dimensions))
+        matrix[row_of, dims.astype(np.int64)] = weights
+        for key, vector in zip(zip(tables[starts].tolist(), columns[starts].tolist()), matrix):
             instance._hnsw.add(key, vector)
         return instance
 
@@ -198,16 +194,21 @@ class SemanticIndex:
         exact: bool = False,
     ) -> list[tuple[tuple[int, int], float]]:
         """Closest *k* columns as ``((table_id, column_id), similarity)``,
-        best first. ``exact=True`` brute-forces every stored vector with
-        the same cosine metric, ties broken on the (table, column) key --
-        deterministic and graph-independent, which is what makes sharded
-        semantic search byte-identical to a single process at any scale
-        (the HNSW beam is only exhaustive on small indexes)."""
+        best first. ``exact=True`` scores every stored vector in one call
+        of the HNSW's row-independent distance kernel, ties broken on the
+        (table, column) key -- deterministic and graph-independent, and a
+        column scores the same bits in a shard's matrix as in the whole
+        lake's, which is what makes sharded semantic search
+        byte-identical to a single process at any scale (the HNSW beam
+        is only exhaustive on small indexes)."""
         if exact:
-            scored = sorted(
-                (HnswIndex._distance(vector, stored), key)
-                for key, stored in self._vectors.items()
-            )
+            vector = np.ascontiguousarray(vector, dtype=np.float64)
+            distances = self._hnsw.distances(vector, float(np.linalg.norm(vector)))
+            # Only rows within the k-th smallest distance (ties included) can rank.
+            kth = min(k, len(distances)) - 1
+            cut = np.partition(distances, kth)[kth] if kth >= 0 else -np.inf
+            rows = np.flatnonzero(distances <= cut).tolist()
+            scored = sorted(zip(distances[rows].tolist(), [self._hnsw.keys[row] for row in rows]))
             return [(key, 1.0 - distance) for distance, key in scored[:k]]
         # The beam must cover at least k candidates or the top-k result
         # silently truncates to the beam's survivors; clamp per query
@@ -218,9 +219,7 @@ class SemanticIndex:
         return self._hnsw.search(vector, k=k, ef=ef)
 
     def storage_bytes(self) -> int:
-        return (
-            len(self._vectors) * self.dimensions * 8 + self._hnsw.storage_bytes()
-        )
+        return self._hnsw.storage_bytes()  # the HNSW counts its vector matrix
 
 
 class SemanticSeeker(Seeker):

@@ -5,5 +5,6 @@ tuple-at-a-time originals those paths replaced live here, where parity
 suites and the legacy micro-benches compare against them:
 
 * :mod:`oracles.alltables_scalar` -- the seed ``AllTables`` build loop;
-* :mod:`oracles.mc_scalar` -- the seed MC seeker phases.
+* :mod:`oracles.mc_scalar` -- the seed MC seeker phases;
+* :mod:`oracles.hnsw_scalar` -- the seed per-pair-distance HNSW.
 """
