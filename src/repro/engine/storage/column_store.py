@@ -45,7 +45,9 @@ inserts drop the materialised postings for a lazy rebuild on the next
 look-up. Postings are in **storage** coordinates over base ∪ delta with
 tombstoned rows included -- look-ups filter dead positions and
 translate to the live coordinates every other read API speaks -- so
-deletes are O(delta) and never invalidate postings.
+postings never need rebuilding after a delete, and a delete on an indexed
+column (``AllTables.TableId``) is O(rows deleted): it tombstones the
+positions its postings name, buffered rows included, and never seals.
 """
 
 from __future__ import annotations
@@ -297,15 +299,8 @@ class ColumnTable:
         offset = self._num_rows + self._num_deleted
         self._backlog.append(encoded)
         self._num_rows += count
-        for key in self._indexes:
-            position = self.schema.position_of(key)
-            index = self._indexes[key]
-            for value, positions in _index_groups(encoded[position]):
-                run = positions + offset
-                existing = index.get(value)
-                index[value] = (
-                    run if existing is None else np.concatenate((existing, run))
-                )
+        for key, index in self._indexes.items():
+            _extend_postings(index, encoded[self.schema.position_of(key)], offset)
         return count
 
     def _flush_pending_to_backlog(self) -> None:
@@ -344,14 +339,16 @@ class ColumnTable:
             self._sealed = _merge_batches(self._backlog)
         self._backlog = []
         if self._deleted is not None:
-            # Newly sealed rows are live: pad the tombstone mask out to
-            # the new storage length (base + delta).
-            total = self._storage_length()
-            if total > len(self._deleted):
-                pad = np.zeros(total - len(self._deleted), dtype=bool)
-                self._deleted = np.concatenate((self._deleted, pad))
-                self._live = None
+            self._pad_deleted(self._storage_length())
         return self._sealed
+
+    def _pad_deleted(self, total: int) -> None:
+        """Grow the tombstone mask to *total* storage rows (base + delta,
+        or past it into the unsealed backlog); the new rows are live."""
+        if total > len(self._deleted):
+            pad = np.zeros(total - len(self._deleted), dtype=bool)
+            self._deleted = np.concatenate((self._deleted, pad))
+            self._live = None
 
     def _storage_length(self) -> int:
         """Sealed storage rows across base + delta, tombstones included."""
@@ -391,31 +388,33 @@ class ColumnTable:
         (the ``AllTables`` maintenance primitive: ``TableId IN (...)``).
 
         Deletion is logical: the rows are masked out of every read path
-        but stay in the sealed arrays until an explicit :meth:`compact`
-        (never a surprise O(table) rewrite on the mutation path); the
-        dead fraction shows in :meth:`delta_stats`. Returns the number
-        of rows deleted.
+        but stay in storage until an explicit :meth:`compact`; the dead
+        fraction shows in :meth:`delta_stats`. On an indexed column the
+        postings name the storage positions, buffered rows included, so
+        the delete is O(rows deleted) and never seals; an unindexed
+        column seals and scans. Returns the number of rows deleted.
         """
         position = self.schema.position_of(column_name)  # validates existence
-        self._seal()
-        if self._storage_length() == 0:
-            return 0
-        match = self._storage_isin_all(position, values)
-        if self._deleted is not None:
-            match &= ~self._deleted
-        deleted = int(match.sum())
-        if deleted == 0:
-            return 0
-        if self._deleted is None:
-            self._deleted = match
+        key = column_name.lower()
+        if key in self._index_columns:
+            hits = self._postings(key, values)
         else:
-            self._deleted |= match
-        self._num_deleted += deleted
-        self._num_rows -= deleted
+            self._seal()
+            hits = np.nonzero(self._storage_isin_all(position, values))[0]
+        if not len(hits):
+            return 0
+        storage = self._num_rows + self._num_deleted  # incl. unsealed buffers
+        if self._deleted is None:
+            self._deleted = np.zeros(storage, dtype=bool)
+        self._pad_deleted(storage)  # hits may land in the unsealed backlog
+        # Posting lists of distinct keys are disjoint, so after dropping
+        # the already-dead hits every position is counted once.
+        hits = hits[~self._deleted[hits]]
+        self._deleted[hits] = True
+        self._num_deleted += len(hits)
+        self._num_rows -= len(hits)
         self._live = None
-        # Postings are storage-coordinate with dead rows filtered at
-        # look-up, so they survive deletes untouched: O(delta) mutation.
-        return deleted
+        return len(hits)
 
     def compact(self) -> None:
         """Fold base + delta into a fresh base without tombstoned rows.
@@ -580,12 +579,6 @@ class ColumnTable:
             self._merged_text[position] = view
         return view
 
-    def isin_positions(self, column_name: str, values: Iterable[Any]) -> np.ndarray:
-        """Positions where the column equals any of *values*, computed by a
-        vectorised dictionary/numeric scan (no secondary index needed)."""
-        mask = self.isin_mask(column_name, values)
-        return np.nonzero(mask)[0]
-
     def isin_mask(self, column_name: str, values: Iterable[Any]) -> np.ndarray:
         """Boolean mask over all live rows for ``column IN values``."""
         mask = self._storage_isin_all(self.schema.position_of(column_name), values)
@@ -644,23 +637,22 @@ class ColumnTable:
 
     def _materialize_index(self, key: str) -> None:
         """Build the postings dict for one declared index in **storage**
-        coordinates over base + delta, tombstoned rows included (look-ups
-        filter and translate) -- the same content the incremental
-        ``insert_columns`` maintenance accumulates, so deletes never
-        force a rebuild."""
+        coordinates over base, delta and the unsealed backlog, tombstoned
+        rows included (look-ups filter and translate) -- the same content
+        the incremental ``insert_columns`` maintenance accumulates, so
+        deletes never force a rebuild and building never seals."""
         position = self.schema.position_of(key)
-        base, delta = self._segments(position)
+        self._flush_pending_to_backlog()
         index: dict[Any, np.ndarray] = {}
-        if _column_length(base):
-            index = dict(_index_groups(base))
-        if delta is not None and _column_length(delta):
-            offset = _column_length(base)
-            for value, positions in _index_groups(delta):
-                run = positions + offset
-                existing = index.get(value)
-                index[value] = (
-                    run if existing is None else np.concatenate((existing, run))
-                )
+        offset = 0
+        for segment in (self._sealed, self._delta, *self._backlog):
+            if not segment:
+                continue
+            if offset:
+                _extend_postings(index, segment[position], offset)
+            else:  # the first rows: one dict build, no per-key merge
+                index = dict(_index_groups(segment[position]))
+            offset += _column_length(segment[position])
         self._indexes[key] = index
 
     def has_index(self, column_name: str) -> bool:
@@ -705,18 +697,24 @@ class ColumnTable:
         if key not in self._index_columns:
             raise CatalogError(f"no index on {self.schema.name}.{column_name}")
         self._seal()  # incremental postings may reference buffered rows
+        merged = self._postings(key, values)
+        merged.sort()
+        if self._deleted is not None:
+            merged = merged[~self._deleted[merged]]
+            merged = np.searchsorted(self._live_positions(), merged)
+        return merged
+
+    def _postings(self, key: str, values: Iterable[Any]) -> np.ndarray:
+        """Storage positions (unordered, tombstones included) whose
+        indexed column *key* equals any of *values*; materialises the
+        declared postings first when they are not."""
         if key not in self._indexes:
             self._materialize_index(key)
         index = self._indexes[key]
         chunks = [index[v] for v in set(values) if v is not None and v in index]
         if not chunks:
             return np.empty(0, dtype=np.int64)
-        merged = np.concatenate(chunks)
-        merged.sort()
-        if self._deleted is not None:
-            merged = merged[~self._deleted[merged]]
-            merged = np.searchsorted(self._live_positions(), merged)
-        return merged
+        return np.concatenate(chunks)
 
     # -- storage accounting --------------------------------------------------------
 
@@ -946,7 +944,8 @@ def _storage_isin(column: _ColumnData, values: Iterable[Any]) -> np.ndarray:
             return np.zeros(length, dtype=bool)
         return isin_sorted(column.codes, wanted)
     if column.sql_type is SqlType.BOOLEAN:
-        wanted_bools = {int(bool(v)) for v in values if v is not None}
+        # Equality, as in the postings and the row store: 2 is not True.
+        wanted_bools = normalize_numeric_probes(values) & {0, 1}
         if not wanted_bools:
             return np.zeros(length, dtype=bool)
         return np.isin(column.data, np.array(sorted(wanted_bools), dtype=np.int8))
@@ -1016,6 +1015,16 @@ def _index_groups(column: _ColumnData):
         yield value, positions
 
 
+def _extend_postings(index: dict, column: _ColumnData, offset: int) -> None:
+    """Append one batch's postings, shifted to storage positions from
+    *offset*; appended positions exceed every existing one, so each
+    posting list stays ascending without a merge pass."""
+    for value, positions in _index_groups(column):
+        run = positions + offset
+        existing = index.get(value)
+        index[value] = run if existing is None else np.concatenate((existing, run))
+
+
 def _compact_column(column: _ColumnData, positions: np.ndarray) -> _ColumnData:
     """Rebuild one sealed column at *positions*, re-encoding text
     dictionaries down to the surviving values -- the layout a fresh bulk
@@ -1066,7 +1075,9 @@ def numeric_probe_array(numeric: set, dtype: np.dtype) -> Optional[np.ndarray]:
     probes dropped (they can never equal an integer -- the row backend's
     set-membership agrees), and out-of-range ints dropped rather than
     overflowing the conversion. Float columns compare in float64, with
-    ints beyond float64 range dropped for the same reason.
+    ints no float64 equals (beyond its range, or between two floats past
+    2**53) dropped for the same reason, as is NaN, which equals nothing
+    and would break the order ``isin_sorted`` relies on.
     """
     if dtype.kind in "iu":
         bounds = np.iinfo(dtype)
@@ -1084,9 +1095,11 @@ def numeric_probe_array(numeric: set, dtype: np.dtype) -> Optional[np.ndarray]:
     floats = set()
     for value in numeric:
         try:
-            floats.add(float(value))
+            converted = float(value)
         except OverflowError:  # int beyond float64 range: cannot match
             continue
+        if converted == value:  # exact in Python: drops NaN and inexact ints
+            floats.add(converted)
     if not floats:
         return None
     return np.array(sorted(floats), dtype=np.float64)
