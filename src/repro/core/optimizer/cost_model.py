@@ -120,7 +120,7 @@ class CostModel:
         # lake makes every probed token drag proportionally more index
         # rows into the scan. A corpus-wide factor, so same-stats
         # orderings are unchanged -- it matters when estimates are
-        # compared across lakes (and keeps the maintained aggregates of
+        # compared across lakes (and keeps the derived aggregates of
         # LakeStatistics load-bearing).
         density = max(1.0, stats.average_posting_length())
         return multiplier * density * (

@@ -20,7 +20,7 @@ Theorem 1 proof implicitly assumes the no-truncation regime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from ...index.stats import LakeStatistics
 from ..plan import Plan
@@ -63,8 +63,14 @@ class Optimizer:
     def __init__(self, cost_model: Optional[CostModel] = None) -> None:
         self.cost_model = cost_model or CostModel()
 
-    def optimize(self, plan: Plan, stats: LakeStatistics) -> ExecutionPlan:
-        """Compute the optimized execution plan for *plan*."""
+    def optimize(
+        self,
+        plan: Plan,
+        stats: Union[LakeStatistics, Callable[[], LakeStatistics]],
+    ) -> ExecutionPlan:
+        """Compute the optimized execution plan for *plan*. *stats* may
+        be a zero-argument callable, read only when a reorderable group
+        holds seekers to order (see :func:`rank_seekers`)."""
         plan.validate()
         base_order = [node.name for node in plan.topological_order()]
         groups = identify_groups(plan)

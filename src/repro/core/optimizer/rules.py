@@ -16,7 +16,7 @@ reproducing the optimizer experiments.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence, Union
 
 from ...index.stats import LakeStatistics
 from ..seekers import SEEKER_RULE_RANK, Seeker
@@ -31,10 +31,16 @@ def rule_rank(seeker: Seeker) -> int:
 def rank_seekers(
     named_seekers: Sequence[tuple[str, Seeker]],
     cost_model: CostModel,
-    stats: LakeStatistics,
+    stats: Union[LakeStatistics, Callable[[], LakeStatistics]],
 ) -> list[str]:
     """Execution order for the seekers of one execution group: rule tier
-    first, learned cost estimate second (stable)."""
+    first, learned cost estimate second (stable). *stats* may be a
+    zero-argument callable; it is called only when there are at least
+    two seekers to order."""
+    if len(named_seekers) < 2:
+        return [name for name, _ in named_seekers]
+    if callable(stats):
+        stats = stats()
     decorated = [
         (rule_rank(seeker), cost_model.estimate(seeker, stats), position, name)
         for position, (name, seeker) in enumerate(named_seekers)

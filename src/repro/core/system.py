@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ..engine.database import Database
-from ..errors import BlendError
+from ..errors import BlendError, ReadOnlyDeploymentError
 from ..index.alltables import (
     IndexBuildReport,
     IndexConfig,
@@ -59,12 +59,13 @@ class Blend:
         self.db = Database(backend=backend)
         self.index_config = index_config
         self._indexed = False
-        self._stats: Optional[LakeStatistics] = None
-        # Deferred statistics thunk (snapshot loads install one): the
-        # frequency table materialises on first use instead of on the
-        # warm-start path, so serving processes that never touch the
-        # optimizer never pay for it.
-        self._stats_loader = None
+        # ``(data epoch, lake generation, statistics)`` of the last
+        # derivation. Both keys: adding an empty or all-NULL table writes
+        # no AllTables row yet changes the table counts.
+        self._stats: Optional[tuple[int, int, LakeStatistics]] = None
+        # Set once a DeploymentManager serves this deployment: from then
+        # on it is read-only (see _check_writable).
+        self._served = False
         # Identity of the on-disk snapshot this deployment was loaded
         # from (or last fully saved to) -- what incremental saves diff
         # against. ``None`` for deployments that never touched disk.
@@ -74,11 +75,11 @@ class Blend:
     # -- offline phase ---------------------------------------------------------
 
     def build_index(self) -> IndexBuildReport:
-        """Offline phase: build ``AllTables`` plus lake statistics.
+        """Offline phase: build ``AllTables`` and derive lake statistics.
 
-        Statistics are computed here (not lazily) because the paper's
-        offline phase owns all corpus-wide scans; the online optimizer
-        must only read precomputed state.
+        Statistics are derived here eagerly (one GROUP BY over the fresh
+        ``AllTables``, see :attr:`stats`), so the first optimized query
+        after a build pays nothing for them.
 
         With ``IndexConfig(semantic=True)`` the offline phase also embeds
         every lake column into ``AllVectors`` + the HNSW (the semantic
@@ -87,28 +88,29 @@ class Blend:
         """
         report = build_alltables(self.lake, self.db, self.index_config)
         self._indexed = True
-        self._stats = LakeStatistics.from_lake(self.lake)
         if self.index_config.semantic:
             self.enable_semantic(dimensions=self.index_config.semantic_dimensions)
+        self.stats  # derive eagerly, after the build's last write
         return report
 
     @property
     def stats(self) -> LakeStatistics:
-        """Lake statistics for the cost model (built lazily, cached)."""
-        if self._stats is None:
-            self._stats = self._resolve_stats_loader() or LakeStatistics.from_lake(
-                self.lake
+        """Lake statistics for the cost model, derived from ``AllTables``
+        (:meth:`LakeStatistics.from_lake`: one GROUP BY plus lake
+        metadata) and cached until the next write -- a lifecycle op,
+        compaction or load makes the next read derive them again."""
+        if not self._indexed:
+            raise BlendError("call build_index() before reading lake statistics")
+        key = (self.db.data_epoch, self.lake.generation)
+        # One tuple store: concurrent readers may both derive, and each
+        # stores an equal value.
+        cached = self._stats
+        if cached is None or cached[:2] != key:
+            derived = LakeStatistics.from_lake(
+                self.lake, self.db, self.index_config.table_name
             )
-        return self._stats
-
-    def _resolve_stats_loader(self) -> Optional[LakeStatistics]:
-        """Run (and drop) a deferred snapshot statistics thunk, if any.
-
-        Lifecycle methods call this before applying their exact stats
-        deltas -- updating nothing while a loader is pending would leave
-        the eventually-materialised snapshot statistics stale."""
-        loader, self._stats_loader = self._stats_loader, None
-        return loader() if loader is not None else None
+            cached = self._stats = (*key, derived)
+        return cached[2]
 
     # -- snapshots: persist the built system (offline/online split) ------------------
 
@@ -121,7 +123,7 @@ class Blend:
     ):
         """Persist the entire built deployment -- sealed storage arrays,
         ``AllTables``/``AllVectors`` postings and token dictionaries,
-        declared indexes, lake statistics, cost-model weights, lake
+        declared indexes, cost-model weights, lake
         metadata (stable ids and holes) and, by default, the lake cells
         themselves -- into a versioned snapshot directory that
         :meth:`load` restores near-instantly (payloads are raw ``.npy``
@@ -252,11 +254,22 @@ class Blend:
 
     # -- maintenance: the table lifecycle (paper §V) ---------------------------------
 
+    def _check_writable(self) -> None:
+        """Reject any write to a served deployment: readers share it
+        without a lock, so it must never change under them."""
+        if self._served:
+            raise ReadOnlyDeploymentError(
+                "this Blend is served by a DeploymentManager and is read-only; "
+                "apply the change to a writer deployment, persist it with "
+                "save_delta(), Blend.load() the snapshot and swap() it in"
+            )
+
     def _check_maintainable(self) -> None:
-        """Reject unmaintainable deployments BEFORE mutating the lake:
-        the lifecycle methods must never leave the lake changed with the
-        index maintenance refused (a fresh-generation context would then
-        silently serve the desynced index)."""
+        """Reject served or unmaintainable deployments BEFORE mutating
+        the lake: the lifecycle methods must never leave the lake changed
+        with the index maintenance refused (a fresh-generation context
+        would then silently serve the desynced index)."""
+        self._check_writable()
         if self._indexed:
             _check_maintenance(self.db, self.index_config)
 
@@ -265,10 +278,8 @@ class Blend:
         incrementally (no rebuild). Returns the new table id.
 
         The unified single-relation layout makes this an append (paper
-        §V); lake statistics are updated in place -- every field, via the
-        vectorised token-count kernel rather than a per-cell Python loop
-        -- so the cost model sees the new tokens exactly as a fresh
-        offline scan would.
+        §V); lake statistics need no update -- the next read of
+        :attr:`stats` derives them from the grown ``AllTables``.
 
         *table_id* places the table at an explicit id instead of the next
         free slot -- the sharded-serving path, where the coordinator
@@ -277,16 +288,12 @@ class Blend:
         :meth:`~repro.lake.datalake.DataLake.add_at`).
         """
         self._check_maintainable()
-        if self._stats is None:
-            self._stats = self._resolve_stats_loader()
         if table_id is None:
             table_id = self.lake.add(table)
         else:
             table_id = self.lake.add_at(table_id, table)
         if self._indexed:
             index_table(table_id, table, self.db, self.index_config)
-        if self._stats is not None:
-            self._stats.add_table(table)
         semantic = getattr(self, "_semantic", None)
         if semantic is not None:
             semantic.add_table(table_id, table, self.db if self._indexed else None)
@@ -296,8 +303,8 @@ class Blend:
         """Maintenance path: remove one table from the lake AND the index
         (its ``AllTables`` rows -- and ``AllVectors`` rows when the
         semantic extension is enabled -- are deleted without touching any
-        other table's super keys). The table id becomes a permanent hole;
-        statistics are decremented exactly. Returns the removed table.
+        other table's super keys). The table id becomes a permanent hole.
+        Returns the removed table.
 
         Contexts created before the removal raise
         :class:`~repro.errors.StaleContextError` instead of silently
@@ -305,13 +312,9 @@ class Blend:
         context.
         """
         self._check_maintainable()
-        if self._stats is None:
-            self._stats = self._resolve_stats_loader()
         removed = self.lake.remove(table_id)
         if self._indexed:
             deindex_table(table_id, self.db, self.index_config)
-        if self._stats is not None:
-            self._stats.remove_table(removed)
         semantic = getattr(self, "_semantic", None)
         if semantic is not None:
             semantic.remove_table(table_id, self.db if self._indexed else None)
@@ -323,13 +326,9 @@ class Blend:
         appended under the same id, so every seeker immediately serves
         the new contents. Returns the previous table."""
         self._check_maintainable()
-        if self._stats is None:
-            self._stats = self._resolve_stats_loader()
         previous = self.lake.replace(table_id, table)
         if self._indexed:
             reindex_table(table_id, table, self.db, self.index_config)
-        if self._stats is not None:
-            self._stats.replace_table(previous, table)
         semantic = getattr(self, "_semantic", None)
         if semantic is not None:
             semantic.replace_table(table_id, table, self.db if self._indexed else None)
@@ -343,6 +342,7 @@ class Blend:
         lake (the rebuild-parity invariant). Mutations never compact on
         their own: this call, ``Database.compact`` and the snapshot
         compactor are the only ways storage is rewritten."""
+        self._check_writable()
         if not self._indexed:
             raise BlendError("call build_index() before compacting")
         self.db.compact(self.index_config.table_name)
@@ -536,7 +536,8 @@ class Blend:
     def plan_for(self, plan: Plan, optimize: bool = True) -> ExecutionPlan:
         """The execution plan the optimizer would produce (introspection)."""
         if optimize:
-            return self.optimizer.optimize(plan, self.stats)
+            # Statistics are read only if some group has seekers to order.
+            return self.optimizer.optimize(plan, lambda: self.stats)
         return Optimizer.unoptimized(plan)
 
     def run(self, plan: Plan, optimize: bool = True) -> PlanRunResult:

@@ -88,6 +88,14 @@ class ServingError(BlendError):
     loaded, malformed request)."""
 
 
+class ReadOnlyDeploymentError(ServingError):
+    """A lifecycle op or a compaction was attempted on a ``Blend`` that a
+    :class:`~repro.serving.DeploymentManager` serves. Served generations
+    are read-only: readers share them without a lock. Mutate a writer
+    deployment, persist it with ``save_delta()``, ``Blend.load`` the
+    snapshot and ``swap`` it in."""
+
+
 class ShardUnavailableError(ServingError):
     """A shard worker's transport broke -- its thread or child process is
     gone -- so the request could not reach it or its reply never came.

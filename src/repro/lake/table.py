@@ -323,10 +323,8 @@ class Table:
         Computed through the batched :func:`normalize_tokens` kernel
         (byte-identical to the scalar loop by contract); lifecycle
         re-adds and ``replace_table`` rebuilds hit the same table object
-        repeatedly, so the tokens are computed once and reused
-        (``Blend.add_table`` alone normalises twice without this: once
-        for the index, once for the statistics). Invalidated by
-        :meth:`set_cell`.
+        repeatedly, so the tokens are computed once and reused.
+        Invalidated by :meth:`set_cell`.
         """
         if self._token_cache is None:
             self._token_cache = normalize_tokens(

@@ -53,7 +53,8 @@ def compact_snapshot(
     byte-identical to a from-scratch build on the final lake), and
     writes a full snapshot with no delta layer. Returns the compacted
     deployment, already based on *destination* -- ready to
-    :meth:`DeploymentManager.swap` in, or to keep ingesting against.
+    :meth:`DeploymentManager.swap` in (which makes it read-only), or to
+    keep ingesting against.
 
     The source directory is left untouched: until the caller flips
     traffic to *destination*, the old generation keeps serving.
@@ -91,10 +92,10 @@ class SnapshotCompactor:
 
     The served deployment must carry a base snapshot (be ``load``-ed
     from or ``save``-d to disk) -- a purely in-memory deployment has
-    nothing to fold. The caller is responsible for not mutating the
-    served blend *during* a compaction cycle (the sharded tier holds its
-    routing lock for exactly this span; a solo deployment typically runs
-    ``compact_once`` from the same loop that applies mutations).
+    nothing to fold. The served blend is read-only: new state comes from
+    a writer that saves deltas into the same base, and a solo deployment
+    typically runs ``compact_once`` from the writer's loop (the sharded
+    tier holds its routing lock for the span of a cycle).
     """
 
     def __init__(

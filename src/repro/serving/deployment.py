@@ -32,9 +32,16 @@ from ..errors import ServingError
 
 
 class ServingDeployment:
-    """One served snapshot generation with in-flight request accounting."""
+    """One served snapshot generation with in-flight request accounting.
+
+    Wrapping a :class:`Blend` makes it read-only for good: its lifecycle
+    methods and ``compact_index`` raise
+    :class:`~repro.errors.ReadOnlyDeploymentError`, so readers never see
+    it change (new state arrives only through :meth:`DeploymentManager.swap`).
+    """
 
     def __init__(self, blend: Blend) -> None:
+        blend._served = True
         self.blend = blend
         self.generation = blend.lake.generation
         self._lock = threading.Lock()

@@ -12,8 +12,8 @@ On-disk layout (all paths relative to the snapshot directory)::
 
     manifest.json             format version, backend, index config, lake
                               metadata (stable ids incl. removal holes),
-                              stats aggregates, cost-model weights,
-                              semantic parameters, per-file sizes+CRCs
+                              cost-model weights, semantic parameters,
+                              per-file sizes+CRCs
     tables/t<k>/c<i>.*.npy    column backend: one raw ``.npy`` per sealed
                               array (int32 text codes, int64/float64
                               data, bool null masks) plus each text
@@ -22,7 +22,9 @@ On-disk layout (all paths relative to the snapshot directory)::
                               pickle stream (exact round-trip for every
                               cell, arbitrary-precision ints included)
     tables/t<k>/deleted.npy   tombstone mask, present only mid-lifecycle
-    stats/*                   per-token frequency table
+    stats/*                   older snapshots only: a per-token frequency
+                              table, size- and CRC-checked but ignored
+                              (statistics derive from ``AllTables``)
     lake.pkl                  the lake's cell payload (class-free
                               ``(name, columns, rows)`` tuples per slot)
 
@@ -78,7 +80,6 @@ from .engine.storage.row_store import RowTable
 from .engine.types import SqlType
 from .errors import SnapshotError
 from .index.alltables import IndexConfig
-from .index.stats import LakeStatistics
 from .lake.datalake import DataLake
 from .lake.table import Table
 
@@ -218,7 +219,7 @@ class _Reader:
         except Exception as exc:
             raise SnapshotError(f"cannot read snapshot payload {target}: {exc}") from exc
 
-    def load_text_list(self, rel_base: str) -> list[str]:
+    def load_text(self, rel_base: str) -> np.ndarray:
         lengths = self.load_array(rel_base + ".lens.npy", mmap=False)
         blob = self.load_array(rel_base + ".blob.npy", mmap=False)
         raw = blob.tobytes()
@@ -245,10 +246,6 @@ class _Reader:
             raise SnapshotError(
                 f"cannot read snapshot payload {self.root / (rel_base + '.blob.npy')}: {exc}"
             ) from exc
-        return pieces
-
-    def load_text(self, rel_base: str) -> np.ndarray:
-        pieces = self.load_text_list(rel_base)
         out = np.empty(len(pieces), dtype=object)
         out[:] = pieces
         return out
@@ -328,23 +325,6 @@ def save_blend(
         else:
             tables_meta.append(_save_row_table(writer, prefix, storage))
 
-    stats_meta = None
-    stats = blend._stats
-    if stats is None and getattr(blend, "_stats_loader", None) is not None:
-        stats = blend.stats  # resolve a pending snapshot-deferred loader
-    if stats is not None:
-        tokens, counts = stats.snapshot_arrays()
-        writer.save_text("stats/tokens", tokens)
-        writer.save_array("stats/counts.npy", counts)
-        stats_meta = {
-            "num_tables": stats.num_tables,
-            "num_cells": stats.num_cells,
-            "num_columns": stats.num_columns,
-            "num_rows": stats.num_rows,
-            "tokens": "stats/tokens",
-            "counts": "stats/counts.npy",
-        }
-
     lake_meta = blend.lake.snapshot_meta()
     lake_meta["payload"] = None
     if include_lake:
@@ -361,7 +341,9 @@ def save_blend(
             field: getattr(config, field) for field in IndexConfig.__dataclass_fields__
         },
         "lake": lake_meta,
-        "stats": stats_meta,
+        # Statistics derive from AllTables on load; older snapshots'
+        # ``stats`` entry and payloads are checked but ignored.
+        "stats": None,
         "cost_model": cost_model.snapshot_state() if cost_model.is_trained() else None,
         "semantic": semantic.snapshot_meta() if semantic is not None else None,
         "tables": tables_meta,
@@ -581,9 +563,7 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
     All removals (and the removal half of replacements) are applied
     first, then adds in ascending id order -- any live op history
     converges to the same lake this way, and a dying table's name can
-    never collide with an arriving one. Statistics are deferred through
-    the replay and folded into the snapshot's lazy stats loader, keeping
-    the warm start free of per-token work.
+    never collide with an arriving one.
     """
     delta_path = root / _DELTA_MANIFEST
     base_id = manifest.get("snapshot_id")
@@ -619,12 +599,9 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
                     "lacks a payload"
                 )
             adds.append((table_id, rel))
-    base_loader = blend._stats_loader
-    blend._stats_loader = None  # defer statistics through the replay
-    replayed: list[tuple[str, Table]] = []
     try:
         for table_id in sorted(removes):
-            replayed.append(("remove", blend.remove_table(table_id)))
+            blend.remove_table(table_id)
         for table_id, rel in sorted(adds):
             payload = reader.load_pickle(rel)
             if not (isinstance(payload, (list, tuple)) and len(payload) == 3):
@@ -635,7 +612,6 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
             name, columns, rows = payload
             table = Table(name, list(columns), rows)
             blend.add_table(table, table_id=table_id)
-            replayed.append(("add", table))
     except SnapshotError:
         raise
     except Exception as exc:
@@ -644,18 +620,6 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
         raise SnapshotError(
             f"cannot replay delta manifest {delta_path}: {exc}"
         ) from exc
-    if base_loader is not None:
-
-        def _stats_with_delta(loader=base_loader, ops=tuple(replayed)):
-            stats = loader()
-            for kind, table in ops:
-                if kind == "remove":
-                    stats.remove_table(table)
-                else:
-                    stats.add_table(table)
-            return stats
-
-        blend._stats_loader = _stats_with_delta
     blend.lake._generation = generation
 
 
@@ -913,25 +877,6 @@ def load_blend(
     blend = blend_cls(lake, backend=manifest["backend"], index_config=config)
     blend.db = db
     blend._indexed = True
-    if manifest.get("stats") is not None:
-        stats_meta = manifest["stats"]
-
-        def _load_stats(
-            reader: _Reader = reader, meta: dict = stats_meta
-        ) -> LakeStatistics:
-            # Deferred: the frequency table is the one load payload that
-            # needs per-token Python objects, so it materialises on first
-            # optimizer use instead of slowing the warm start.
-            return LakeStatistics.from_snapshot(
-                reader.load_text_list(meta["tokens"]),
-                reader.load_array(meta["counts"], mmap=False),
-                num_tables=meta["num_tables"],
-                num_cells=meta["num_cells"],
-                num_columns=meta["num_columns"],
-                num_rows=meta["num_rows"],
-            )
-
-        blend._stats_loader = _load_stats
     if manifest.get("cost_model"):
         from .core.optimizer.cost_model import CostModel
         from .core.optimizer.planner import Optimizer

@@ -1,19 +1,22 @@
-"""Exact lake-statistics maintenance under the table lifecycle.
+"""Lake statistics stay exact under the table lifecycle.
 
-The cost model reads LakeStatistics at every optimization; maintenance
-must keep EVERY field (token frequencies, cell/row/column/table
-aggregates, distinct-token count) equal to a from-scratch offline scan of
-the current lake -- with a trained optimizer, a drifted statistic would
-silently skew every subsequent seeker ordering."""
+The cost model reads LakeStatistics at every optimization; the statistics
+derived from AllTables after any lifecycle op must equal EVERY field
+(token frequencies, cell/row/column/table aggregates, distinct-token
+count) of a from-scratch scan of the current lake -- with a trained
+optimizer, a drifted statistic would silently skew every subsequent
+seeker ordering."""
 
 import pytest
 
 from repro import Blend
 from repro.core.optimizer.cost_model import CostModel, extract_features
 from repro.core.seekers import Seekers
-from repro.index.stats import LakeStatistics, table_token_counts
+from repro.index.stats import LakeStatistics
 from repro.lake import DataLake, Table
 from repro.lake.generators import CorpusConfig, generate_corpus
+
+from oracles.stats_scan import lake_statistics, table_token_counts
 
 
 @pytest.fixture
@@ -27,7 +30,7 @@ def blend():
 
 
 def _assert_exact(stats: LakeStatistics, lake: DataLake) -> None:
-    fresh = LakeStatistics.from_lake(lake)
+    fresh = lake_statistics(lake)
     assert stats.frequencies == fresh.frequencies
     assert stats.num_tables == fresh.num_tables
     assert stats.num_cells == fresh.num_cells
@@ -78,7 +81,7 @@ def test_trained_optimizer_agrees_after_maintenance(blend):
     blend.add_table(
         Table("post", ["k", "n"], [(f"tok{i}", i) for i in range(8)])
     )
-    fresh = LakeStatistics.from_lake(blend.lake)
+    fresh = lake_statistics(blend.lake)
     _assert_exact(blend.stats, blend.lake)
 
     table = blend.lake.by_id(blend.lake.table_ids()[0])
@@ -96,8 +99,9 @@ def test_trained_optimizer_agrees_after_maintenance(blend):
 
 
 def test_vectorized_kernel_matches_per_cell_loop():
-    """table_token_counts (the _FastFactorizer batch kernel) must agree
-    with a per-cell normalize_cell loop, bool/int duality included."""
+    """The oracle's table_token_counts (the factorisation kernel) and the
+    AllTables GROUP BY must both agree with a per-cell normalize_cell
+    loop, bool/int duality included."""
     from repro.lake.table import normalize_cell
 
     table = Table(
@@ -120,6 +124,9 @@ def test_vectorized_kernel_matches_per_cell_loop():
         if token is not None:
             expected[token] = expected.get(token, 0) + 1
     assert got == expected
+    blend = Blend(DataLake("hazards", [table]), backend="column")
+    blend.build_index()
+    assert blend.stats.frequencies == expected
 
 
 def test_average_posting_length():

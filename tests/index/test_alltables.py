@@ -143,21 +143,27 @@ class TestBuildAllTables:
         assert order_plain != order_shuffled
 
 
+def _derived_stats(lake: DataLake) -> LakeStatistics:
+    db = Database(backend="column")
+    build_alltables(lake, db)
+    return LakeStatistics.from_lake(lake, db)
+
+
 class TestLakeStatistics:
     def test_frequencies(self, small_lake):
-        stats = LakeStatistics.from_lake(small_lake)
+        stats = _derived_stats(small_lake)
         assert stats.frequency("a") == 2
         assert stats.frequency("10") == 1
         assert stats.frequency("ghost") == 0
         assert stats.num_cells == 6
 
     def test_average_frequency(self, small_lake):
-        stats = LakeStatistics.from_lake(small_lake)
+        stats = _derived_stats(small_lake)
         assert stats.average_frequency(["a", "10"]) == pytest.approx(1.5)
         assert stats.average_frequency([]) == 0.0
 
     def test_selectivity_bounded(self, small_lake):
-        stats = LakeStatistics.from_lake(small_lake)
+        stats = _derived_stats(small_lake)
         assert 0.0 <= stats.selectivity(["a"]) <= 1.0
 
 

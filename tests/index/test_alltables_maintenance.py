@@ -22,6 +22,7 @@ import random
 
 import pytest
 from oracles.alltables_scalar import alltables_rows, build_alltables_scalar, index_table_scalar
+from oracles.stats_scan import lake_statistics
 
 from repro import Blend
 from repro.core.seekers import SeekerContext, Seekers
@@ -29,7 +30,6 @@ from repro.engine import Database
 from repro.engine.storage.column_store import ColumnTable
 from repro.errors import IndexingError, LakeError, StaleContextError
 from repro.index import IndexConfig, build_alltables, deindex_table, index_table, reindex_table
-from repro.index.stats import LakeStatistics
 from repro.lake import DataLake, Table
 from repro.lake.generators import CorpusConfig, generate_corpus
 
@@ -188,7 +188,7 @@ def test_lifecycle_rebuild_parity(backend, hash_size, shuffle, seed):
     )
 
     # Statistics stayed exact through the whole interleaving.
-    fresh_stats = LakeStatistics.from_lake(blend.lake)
+    fresh_stats = lake_statistics(blend.lake)
     assert blend.stats == fresh_stats
 
 

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.stats_scan import lake_statistics
+
 from repro import Blend, Database, Table
 from repro.core.seekers import SeekerContext
 from repro.errors import BlendError, SnapshotError
 from repro.index import IndexConfig, build_alltables
-from repro.index.stats import LakeStatistics
 from repro.lake.generators import CorpusConfig, generate_corpus
 from repro.snapshot import read_delta_manifest, read_manifest
 
@@ -153,7 +154,7 @@ def test_incremental_save_round_trip_parity(backend, hash_size, seed, tmp_path):
     reloaded.compact_index()
     assert reloaded.db.execute(sql).rows == fresh_db.execute(sql).rows
     _storage_identical(reloaded.db, fresh_db, "AllTables")
-    assert reloaded.stats == LakeStatistics.from_lake(reloaded.lake)
+    assert reloaded.stats == lake_statistics(reloaded.lake)
 
     # The bare base is still recoverable, bit-for-bit.
     base_only = Blend.load(path, delta=False)

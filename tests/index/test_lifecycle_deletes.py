@@ -13,12 +13,13 @@ import random
 
 import pytest
 
+from oracles.stats_scan import lake_statistics
+
 from repro import Blend, Database
 from repro.core.seekers import SeekerContext
 from repro.engine.storage import column_store
 from repro.engine.storage.column_store import ColumnTable
 from repro.index import IndexConfig, build_alltables
-from repro.index.stats import LakeStatistics
 
 from tests.index.test_snapshot import (
     _lake,
@@ -126,4 +127,4 @@ def test_table_dropped_before_any_read_matches_fresh_build(backend, op, tmp_path
         assert sorted(blend.db.execute(sql).rows) == sorted(fresh_db.execute(sql).rows)
         blend.compact_index()
         _storage_identical(blend.db, fresh_db, "AllTables")
-        assert blend.stats == LakeStatistics.from_lake(blend.lake)
+        assert blend.stats == lake_statistics(blend.lake)

@@ -23,15 +23,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.stats_scan import lake_statistics
+
 from repro import Blend, Database, Plan, Table
 from repro.core.seekers import SeekerContext, Seekers
 from repro.engine.storage.column_store import ColumnTable
 from repro.errors import SnapshotError
 from repro.index import IndexConfig, build_alltables
-from repro.index.stats import LakeStatistics
 from repro.lake import DataLake
 from repro.lake.generators import CorpusConfig, generate_corpus
-from repro.snapshot import FORMAT_VERSION, read_manifest
+from repro.snapshot import FORMAT_VERSION, _Writer, read_manifest
 
 BACKEND_HASH = [("row", 63), ("row", 128), ("column", 63)]
 
@@ -140,7 +141,7 @@ def test_round_trip_identical(backend, hash_size, tmp_path):
 
     seekers = _query_seekers(blend.lake)
     assert _results(blend.context(), seekers) == _results(loaded.context(), seekers)
-    assert loaded.stats == LakeStatistics.from_lake(blend.lake)
+    assert loaded.stats == lake_statistics(blend.lake)
     assert loaded.lake.generation == blend.lake.generation
     assert loaded.lake.table_ids() == blend.lake.table_ids()
     assert loaded.index_config == config
@@ -194,7 +195,7 @@ def test_round_trip_then_mutate_matches_fresh_build(backend, hash_size, seed, tm
     loaded.compact_index()
     assert loaded.db.execute(sql).rows == fresh_db.execute(sql).rows
     _storage_identical(loaded.db, fresh_db, "AllTables")
-    assert loaded.stats == LakeStatistics.from_lake(loaded.lake)
+    assert loaded.stats == lake_statistics(loaded.lake)
 
     # Base + delta: all that mutation never wrote a byte to the snapshot.
     assert (Path(path) / "manifest.json").read_bytes() == manifest_bytes
@@ -472,11 +473,43 @@ def test_truncated_payload_names_file(saved):
 
 def test_missing_payload_names_file(saved):
     _, path = saved
-    rel = _payload_named(path, "counts.npy")
+    rel = _payload_named(path, ".null.npy")
     (path / rel).unlink()
     with pytest.raises(SnapshotError, match="missing") as excinfo:
         Blend.load(path)
     assert rel in str(excinfo.value)
+
+
+def test_legacy_stats_payload_is_checked_but_ignored(saved):
+    """Snapshots written before statistics were derived from AllTables
+    carry a ``stats/*`` frequency table. They still load -- the entry is
+    ignored and statistics derive from the loaded AllTables -- and the
+    payloads stay under the size / CRC gate like any listed file."""
+    blend, path = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert manifest["stats"] is None
+    assert not any(rel.startswith("stats/") for rel in manifest["files"])
+    legacy = _Writer(path)
+    legacy.save_text("stats/tokens", ["bogus"])
+    legacy.save_array("stats/counts.npy", np.array([999], dtype=np.int64))
+    manifest["files"].update(legacy.files)
+    manifest["stats"] = {
+        "num_tables": 1,
+        "num_cells": 999,
+        "num_columns": 1,
+        "num_rows": 1,
+        "tokens": "stats/tokens",
+        "counts": "stats/counts.npy",
+    }
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    assert Blend.load(path).stats == blend.stats == lake_statistics(blend.lake)
+    target = path / "stats/counts.npy"
+    raw = bytearray(target.read_bytes())
+    raw[-1] ^= 0xFF
+    target.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match="checksum mismatch") as excinfo:
+        Blend.load(path)
+    assert "counts.npy" in str(excinfo.value)
 
 
 def test_checksum_mismatch_names_file(saved):

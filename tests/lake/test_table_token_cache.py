@@ -9,8 +9,9 @@ import pytest
 
 from repro import Blend, DataLake, Table
 from repro.index.alltables import IndexConfig
-from repro.index.stats import table_token_counts
 from repro.lake.table import normalize_cell
+
+from oracles.stats_scan import table_token_counts
 
 
 def _messy_table(name: str, seed: int) -> Table:
@@ -115,6 +116,7 @@ def test_index_table_populates_cache_and_readd_reuses_it():
     plain_counts = dict(zip(*table_token_counts(copy.deepcopy(extra))))
     cached_counts = dict(zip(*table_token_counts(removed)))
     assert plain_counts == cached_counts
+    assert blend.stats == fresh.stats
 
 
 def test_table_token_counts_cached_vs_uncached():

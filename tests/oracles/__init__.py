@@ -6,5 +6,6 @@ suites and the legacy micro-benches compare against them:
 
 * :mod:`oracles.alltables_scalar` -- the seed ``AllTables`` build loop;
 * :mod:`oracles.mc_scalar` -- the seed MC seeker phases;
-* :mod:`oracles.hnsw_scalar` -- the seed per-pair-distance HNSW.
+* :mod:`oracles.hnsw_scalar` -- the seed per-pair-distance HNSW;
+* :mod:`oracles.stats_scan` -- the lake-scan statistics counter.
 """

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro import Blend, DataLake, Seekers, Table
-from repro.errors import ServingError
+from repro.errors import ReadOnlyDeploymentError, ServingError
 from repro.serving import (
     BatchScheduler,
     DeploymentManager,
@@ -83,11 +83,20 @@ def test_compactor_threshold_and_swap(tmp_path):
     assert current.lake.table_ids() == served.lake.table_ids()
     assert compactor.reports == [report]
 
-    # Next cycle numbers the following generation.
-    current.add_table(Table("more", ["city", "country", "pop"], EXTRA_ROWS))
+    # Next cycle numbers the following generation. The served current is
+    # read-only, so new state arrives the documented way: a writer over
+    # the same snapshot, save_delta, load, swap.
+    more = Table("more", ["city", "country", "pop"], EXTRA_ROWS)
+    with pytest.raises(ReadOnlyDeploymentError):
+        current.add_table(more)
+    writer = Blend.load(report.destination)
+    writer.add_table(more)
+    writer.save_delta()
+    manager.swap(Blend.load(report.destination))
     report2 = compactor.compact_once(force=True)
     assert report2.destination.endswith("gen-0002")
     assert report2.source.endswith("gen-0001")
+    assert "more" in manager.current().blend.lake
 
 
 def test_compactor_refuses_baseless_deployment(tmp_path):
