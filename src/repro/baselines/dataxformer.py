@@ -10,7 +10,6 @@ Table VIII compares BLEND against.
 
 from __future__ import annotations
 
-from ..core.results import ResultList, TableHit
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, normalize_cell
 
@@ -35,23 +34,6 @@ class DataXFormerIndex:
         if token is None:
             return []
         return list(self._postings.get(token, ()))
-
-    def keyword_search(self, keywords: list[Cell], k: int = 10) -> ResultList:
-        """Top-k tables by distinct keyword hits (table-wide overlap)."""
-        counts: dict[int, set[str]] = {}
-        for keyword in keywords:
-            token = normalize_cell(keyword)
-            if token is None:
-                continue
-            for table_id, _, _ in self._postings.get(token, ()):
-                counts.setdefault(table_id, set()).add(token)
-        ranked = sorted(
-            ((table_id, len(tokens)) for table_id, tokens in counts.items()),
-            key=lambda item: (-item[1], item[0]),
-        )
-        return ResultList(
-            TableHit(table_id, float(score)) for table_id, score in ranked[:k]
-        )
 
     def storage_bytes(self) -> int:
         total = 0

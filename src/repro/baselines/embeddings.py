@@ -8,12 +8,20 @@ give exact-content similarity; trigram features give a soft, "semantic-ish"
 component (morphologically close vocabularies land close), which is enough
 to reproduce the baselines' qualitative profile -- fast ANN retrieval with
 result sets that differ from exact-overlap search (paper §VIII-D/F).
+
+Two paths compute the same bits. Queries (:func:`embed_values`) go
+through a per-token memo (:func:`_token_features`); index builds
+(:func:`embed_bags`) hash a whole vocabulary once into a feature table
+(:func:`vocabulary_features`, one CRC per distinct trigram) and sum every
+bag with one ``np.bincount`` in :func:`embed_tokens`' accumulation order.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +30,7 @@ from ..lake.table import Cell, Table, normalize_cell
 
 DEFAULT_DIMENSIONS = 64
 _TRIGRAM_WEIGHT = 0.35
+_BAG_CHUNK = 64  # bags per np.bincount in embed_bags: bounds the expanded stream
 
 
 def _feature_slot(feature: str, dimensions: int) -> tuple[int, float]:
@@ -38,15 +47,11 @@ def _feature_slot(feature: str, dimensions: int) -> tuple[int, float]:
     return slot, sign
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=500_000)
 def _token_features(token: str, dimensions: int) -> tuple[tuple[int, float], ...]:
     """Cached (slot, signed weight) contributions of one token -- the
     analogue of an encoder's cached vocabulary embeddings."""
-    features = [(*_feature_slot("tok:" + token, dimensions), 1.0)]
-    contributions = [(features[0][0], features[0][1] * features[0][2])]
+    contributions = [_feature_slot("tok:" + token, dimensions)]
     for trigram in _trigrams(token):
         slot, sign = _feature_slot("tri:" + trigram, dimensions)
         contributions.append((slot, sign * _TRIGRAM_WEIGHT))
@@ -55,9 +60,7 @@ def _token_features(token: str, dimensions: int) -> tuple[tuple[int, float], ...
 
 def embed_tokens(tokens: Iterable[str], dimensions: int = DEFAULT_DIMENSIONS) -> np.ndarray:
     """Embed a bag of tokens into a unit vector (zero vector if empty)."""
-    counts: dict[str, int] = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0) + 1
+    counts = Counter(tokens)  # first-appearance order
     vector = np.zeros(dimensions, dtype=np.float64)
     for token, count in counts.items():
         weight = 1.0 + math.log(count)
@@ -69,25 +72,67 @@ def embed_tokens(tokens: Iterable[str], dimensions: int = DEFAULT_DIMENSIONS) ->
     return vector
 
 
+def vocabulary_features(vocabulary: Sequence[str], dimensions: int) -> tuple[np.ndarray, ...]:
+    """:func:`_token_features` of a whole vocabulary, hashing each distinct
+    trigram once: token *i*'s contributions, in the same order, are the
+    ``lengths[i]`` entries of ``slots`` / ``weights`` from ``starts[i]``.
+    Entry ``starts[i] + j`` is the window at that point of the joined
+    " ##token##" texts: trigram j - 1, or for j = 0 the token's feature."""
+    lengths = np.fromiter(map(len, vocabulary), dtype=np.int64, count=len(vocabulary)) + 3
+    starts = np.cumsum(lengths + 2) - lengths - 2
+    text = "".join(f" ##{token}##" for token in vocabulary).encode("utf-32-le")
+    points = np.frombuffer(text, dtype="<u4").astype(np.int64)
+    windows = (points[:-2] << 42) | (points[1:-1] << 21) | points[2:]
+    distinct, which = np.unique(windows, return_inverse=True)
+    grams = [chr(key >> 42) + chr(key >> 21 & 0x1FFFFF) + chr(key & 0x1FFFFF) for key in distinct]
+    features = np.array([_feature_slot("tri:" + g, dimensions) for g in grams]).reshape(-1, 2)[which]
+    features[:, 1] *= _TRIGRAM_WEIGHT
+    tokens = [_feature_slot("tok:" + token, dimensions) for token in vocabulary]
+    features[starts] = np.array(tokens).reshape(-1, 2)
+    return starts, lengths, features[:, 0].astype(np.int64), features[:, 1]
+
+
+def embed_bags(
+    bags: np.ndarray,
+    codes: np.ndarray,
+    counts: np.ndarray,
+    vocabulary: Sequence[str],
+    dimensions: int = DEFAULT_DIMENSIONS,
+) -> np.ndarray:
+    """:func:`embed_tokens` of many bags, bit for bit: bag ``bags[e]``
+    (ascending from 0) holds ``vocabulary[codes[e]]`` ``counts[e]`` times,
+    its tokens in first-appearance order. Sums ``_BAG_CHUNK`` bags at a time."""
+    starts, lengths, slots, weights = vocabulary_features(vocabulary, dimensions)
+    distinct, which = np.unique(counts, return_inverse=True)
+    entry_weights = np.array([1.0 + math.log(count) for count in distinct.tolist()])[which]
+    num_bags = int(bags[-1]) + 1 if len(bags) else 0
+    matrix = np.zeros((-(-num_bags // _BAG_CHUNK) * _BAG_CHUNK, dimensions))
+    bounds = np.searchsorted(bags, np.arange(0, len(matrix) + 1, _BAG_CHUNK))
+    for first, lo, hi in zip(range(0, num_bags, _BAG_CHUNK), bounds, bounds[1:]):
+        length = lengths[codes[lo:hi]]
+        entry = np.repeat(np.arange(hi - lo), length)
+        feature = np.arange(len(entry)) + (starts[codes[lo:hi]] - np.cumsum(length) + length)[entry]
+        stream = weights[feature] * entry_weights[lo:hi][entry]
+        index = (bags[lo:hi][entry] - first) * dimensions + slots[feature]
+        block = np.bincount(index, stream, minlength=_BAG_CHUNK * dimensions)
+        matrix[first : first + _BAG_CHUNK] = block.reshape(_BAG_CHUNK, dimensions)
+    for vector in matrix[:num_bags]:
+        norm = np.linalg.norm(vector)
+        if norm > 0:
+            vector /= norm
+    return matrix[:num_bags]
+
+
 def embed_column(
     table: Table, column_position: int, dimensions: int = DEFAULT_DIMENSIONS
 ) -> np.ndarray:
     """Embed one table column by its value tokens."""
-    tokens = []
-    for row in table.rows:
-        token = normalize_cell(row[column_position])
-        if token is not None:
-            tokens.append(token)
-    return embed_tokens(tokens, dimensions)
+    return embed_values([row[column_position] for row in table.rows], dimensions)
 
 
 def embed_values(values: Sequence[Cell], dimensions: int = DEFAULT_DIMENSIONS) -> np.ndarray:
     """Embed a raw value list (query columns)."""
-    tokens = []
-    for value in values:
-        token = normalize_cell(value)
-        if token is not None:
-            tokens.append(token)
+    tokens = [token for token in map(normalize_cell, values) if token is not None]
     return embed_tokens(tokens, dimensions)
 
 

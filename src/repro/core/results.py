@@ -89,12 +89,6 @@ class ResultList:
             return self
         return ResultList(self._hits[:k])
 
-    def sorted_by_score(self) -> "ResultList":
-        """Re-rank by (score desc, table id asc) -- deterministic."""
-        return ResultList(
-            sorted(self._hits, key=lambda hit: (-hit.score, hit.table_id))
-        )
-
 
 # -- mergeable partial results -------------------------------------------------
 

@@ -8,8 +8,9 @@ efficient vector indexing using methods like HNSW or IVFFlat."*
 
 This module implements that extension end to end:
 
-* the offline phase embeds every lake column (see
-  :mod:`repro.baselines.embeddings` for the encoder substitution) into
+* the offline phase embeds every column of the lake -- its token bag
+  derived from ``AllTables`` by one GROUP BY, no lake cell read (see
+  :mod:`repro.baselines.embeddings` for the encoder substitution) -- into
   one vector matrix owned by the HNSW index, and writes its non-zero
   weights as typed columns into a database relation ``AllVectors(TableId,
   ColumnId, Dim, Weight)`` -- the "in-DB embeddings"; load scatters them back;
@@ -35,12 +36,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ..baselines.embeddings import DEFAULT_DIMENSIONS, embed_column, embed_values
+from ..baselines.embeddings import DEFAULT_DIMENSIONS, embed_bags, embed_values
 from ..baselines.hnsw import HnswIndex
 from ..engine.database import Database
-from ..errors import SeekerError
-from ..lake.datalake import DataLake
-from ..lake.table import Cell
+from ..engine.storage.column_store import DictCodes
+from ..errors import SeekerError, SnapshotError
+from ..lake.table import Cell, normalize_cell
 from .results import SeekerPartials, ranked_partials
 from .seekers import Rewrite, Seeker, SeekerContext
 
@@ -54,33 +55,54 @@ ALLVECTORS_SCHEMA = [
 
 class SemanticIndex:
     """Column embeddings, persisted in-DB, searchable via HNSW (whose
-    keys and matrix rows are the only copy of the vectors)."""
+    keys and matrix rows are the only copy of the vectors). Built from
+    the *index_table* relation (``AllTables``) of *db*, never from lake
+    cells."""
 
     def __init__(
         self,
-        lake: DataLake,
+        db: Optional[Database],
+        index_table: str = "AllTables",
         dimensions: int = DEFAULT_DIMENSIONS,
         m: int = 8,
         ef_construction: int = 48,
         seed: int = 0,
     ) -> None:
-        self.lake = lake
         self.dimensions = dimensions
         self._m = m
         self._ef_construction = ef_construction
         self._seed = seed
         self._hnsw = self._new_graph()
-        for table_id, table in lake.items():
-            self._embed_table(table_id, table)
+        if db is not None:  # None: an empty index (what load fills)
+            self._embed(db, index_table)
 
     def _new_graph(self) -> HnswIndex:
         return HnswIndex(self.dimensions, self._m, self._ef_construction, self._seed)
 
-    def _embed_table(self, table_id: int, table) -> None:
-        for position in range(table.num_columns):
-            vector = embed_column(table, position, self.dimensions)
+    def _embed(self, db: Database, index_table: str, table_id: Optional[int] = None) -> None:
+        """Add the non-zero vectors of every column in *index_table* (or of
+        table *table_id*): a column's bag is its GROUP BY rows, ordered by
+        ``MIN(RowId)`` -- the bag and order of a scan of its cells."""
+        where = "" if table_id is None else " WHERE TableId = :id"
+        result = db.execute_columnar(
+            "SELECT TableId, ColumnId, CellValue, MIN(RowId), COUNT(*) "
+            f"FROM {index_table}{where} GROUP BY TableId, ColumnId, CellValue",
+            {"id": table_id}, decode_text=False,
+        )
+        tables, columns, tokens, first_rows, counts = (data for data, _ in result.arrays)
+        order = np.lexsort((first_rows, columns, tables))
+        tables, columns, tokens = tables[order], columns[order], tokens[order]
+        coded = isinstance(tokens, DictCodes)  # the column store's text codes
+        present, codes = np.unique(np.asarray(tokens) if coded else tokens, return_inverse=True)
+        vocabulary = (tokens.dictionary[present] if coded else present).tolist()
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (tables[1:] != tables[:-1]) | (columns[1:] != columns[:-1])
+        bags = np.cumsum(starts) - 1
+        matrix = embed_bags(bags, codes, counts[order], vocabulary, self.dimensions)
+        keys = zip(tables[starts].tolist(), columns[starts].tolist())
+        for key, vector in zip(keys, matrix):
             if np.any(vector):
-                self._hnsw.add((table_id, position), vector)
+                self._hnsw.add(key, vector)
 
     @property
     def num_columns(self) -> int:
@@ -88,13 +110,13 @@ class SemanticIndex:
 
     # -- lifecycle maintenance -----------------------------------------------------
 
-    def add_table(self, table_id: int, table, db: Optional[Database] = None) -> None:
-        """Embed one added (or replacement) table's columns and graft them
-        into the vector index; with *db*, the new ``AllVectors`` rows are
-        persisted alongside."""
+    def add_table(self, table_id: int, db: Database, index_table: str = "AllTables") -> None:
+        """Embed one added (or replacement) table's columns from its
+        *index_table* rows and graft them into the vector index; the new
+        ``AllVectors`` rows are persisted alongside when *db* has them."""
         start = len(self._hnsw)
-        self._embed_table(table_id, table)
-        if db is not None and db.has_table("AllVectors"):
+        self._embed(db, index_table, table_id)
+        if db.has_table("AllVectors"):
             db.insert_columns("AllVectors", self._coordinate_columns(start))
 
     def remove_table(self, table_id: int, db: Optional[Database] = None) -> None:
@@ -112,9 +134,9 @@ class SemanticIndex:
         if db is not None and db.has_table("AllVectors"):
             db.delete_rows("AllVectors", "TableId", [table_id])
 
-    def replace_table(self, table_id: int, table, db: Optional[Database] = None) -> None:
+    def replace_table(self, table_id: int, db: Database, index_table: str = "AllTables") -> None:
         self.remove_table(table_id, db)
-        self.add_table(table_id, table, db)
+        self.add_table(table_id, db, index_table)
 
     def _coordinate_columns(self, start: int = 0) -> list:
         """Typed ``AllVectors`` columns for the vectors from row *start*
@@ -127,9 +149,11 @@ class SemanticIndex:
     def persist(self, db: Database, table_name: str = "AllVectors") -> int:
         """Serialise the embeddings into a database relation (sparse
         coordinate layout), enabling in-DB inspection and maintenance of
-        the vector index alongside ``AllTables``. Returns rows written."""
-        if not db.has_table(table_name):
-            db.create_table(table_name, ALLVECTORS_SCHEMA)
+        the vector index alongside ``AllTables``. Replaces an existing
+        relation of that name. Returns rows written."""
+        if db.has_table(table_name):
+            db.drop_table(table_name)
+        db.create_table(table_name, ALLVECTORS_SCHEMA)
         inserted = db.insert_columns(table_name, self._coordinate_columns())
         db.create_index(table_name, "TableId")
         return inserted
@@ -148,7 +172,7 @@ class SemanticIndex:
 
     @classmethod
     def load(
-        cls, db: Database, lake: DataLake, table_name: str = "AllVectors",
+        cls, db: Database, table_name: str = "AllVectors",
         dimensions: int = DEFAULT_DIMENSIONS, seed: int = 0,
         m: Optional[int] = None, ef_construction: Optional[int] = None,
     ) -> "SemanticIndex":
@@ -157,20 +181,11 @@ class SemanticIndex:
         *m* / *ef_construction* (e.g. from :meth:`snapshot_meta`) to
         reconstruct with the exact graph parameters of the saved index;
         left ``None``, the HNSW defaults apply."""
-        instance = cls.__new__(cls)
-        instance.lake = lake
-        instance.dimensions = dimensions
-        instance._seed = seed
-        graph_kwargs = {}
-        if m is not None:
-            graph_kwargs["m"] = m
-        if ef_construction is not None:
-            graph_kwargs["ef_construction"] = ef_construction
-        instance._hnsw = HnswIndex(dimensions, seed=seed, **graph_kwargs)
-        # Record the graph parameters actually used, so a lifecycle
-        # rebuild (remove_table) reconstructs with identical settings.
-        instance._m = instance._hnsw.m
-        instance._ef_construction = instance._hnsw.ef_construction
+        # Manifests without graph parameters get the HNSW's defaults.
+        instance = cls(
+            None, dimensions=dimensions, seed=seed, m=8 if m is None else m,
+            ef_construction=64 if ef_construction is None else ef_construction,
+        )
         result = db.execute_columnar(
             f"SELECT TableId, ColumnId, Dim, Weight FROM {table_name} "
             "ORDER BY TableId, ColumnId, Dim"
@@ -179,6 +194,9 @@ class SemanticIndex:
         # One scatter: a vector starts wherever the sorted key changes.
         starts = np.ones(len(tables), dtype=bool)
         starts[1:] = (tables[1:] != tables[:-1]) | (columns[1:] != columns[:-1])
+        repeated = ~starts[1:] & (dims[1:] == dims[:-1])
+        if len(dims) and (dims.min() < 0 or dims.max() >= dimensions or repeated.any()):
+            raise SnapshotError(f"{table_name} has a repeated Dim or one outside [0, {dimensions})")
         row_of = np.cumsum(starts) - 1
         matrix = np.zeros((int(starts.sum()), dimensions))
         matrix[row_of, dims.astype(np.int64)] = weights
@@ -313,6 +331,4 @@ class SemanticSeeker(Seeker):
         return 1
 
     def query_tokens(self) -> list[str]:
-        from ..lake.table import normalize_cell
-
         return [t for t in (normalize_cell(v) for v in self.values) if t is not None]

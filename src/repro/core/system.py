@@ -71,6 +71,7 @@ class Blend:
         # against. ``None`` for deployments that never touched disk.
         self._snapshot_base = None
         self.optimizer = Optimizer()
+        self._semantic = None  # the SemanticIndex, once enable_semantic() ran
 
     # -- offline phase ---------------------------------------------------------
 
@@ -82,7 +83,7 @@ class Blend:
         after a build pays nothing for them.
 
         With ``IndexConfig(semantic=True)`` the offline phase also embeds
-        every lake column into ``AllVectors`` + the HNSW (the semantic
+        every column of ``AllTables`` into ``AllVectors`` + the HNSW (the semantic
         extension), so build, load, and shard paths configure semantic
         search uniformly from the one config object.
         """
@@ -294,9 +295,8 @@ class Blend:
             table_id = self.lake.add_at(table_id, table)
         if self._indexed:
             index_table(table_id, table, self.db, self.index_config)
-        semantic = getattr(self, "_semantic", None)
-        if semantic is not None:
-            semantic.add_table(table_id, table, self.db if self._indexed else None)
+        if self._semantic is not None:
+            self._semantic.add_table(table_id, self.db, self.index_config.table_name)
         return table_id
 
     def remove_table(self, table_id: int) -> Table:
@@ -315,9 +315,8 @@ class Blend:
         removed = self.lake.remove(table_id)
         if self._indexed:
             deindex_table(table_id, self.db, self.index_config)
-        semantic = getattr(self, "_semantic", None)
-        if semantic is not None:
-            semantic.remove_table(table_id, self.db if self._indexed else None)
+        if self._semantic is not None:
+            self._semantic.remove_table(table_id, self.db)
         return removed
 
     def replace_table(self, table_id: int, table: Table) -> Table:
@@ -329,9 +328,8 @@ class Blend:
         previous = self.lake.replace(table_id, table)
         if self._indexed:
             reindex_table(table_id, table, self.db, self.index_config)
-        semantic = getattr(self, "_semantic", None)
-        if semantic is not None:
-            semantic.replace_table(table_id, table, self.db if self._indexed else None)
+        if self._semantic is not None:
+            self._semantic.replace_table(table_id, self.db, self.index_config.table_name)
         return previous
 
     def compact_index(self) -> None:
@@ -351,8 +349,9 @@ class Blend:
 
     def enable_semantic(self, dimensions: int = 64, persist: bool = True) -> "Blend":
         """Build the semantic extension (paper §X future work): embed
-        every lake column, persist the vectors in-DB as ``AllVectors``,
-        and serve SS seekers from an HNSW over them. Returns self.
+        every column from the built ``AllTables`` (no lake cell is read),
+        persist the vectors in-DB as ``AllVectors`` (replacing an earlier
+        copy), and serve SS seekers from an HNSW over them. Returns self.
 
         Equivalent to building with ``IndexConfig(semantic=True)``; the
         config is updated to match so snapshots and shard saves carry the
@@ -361,11 +360,13 @@ class Blend:
 
         from .semantic import SemanticIndex
 
-        self._semantic = SemanticIndex(self.lake, dimensions=dimensions)
+        if not self._indexed:
+            raise BlendError("call build_index() before enable_semantic()")
+        self._semantic = SemanticIndex(self.db, self.index_config.table_name, dimensions=dimensions)
         self.index_config = replace(
             self.index_config, semantic=True, semantic_dimensions=dimensions
         )
-        if persist and self._indexed:
+        if persist:
             self._semantic.persist(self.db)
         return self
 
@@ -378,7 +379,7 @@ class Blend:
             index_table=self.index_config.table_name,
             hash_size=self.index_config.hash_size,
             xash_chars=self.index_config.xash_chars,
-            semantic=getattr(self, "_semantic", None),
+            semantic=self._semantic,
             generation=self.lake.generation,
         )
 

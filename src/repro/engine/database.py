@@ -73,10 +73,6 @@ class ResultSet:
         """All values of one output column."""
         return [row[index] for row in self.rows]
 
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 @dataclass
 class ColumnarResult:

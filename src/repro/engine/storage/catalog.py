@@ -52,9 +52,6 @@ class TableSchema:
                 f"table {self.name!r} has no column {column_name!r}"
             ) from None
 
-    def type_of(self, column_name: str) -> SqlType:
-        return self.columns[self.position_of(column_name)].sql_type
-
 
 class StoredTable(Protocol):
     """Interface both storage backends implement (structural typing)."""

@@ -223,9 +223,6 @@ class RowTable:
         for position in positions:
             yield rows[position]
 
-    def row_at(self, position: int) -> tuple:
-        return self._rows[position]
-
     # -- indexes ---------------------------------------------------------------
 
     def create_index(self, column_name: str) -> None:
@@ -280,20 +277,6 @@ class RowTable:
             positions = [p for p in positions if not mask[p]]
         positions.sort()
         return positions
-
-    def index_distinct_values(self, column_name: str) -> list[Any]:
-        key = column_name.lower()
-        if key not in self._indexes:
-            raise CatalogError(f"no index on {self.schema.name}.{column_name}")
-        index = self._indexes[key]
-        if self._deleted is None:
-            return list(index.keys())
-        mask = self._deleted
-        return [
-            value
-            for value, postings in index.items()
-            if any(not mask[p] for p in postings)
-        ]
 
     # -- delta accounting ---------------------------------------------------------
 

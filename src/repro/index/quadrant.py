@@ -186,10 +186,3 @@ def split_keys_by_target(
         else:
             below.append(token)
     return below, above
-
-
-def qcr_from_counts(same_quadrant: int, total: int) -> float:
-    """QCR from the count of same-quadrant pairs among *total* pairs."""
-    if total == 0:
-        return 0.0
-    return (2.0 * same_quadrant - total) / total

@@ -52,10 +52,6 @@ class LakeShard:
     tables: tuple[Table, ...]
 
     @property
-    def first_table_id(self) -> int:
-        return self.table_ids[0] if self.table_ids else 0
-
-    @property
     def num_cells(self) -> int:
         return sum(table.num_rows * table.num_columns for table in self.tables)
 

@@ -35,9 +35,6 @@ class CorrelationQuery:
     targets: tuple[float, ...]
     key_is_numeric: bool
 
-    def as_table(self) -> Table:
-        return Table(self.name, ["key", "target"], list(zip(self.keys, self.targets)))
-
 
 @dataclass
 class CorrelationBenchmark:

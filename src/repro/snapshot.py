@@ -307,7 +307,7 @@ def save_blend(
     writer = _Writer(target_root)
     db: Database = blend.db
 
-    semantic = getattr(blend, "_semantic", None)
+    semantic = blend._semantic
     if semantic is not None and not db.has_table("AllVectors"):
         # enable_semantic(persist=False) keeps the vectors in memory
         # only; a snapshot persists the entire built system, so
@@ -662,7 +662,7 @@ def save_sharded(
             )
     root.mkdir(parents=True, exist_ok=True)
 
-    semantic = getattr(blend, "_semantic", None)
+    semantic = blend._semantic
     semantic_meta = semantic.snapshot_meta() if semantic is not None else None
     shard_names: list[str] = []
     table_shard: dict[str, int] = {}
@@ -672,7 +672,7 @@ def save_sharded(
             shard_lake, backend=blend.db.backend, index_config=blend.index_config
         )
         sub.build_index()
-        if semantic_meta is not None and getattr(sub, "_semantic", None) is None:
+        if semantic_meta is not None and sub._semantic is None:
             # IndexConfig(semantic=True) already built the shard's vector
             # index inside build_index(); this branch covers deployments
             # whose SemanticIndex was installed directly (non-default
@@ -680,7 +680,8 @@ def save_sharded(
             from .core.semantic import SemanticIndex
 
             sub._semantic = SemanticIndex(
-                shard_lake,
+                sub.db,
+                sub.index_config.table_name,
                 dimensions=semantic_meta["dimensions"],
                 m=semantic_meta["m"],
                 ef_construction=semantic_meta["ef_construction"],
@@ -888,7 +889,6 @@ def load_blend(
         semantic_meta = manifest["semantic"]
         blend._semantic = SemanticIndex.load(
             db,
-            lake,
             dimensions=semantic_meta["dimensions"],
             seed=semantic_meta["seed"],
             m=semantic_meta.get("m"),

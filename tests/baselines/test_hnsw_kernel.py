@@ -12,6 +12,8 @@ from oracles.hnsw_scalar import HnswIndex as ScalarHnsw
 from repro.baselines import DeepJoinIndex, HnswIndex, StarmieIndex
 from repro.baselines.embeddings import embed_column
 from repro.core.semantic import SemanticIndex
+from repro.engine import Database
+from repro.index import build_alltables
 from repro.lake.generators import make_union_benchmark
 
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
@@ -134,7 +136,9 @@ def _expected_storage(hnsw):
 
 def test_storage_counts_every_vector_once():
     lake = make_union_benchmark(num_seeds=4, partitions_per_seed=3, distractor_tables=8).lake
-    semantic = SemanticIndex(lake)
+    db = Database()
+    build_alltables(lake, db)
+    semantic = SemanticIndex(db)
     starmie = StarmieIndex(lake)
     deepjoin = DeepJoinIndex(lake)
     for index in (semantic, starmie, deepjoin):

@@ -8,6 +8,7 @@ from repro import Blend, Combiners, Plan, Seekers
 from repro.core.semantic import SemanticIndex, SemanticSeeker
 from repro.engine import Database
 from repro.errors import SeekerError
+from repro.index import build_alltables
 from repro.lake import DataLake, Table
 
 
@@ -30,18 +31,25 @@ def blend(lake):
     return deployment
 
 
+def _indexed(lake: DataLake) -> Database:
+    """A database holding *lake*'s ``AllTables`` -- what SemanticIndex reads."""
+    db = Database(backend="column")
+    build_alltables(lake, db)
+    return db
+
+
 class TestSemanticIndex:
     def test_indexes_nonempty_columns(self, lake):
-        index = SemanticIndex(lake)
+        index = SemanticIndex(_indexed(lake))
         assert index.num_columns == 5
 
     def test_persist_round_trip(self, lake):
-        db = Database(backend="column")
-        index = SemanticIndex(lake)
+        db = _indexed(lake)
+        index = SemanticIndex(db)
         written = index.persist(db)
         assert written > 0
         assert db.has_table("AllVectors")
-        loaded = SemanticIndex.load(db, lake)
+        loaded = SemanticIndex.load(db)
         assert loaded.num_columns == index.num_columns
         # The reloaded index must rank the same best column.
         from repro.baselines.embeddings import embed_values
@@ -52,7 +60,7 @@ class TestSemanticIndex:
         assert original == reloaded
 
     def test_storage_positive(self, lake):
-        assert SemanticIndex(lake).storage_bytes() > 0
+        assert SemanticIndex(_indexed(lake)).storage_bytes() > 0
 
     def test_search_clamps_ef_to_k(self):
         """Regression: ``search_columns(k, ef)`` with ``ef < k`` must still
@@ -69,7 +77,7 @@ class TestSemanticIndex:
                     [(f"token_{index}_{row}",) for row in range(3)],
                 )
             )
-        index = SemanticIndex(wide)
+        index = SemanticIndex(_indexed(wide))
         query = embed_values(["token_7_0", "token_7_1"])
         k = 25
         clamped = index.search_columns(query, k=k, ef=2)

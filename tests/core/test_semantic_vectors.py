@@ -5,9 +5,12 @@ scatters them back into a bit-equal matrix and an identical graph."""
 import numpy as np
 import pytest
 
+from repro import Blend
 from repro.baselines.embeddings import embed_column
 from repro.core.semantic import ALLVECTORS_SCHEMA, SemanticIndex
 from repro.engine import Database
+from repro.errors import SnapshotError
+from repro.index import IndexConfig, build_alltables, index_table
 from repro.lake import DataLake, Table
 from repro.lake.generators import make_union_benchmark
 
@@ -19,15 +22,22 @@ def lake():
     return make_union_benchmark(num_seeds=4, partitions_per_seed=3, distractor_tables=8).lake
 
 
-def _scalar_rows(tables):
+def _scalar_rows(tables, dimensions=64):
     """The seed ``persist`` loop: one Python row per non-zero weight."""
     rows = []
     for table_id, table in tables:
         for position in range(table.num_columns):
-            vector = embed_column(table, position, 64)
+            vector = embed_column(table, position, dimensions)
             for dim in np.nonzero(vector)[0]:
                 rows.append((table_id, position, int(dim), float(vector[dim])))
     return rows
+
+
+def _indexed(lake, backend="column"):
+    """A database holding *lake*'s ``AllTables`` -- what SemanticIndex reads."""
+    db = Database(backend=backend)
+    build_alltables(lake, db)
+    return db
 
 
 def _typed(rows):
@@ -36,8 +46,8 @@ def _typed(rows):
 
 @pytest.mark.parametrize("backend", ["column", "row"])
 def test_persist_writes_the_scalar_rows(lake, backend):
-    db = Database(backend=backend)
-    index = SemanticIndex(lake)
+    db = _indexed(lake, backend)
+    index = SemanticIndex(db)
     written = index.persist(db)
     reference = Database(backend=backend)
     reference.create_table("AllVectors", ALLVECTORS_SCHEMA)
@@ -49,17 +59,18 @@ def test_persist_writes_the_scalar_rows(lake, backend):
 
     # A lifecycle add appends the new table's rows the same way.
     extra = Table("extra", ["a", "b"], [("x1", 1.5), ("x2", 2.5), (None, None)])
-    index.add_table(999, extra, db)
+    index_table(999, extra, db)
+    index.add_table(999, db)
     reference.insert("AllVectors", _scalar_rows([(999, extra)]))
     assert _typed(db.execute(ROWS_SQL).rows) == _typed(reference.execute(ROWS_SQL).rows)
 
 
 @pytest.mark.parametrize("backend", ["column", "row"])
 def test_load_round_trip_is_bit_equal(lake, backend):
-    db = Database(backend=backend)
-    index = SemanticIndex(lake)
+    db = _indexed(lake, backend)
+    index = SemanticIndex(db)
     index.persist(db)
-    loaded = SemanticIndex.load(db, lake, **index.snapshot_meta())
+    loaded = SemanticIndex.load(db, **index.snapshot_meta())
     assert loaded._hnsw.keys == index._hnsw.keys
     assert loaded._hnsw.vectors.dtype == np.float64
     assert loaded._hnsw.vectors.tobytes() == index._hnsw.vectors.tobytes()
@@ -73,10 +84,9 @@ def test_load_round_trip_is_bit_equal(lake, backend):
 
 @pytest.mark.parametrize("backend", ["column", "row"])
 def test_load_of_an_empty_relation(backend):
-    db = Database(backend=backend)
-    empty = DataLake("empty")
-    assert SemanticIndex(empty).persist(db) == 0
-    loaded = SemanticIndex.load(db, empty)
+    db = _indexed(DataLake("empty"), backend)
+    assert SemanticIndex(db).persist(db) == 0
+    loaded = SemanticIndex.load(db)
     assert loaded.num_columns == 0
     assert loaded.search_columns(np.ones(64), k=3, exact=True) == []
     assert loaded.search_columns(np.ones(64), k=3) == []
@@ -89,10 +99,37 @@ def test_exact_ties_follow_the_key_after_lifecycle_changes():
     lake = DataLake("ties")
     for name in ("a", "b", "c"):
         lake.add(Table(name, ["v"], [("same",), ("tokens",)]))
-    index = SemanticIndex(lake)
-    index.replace_table(0, lake.by_id(0))
+    db = _indexed(lake)
+    index = SemanticIndex(db)
+    index.replace_table(0, db)
     assert [key[0] for key in index._hnsw.keys] == [1, 2, 0]
     query = index._hnsw.vectors[0]
     hits = index.search_columns(query, k=3, exact=True)
     assert [key for key, _ in hits] == [(0, 0), (1, 0), (2, 0)]
     assert len({similarity for _, similarity in hits}) == 1
+
+
+@pytest.mark.parametrize("backend", ["column", "row"])
+def test_enable_semantic_replaces_the_relation(lake, backend, tmp_path):
+    """Re-enabling on a deployment that already has ``AllVectors`` (here a
+    64-dimension build, re-enabled at 16) leaves one copy: the new one."""
+    blend = Blend(lake, backend=backend, index_config=IndexConfig(semantic=True))
+    blend.build_index()
+    blend.enable_semantic(dimensions=16)
+    got = blend.db.execute(ROWS_SQL + " ORDER BY TableId, ColumnId, Dim").rows
+    assert _typed(got) == _typed(_scalar_rows(lake.items(), 16))
+    loaded = Blend.load(blend.save(tmp_path / "snapshot"))
+    assert loaded._semantic.dimensions == 16
+    assert loaded._semantic._hnsw.keys == blend._semantic._hnsw.keys
+    assert loaded._semantic._hnsw.vectors.tobytes() == blend._semantic._hnsw.vectors.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["column", "row"])
+@pytest.mark.parametrize("dim", [16, -1, "repeat"])
+def test_load_rejects_weights_outside_the_matrix(lake, backend, dim):
+    db = _indexed(lake, backend)
+    SemanticIndex(db, dimensions=16).persist(db)
+    first = db.execute(ROWS_SQL + " ORDER BY TableId, ColumnId, Dim LIMIT 1").rows[0]
+    db.insert("AllVectors", [first[:2] + (first[2] if dim == "repeat" else dim, 0.5)])
+    with pytest.raises(SnapshotError, match="AllVectors"):
+        SemanticIndex.load(db, dimensions=16)
