@@ -36,7 +36,6 @@ from .results import (
     ResultList,
     SeekerPartials,
     merge_partials,
-    resolved_partials,
 )
 from .seekers import (
     OVERFETCH,
@@ -51,15 +50,6 @@ from .seekers import (
     mc_superkey_filter,
     mc_validate,
 )
-
-
-def seeker_partials(seeker: Seeker, context: SeekerContext) -> SeekerPartials:
-    """``seeker.partials(context)``, degrading to a non-mergeable wrap of
-    ``execute`` for duck-typed seekers that never implemented partials."""
-    method = getattr(type(seeker), "partials", None)
-    if method is None or method is Seeker.partials:
-        return resolved_partials(seeker.execute(context))
-    return seeker.partials(context)
 
 
 def execute_batch(
@@ -97,10 +87,10 @@ def execute_batch_partials(
         elif isinstance(seeker, (SingleColumnSeeker, KeywordSeeker)):
             value_groups.setdefault(seeker.kind, []).append(i)
         else:
-            results[i] = seeker_partials(seeker, context)
+            results[i] = seeker.partials(context)
     for kind, indices in value_groups.items():
         if len(indices) == 1:  # nothing to coalesce; solo SQL is cheaper
-            results[indices[0]] = seeker_partials(seekers[indices[0]], context)
+            results[indices[0]] = seekers[indices[0]].partials(context)
             continue
         batch = _execute_value_batch(
             [seekers[i] for i in indices], context, per_column=kind == "SC"

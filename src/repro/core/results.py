@@ -95,7 +95,6 @@ class ResultList:
 
 RANKED = "ranked"
 COUNTS = "counts"
-RESOLVED = "resolved"
 FUSED = "fused"
 
 DEFAULT_RRF_K = 60.0
@@ -126,12 +125,7 @@ class SeekerPartials:
     ``(score, table)`` can only originate from a single shard, so a
     stable re-sort reproduces the single-process order exactly.
 
-    A third kind, ``"resolved"``, wraps an already-final ranking verbatim
-    (duck-typed seekers that implement only ``execute``); it round-trips
-    through the degenerate one-partial merge unchanged but refuses
-    cross-shard merging -- a seeker must emit real partials to shard.
-
-    A fourth kind, ``"fused"``, is the hybrid seeker's partial: a tuple
+    A third kind, ``"fused"``, is the hybrid seeker's partial: a tuple
     of named, weighted *lanes*, each wrapping an ordinary mergeable
     partial (``lanes``; ``table_ids``/``scores`` stay empty). Fusion is
     rank-based, and per-shard ranks are meaningless -- so the merge
@@ -157,7 +151,7 @@ class SeekerPartials:
     rrf_k: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (RANKED, COUNTS, RESOLVED, FUSED):
+        if self.kind not in (RANKED, COUNTS, FUSED):
             raise SeekerError(f"unknown partials kind: {self.kind!r}")
         if len(self.table_ids) != len(self.scores):
             raise SeekerError("partials table_ids and scores must align")
@@ -221,16 +215,6 @@ def count_partials(
         COUNTS,
         np.asarray(table_ids, dtype=np.int64),
         np.asarray(counts, dtype=np.float64),
-    )
-
-
-def resolved_partials(result: "ResultList") -> SeekerPartials:
-    """Wrap an already-final ranking as a non-mergeable partial -- the
-    compatibility path for seekers that implement only ``execute``."""
-    return SeekerPartials(
-        RESOLVED,
-        np.fromiter((hit.table_id for hit in result), dtype=np.int64, count=len(result)),
-        np.fromiter((hit.score for hit in result), dtype=np.float64, count=len(result)),
     )
 
 
@@ -314,18 +298,6 @@ def merge_partials(partials: Sequence[SeekerPartials], k: int) -> ResultList:
             fused_lanes.append((lane.weight, lane_ranking))
         rrf_k = template.rrf_k if template.rrf_k is not None else DEFAULT_RRF_K
         return fuse_rankings(fused_lanes, k, rrf_k=rrf_k)
-
-    if kind == RESOLVED:
-        if len(parts) > 1:
-            raise SeekerError(
-                "resolved partials carry a final ranking and cannot be "
-                "merged across shards; the seeker must implement partials()"
-            )
-        part = parts[0]
-        return ResultList(
-            TableHit(int(table_id), float(score))
-            for table_id, score in zip(part.table_ids, part.scores)
-        )
 
     if kind == COUNTS:
         ids = np.concatenate([p.table_ids for p in parts])

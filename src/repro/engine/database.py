@@ -26,7 +26,7 @@ from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import EngineError, ExecutionError
 from .sql import ast
 from .sql.executor_column import ColumnExecutor
 from .sql.executor_row import QueryStats, RowExecutor
@@ -42,7 +42,7 @@ from .sql.planner import (
 from .storage.catalog import Catalog, ColumnDef, TableSchema
 from .storage.column_store import ColumnTable, decode_if_coded
 from .storage.row_store import RowTable
-from .types import SqlType
+from .types import SqlType, coerce_to_type
 
 BACKENDS = ("row", "column")
 
@@ -121,6 +121,19 @@ def _rows_to_arrays(rows: list[tuple], width: int) -> list[tuple[np.ndarray, np.
             data[:] = values
         arrays.append((data, null))
     return arrays
+
+
+def _row_values_chunk(values: tuple, sql_type: SqlType) -> tuple[np.ndarray, np.ndarray]:
+    """One column of coerced row values as an ``insert_columns`` chunk:
+    an object array plus its NULL mask. Non-text NULL slots hold a 0
+    placeholder under the mask, so every backend's encoder can cast the
+    array to its storage dtype."""
+    null = np.fromiter((v is None for v in values), dtype=bool, count=len(values))
+    data = np.empty(len(values), dtype=object)
+    data[:] = values
+    if sql_type is not SqlType.TEXT and null.any():
+        data[null] = 0
+    return data, null
 
 
 @functools.lru_cache(maxsize=512)
@@ -278,19 +291,42 @@ class Database:
     # -- data ---------------------------------------------------------------------
 
     def insert(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk insert; returns the number of rows added."""
-        inserted = self._catalog.get(table_name).insert_rows(rows)
-        if inserted:
-            self._data_epoch += 1
-        return inserted
+        """Insert Python rows; returns the number of rows added.
+
+        Every row's width is checked (``ExecutionError``) and every value
+        coerced to its column type (``coerce_to_type``, ``ValueError``)
+        before any row lands, so a rejected call leaves the table
+        untouched. The coerced rows are transposed into ``(data,
+        null_mask)`` chunks and appended through :meth:`insert_columns`,
+        the one storage append. Non-text chunks are object arrays, so the
+        row store keeps integers beyond int64; the column store rejects
+        them while encoding, still before any row lands."""
+        schema = self._catalog.get(table_name).schema
+        types = [column.sql_type for column in schema.columns]
+        coerced = []
+        for row in rows:
+            if len(row) != len(types):
+                raise ExecutionError(
+                    f"row width {len(row)} does not match table "
+                    f"{schema.name!r} width {len(types)}"
+                )
+            coerced.append(tuple(map(coerce_to_type, row, types)))
+        if not coerced:
+            return 0
+        columns = zip(*coerced)
+        return self.insert_columns(
+            table_name, [_row_values_chunk(values, t) for values, t in zip(columns, types)]
+        )
 
     def insert_columns(self, table_name: str, columns: Sequence[tuple]) -> int:
-        """Typed bulk-append: *columns* is one ``(data, null_mask)`` pair
-        per schema column (``null_mask`` may be ``None``). Bypasses the
-        per-cell coercion of :meth:`insert` -- the vectorised ``AllTables``
-        ingest path (one call per build part; parts sharing one
-        ``DictEncodedText`` dictionary object concatenate without a union
-        at seal time). Returns the number of rows appended."""
+        """Append typed column chunks -- the one way rows enter storage:
+        *columns* is one ``(data, null_mask)`` pair per schema column
+        (``null_mask`` may be ``None``), stored without per-cell
+        coercion. The vectorised ``AllTables`` ingest calls it once per
+        build part (parts sharing one ``DictEncodedText`` dictionary
+        object concatenate without a union at seal time); :meth:`insert`
+        calls it with coerced Python rows. Returns the number of rows
+        appended."""
         inserted = self._catalog.get(table_name).insert_columns(columns)
         if inserted:
             self._data_epoch += 1

@@ -9,7 +9,7 @@ and tracks secondary hash indexes. BLEND's offline phase creates the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from ...errors import CatalogError
 from ..types import SqlType
@@ -63,7 +63,7 @@ class StoredTable(Protocol):
     @property
     def num_rows(self) -> int: ...
 
-    def insert_rows(self, rows: Iterable[tuple]) -> int: ...
+    def insert_columns(self, columns: Sequence[tuple]) -> int: ...
 
     def delete_rows(self, column_name: str, values: Iterable) -> int: ...
 

@@ -7,14 +7,11 @@ executor (:mod:`..sql.executor_column`) operates on these arrays directly,
 which is what makes BLEND's scan-heavy seeker queries an order of
 magnitude faster here than on the row store (paper Figs. 5 and 7).
 
-Two ingest paths feed a table:
-
-* ``insert_rows`` -- tuple-at-a-time with per-cell type coercion, buffered
-  in Python lists until the next read seals them into arrays.
-* ``insert_columns`` -- the bulk fast path: already-typed column arrays
-  (``(data, null_mask)`` pairs) are appended directly, dictionary-encoding
-  text via ``np.unique`` and bypassing ``coerce_to_type`` entirely. This
-  is what the vectorised ``AllTables`` builder uses.
+Rows enter a table through one append, ``insert_columns``: already-typed
+``(data, null_mask)`` column chunks, text dictionary-encoded via
+``np.unique``. The vectorised ``AllTables`` builder calls it directly;
+``Database.insert`` coerces Python rows and transposes them into such
+chunks first.
 
 Every table is an **immutable base plus a delta**. The first non-empty
 seal becomes the base -- the offline build's bulk load, or the arrays a
@@ -40,12 +37,11 @@ the next base generation.
 
 Secondary indexes are *declared* once (``create_index``) and survive
 mutations: ``insert_columns`` appends merge each new chunk's sorted run
-into the existing postings (no full re-argsort), while row-at-a-time
-inserts drop the materialised postings for a lazy rebuild on the next
-look-up. Postings are in **storage** coordinates over base ∪ delta with
-tombstoned rows included -- look-ups filter dead positions and
-translate to the live coordinates every other read API speaks -- so
-postings never need rebuilding after a delete, and a delete on an indexed
+into the existing postings (no full re-argsort). Postings are in
+**storage** coordinates over base ∪ delta with tombstoned rows
+included -- look-ups filter dead positions and translate to the live
+coordinates every other read API speaks -- so postings never need
+rebuilding after a delete, and a delete on an indexed
 column (``AllTables.TableId``) is O(rows deleted): it tombstones the
 positions its postings name, buffered rows included, and never seals.
 """
@@ -57,7 +53,7 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from ...errors import CatalogError, ExecutionError
-from ..types import SqlType, coerce_to_type
+from ..types import SqlType
 from .catalog import TableSchema
 
 # A bulk-ingest column chunk: (data, null_mask). ``null_mask`` may be None
@@ -166,7 +162,6 @@ class ColumnTable:
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._pending: list[list[Any]] = [[] for _ in schema.columns]
         # Encoded-but-unmerged ingest batches, in arrival order. Kept as a
         # backlog so an F-flush bulk load pays ONE multiway merge at first
         # read instead of re-merging all prior rows on every flush.
@@ -176,8 +171,8 @@ class ColumnTable:
         self._num_rows = 0  # live rows (appends - deletes)
         # Declared index columns (lowercased) vs their materialised
         # postings: declarations survive every mutation; postings are
-        # maintained incrementally on bulk appends and rebuilt lazily
-        # after row-at-a-time inserts or deletes.
+        # maintained incrementally on appends and materialised lazily
+        # after a snapshot load or a compaction.
         self._index_columns: set[str] = set()
         self._indexes: dict[str, dict[Any, np.ndarray]] = {}
         self._deleted: Optional[np.ndarray] = None  # tombstones over sealed rows
@@ -250,32 +245,12 @@ class ColumnTable:
         table.compactions = compactions
         return table
 
-    def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Buffer *rows* for columnar sealing; secondary indexes are
-        invalidated (rebuilt lazily), sealed arrays are kept and merged
-        incrementally at the next seal."""
-        types = [column.sql_type for column in self.schema.columns]
-        width = len(types)
-        inserted = 0
-        pending = self._pending
-        for row in rows:
-            if len(row) != width:
-                raise ExecutionError(
-                    f"row width {len(row)} does not match table "
-                    f"{self.schema.name!r} width {width}"
-                )
-            for position, (value, sql_type) in enumerate(zip(row, types)):
-                pending[position].append(coerce_to_type(value, sql_type))
-            inserted += 1
-        if inserted:
-            self._num_rows += inserted
-            self._indexes = {}
-        return inserted
-
     def insert_columns(self, columns: Sequence[ColumnChunk]) -> int:
-        """Bulk-append already-typed column arrays (the vectorised ingest
-        fast path -- no per-cell ``coerce_to_type``, text dictionary-encoded
-        via ``np.unique``). Returns the number of rows appended.
+        """Append already-typed column arrays -- the table's one append
+        (no per-cell ``coerce_to_type``; text dictionary-encoded via
+        ``np.unique``). Every column is encoded before anything lands,
+        so a chunk that fails to encode leaves the table untouched.
+        Returns the number of rows appended.
 
         Materialised secondary indexes are maintained **incrementally**:
         the appended chunk is one sorted run (argsorted on its own, never
@@ -287,9 +262,6 @@ class ColumnTable:
         count = validate_chunk(self.schema, columns)
         if count == 0:
             return 0
-        # Preserve arrival order: any row-at-a-time values buffered so far
-        # become their own backlog batch before this chunk is appended.
-        self._flush_pending_to_backlog()
         encoded = [
             _encode_chunk(column_def.sql_type, data, null)
             for column_def, (data, null) in zip(self.schema.columns, columns)
@@ -303,18 +275,8 @@ class ColumnTable:
             _extend_postings(index, encoded[self.schema.position_of(key)], offset)
         return count
 
-    def _flush_pending_to_backlog(self) -> None:
-        if any(self._pending):
-            self._backlog.append(
-                [
-                    _encode_values(column_def.sql_type, values)
-                    for column_def, values in zip(self.schema.columns, self._pending)
-                ]
-            )
-            self._pending = [[] for _ in self.schema.columns]
-
     def _seal(self) -> list[_ColumnData]:
-        """Merge buffered values into the sealed segments (idempotent);
+        """Merge backlog batches into the sealed segments (idempotent);
         returns the base.
 
         The first non-empty seal becomes the base; every later one
@@ -323,11 +285,10 @@ class ColumnTable:
         in ONE multiway pass (single dictionary union for text columns),
         so sealing stays linear no matter how many flushes fed the
         table."""
-        self._flush_pending_to_backlog()
         if not self._backlog:
             if self._sealed is None:
                 self._sealed = [
-                    _encode_values(column_def.sql_type, [])
+                    _encode_chunk(column_def.sql_type, np.empty(0, dtype=object), None)
                     for column_def in self.schema.columns
                 ]
             return self._sealed
@@ -597,38 +558,13 @@ class ColumnTable:
             (_storage_isin(base, probes), _storage_isin(delta, probes))
         )
 
-    def gather_rows(self, positions: np.ndarray) -> list[tuple]:
-        """Materialise full tuples at *positions* (row-store interop and
-        result sets).
-
-        Vectorised: every column is gathered with one fancy-indexing pass
-        and converted to Python values array-at-a-time; a single ``zip``
-        transposes the columns into row tuples.
-        """
-        count = len(positions)
-        if count == 0 or not self.schema.columns:
-            return [()] * count
-        lists: list[list[Any]] = []
-        for column in self.schema.columns:
-            data, null = self.column_values(column.name, positions)
-            if data.dtype == object:
-                values = data.tolist()  # text path: NULLs already None
-            else:
-                boxed = data.astype(object)
-                if null.any():
-                    boxed[null] = None
-                values = boxed.tolist()
-            lists.append(values)
-        return list(zip(*lists))
-
     # -- indexes -----------------------------------------------------------------
 
     def create_index(self, column_name: str) -> None:
         """Declare (and materialise) a hash index value -> ndarray of
         storage positions (idempotent; look-ups translate to live
         coordinates). The declaration is permanent; the postings are
-        maintained incrementally on bulk appends, survive deletes, and
-        are rebuilt lazily after row-at-a-time inserts."""
+        maintained incrementally on appends and survive deletes."""
         key = column_name.lower()
         self.schema.position_of(column_name)  # validates existence
         self._index_columns.add(key)
@@ -642,7 +578,6 @@ class ColumnTable:
         the incremental ``insert_columns`` maintenance accumulates, so
         deletes never force a rebuild and building never seals."""
         position = self.schema.position_of(key)
-        self._flush_pending_to_backlog()
         index: dict[Any, np.ndarray] = {}
         offset = 0
         for segment in (self._sealed, self._delta, *self._backlog):
@@ -750,41 +685,6 @@ class ColumnTable:
             "delta_rows": total - base,
             "deleted_rows": self._num_deleted,
         }
-
-
-def _encode_text(values: list[Any]) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Dictionary-encode a text column: codes, sorted dictionary, lookup."""
-    distinct = sorted({v for v in values if v is not None})
-    code_of = {value: code for code, value in enumerate(distinct)}
-    codes = np.empty(len(values), dtype=np.int32)
-    for i, value in enumerate(values):
-        codes[i] = -1 if value is None else code_of[value]
-    dictionary = np.array(distinct, dtype=object)
-    return codes, dictionary, code_of
-
-
-def _encode_values(sql_type: SqlType, values: list[Any]) -> _ColumnData:
-    """Seal one column's buffered (already-coerced) Python values."""
-    column = _ColumnData(sql_type)
-    if sql_type is SqlType.TEXT:
-        column.codes, column.dictionary, column.code_of = _encode_text(values)
-    elif sql_type is SqlType.BOOLEAN:
-        data = np.empty(len(values), dtype=np.int8)
-        for i, value in enumerate(values):
-            data[i] = -1 if value is None else int(value)
-        column.data = data
-    else:
-        dtype = np.int64 if sql_type is SqlType.INTEGER else np.float64
-        data = np.zeros(len(values), dtype=dtype)
-        null = np.zeros(len(values), dtype=bool)
-        for i, value in enumerate(values):
-            if value is None:
-                null[i] = True
-            else:
-                data[i] = value
-        column.data = data
-        column.null = null
-    return column
 
 
 def _encode_chunk(sql_type: SqlType, data: np.ndarray, null: Optional[np.ndarray]) -> _ColumnData:

@@ -22,8 +22,8 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ...errors import CatalogError, ExecutionError
-from ..types import SqlType, coerce_to_type
+from ...errors import CatalogError
+from ..types import SqlType
 from .catalog import TableSchema
 
 # Approximate per-value heap costs used by the storage accounting that
@@ -93,41 +93,14 @@ class RowTable:
             table.create_index(name)
         return table
 
-    def insert_rows(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Append *rows*, coercing values to declared column types and
-        maintaining all indexes. Returns the number of rows inserted."""
-        types = [column.sql_type for column in self.schema.columns]
-        width = len(types)
-        inserted = 0
-        start = len(self._rows)
-        for row in rows:
-            if len(row) != width:
-                raise ExecutionError(
-                    f"row width {len(row)} does not match table "
-                    f"{self.schema.name!r} width {width}"
-                )
-            coerced = tuple(
-                coerce_to_type(value, sql_type) for value, sql_type in zip(row, types)
-            )
-            self._rows.append(coerced)
-            inserted += 1
-        for column_name, index in self._indexes.items():
-            position = self.schema.position_of(column_name)
-            for row_id in range(start, len(self._rows)):
-                value = self._rows[row_id][position]
-                if value is not None:
-                    index.setdefault(value, []).append(row_id)
-        if self._deleted is not None:
-            self._deleted.extend([False] * inserted)
-        return inserted
-
     def insert_columns(self, columns) -> int:
-        """Bulk-append typed ``(data, null_mask)`` column chunks.
-
-        The row-store counterpart of :meth:`ColumnTable.insert_columns`:
-        values arrive already typed from the vectorised ingest, so the
-        per-cell ``coerce_to_type`` dispatch is skipped and tuples are
-        built with one ``zip`` transpose. Indexes are maintained in place.
+        """Append typed ``(data, null_mask)`` column chunks -- the
+        table's one append, the row-store counterpart of
+        :meth:`ColumnTable.insert_columns`. Values arrive already typed
+        (from the vectorised ingest, or coerced by ``Database.insert``),
+        so tuples are built with one ``zip`` transpose. Object-dtype
+        chunks keep their Python values, so integers beyond int64 (the
+        128-bit super keys) survive. Indexes are maintained in place.
         """
         from .column_store import validate_chunk
 

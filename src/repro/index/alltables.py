@@ -19,13 +19,15 @@ One build pipeline writes the relation, for the offline build and the
 incremental maintenance entry points alike (:func:`build_alltables`,
 :func:`index_table`, :func:`reindex_table`):
 
-1. **factorise** (:func:`_table_parts`): each table's cells become flat
-   token-code arrays through one :class:`_Factorizer` (a C-level ``map``
-   over a value memo -- no per-cell Python dispatch), and its Quadrant
+1. **queue** (:func:`_table_parts`): each table's rows (permuted under
+   ``shuffle_rows``) join a ~200k-cell flush buffer, and its Quadrant
    bits come from one matrix pass;
-2. **encode** (:func:`_encode_part`): ~200k-cell batches of tables are
-   laid out as aligned id / code / quadrant columns with the (table, row)
-   segments that the super-key fold needs;
+2. **encode** (:func:`_encode_part`): each buffer's cells become tokens
+   through ONE :func:`~repro.lake.table.normalize_tokens` call -- the
+   tokeniser every other path uses -- and one token -> code dict gives
+   first-seen codes; the batch is laid out as aligned id / code /
+   quadrant columns with the (table, row) segments that the super-key
+   fold needs;
 3. **merge** (:func:`_merge_and_insert`): the batches' token dictionaries
    are recoded into one global sorted dictionary, XASH runs over the
    *unique* tokens only (:func:`repro.index.xash.xash_batch`), super keys
@@ -50,7 +52,7 @@ from ..engine.database import Database
 from ..engine.storage.column_store import DictEncodedText
 from ..errors import IndexingError
 from ..lake.datalake import DataLake
-from ..lake.table import Table, normalize_cell, normalize_tokens
+from ..lake.table import Table, normalize_tokens
 from .quadrant import column_quadrant_matrix
 from .xash import (
     DEFAULT_HASH_SIZE,
@@ -196,176 +198,45 @@ def _check_config(config: IndexConfig) -> None:
 
 
 # --------------------------------------------------------------------------
-# Factorise: table cells -> token codes + quadrant bits
+# Queue: table rows + quadrant bits
 # --------------------------------------------------------------------------
 
 
 class _TableParts:
-    """Pre-hash arrays of one lake table: per-cell token codes and
-    quadrant bits, full cell-matrix length (nulls still in place, coded
-    ``-1``). Token resolution and hashing are deferred to flush/merge
-    time so XASH and the dictionary sort run over ~200k-cell buffers
-    rather than once per table."""
+    """One lake table queued for the next flush: its rows in emission
+    order (permuted under ``shuffle_rows``) and its per-cell quadrant
+    bits, row-major. Tokenisation and hashing are deferred to flush/merge
+    time so the tokeniser, XASH and the dictionary sort run over
+    ~200k-cell buffers rather than once per table."""
 
-    __slots__ = ("table_id", "codes", "quadrant", "num_rows", "num_cols")
+    __slots__ = ("table_id", "rows", "quadrant", "num_rows", "num_cols")
 
-    def __init__(self, table_id, codes, quadrant, num_rows, num_cols):
+    def __init__(self, table_id, rows, quadrant, num_rows, num_cols):
         self.table_id = table_id
-        self.codes = codes
+        self.rows = rows
         self.quadrant = quadrant
         self.num_rows = num_rows
         self.num_cols = num_cols
 
 
-class _ValueMemo(dict):
-    """Cell-value -> token-code memo whose miss logic lives in
-    ``__missing__``, so a whole flush factorises as one C-level
-    ``map(memo.__getitem__, cells)`` with the interpreter entered only on
-    first-seen values.
-
-    Codes index ``tokens`` in first-seen order; NULL-normalising cells
-    code to ``-1`` (NULL itself is pre-seeded). The Python bool/int
-    duality (``True == 1``, ``False == 0``) is handled by *exclusion* --
-    no value comparing equal to 0 or 1 is ever memoised, so a bulk lookup
-    can never serve ``True`` the code of ``1`` (or vice versa); all such
-    cells take the miss path every time, where identity checks pick the
-    right token.
-    """
-
-    __slots__ = ("token_code", "tokens")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self[None] = -1
-        self.token_code: dict = {}
-        self.tokens: list[str] = []
-
-    def _token_code(self, token: str) -> int:
-        code = self.token_code.get(token)
-        if code is None:
-            code = len(self.tokens)
-            self.token_code[token] = code
-            self.tokens.append(token)
-        return code
-
-    def __missing__(self, value) -> int:
-        if value is True:
-            return self._token_code("true")
-        if value is False:
-            return self._token_code("false")
-        token = normalize_cell(value)
-        code = -1 if token is None else self._token_code(token)
-        if not (value == 0 or value == 1):
-            self[value] = code
-        return code
-
-
-class _TokenMemo(dict):
-    """Token -> code memo over a :class:`_ValueMemo`'s token registry,
-    for inputs that are already normalised tokens. Unlike raw cell
-    values, tokens are plain strings (or None), so every key is safe to
-    memoise -- the bool/int duality exclusion of ``_ValueMemo`` does not
-    apply (``"0"``/``"1"`` the *tokens* are unambiguous)."""
-
-    __slots__ = ("_registry",)
-
-    def __init__(self, registry: _ValueMemo) -> None:
-        super().__init__()
-        self[None] = -1
-        self._registry = registry
-
-    def __missing__(self, token: str) -> int:
-        code = self._registry._token_code(token)
-        self[token] = code
-        return code
-
-
-class _Factorizer:
-    """Streaming cell -> token-code factorisation for one flush buffer:
-    a flat ``itertools.chain`` flatten plus one ``map`` over
-    :class:`_ValueMemo` (raw cells) or :class:`_TokenMemo`
-    (pre-normalised tokens); both share one token registry, so mixing
-    them within a flush is safe. ``numeric_memo`` caches
-    ``numeric_value`` per distinct cell for the Quadrant pass."""
-
-    __slots__ = ("memo", "numeric_memo", "_token_memo")
-
-    def __init__(self) -> None:
-        self.memo = _ValueMemo()
-        self.numeric_memo: dict = {}
-        self._token_memo: Optional[_TokenMemo] = None
-
-    @property
-    def tokens(self) -> list[str]:
-        return self.memo.tokens
-
-    def factorize(self, rows, n_cells: int) -> np.ndarray:
-        """Row-major int32 code array for all cells of *rows*."""
-        codes = np.array(
-            list(map(self.memo.__getitem__, chain.from_iterable(rows))),
-            dtype=np.int32,
-        )
-        if len(codes) != n_cells:  # pragma: no cover - Table guarantees width
-            raise IndexingError("ragged rows in shard factorisation")
-        return codes
-
-    def factorize_tokens(self, tokens, n_cells: int) -> np.ndarray:
-        """:meth:`factorize` fed pre-normalised tokens (a
-        ``Table.normalized_cells`` cache): skips the per-cell
-        ``normalize_cell`` call. Identical codes by construction --
-        first-seen token order equals first-seen raw-value token order."""
-        if self._token_memo is None:
-            self._token_memo = _TokenMemo(self.memo)
-        codes = np.array(
-            list(map(self._token_memo.__getitem__, tokens)), dtype=np.int32
-        )
-        if len(codes) != n_cells:  # pragma: no cover - Table guarantees width
-            raise IndexingError("ragged token cache in shard factorisation")
-        return codes
-
-
 def _table_parts(
     table_id: int,
-    table,
-    factorizer: _Factorizer,
+    table: Table,
+    numeric_memo: dict,
     perm: Optional[list[int]] = None,
 ) -> Optional[_TableParts]:
-    """Normalise one lake table into flat code arrays (row-major emission
-    order); ``None`` for empty tables."""
+    """Queue one lake table (its rows in emission order plus its
+    Quadrant bits); ``None`` for empty tables. *numeric_memo* caches
+    ``numeric_value`` per distinct cell across one flush."""
     n_rows, n_cols = table.num_rows, table.num_columns
-    n_cells = n_rows * n_cols
-    if n_cells == 0:
+    if n_rows * n_cols == 0:
         return None
-
-    _, quad = column_quadrant_matrix(table, factorizer.numeric_memo)
+    _, quad = column_quadrant_matrix(table, numeric_memo)
+    rows = table.rows
     if perm is not None:
         quad = quad[np.asarray(perm, dtype=np.int64)]
-
-    tokens = getattr(table, "tokens_if_cached", lambda: None)()
-    if tokens is not None:
-        # The table carries its normalized-token cache (lifecycle paths
-        # populate it): factorize straight from tokens, skipping the
-        # per-cell normalize_cell loop.
-        if perm is not None:
-            tokens = [
-                tokens[r * n_cols + c] for r in perm for c in range(n_cols)
-            ]
-        codes = factorizer.factorize_tokens(tokens, n_cells)
-    else:
-        rows = table.rows
-        if perm is not None:
-            rows = [rows[i] for i in perm]
-        try:
-            codes = factorizer.factorize(rows, n_cells)
-        except TypeError:
-            # Unhashable cells cannot take the fused value->code memo;
-            # route the whole table through the batched token kernel
-            # instead (byte-identical: first-seen token order equals
-            # first-seen raw-value token order, and re-registered tokens
-            # keep the codes the aborted fused pass assigned).
-            tokens = normalize_tokens(list(chain.from_iterable(rows)))
-            codes = factorizer.factorize_tokens(tokens, n_cells)
-    return _TableParts(table_id, codes, quad.reshape(-1), n_rows, n_cols)
+        rows = [rows[i] for i in perm]
+    return _TableParts(table_id, rows, quad.reshape(-1), n_rows, n_cols)
 
 
 class _ShardPart:
@@ -403,27 +274,40 @@ class _ShardPart:
         self.null_count = null_count
 
 
-def _encode_part(buffer: list[_TableParts], factorizer: _Factorizer) -> _ShardPart:
+def _encode_part(buffer: list[_TableParts]) -> _ShardPart:
     """Encode one buffered batch of tables into a :class:`_ShardPart`.
 
-    The id/quadrant columns are laid out filtered by the batch-wide
-    non-null mask; the batch's token dictionary stays in first-seen
-    order (the merge recodes it against the global sorted dictionary),
-    and the (table, row) segment starts are kept so the super-key fold
-    can run against globally-hashed tokens at merge time. All-null
+    The batch's cells are tokenised by ONE :func:`normalize_tokens` call
+    and coded against the batch's token dictionary in first-seen order
+    (the merge recodes it against the global sorted dictionary). The
+    id/quadrant columns are laid out filtered by the batch-wide non-null
+    mask, and the (table, row) segment starts are kept so the super-key
+    fold can run against globally-hashed tokens at merge time. All-null
     batches yield a part whose array fields are ``None`` (only the NULL
     count survives).
     """
-    raw_codes = _concat([parts.codes for parts in buffer])
+    cell_tokens = normalize_tokens(
+        list(chain.from_iterable(chain.from_iterable(parts.rows for parts in buffer)))
+    )
+    first_seen = dict.fromkeys(cell_tokens)
+    first_seen.pop(None, None)
+    code_of = dict(zip(first_seen, range(len(first_seen))))
+    code_of[None] = -1
+    raw_codes = np.fromiter(
+        map(code_of.__getitem__, cell_tokens), dtype=np.int32, count=len(cell_tokens)
+    )
     quadrant = _concat([parts.quadrant for parts in buffer])
     non_null = raw_codes >= 0
     null_count = len(raw_codes) - int(non_null.sum())
     if null_count == len(raw_codes):
         return _ShardPart(None, None, None, None, None, None, None, null_count)
 
-    tokens = np.empty(len(factorizer.tokens), dtype=object)
-    tokens[:] = factorizer.tokens
+    tokens = np.empty(len(first_seen), dtype=object)
+    tokens[:] = list(first_seen)
     cell_codes = raw_codes[non_null]
+    cells_per_table = np.array(
+        [parts.num_rows * parts.num_cols for parts in buffer], dtype=np.int64
+    )
 
     # Per-table id columns, filtered by the buffer-wide non-null mask.
     column_ids = _concat(
@@ -440,7 +324,7 @@ def _encode_part(buffer: list[_TableParts], factorizer: _Factorizer) -> _ShardPa
     )
     table_ids = np.repeat(
         np.array([parts.table_id for parts in buffer], dtype=np.int64),
-        np.array([len(parts.codes) for parts in buffer], dtype=np.int64),
+        cells_per_table,
     )[non_null]
 
     # Global row numbering across the buffer keeps every (table, row)
@@ -449,7 +333,6 @@ def _encode_part(buffer: list[_TableParts], factorizer: _Factorizer) -> _ShardPa
     # never span flushes (tables are buffered whole). Derived from the
     # already-built local row ids by shifting each table's span.
     offsets = np.cumsum([0] + [parts.num_rows for parts in buffer][:-1])
-    cells_per_table = np.array([len(parts.codes) for parts in buffer], dtype=np.int64)
     global_rows = (row_ids_full + np.repeat(offsets, cells_per_table))[non_null]
     total_rows = int(offsets[-1]) + buffer[-1].num_rows
     counts = np.bincount(global_rows, minlength=total_rows)
@@ -509,27 +392,27 @@ def _concat(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _encode_tables(tables: Iterable[tuple[int, Table]], config: IndexConfig) -> list[_ShardPart]:
-    """Factorise + quadrant every ``(table_id, table)`` pair, flushing
-    ~``_FLUSH_ROWS``-cell batches (whole tables, one fresh factoriser
-    each) into encoded parts, in table order."""
+    """Queue every ``(table_id, table)`` pair with its Quadrant bits,
+    flushing ~``_FLUSH_ROWS``-cell batches (whole tables, one fresh
+    numeric memo each) into encoded parts, in table order."""
     parts: list[_ShardPart] = []
-    factorizer = _Factorizer()
+    numeric_memo: dict = {}
     buffer: list[_TableParts] = []
     buffered = 0
     for table_id, table in tables:
         perm = None
         if config.shuffle_rows:
             perm = shuffle_permutation(config.shuffle_seed, table_id, table.num_rows)
-        table_parts = _table_parts(table_id, table, factorizer, perm)
+        table_parts = _table_parts(table_id, table, numeric_memo, perm)
         if table_parts is not None:
             buffer.append(table_parts)
-            buffered += len(table_parts.codes)
+            buffered += table_parts.num_rows * table_parts.num_cols
         if buffered >= _FLUSH_ROWS:
-            parts.append(_encode_part(buffer, factorizer))
+            parts.append(_encode_part(buffer))
             buffer, buffered = [], 0
-            factorizer = _Factorizer()
+            numeric_memo = {}
     if buffer:
-        parts.append(_encode_part(buffer, factorizer))
+        parts.append(_encode_part(buffer))
     return parts
 
 
@@ -597,13 +480,6 @@ def index_table(
     over the one table. Returns the number of index rows added.
     """
     _check_maintenance(db, config)
-    # Populate the table's normalized-token cache: this maintenance path
-    # handles one table at a time (memory is bounded), and the table
-    # object comes back from ``remove_table`` / ``replace_table`` with it,
-    # so a re-add skips normalisation (~30 % less encoding per table);
-    # the first index of a fresh table pays ~8 % more for it.
-    if hasattr(table, "normalized_cells"):
-        table.normalized_cells()
     parts = _encode_tables([(table_id, table)], config)
     return _merge_and_insert(db, config, parts)
 

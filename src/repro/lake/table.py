@@ -5,13 +5,15 @@ rows of mixed-type cells (``str | int | float | bool | None``). Column
 types are *inferred*, not declared -- discovery operators decide how to
 treat a column (e.g. the correlation seeker needs numeric columns, XASH
 hashes the string form of every cell).
+
+A cell becomes an index token only through :func:`normalize_cell` (the
+scalar form) or :func:`normalize_tokens` (the batched form the index
+build calls); no other module restates the tokenisation rules.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 from ..errors import LakeError
 
@@ -47,57 +49,6 @@ def normalize_cell(value: Cell) -> Optional[str]:
     return token if token else None
 
 
-# Exact-type dispatch kinds for the batched kernel. ``type()`` lookup
-# (not isinstance) so subclasses of str/int/float -- whose __str__ may
-# differ -- take the scalar oracle, and bool (a subclass of int) gets
-# its own lane.
-_KIND_NONE, _KIND_BOOL, _KIND_INT, _KIND_FLOAT, _KIND_STR, _KIND_OTHER = range(6)
-_KIND_OF = {
-    type(None): _KIND_NONE,
-    bool: _KIND_BOOL,
-    int: _KIND_INT,
-    float: _KIND_FLOAT,
-    str: _KIND_STR,
-}
-_INT64_MIN_FLOAT = float(-(2**63))
-_INT64_MAX_FLOAT = float(2**63)
-_BOOL_TOKENS = ("false", "true")
-
-
-def _normalize_str_lane(vals: list) -> list:
-    """``str.strip().lower()`` (empty -> None) over exactly-``str``
-    cells, as two C-level ``map`` passes plus one falsy-to-None sweep
-    (the empty string is the only falsy ``str``). Uses the *actual*
-    Python string methods, so there is no fixed-width-dtype or
-    simple-case-mapping parity hazard to guard against -- exact by
-    construction."""
-    return [t or None for t in map(str.lower, map(str.strip, vals))]
-
-
-def _normalize_float_lane(out: np.ndarray, where: np.ndarray, vals: np.ndarray) -> None:
-    """Float lane of the kernel: NaN/±inf -> None; integer-valued floats
-    in int64 range render through ``astype(int64).astype(str)`` (equal
-    to ``str(int(v))`` -- the conversion is exact, never rounding);
-    finite non-integral floats render with a C-level ``map(repr, ...)``;
-    integral floats beyond int64 (rare) take the scalar oracle, whose
-    ``int(value)`` widening is exact at any magnitude."""
-    data = vals.astype(np.float64)
-    finite = np.isfinite(data)
-    integral = finite & (data == np.floor(data))
-    in_range = integral & (data >= _INT64_MIN_FLOAT) & (data < _INT64_MAX_FLOAT)
-    if in_range.any():
-        out[where[in_range]] = (
-            data[in_range].astype(np.int64).astype("U20").astype(object)
-        )
-    fractional = finite & ~integral
-    if fractional.any():
-        out[where[fractional]] = list(map(repr, vals[fractional].tolist()))
-    huge = integral & ~in_range
-    if huge.any():
-        out[where[huge]] = list(map(normalize_cell, vals[huge].tolist()))
-    # ~finite slots stay None.
-
-
 class _TokenizeMemo(dict):
     """Cell-value -> token memo driving the kernel's C-level ``map``
     pass: repeated cells (the common case in skewed lake distributions)
@@ -107,15 +58,14 @@ class _TokenizeMemo(dict):
     Exactness under Python's cross-type equality (``True == 1``,
     ``2 == 2.0``) is by *restriction*: no value comparing equal to 0 or
     1 is ever stored, so a lookup can never serve ``True`` the token of
-    ``1`` (the bool/int duality guard pinned on ``_ValueMemo`` since
-    PR 3), and only exact ``str``/``int``/``float`` keys are stored at
-    all. Equal ``int``/``float`` pairs sharing a slot is sound: the
-    oracle gives numerically equal integral values the same minimal
-    rendering. The memo is still unsound for *lookups* of exotic types
-    whose ``str()`` disagrees with an equal-comparing number
-    (``Decimal('2.50') == 2.5`` would hit ``2.5``'s slot) -- callers
-    must route such batches to :func:`_normalize_tokens_typed` instead,
-    which :func:`normalize_tokens` does via its type pre-scan.
+    ``1`` (the bool/int duality guard), and only exact
+    ``str``/``int``/``float`` keys are stored at all. Equal
+    ``int``/``float`` pairs sharing a slot is sound: the oracle gives
+    numerically equal integral values the same minimal rendering. The
+    memo is still unsound for *lookups* of exotic types whose ``str()``
+    disagrees with an equal-comparing number (``Decimal('2.50') == 2.5``
+    would hit ``2.5``'s slot), so :func:`normalize_tokens` runs it only
+    over batches its type pre-scan admits.
     """
 
     __slots__ = ()
@@ -139,76 +89,19 @@ def normalize_tokens(cells: Sequence[Cell]) -> list[Optional[str]]:
     """Batched :func:`normalize_cell`: one token list for a flat cell
     sequence, byte-identical to ``[normalize_cell(v) for v in cells]``.
 
-    Two lanes, both exact. The primary lane is a single C-level ``map``
-    over a fresh :class:`_TokenizeMemo`, so skewed batches (real lake
-    tables repeat tokens heavily) normalise at dict-probe speed; a type
-    pre-scan admits only the standard cell types
-    (``str``/``int``/``float``/``bool``/``None``), whose cross-type
-    equality the memo handles exactly. Batches carrying anything else
-    (unhashable cells, NumPy scalars, ``Decimal`` -- types whose
-    equality can alias a memo slot their ``str()`` disagrees with) take
-    :func:`_normalize_tokens_typed`, the NumPy type-dispatched bulk
-    kernel, which hashes nothing and handles anything.
+    The one tokeniser of the write side: the ``AllTables`` build calls
+    it once per flush buffer. Batches of the standard cell types
+    (``str``/``int``/``float``/``bool``/``None``) run a single C-level
+    ``map`` over a fresh :class:`_TokenizeMemo`, so skewed batches (real
+    lake tables repeat tokens heavily) normalise at dict-probe speed.
+    Any other batch (unhashable cells, NumPy scalars, ``Decimal`` --
+    types whose equality can alias a memo slot their ``str()``
+    disagrees with) and any batch under 32 cells runs the scalar
+    :func:`normalize_cell` loop.
     """
-    n = len(cells)
-    if n < 32:
-        return [normalize_cell(v) for v in cells]
-    if set(map(type, cells)) <= _MEMO_SAFE_KINDS:
+    if len(cells) >= 32 and set(map(type, cells)) <= _MEMO_SAFE_KINDS:
         return list(map(_TokenizeMemo().__getitem__, cells))
-    return _normalize_tokens_typed(cells)
-
-
-def _normalize_tokens_typed(cells: Sequence[Cell]) -> list[Optional[str]]:
-    """NumPy type-dispatched form of :func:`normalize_tokens`, also
-    byte-identical to the scalar oracle.
-
-    Cells are dispatched by exact type (so subclasses with bespoke
-    ``__str__`` still take the scalar oracle) into per-kind lanes that
-    each run at C speed: bool -> "true"/"false", int -> ``map(str)``,
-    float -> NumPy masks for NaN/±inf/integral plus exact int64
-    rendering, str -> ``map(str.strip)``/``map(str.lower)``. The lanes
-    use the same Python primitives as the oracle, just batched, so the
-    kernel is exact and never merely close. No hashing anywhere: this is
-    the lane that serves batches the memoised map cannot (unhashable
-    cells), and the reference batch implementation the parity suites run
-    against the oracle and the memo lane.
-    """
-    n = len(cells)
-    if n < 32:
-        return [normalize_cell(v) for v in cells]
-    kind_of = _KIND_OF
-    kinds = np.fromiter(
-        (kind_of.get(t, _KIND_OTHER) for t in map(type, cells)),
-        dtype=np.uint8,
-        count=n,
-    )
-    arr = np.empty(n, dtype=object)
-    arr[:] = cells
-    out = np.full(n, None, dtype=object)
-
-    mask = kinds == _KIND_BOOL
-    if mask.any():
-        out[mask] = [_BOOL_TOKENS[v] for v in arr[mask].tolist()]
-
-    mask = kinds == _KIND_INT
-    if mask.any():
-        # map(str, ...) is exact for arbitrary-precision ints -- no
-        # int64 narrowing on this lane.
-        out[mask] = list(map(str, arr[mask].tolist()))
-
-    mask = kinds == _KIND_FLOAT
-    if mask.any():
-        _normalize_float_lane(out, np.nonzero(mask)[0], arr[mask])
-
-    mask = kinds == _KIND_STR
-    if mask.any():
-        out[mask] = _normalize_str_lane(arr[mask].tolist())
-
-    mask = kinds == _KIND_OTHER
-    if mask.any():
-        out[mask] = list(map(normalize_cell, arr[mask].tolist()))
-
-    return out.tolist()
+    return [normalize_cell(v) for v in cells]
 
 
 def is_numeric_cell(value: Cell) -> bool:
@@ -260,7 +153,6 @@ class Table:
                 )
             self.rows.append(tuple(row))
         self._numeric_cache: Optional[list[bool]] = None
-        self._token_cache: Optional[list[Optional[str]]] = None
 
     # -- shape ------------------------------------------------------------------
 
@@ -303,8 +195,8 @@ class Table:
                 yield row_id, column_id, value
 
     def set_cell(self, row_id: int, column_id: int, value: Cell) -> None:
-        """Mutate one cell in place, invalidating every derived cache
-        (normalized tokens, numeric-column inference)."""
+        """Mutate one cell in place, invalidating the numeric-column
+        inference cache."""
         if not 0 <= row_id < self.num_rows:
             raise LakeError(f"table {self.name!r} has no row {row_id}")
         if not 0 <= column_id < self.num_columns:
@@ -313,30 +205,6 @@ class Table:
         row[column_id] = value
         self.rows[row_id] = tuple(row)
         self._numeric_cache = None
-        self._token_cache = None
-
-    # -- normalized-token cache -----------------------------------------------------
-
-    def normalized_cells(self) -> list[Optional[str]]:
-        """Every cell's :func:`normalize_cell` token, row-major, cached.
-
-        Computed through the batched :func:`normalize_tokens` kernel
-        (byte-identical to the scalar loop by contract); lifecycle
-        re-adds and ``replace_table`` rebuilds hit the same table object
-        repeatedly, so the tokens are computed once and reused.
-        Invalidated by :meth:`set_cell`.
-        """
-        if self._token_cache is None:
-            self._token_cache = normalize_tokens(
-                [value for row in self.rows for value in row]
-            )
-        return self._token_cache
-
-    def tokens_if_cached(self) -> Optional[list[Optional[str]]]:
-        """The cached token list, or None -- consumers that only want the
-        fast path (the bulk index build must not pin every table's tokens
-        in memory) probe with this instead of :meth:`normalized_cells`."""
-        return self._token_cache
 
     def project(self, columns: Sequence[str], name: Optional[str] = None) -> "Table":
         """A new table with only *columns* (in the given order)."""

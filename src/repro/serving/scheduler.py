@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Sequence
 
-from ..core.batch import seeker_partials
 from ..core.results import ResultList, SeekerPartials, merge_partials
 from ..core.seekers import Seeker
 from ..errors import RequestTimeoutError, ServingError, StaleContextError
@@ -329,7 +328,7 @@ class BatchScheduler:
         errors: list[Optional[BaseException]] = [None] * len(seekers)
         for i, seeker in enumerate(seekers):
             try:
-                parts[i] = seeker_partials(seeker, deployment.blend.context())
+                parts[i] = seeker.partials(deployment.blend.context())
             except Exception as exc:  # per-request isolation
                 errors[i] = exc
         return parts, errors

@@ -99,9 +99,9 @@ def test_trained_optimizer_agrees_after_maintenance(blend):
 
 
 def test_vectorized_kernel_matches_per_cell_loop():
-    """The oracle's table_token_counts (the factorisation kernel) and the
-    AllTables GROUP BY must both agree with a per-cell normalize_cell
-    loop, bool/int duality included."""
+    """The oracle's table_token_counts and the AllTables GROUP BY must
+    both agree with a per-cell normalize_cell loop, bool/int duality
+    included."""
     from repro.lake.table import normalize_cell
 
     table = Table(
@@ -116,8 +116,7 @@ def test_vectorized_kernel_matches_per_cell_loop():
             (2.0, "2"),
         ],
     )
-    tokens, counts = table_token_counts(table)
-    got = {t: c for t, c in zip(tokens, counts.tolist()) if c}
+    got = dict(table_token_counts(table))
     expected: dict = {}
     for _, _, value in table.iter_cells():
         token = normalize_cell(value)

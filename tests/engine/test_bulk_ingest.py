@@ -1,6 +1,7 @@
-"""The typed bulk-append path (``insert_columns``): equivalence with the
-row-at-a-time path, incremental sealing, dictionary merging, and the
-numeric ``isin_mask`` / ``gather_rows`` satellites."""
+"""The one storage append (``insert_columns``): ``Database.insert``
+equivalence (its rows are coerced, then appended as column chunks),
+rejected inserts that change nothing, incremental sealing, dictionary
+merging, and the numeric ``isin_mask`` satellite."""
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestInsertColumnsEquivalence:
 
 class TestIncrementalSeal:
     """Sealing must merge new batches instead of rebuilding from scratch
-    (the pending buffer is consumed, text dictionaries are merged)."""
+    (the backlog is consumed, text dictionaries are merged)."""
 
     def test_text_dictionary_merge_across_chunks(self):
         db = Database(backend="column")
@@ -115,16 +116,6 @@ class TestIncrementalSeal:
         codes, dictionary = table.text_codes("v")
         assert list(dictionary) == ["a", "c", "m", "z"]
         assert codes.tolist() == [2, 1, 0, 2, 3]
-
-    def test_pending_buffer_consumed_by_seal(self):
-        db = Database(backend="column")
-        db.create_table("t", [("n", "integer")])
-        db.insert("t", [(1,), (2,)])
-        db.execute("SELECT * FROM t")
-        table: ColumnTable = db.table("t")
-        assert all(not pending for pending in table._pending)
-        db.insert("t", [(3,)])
-        assert db.execute("SELECT n FROM t ORDER BY n").column() == [1, 2, 3]
 
     def test_many_unread_chunks_merge_in_order(self):
         # The backlog path: F flushes with no read in between must merge
@@ -326,31 +317,128 @@ class TestIncrementalIndexMaintenance:
         db.create_table("t", [("v", "text")])
         db.create_index("t", "v")
         db.insert_columns("t", [(np.array(["a", "b"], dtype=object), None)])
-        db.insert("t", [("a",)])  # drops materialised postings
+        db.insert("t", [("a",)])  # extends the postings like any append
         table = db.table("t")
         assert table.has_index("v")
         assert table.index_lookup("v", ["a"]).tolist() == [0, 2]
 
 
-class TestGatherRows:
-    def test_matches_expected_python_values(self):
-        db = Database(backend="column")
-        db.create_table("t", SCHEMA)
-        db.insert("t", ROWS)
-        table: ColumnTable = db.table("t")
-        got = table.gather_rows(np.array([3, 0, 1]))
-        assert got == [("x", -3, 2.25, None), ("x", 1, 1.5, 1), (None, None, None, None)]
-        assert all(
-            value is None or type(value) in (str, int, float, bool)
-            for row in got
-            for value in row
-        )
-        # BOOLEAN cells come back as Python bool (type parity with the
-        # row backend), not the int8 storage representation.
-        assert type(got[1][3]) is bool
 
-    def test_empty_positions(self):
-        db = Database(backend="column")
-        db.create_table("t", SCHEMA)
-        db.insert("t", ROWS)
-        assert db.table("t").gather_rows(np.array([], dtype=np.int64)) == []
+TYPED_SCHEMA = [("i", "integer"), ("f", "float"), ("b", "boolean"), ("t", "text")]
+
+# NULLs in every type, bools into INTEGER / FLOAT, an int into FLOAT.
+TYPED_ROWS = [
+    (1, 1.5, True, "x"),
+    (None, None, None, None),
+    (True, False, False, ""),
+    (False, True, None, "y"),
+    (-5, 3, True, None),
+]
+
+
+def _typed(rows):
+    return [tuple((type(v), v) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("backend", ["row", "column"])
+class TestInsertIsColumnChunks:
+    """``Database.insert`` coerces, then appends through
+    ``insert_columns``: the stored rows equal hand-built chunks."""
+
+    def test_matches_hand_built_chunks(self, backend):
+        via_insert = Database(backend=backend)
+        via_insert.create_table("t", TYPED_SCHEMA)
+        assert via_insert.insert("t", TYPED_ROWS) == len(TYPED_ROWS)
+
+        via_chunks = Database(backend=backend)
+        via_chunks.create_table("t", TYPED_SCHEMA)
+        via_chunks.insert_columns(
+            "t",
+            [
+                (np.array([1, 0, 1, 0, -5], dtype=np.int64),
+                 np.array([False, True, False, False, False])),
+                (np.array([1.5, 0.0, 0.0, 1.0, 3.0]),
+                 np.array([False, True, False, False, False])),
+                (np.array([1, -1, 0, -1, 1], dtype=np.int8), None),
+                (np.array(["x", None, "", "y", None], dtype=object), None),
+            ],
+        )
+        select = "SELECT * FROM t"
+        got = via_insert.execute(select).rows
+        assert _typed(got) == _typed(via_chunks.execute(select).rows)
+        assert got[2] == (1, 0.0, False, "")
+
+    def test_empty_insert_appends_nothing(self, backend):
+        db = Database(backend=backend)
+        db.create_table("t", TYPED_SCHEMA)
+        epoch = db.data_epoch
+        assert db.insert("t", []) == 0
+        assert db.num_rows("t") == 0 and db.data_epoch == epoch
+
+
+def test_row_store_keeps_integers_beyond_int64():
+    via_insert = Database(backend="row")
+    via_insert.create_table("t", [("k", "integer")])
+    via_insert.insert("t", [(2**70,), (None,), (-(2**70),)])
+
+    via_chunks = Database(backend="row")
+    via_chunks.create_table("t", [("k", "integer")])
+    via_chunks.insert_columns(
+        "t",
+        [(np.array([2**70, 0, -(2**70)], dtype=object), np.array([False, True, False]))],
+    )
+    rows = via_insert.execute("SELECT k FROM t").rows
+    assert rows == via_chunks.execute("SELECT k FROM t").rows == [(2**70,), (None,), (-(2**70),)]
+
+
+@pytest.mark.parametrize("backend", ["row", "column"])
+class TestRejectedInsertChangesNothing:
+    """A rejected ``Database.insert`` lands no row: the rows, ``num_rows``,
+    ``COUNT(*)`` and the postings stay as they were, and the next good
+    insert lands alone."""
+
+    @staticmethod
+    def _state(db):
+        lookup = db.table("t").index_lookup("a", [1, 2, 3, 5])
+        return (
+            db.execute("SELECT a, b FROM t").rows,
+            db.num_rows("t"),
+            db.execute("SELECT COUNT(*) FROM t").rows,
+            np.asarray(lookup).tolist(),
+        )
+
+    @pytest.mark.parametrize(
+        "bad_rows,error",
+        [
+            ([(2, "y"), (3, 4)], ValueError),  # 4 cannot be TEXT
+            ([(2, "y"), ("3", "w")], ValueError),  # "3" cannot be INTEGER
+            ([(2, "y"), (3,)], ExecutionError),  # wrong width
+        ],
+    )
+    def test_rejected_rows_leave_the_table_untouched(self, backend, bad_rows, error):
+        db = Database(backend=backend)
+        db.create_table("t", [("a", "integer"), ("b", "text")])
+        db.create_index("t", "a")
+        db.insert("t", [(1, "x")])
+        before = self._state(db)
+        with pytest.raises(error):
+            db.insert("t", bad_rows)
+        assert self._state(db) == before
+        db.insert("t", [(5, "z")])
+        assert db.execute("SELECT a, b FROM t").rows == [(1, "x"), (5, "z")]
+        assert db.execute("SELECT COUNT(*) FROM t").rows == [(2,)]
+        assert db.execute("SELECT b FROM t WHERE a = 5").rows == [("z",)]
+
+    def test_value_beyond_int64(self, backend):
+        db = Database(backend=backend)
+        db.create_table("t", [("a", "integer"), ("b", "text")])
+        db.create_index("t", "a")
+        db.insert("t", [(1, "x")])
+        before = self._state(db)
+        if backend == "column":  # int64 storage: rejected before any row lands
+            with pytest.raises(OverflowError):
+                db.insert("t", [(2, "y"), (2**70, "w")])
+            assert self._state(db) == before
+        else:  # Python ints: stored exactly
+            db.insert("t", [(2, "y"), (2**70, "w")])
+            assert db.execute("SELECT a FROM t WHERE b = 'w'").rows == [(2**70,)]

@@ -189,7 +189,11 @@ class TestColumnStoreCompactionLayout:
         # live row 0 is now the old storage row 1
         data, null = table.column_values("v", np.array([0]))
         assert data.tolist() == ["y"]
-        assert table.gather_rows(np.array([0])) == [("y", 2, 2.5, 0)]
+        row = [
+            table.column_values(column.name, np.array([0]))[0].tolist()[0]
+            for column in table.schema.columns
+        ]
+        assert row == ["y", 2, 2.5, 0]
         mask = table.isin_mask("v", ["y"])
         assert len(mask) == table.num_rows
         assert mask.tolist() == [True, False, False, False, True]

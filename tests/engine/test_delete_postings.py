@@ -218,7 +218,6 @@ def _observed(db):
             seen[f"isin {name}"] = table.isin_mask(name, PROBES[name][0]).tobytes()
         codes, dictionary = table.text_codes("txt")
         seen["codes"] = (codes.tobytes(), repr(dictionary.tolist()))
-        seen["gather"] = repr(table.gather_rows(np.arange(count)))
         seen["snapshot"] = _arrays(*table.snapshot_columns())
     else:
         seen["snapshot"] = repr(table.snapshot_rows())

@@ -20,7 +20,7 @@ from repro.core.seekers import SeekerContext, Seekers
 from repro.engine import Database
 from repro.errors import IndexingError
 from repro.index import IndexConfig, alltables, build_alltables
-from repro.index.alltables import _FLUSH_ROWS, _Factorizer, index_table
+from repro.index.alltables import _FLUSH_ROWS, index_table
 from repro.lake import DataLake, Table
 from repro.lake.generators import CorpusConfig, generate_corpus
 from repro.lake.table import normalize_cell
@@ -139,9 +139,9 @@ def _count_flushes(monkeypatch) -> list:
     flushes = []
     encode_part = alltables._encode_part
 
-    def counting(buffer, factorizer):
+    def counting(buffer):
         flushes.append(len(buffer))
-        return encode_part(buffer, factorizer)
+        return encode_part(buffer)
 
     monkeypatch.setattr(alltables, "_encode_part", counting)
     return flushes
@@ -225,32 +225,40 @@ class TestIndexConfig:
             IndexConfig(**retired)
 
 
-class TestFactorizer:
-    """The pipeline's one factoriser against ``normalize_cell``, on the
-    exact value classes where Python equality lies (``True == 1``,
-    ``1 == 1.0``, NaN)."""
+class TestBuildTokens:
+    """Every ``AllTables`` CellValue is ``normalize_cell`` of the lake
+    cell at its (TableId, RowId, ColumnId), on the exact value classes
+    where Python equality lies (``True == 1``, ``1 == 1.0``, NaN) and on
+    blanks, which index nothing."""
 
-    def test_codes_match_token_for_token(self):
-        rows = [
-            (True, 1, "1", 1.0),
-            (False, 0, "0", 0.0),
-            (None, "", "  ", "x"),
-            (2.0, 2, "2", float("nan")),
-            (True, 1, "1", 1.0),  # repeats: memo-hit path
-        ]
-        factorizer = _Factorizer()
-        codes = factorizer.factorize(rows, 20)
-        tokens = [None if c < 0 else factorizer.tokens[c] for c in codes]
-        assert tokens == [normalize_cell(v) for row in rows for v in row]
-        assert tokens[:4] == ["true", "1", "1", "1"]
-        assert tokens[4:8] == ["false", "0", "0", "0"]
+    ROWS = [
+        (True, 1, "1", 1.0),
+        (False, 0, "0", 0.0),
+        (None, "", "  ", "x"),
+        (2.0, 2, "2", float("nan")),
+        (True, 1, "1", 1.0),  # repeats: memo-hit path
+    ] * 8  # past the tokeniser's small-batch scalar shortcut
 
-    def test_zero_one_values_never_memoised(self):
-        factorizer = _Factorizer()
-        factorizer.factorize([(1, True, 0.0, "z")], 4)
-        assert all(
-            not (key == 0 or key == 1) for key in factorizer.memo if key is not None
-        )
+    @pytest.mark.parametrize("backend", ["row", "column"])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_cell_value_is_normalize_cell(self, backend, shuffle):
+        table = Table("hazards", ["a", "b", "c", "d"], self.ROWS)
+        lake = DataLake("hazards", [table])
+        db = Database(backend=backend)
+        build_alltables(lake, db, IndexConfig(shuffle_rows=shuffle, shuffle_seed=3))
+        rows = db.execute("SELECT CellValue, TableId, ColumnId, RowId FROM AllTables").rows
+        perm = alltables.shuffle_permutation(3, 0, table.num_rows) if shuffle else None
+        got = {(row_id, column_id): value for value, _, column_id, row_id in rows}
+        expected = {}
+        for row_id in range(table.num_rows):
+            source = table.rows[perm[row_id] if perm else row_id]
+            for column_id, cell in enumerate(source):
+                token = normalize_cell(cell)
+                if token is not None:
+                    expected[(row_id, column_id)] = token
+        assert got == expected
+        assert len(rows) == len(expected)
+        assert {value for value, *_ in rows} == {"true", "false", "1", "0", "x", "2"}
 
 
 class _UnstringableCell:

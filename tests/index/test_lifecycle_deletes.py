@@ -128,3 +128,29 @@ def test_table_dropped_before_any_read_matches_fresh_build(backend, op, tmp_path
         blend.compact_index()
         _storage_identical(blend.db, fresh_db, "AllTables")
         assert blend.stats == lake_statistics(blend.lake)
+
+
+@pytest.mark.parametrize("backend", ["row", "column"])
+def test_removed_table_object_readded_matches_fresh_build(backend):
+    """``remove_table`` hands back the ``Table``; edited with ``set_cell``
+    and added again, the same object is tokenised afresh, so the index
+    carries the edit and equals a fresh build of the final lake."""
+    config = IndexConfig()
+    blend = Blend(_lake(9), backend=backend, index_config=config)
+    blend.build_index()
+    removed = blend.remove_table(blend.lake.table_ids()[0])
+    removed.set_cell(0, 0, "  Readded VALUE ")
+    table_id = blend.add_table(removed)
+
+    hits = blend.db.execute(
+        "SELECT TableId FROM AllTables WHERE CellValue = 'readded value'"
+    ).rows
+    assert [tuple(row) for row in hits] == [(table_id,)]
+    fresh_db = Database(backend=backend)
+    build_alltables(blend.lake, fresh_db, config)
+    fresh = SeekerContext(db=fresh_db, lake=blend.lake, hash_size=config.hash_size)
+    seekers = _query_seekers(blend.lake)
+    assert _results(blend.context(), seekers) == _results(fresh, seekers)
+    sql = "SELECT * FROM AllTables"
+    assert sorted(blend.db.execute(sql).rows) == sorted(fresh_db.execute(sql).rows)
+    assert blend.stats == lake_statistics(blend.lake)

@@ -1,8 +1,9 @@
 """Parity suite for the batched tokenisation kernel (PR 7).
 
-``normalize_cell`` is the per-cell oracle; ``normalize_tokens`` (the
-memoised C-map lane) and ``_normalize_tokens_typed`` (the NumPy
-type-dispatched lane) must both be byte-identical to it cell-for-cell,
+``normalize_cell`` is the per-cell oracle; ``normalize_tokens`` (its
+memoised C-map lane, and the scalar loop it runs for any other batch)
+must be byte-identical to it cell-for-cell -- called on the whole batch
+and called once per flush-sized buffer, as the ``AllTables`` build does --
 on adversarial inputs chosen to break exactly the shortcuts a batch
 kernel is tempted to take: unicode whitespace and casing traps, NULs
 (where NumPy's fixed-width U dtype silently diverges from ``str``),
@@ -10,6 +11,7 @@ bool/int duality collisions, numeric strings vs numbers, and
 integer-valued floats beyond 2**53 and 2**63.
 """
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -20,13 +22,27 @@ import pytest
 
 from repro.lake.generators import CorpusConfig, generate_corpus
 from repro.lake.table import (
-    Table,
-    _normalize_tokens_typed,
     normalize_cell,
     normalize_tokens,
 )
 
-KERNELS = [normalize_tokens, _normalize_tokens_typed]
+
+def normalize_tokens_per_flush(cells):
+    """``normalize_tokens`` as the ``AllTables`` build calls it: once per
+    buffer, each call with a fresh memo. The buffer sizes straddle the
+    32-cell small-batch shortcut, so the scalar loop and the memo lane
+    each tokenise part of every batch."""
+    sizes = itertools.cycle((1, 31, 32, 33, 97))
+    tokens = []
+    start = 0
+    while start < len(cells):
+        stop = start + next(sizes)
+        tokens.extend(normalize_tokens(cells[start:stop]))
+        start = stop
+    return tokens
+
+
+KERNELS = [normalize_tokens, normalize_tokens_per_flush]
 
 
 def _assert_matches_oracle(kernel, cells):
@@ -128,7 +144,7 @@ class TestAdversarialTokens:
         ]
         _assert_matches_oracle(kernel, cells)
 
-    def test_unhashable_cells_route_to_typed_lane(self):
+    def test_unhashable_cells_take_the_scalar_loop(self):
         cells = _PAD + [["list"], {"d": 1}, {1, 2}, "plain", 7]
         _assert_matches_oracle(normalize_tokens, cells)
 
@@ -234,18 +250,6 @@ class TestHugeIntegralFloats:
 
 
 class TestTableIntegration:
-    def test_normalized_cells_uses_kernel_and_matches_scalar(self):
-        table = Table(
-            "t",
-            ["a", "b", "c"],
-            [("  X  ", True, 2.0), (None, 0, "3.0"), ("İ", float("nan"), 2**70)] * 20,
-        )
-        tokens = table.normalized_cells()
-        assert tokens == [
-            normalize_cell(v) for row in table.rows for v in row
-        ]
-        assert table.tokens_if_cached() is tokens  # cached
-
     def test_small_batches_take_scalar_shortcut(self):
         cells = ["A ", 1, None]
         assert normalize_tokens(cells) == ["a", "1", None]

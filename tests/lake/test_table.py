@@ -113,3 +113,16 @@ class TestTable:
     def test_empty_name_rejected(self):
         with pytest.raises(LakeError):
             Table("", ["a"], [])
+
+    def test_set_cell_invalidates_numeric_cache(self, table):
+        assert table.numeric_columns() == [False, True, False]
+        table.set_cell(0, 2, 9)  # 'mixed' becomes 4/4 numeric
+        assert table.rows[0] == ("a", 1, 9)
+        assert table._numeric_cache is None
+        assert table.numeric_columns() == [False, True, True]
+
+    def test_set_cell_bounds_checked(self, table):
+        with pytest.raises(LakeError):
+            table.set_cell(999, 0, "x")
+        with pytest.raises(LakeError):
+            table.set_cell(0, 99, "x")

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro import Blend, Seekers, Table
-from repro.core.results import ResultList
+from repro.core.results import ResultList, count_partials
 from repro.errors import StaleContextError
 from repro.serving import BatchScheduler, DeploymentManager
 
@@ -118,10 +118,10 @@ def test_swap_drains_inflight_before_returning(generations):
         kind = "PARKED"
         k = 1
 
-        def execute(self, context):
+        def partials(self, context):
             entered.set()
             release.wait(5.0)
-            return ResultList([])
+            return count_partials([], [])
 
     with BatchScheduler(manager, workers=1, max_batch=1) as scheduler:
         pending = scheduler.submit(Parked())
@@ -158,11 +158,11 @@ def test_stale_context_retries_once_transparently(generations):
         kind = "FLAKY"
         k = 1
 
-        def execute(self, context):
+        def partials(self, context):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise StaleContextError("raced a swap")
-            return expected
+            return count_partials([], [])
 
     with BatchScheduler(manager, workers=1, max_batch=1) as scheduler:
         outcome = scheduler.execute(StaleOnce())

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro import Seekers
-from repro.core.results import ResultList
+from repro.core.results import count_partials
 from repro.errors import RequestTimeoutError, ServingError
 from repro.serving import (
     BatchScheduler,
@@ -33,9 +33,9 @@ class SlowSeeker:
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
 
-    def execute(self, context):
+    def partials(self, context):
         time.sleep(self.seconds)
-        return ResultList([])
+        return count_partials([], [])
 
 
 class GateSeeker:
@@ -49,17 +49,17 @@ class GateSeeker:
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def execute(self, context):
+    def partials(self, context):
         self.started.set()
         assert self.release.wait(10), "test never released the gate"
-        return ResultList([])
+        return count_partials([], [])
 
 
 class BoomSeeker:
     kind = "BOOM"
     k = 1
 
-    def execute(self, context):
+    def partials(self, context):
         raise RuntimeError("boom")
 
 

@@ -15,12 +15,10 @@ import pytest
 
 from repro import Blend, DataLake, Seekers, Table
 from repro.core.results import (
-    ResultList,
     SeekerPartials,
     count_partials,
     merge_partials,
     ranked_partials,
-    resolved_partials,
 )
 from repro.core.hybrid import HybridSeeker
 from repro.core.semantic import SemanticSeeker
@@ -370,13 +368,6 @@ def test_merge_rejects_mixed_kinds():
         merge_partials([ranked, counts], 5)
 
 
-def test_merge_rejects_multi_part_resolved():
-    one = resolved_partials(ResultList.from_pairs([(1, 2.0)]))
-    two = resolved_partials(ResultList.from_pairs([(2, 3.0)]))
-    with pytest.raises(SeekerError):
-        merge_partials([one, two], 5)
-
-
 def test_merge_rejects_mixed_fetch_cuts():
     with pytest.raises(SeekerError):
         merge_partials(
@@ -387,14 +378,6 @@ def test_merge_rejects_mixed_fetch_cuts():
 def test_merge_of_nothing_is_empty():
     assert len(merge_partials([], 5)) == 0
     assert len(merge_partials([None, ranked_partials([], 8)], 5)) == 0
-
-
-def test_single_partial_merge_preserves_resolved_order():
-    """The compatibility path: a duck-typed seeker's arbitrary ordering
-    round-trips the degenerate merge verbatim (no re-sort)."""
-    unsorted = ResultList.from_pairs([(5, 1.0), (2, 9.0), (7, 4.0)])
-    merged = merge_partials([resolved_partials(unsorted)], 10)
-    assert list(merged) == list(unsorted)
 
 
 def test_partials_validation():
