@@ -52,11 +52,8 @@ SEMANTIC_PROBE = ["compat", "probe", "token"]
 
 
 def _semantic_results(blend: Blend) -> list[int]:
-    """Deterministic exact-lane semantic ranking (graph-independent:
-    depends only on the stored vectors, not HNSW insertion order)."""
-    return blend.discover(
-        SEMANTIC_PROBE, modalities=("semantic",), k=8, exact=True
-    ).table_ids()
+    """The semantic ranking (an exact scan over the stored vectors)."""
+    return blend.discover(SEMANTIC_PROBE, modalities=("semantic",), k=8).table_ids()
 
 
 def _seeker_results(blend: Blend) -> dict:

@@ -136,6 +136,19 @@ def embed_values(values: Sequence[Cell], dimensions: int = DEFAULT_DIMENSIONS) -
     return embed_tokens(tokens, dimensions)
 
 
+def cosine_distances(
+    rows: np.ndarray, norms: np.ndarray, vector: np.ndarray, norm: float
+) -> np.ndarray:
+    """Cosine distances from a contiguous float64 *vector* of L2 norm
+    *norm* to each of *rows*, whose norms are *norms* (a zero row's stored
+    as infinity). Row-independent -- a row scores the same bits alone, in
+    any subset or in any matrix -- because ``np.einsum("ij,j->i")``
+    reduces each row on its own; BLAS ``rows @ vector`` shifts last bits
+    with the matrix shape, which would break shard-vs-solo byte identity."""
+    # A zero vector's norm counts as infinite: its quotient is 0, its distance 1.0.
+    return 1.0 - np.einsum("ij,j->i", rows, vector) / (norms * (norm or np.inf))
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two (possibly zero) vectors."""
     norm = np.linalg.norm(a) * np.linalg.norm(b)

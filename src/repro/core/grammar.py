@@ -27,8 +27,8 @@ default, e.g. ``SC($departments, k=50)``.
 Seekers are resolved through :data:`SEEKER_REGISTRY` -- a by-name table
 of :class:`SeekerSpec` entries -- so new modalities register with
 :func:`register_seeker` instead of patching the parser. Registered specs
-may declare extra keyword arguments (``$ref``, int, float, or
-true/false), which is how the mixed semantic predicates parse::
+may declare extra keyword arguments (``$ref``, int or float), which is
+how the mixed semantic predicates parse::
 
     SS($topic, k=20)                       # pure semantic search
     HY($cities, about=$topic, alpha=0.5)   # joinable on X AND about Y
@@ -92,17 +92,13 @@ register_seeker("KW", lambda query, k: Seekers.KW(query, k=k))
 register_seeker("SC", lambda query, k: Seekers.SC(query, k=k))
 register_seeker("MC", lambda query, k: Seekers.MC(query, k=k))
 register_seeker("C", _build_correlation)
-register_seeker(
-    "SS",
-    lambda query, k, exact=False: SemanticSeeker(query, k=k, exact=bool(exact)),
-    keywords=("exact",),
-)
+register_seeker("SS", lambda query, k: SemanticSeeker(query, k=k))
 register_seeker(
     "HY",
-    lambda query, k, about=None, alpha=0.5, exact=True: HybridSeeker(
-        query, about=about, k=k, alpha=float(alpha), exact=bool(exact)
+    lambda query, k, about=None, alpha=0.5: HybridSeeker(
+        query, about=about, k=k, alpha=float(alpha)
     ),
-    keywords=("about", "alpha", "exact"),
+    keywords=("about", "alpha"),
 )
 
 _COMBINER_ALIASES = {
@@ -291,8 +287,7 @@ class _Parser:
         return node_name
 
     def _parse_argument_value(self) -> Any:
-        """A seeker keyword value: ``$ref`` (bound input), int, float, or
-        ``true``/``false``."""
+        """A seeker keyword value: ``$ref`` (bound input), int or float."""
         token = self._advance()
         if token.kind == "ref":
             if token.value not in self._bindings:
@@ -306,10 +301,8 @@ class _Parser:
             return int(token.value)
         if token.kind == "float":
             return float(token.value)
-        if token.kind == "name" and token.value.lower() in ("true", "false"):
-            return token.value.lower() == "true"
         raise PlanError(
-            f"argument values are $refs, numbers, or true/false; "
+            f"argument values are $refs or numbers; "
             f"found {token.value!r} (position {token.position})"
         )
 

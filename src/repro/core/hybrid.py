@@ -16,9 +16,8 @@ promotes that to a first-class seeker:
   ``merge_partials`` tail. Fusion is rank-based and per-shard ranks are
   meaningless, so the fused partial carries both lanes' *sub-partials*
   and the merge fuses only after each lane has been globally merged --
-  with the deterministic ``exact=True`` semantic lane (the default
-  here), hybrid results are byte-identical for any shard count by
-  construction;
+  and the semantic lane is an exact scan, so hybrid results are
+  byte-identical for any shard count by construction;
 * a learned-weight mode derives the lane weights from the trained
   :class:`~repro.core.optimizer.cost_model.CostModel`: each lane's
   weight is the inverse of its predicted runtime over the same
@@ -87,9 +86,7 @@ class HybridSeeker(Seeker):
     explicit ``weights=(exact, semantic)`` overrides it, and
     :meth:`calibrate` replaces both with cost-model-derived weights.
     ``about`` supplies the semantic topic; left ``None``, the exact
-    query's own values are embedded. ``exact=True`` (default) runs the
-    semantic lane brute-force, the deterministic mode whose sharded
-    merge is byte-identical to solo execution at any scale.
+    query's own values are embedded.
     """
 
     kind = "HY"
@@ -102,7 +99,6 @@ class HybridSeeker(Seeker):
         alpha: float = 0.5,
         rrf_k: float = DEFAULT_RRF_K,
         weights: Optional[tuple[float, float]] = None,
-        exact: bool = True,
         exact_kind: Optional[str] = None,
     ) -> None:
         super().__init__(k)
@@ -119,13 +115,12 @@ class HybridSeeker(Seeker):
             )
         self.alpha = float(alpha)
         self.rrf_k = float(rrf_k)
-        self.exact = exact
         self.exact_kind = exact_kind
         self.lane_depth = max(self.k, self.k * LANE_DEPTH)
         builder = getattr(Seekers, exact_kind)
         self.exact_seeker = builder(materialized, k=self.lane_depth)
         topic = list(about) if about is not None else _flatten_values(materialized)
-        self.semantic_seeker = SemanticSeeker(topic, k=self.lane_depth, exact=exact)
+        self.semantic_seeker = SemanticSeeker(topic, k=self.lane_depth)
         if weights is None:
             weights = (1.0 - self.alpha, self.alpha)
         self._set_weights(weights)

@@ -51,10 +51,6 @@ class ResultList:
             self._hits.append(hit)
             self._by_id[hit.table_id] = hit.score
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "ResultList":
-        return cls(TableHit(table_id, score) for table_id, score in pairs)
-
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:

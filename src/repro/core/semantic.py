@@ -11,13 +11,15 @@ This module implements that extension end to end:
 * the offline phase embeds every column of the lake -- its token bag
   derived from ``AllTables`` by one GROUP BY, no lake cell read (see
   :mod:`repro.baselines.embeddings` for the encoder substitution) -- into
-  one vector matrix owned by the HNSW index, and writes its non-zero
-  weights as typed columns into a database relation ``AllVectors(TableId,
-  ColumnId, Dim, Weight)`` -- the "in-DB embeddings"; load scatters them back;
-* the HNSW graph over the matrix provides the efficient vector-search
-  path and ``exact=True`` scans the whole matrix; both score through the
-  HNSW's one row-independent distance kernel, so a shard's exact scan
-  scores each column exactly as the whole lake's does;
+  one vector matrix, and writes its non-zero weights as typed columns
+  into a database relation ``AllVectors(TableId, ColumnId, Dim, Weight)``
+  -- the "in-DB embeddings"; load scatters them back;
+* every search scans the whole matrix with one row-independent distance
+  kernel (:func:`~repro.baselines.embeddings.cosine_distances`), so
+  answers are exact, and a shard's scan scores each column exactly as
+  the whole lake's does. At the lake sizes this reproduction runs, the
+  scan is both faster and more accurate than an HNSW graph, which the
+  paper names only as an option the in-DB vectors would enable;
 * :class:`SemanticSeeker` (kind ``SS``) plugs into the Plan/combiner
   algebra like any other seeker, so semantic and exact operators compose
   (e.g. ``Intersect(SS($q), SC($q))`` -- tables that match both
@@ -25,19 +27,20 @@ This module implements that extension end to end:
 
 Optimizer integration: the paper's related-work section notes that
 reordering *approximate* operators is non-trivial because it can change
-result sets. Accordingly, a SemanticSeeker honours rewrites by
-**post-filtering** its ranked results (semantics preserved exactly)
-instead of pre-restricting the vector search.
+result sets. A SemanticSeeker fetches a bounded number of columns per
+wanted table, so it honours rewrites by **post-filtering** its ranked
+results (semantics preserved exactly) instead of pre-restricting the
+vector search.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
 
-from ..baselines.embeddings import DEFAULT_DIMENSIONS, embed_bags, embed_values
-from ..baselines.hnsw import HnswIndex
+from ..baselines.embeddings import DEFAULT_DIMENSIONS, cosine_distances, embed_bags, embed_values
 from ..engine.database import Database
 from ..engine.storage.column_store import DictCodes
 from ..errors import SeekerError, SnapshotError
@@ -52,32 +55,39 @@ ALLVECTORS_SCHEMA = [
     ("Weight", "float"),
 ]
 
+# Columns an SS seeker fetches per table it wants: several columns of one
+# table may rank high, and rewrite post-filters may drop tables.
+COLUMNS_PER_TABLE = 8
+
 
 class SemanticIndex:
-    """Column embeddings, persisted in-DB, searchable via HNSW (whose
-    keys and matrix rows are the only copy of the vectors). Built from
-    the *index_table* relation (``AllTables``) of *db*, never from lake
-    cells."""
+    """Column embeddings, persisted in-DB, searched by an exact scan.
+    ``keys[i]`` is the ``(table_id, column_id)`` of matrix row
+    ``vectors[i]``; these are the only copy of the vectors in memory.
+    Built from the *index_table* relation (``AllTables``) of *db*, never
+    from lake cells."""
 
     def __init__(
         self,
         db: Optional[Database],
         index_table: str = "AllTables",
         dimensions: int = DEFAULT_DIMENSIONS,
-        m: int = 8,
-        ef_construction: int = 48,
-        seed: int = 0,
     ) -> None:
         self.dimensions = dimensions
-        self._m = m
-        self._ef_construction = ef_construction
-        self._seed = seed
-        self._hnsw = self._new_graph()
+        self.keys: list[tuple[int, int]] = []
+        self.vectors = np.zeros((0, dimensions), dtype=np.float64)
+        self._norms = np.zeros(0, dtype=np.float64)
         if db is not None:  # None: an empty index (what load fills)
             self._embed(db, index_table)
 
-    def _new_graph(self) -> HnswIndex:
-        return HnswIndex(self.dimensions, self._m, self._ef_construction, self._seed)
+    def _append(self, keys: list, rows: np.ndarray) -> None:
+        """Add *rows* under *keys*. Each norm is taken once, row by row
+        (a whole-matrix reduction may differ in the last bits); a zero
+        row's norm is stored as infinity (see ``cosine_distances``)."""
+        self.keys += keys
+        self.vectors = np.concatenate([self.vectors, rows])
+        norms = [float(np.linalg.norm(row)) or np.inf for row in rows]
+        self._norms = np.concatenate([self._norms, norms])
 
     def _embed(self, db: Database, index_table: str, table_id: Optional[int] = None) -> None:
         """Add the non-zero vectors of every column in *index_table* (or of
@@ -99,38 +109,31 @@ class SemanticIndex:
         starts[1:] = (tables[1:] != tables[:-1]) | (columns[1:] != columns[:-1])
         bags = np.cumsum(starts) - 1
         matrix = embed_bags(bags, codes, counts[order], vocabulary, self.dimensions)
-        keys = zip(tables[starts].tolist(), columns[starts].tolist())
-        for key, vector in zip(keys, matrix):
-            if np.any(vector):
-                self._hnsw.add(key, vector)
+        nonzero = matrix.any(axis=1)
+        keys = list(zip(tables[starts][nonzero].tolist(), columns[starts][nonzero].tolist()))
+        self._append(keys, matrix[nonzero])
 
     @property
     def num_columns(self) -> int:
-        return len(self._hnsw)
+        return len(self.keys)
 
     # -- lifecycle maintenance -----------------------------------------------------
 
     def add_table(self, table_id: int, db: Database, index_table: str = "AllTables") -> None:
         """Embed one added (or replacement) table's columns from its
-        *index_table* rows and graft them into the vector index; the new
+        *index_table* rows and append them to the matrix; the new
         ``AllVectors`` rows are persisted alongside when *db* has them."""
-        start = len(self._hnsw)
+        start = len(self.keys)
         self._embed(db, index_table, table_id)
         if db.has_table("AllVectors"):
             db.insert_columns("AllVectors", self._coordinate_columns(start))
 
     def remove_table(self, table_id: int, db: Optional[Database] = None) -> None:
-        """Drop one table's column vectors. The HNSW graph does not
-        support deletion (links would dangle), so it is rebuilt from the
-        surviving vectors -- still offline-phase work, and exactly what a
-        fresh :meth:`load` of the maintained ``AllVectors`` relation
-        would produce. With *db*, the persisted rows are deleted too."""
-        old = self._hnsw
-        survivors = [row for row, key in enumerate(old.keys) if key[0] != table_id]
-        if len(survivors) < len(old):
-            self._hnsw = self._new_graph()
-            for row in survivors:
-                self._hnsw.add(old.keys[row], old.vectors[row])
+        """Drop one table's column vectors (the surviving rows keep their
+        order). With *db*, the persisted rows are deleted too."""
+        keep = np.array([key[0] != table_id for key in self.keys], dtype=bool)
+        self.keys = list(compress(self.keys, keep))
+        self.vectors, self._norms = self.vectors[keep], self._norms[keep]
         if db is not None and db.has_table("AllVectors"):
             db.delete_rows("AllVectors", "TableId", [table_id])
 
@@ -141,9 +144,9 @@ class SemanticIndex:
     def _coordinate_columns(self, start: int = 0) -> list:
         """Typed ``AllVectors`` columns for the vectors from row *start*
         on: one row per non-zero weight, by vector, then dimension."""
-        matrix = self._hnsw.vectors[start:]
+        matrix = self.vectors[start:]
         rows, dims = np.nonzero(matrix)
-        keys = np.array(self._hnsw.keys[start:], dtype=np.int64).reshape(-1, 2)[rows]
+        keys = np.array(self.keys[start:], dtype=np.int64).reshape(-1, 2)[rows]
         return [(keys[:, 0], None), (keys[:, 1], None), (dims, None), (matrix[rows, dims], None)]
 
     def persist(self, db: Database, table_name: str = "AllVectors") -> int:
@@ -159,33 +162,18 @@ class SemanticIndex:
         return inserted
 
     def snapshot_meta(self) -> dict:
-        """Construction parameters a snapshot manifest records so
-        :meth:`load` rebuilds an identical vector index from the
-        persisted ``AllVectors`` relation (the vectors themselves travel
-        in-DB, like everything else)."""
-        return {
-            "dimensions": self.dimensions,
-            "seed": self._seed,
-            "m": self._m,
-            "ef_construction": self._ef_construction,
-        }
+        """What a snapshot manifest records so :meth:`load` reads the
+        persisted ``AllVectors`` relation back (the vectors themselves
+        travel in-DB, like everything else)."""
+        return {"dimensions": self.dimensions}
 
     @classmethod
     def load(
-        cls, db: Database, table_name: str = "AllVectors",
-        dimensions: int = DEFAULT_DIMENSIONS, seed: int = 0,
-        m: Optional[int] = None, ef_construction: Optional[int] = None,
+        cls, db: Database, table_name: str = "AllVectors", dimensions: int = DEFAULT_DIMENSIONS
     ) -> "SemanticIndex":
-        """Rebuild the in-memory HNSW from the persisted relation --
-        the deployment path where vectors live in the database. Pass
-        *m* / *ef_construction* (e.g. from :meth:`snapshot_meta`) to
-        reconstruct with the exact graph parameters of the saved index;
-        left ``None``, the HNSW defaults apply."""
-        # Manifests without graph parameters get the HNSW's defaults.
-        instance = cls(
-            None, dimensions=dimensions, seed=seed, m=8 if m is None else m,
-            ef_construction=64 if ef_construction is None else ef_construction,
-        )
+        """Read the vector matrix back from the persisted relation -- the
+        deployment path where vectors live in the database."""
+        instance = cls(None, dimensions=dimensions)
         result = db.execute_columnar(
             f"SELECT TableId, ColumnId, Dim, Weight FROM {table_name} "
             "ORDER BY TableId, ColumnId, Dim"
@@ -200,49 +188,33 @@ class SemanticIndex:
         row_of = np.cumsum(starts) - 1
         matrix = np.zeros((int(starts.sum()), dimensions))
         matrix[row_of, dims.astype(np.int64)] = weights
-        for key, vector in zip(zip(tables[starts].tolist(), columns[starts].tolist()), matrix):
-            instance._hnsw.add(key, vector)
+        instance._append(list(zip(tables[starts].tolist(), columns[starts].tolist())), matrix)
         return instance
 
-    def search_columns(
-        self,
-        vector: np.ndarray,
-        k: int,
-        ef: Optional[int] = None,
-        exact: bool = False,
-    ) -> list[tuple[tuple[int, int], float]]:
+    def search_columns(self, vector: np.ndarray, k: int) -> list[tuple[tuple[int, int], float]]:
         """Closest *k* columns as ``((table_id, column_id), similarity)``,
-        best first. ``exact=True`` scores every stored vector in one call
-        of the HNSW's row-independent distance kernel, ties broken on the
-        (table, column) key -- deterministic and graph-independent, and a
-        column scores the same bits in a shard's matrix as in the whole
-        lake's, which is what makes sharded semantic search
-        byte-identical to a single process at any scale (the HNSW beam
-        is only exhaustive on small indexes)."""
-        if exact:
-            vector = np.ascontiguousarray(vector, dtype=np.float64)
-            distances = self._hnsw.distances(vector, float(np.linalg.norm(vector)))
-            # Only rows within the k-th smallest distance (ties included) can rank.
-            kth = min(k, len(distances)) - 1
-            cut = np.partition(distances, kth)[kth] if kth >= 0 else -np.inf
-            rows = np.flatnonzero(distances <= cut).tolist()
-            scored = sorted(zip(distances[rows].tolist(), [self._hnsw.keys[row] for row in rows]))
-            return [(key, 1.0 - distance) for distance, key in scored[:k]]
-        # The beam must cover at least k candidates or the top-k result
-        # silently truncates to the beam's survivors; clamp per query
-        # rather than trusting the graph's default (the exact lane above
-        # needs no clamp -- it scores every stored vector).
-        if ef is not None and ef < k:
-            ef = k
-        return self._hnsw.search(vector, k=k, ef=ef)
+        best first: every stored vector is scored in one call of the
+        row-independent distance kernel, ties broken on the (table,
+        column) key. A column scores the same bits in a shard's matrix as
+        in the whole lake's, which is what makes sharded semantic search
+        byte-identical to a single process."""
+        vector = np.ascontiguousarray(vector, dtype=np.float64)
+        norm = float(np.linalg.norm(vector))
+        distances = cosine_distances(self.vectors, self._norms, vector, norm)
+        # Only rows within the k-th smallest distance (ties included) can rank.
+        kth = min(k, len(distances)) - 1
+        cut = np.partition(distances, kth)[kth] if kth >= 0 else -np.inf
+        rows = np.flatnonzero(distances <= cut).tolist()
+        scored = sorted(zip(distances[rows].tolist(), [self.keys[row] for row in rows]))
+        return [(key, 1.0 - distance) for distance, key in scored[:k]]
 
     def storage_bytes(self) -> int:
-        return self._hnsw.storage_bytes()  # the HNSW counts its vector matrix
+        return self.vectors.nbytes
 
 
 class SemanticSeeker(Seeker):
     """SS: top-k tables whose best column is semantically closest to the
-    query column (embedding cosine similarity via HNSW).
+    query column (embedding cosine similarity, exact scan).
 
     Scores are cosine similarities in [0, 1]-ish -- a different scale
     from overlap counts, which is fine for Counter/Intersect/Difference
@@ -257,17 +229,11 @@ class SemanticSeeker(Seeker):
         self,
         values: Iterable[Cell],
         k: int = 10,
-        overfetch: int = 4,
-        exact: bool = False,
     ) -> None:
         super().__init__(k)
         self.values = list(values)
         if not self.values:
             raise SeekerError("semantic seeker requires at least one value")
-        if overfetch < 1:
-            raise SeekerError("overfetch must be >= 1")
-        self.overfetch = overfetch
-        self.exact = exact
 
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
         raise SeekerError(
@@ -283,14 +249,8 @@ class SemanticSeeker(Seeker):
     ) -> SeekerPartials:
         """Best-similarity-per-table rows, best-first, cut at *k* -- a
         ranked partial over this context's shard of the vector index.
-
-        Sharded caveat: per-shard partials merge to the single-process
-        ranking exactly when the column search is deterministic -- either
-        ``exact=True`` (brute force, any scale) or an exhaustive beam
-        (``ef`` at least the shard's column count -- always true at test
-        scale). With a genuinely approximate beam, the merge is as
-        approximate as the underlying HNSW itself.
-        """
+        The column search is exact, so per-shard partials merge to the
+        single-process ranking."""
         context.ensure_fresh()
         semantic = getattr(context, "semantic", None)
         if semantic is None:
@@ -300,11 +260,7 @@ class SemanticSeeker(Seeker):
         query_vector = embed_values(self.values, semantic.dimensions)
         if not np.any(query_vector):
             return ranked_partials([], self.k)
-        # Over-fetch columns: several columns of one table may rank high,
-        # and rewrite post-filters may drop tables.
-        column_hits = semantic.search_columns(
-            query_vector, k=self.k * self.overfetch * 2, exact=self.exact
-        )
+        column_hits = semantic.search_columns(query_vector, k=self.k * COLUMNS_PER_TABLE)
         best_per_table: dict[int, float] = {}
         for (table_id, _), similarity in column_hits:
             if similarity > best_per_table.get(table_id, float("-inf")):

@@ -83,7 +83,7 @@ class Blend:
         after a build pays nothing for them.
 
         With ``IndexConfig(semantic=True)`` the offline phase also embeds
-        every column of ``AllTables`` into ``AllVectors`` + the HNSW (the semantic
+        every column of ``AllTables`` into ``AllVectors`` + its vector matrix (the semantic
         extension), so build, load, and shard paths configure semantic
         search uniformly from the one config object.
         """
@@ -347,11 +347,11 @@ class Blend:
         if self.db.has_table("AllVectors"):
             self.db.compact("AllVectors")
 
-    def enable_semantic(self, dimensions: int = 64, persist: bool = True) -> "Blend":
+    def enable_semantic(self, dimensions: int = 64) -> "Blend":
         """Build the semantic extension (paper §X future work): embed
         every column from the built ``AllTables`` (no lake cell is read),
         persist the vectors in-DB as ``AllVectors`` (replacing an earlier
-        copy), and serve SS seekers from an HNSW over them. Returns self.
+        copy), and serve SS seekers by an exact scan over them. Returns self.
 
         Equivalent to building with ``IndexConfig(semantic=True)``; the
         config is updated to match so snapshots and shard saves carry the
@@ -366,8 +366,7 @@ class Blend:
         self.index_config = replace(
             self.index_config, semantic=True, semantic_dimensions=dimensions
         )
-        if persist:
-            self._semantic.persist(self.db)
+        self._semantic.persist(self.db)
         return self
 
     def context(self) -> SeekerContext:
@@ -423,7 +422,6 @@ class Blend:
         alpha: float = 0.5,
         rrf_k: float = 60.0,
         fusion: str = "rrf",
-        exact: Optional[bool] = None,
     ) -> "DiscoveryResult":
         """One entry point for every discovery modality, returning a typed
         :class:`~repro.core.hybrid.DiscoveryResult`.
@@ -438,9 +436,7 @@ class Blend:
 
         ``fusion="learned"`` weighs lanes (and multi-modality fusion) by
         the trained cost model's inverse runtime estimates instead of
-        uniformly/alpha. *exact* forces the semantic lane's brute-force
-        mode (defaults: SS approximate, HY exact -- the deterministic
-        sharding mode).
+        uniformly/alpha.
         """
         from .hybrid import DiscoveryResult, HybridSeeker
         from .results import fuse_rankings
@@ -463,9 +459,7 @@ class Blend:
                 return Seekers.MC(query, k=k)
             if modality == "semantic":
                 values = query if about is None else about
-                return SemanticSeeker(
-                    values, k=k, exact=False if exact is None else exact
-                )
+                return SemanticSeeker(values, k=k)
             if modality == "correlation":
                 try:
                     keys, targets = query
@@ -481,7 +475,6 @@ class Blend:
                     k=k,
                     alpha=alpha,
                     rrf_k=rrf_k,
-                    exact=True if exact is None else exact,
                 )
                 if fusion == "learned":
                     seeker.calibrate(self.optimizer.cost_model, self.stats)

@@ -55,10 +55,6 @@ class PlanError(BlendError):
     arity, duplicate node names, ...)."""
 
 
-class OptimizerError(BlendError):
-    """The plan optimizer could not produce an execution ordering."""
-
-
 class SeekerError(BlendError):
     """Invalid seeker specification (empty query column, bad k, ...)."""
 

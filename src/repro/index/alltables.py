@@ -107,7 +107,7 @@ class IndexConfig:
     xash_chars: int = DEFAULT_NUM_CHARS
     shuffle_rows: bool = False  # BLEND (rand): pre-shuffle rows per table
     shuffle_seed: int = 0
-    # Semantic extension: build AllVectors + the HNSW alongside AllTables,
+    # Semantic extension: build AllVectors + its matrix alongside AllTables,
     # so build/load/shard paths configure it uniformly (SS and HY seekers
     # need it). Blend.enable_semantic() flips this on after the fact.
     semantic: bool = False

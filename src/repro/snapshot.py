@@ -308,14 +308,6 @@ def save_blend(
     db: Database = blend.db
 
     semantic = blend._semantic
-    if semantic is not None and not db.has_table("AllVectors"):
-        # enable_semantic(persist=False) keeps the vectors in memory
-        # only; a snapshot persists the entire built system, so
-        # serialise them in-DB now (exactly what persist=True does) --
-        # otherwise load would find semantic parameters with no
-        # AllVectors relation behind them.
-        semantic.persist(db)
-
     tables_meta = []
     for position, name in enumerate(db.table_names()):
         storage = db.table(name)
@@ -671,23 +663,7 @@ def save_sharded(
         sub = type(blend)(
             shard_lake, backend=blend.db.backend, index_config=blend.index_config
         )
-        sub.build_index()
-        if semantic_meta is not None and sub._semantic is None:
-            # IndexConfig(semantic=True) already built the shard's vector
-            # index inside build_index(); this branch covers deployments
-            # whose SemanticIndex was installed directly (non-default
-            # graph parameters), rebuilding per shard from the meta.
-            from .core.semantic import SemanticIndex
-
-            sub._semantic = SemanticIndex(
-                sub.db,
-                sub.index_config.table_name,
-                dimensions=semantic_meta["dimensions"],
-                m=semantic_meta["m"],
-                ef_construction=semantic_meta["ef_construction"],
-                seed=semantic_meta["seed"],
-            )
-            sub._semantic.persist(sub.db)
+        sub.build_index()  # IndexConfig(semantic=True) builds the shard's vectors
         name = f"shard{i}"
         save_blend(sub, root / name, include_lake=include_lake)
         shard_names.append(name)
@@ -886,14 +862,8 @@ def load_blend(
     if manifest.get("semantic") is not None:
         from .core.semantic import SemanticIndex
 
-        semantic_meta = manifest["semantic"]
-        blend._semantic = SemanticIndex.load(
-            db,
-            dimensions=semantic_meta["dimensions"],
-            seed=semantic_meta["seed"],
-            m=semantic_meta.get("m"),
-            ef_construction=semantic_meta.get("ef_construction"),
-        )
+        # Older manifests also carry HNSW graph parameters; they are ignored.
+        blend._semantic = SemanticIndex.load(db, dimensions=manifest["semantic"]["dimensions"])
     # Record the base identity BEFORE any delta replay: live_slots and
     # generation describe the on-disk base, which is what the next
     # incremental save diffs against.

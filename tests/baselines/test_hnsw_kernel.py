@@ -78,20 +78,24 @@ def test_graph_and_searches_match_the_scalar_oracle(lake_items, source, m):
 
 @pytest.mark.parametrize("source", ["lake", "random"])
 def test_exact_lane_is_the_sorted_oracle_scan(lake_items, source):
-    """``search_columns(exact=True)`` ranks like ``sorted((distance, key))``
-    over the oracle's per-pair distances -- ties between duplicate
-    vectors fall back to the key."""
+    """``search_columns`` ranks like ``sorted((distance, key))`` over the
+    oracle's per-pair distances -- ties between duplicate vectors fall
+    back to the key -- and scores the HNSW's distance bits."""
     items = lake_items if source == "lake" else _random_items()
-    index = SemanticIndex.__new__(SemanticIndex)
-    index._hnsw = _build(HnswIndex, items, 8, len(items[0][1]))
+    keys = [key for key, _ in items]
+    index = SemanticIndex(None, dimensions=len(items[0][1]))
+    index._append(keys, np.array([vector for _, vector in items]))
+    hnsw = _build(HnswIndex, items, 8, len(items[0][1]))
     for _, query in items[::7]:
         want = sorted((ScalarHnsw._distance(query, vector), key) for key, vector in items)
-        got = index.search_columns(query, k=len(items), exact=True)
+        got = index.search_columns(query, k=len(items))
         assert [key for key, _ in got] == [key for _, key in want]
         assert np.allclose(
             [s for _, s in got], [1.0 - d for d, _ in want], rtol=0, atol=1e-12
         )
-        assert index.search_columns(query, k=5, exact=True) == got[:5]
+        scored = sorted(zip(hnsw.distances(query, float(np.linalg.norm(query))).tolist(), keys))
+        assert got == [(key, 1.0 - distance) for distance, key in scored]
+        assert index.search_columns(query, k=5) == got[:5]
 
 
 def test_kernel_is_row_independent(lake_items):
@@ -139,9 +143,8 @@ def test_storage_counts_every_vector_once():
     db = Database()
     build_alltables(lake, db)
     semantic = SemanticIndex(db)
-    starmie = StarmieIndex(lake)
-    deepjoin = DeepJoinIndex(lake)
-    for index in (semantic, starmie, deepjoin):
+    assert semantic.storage_bytes() == semantic.num_columns * semantic.dimensions * 8
+    for index in (StarmieIndex(lake), DeepJoinIndex(lake)):
         hnsw = index._hnsw
         assert len(hnsw) == semantic.num_columns
         assert hnsw.storage_bytes() == _expected_storage(hnsw)

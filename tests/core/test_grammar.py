@@ -1,5 +1,7 @@
 """The §IV-C discovery-language grammar: parsing and end-to-end use."""
 
+import re
+
 import pytest
 
 from repro.core.grammar import parse_plan
@@ -146,12 +148,15 @@ class TestSeekerRegistry:
         assert node.operator.semantic_seeker.values == BINDINGS["words"]
 
     def test_float_and_bool_argument_values(self):
-        plan = parse_plan("SS($words, exact=true)", BINDINGS)
-        (node,) = plan.nodes()
-        assert node.operator.exact is True
         plan = parse_plan("HY($departments, alpha=1.0)", BINDINGS)
         (node,) = plan.nodes()
         assert node.operator.alpha == 1.0
+        # SS has one search path, so it takes no switch; nor is there a
+        # bool literal for one.
+        with pytest.raises(PlanError, match=re.escape("accepted arguments are ['k']")):
+            parse_plan("SS($words, exact=true)", BINDINGS)
+        with pytest.raises(PlanError, match="argument values are"):
+            parse_plan("HY($departments, alpha=true)", BINDINGS)
 
     def test_register_custom_seeker(self):
         from repro.core.grammar import SEEKER_REGISTRY, register_seeker

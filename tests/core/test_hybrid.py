@@ -1,9 +1,9 @@
 """Hybrid (exact+semantic fusion) seeker: the HY modality.
 
-The property at the heart of the suite: with the deterministic
-``exact=True`` semantic lane, hybrid results are **byte-identical across
-shard counts** -- scores included -- because the fused partial merges
-each lane globally before fusing (see ``repro.core.results``). Plus the
+The property at the heart of the suite: with the exact semantic lane,
+hybrid results are **byte-identical across shard counts** -- scores
+included -- because the fused partial merges each lane globally before
+fusing (see ``repro.core.results``). Plus the
 degeneracy contract (``alpha`` 0/1 reproduce the pure exact / pure
 semantic rankings), the learned-weight mode, the ``discover()`` facade,
 and the grammar's mixed predicates end-to-end."""
@@ -76,11 +76,10 @@ def _hits(result: ResultList) -> list[tuple[int, float]]:
 @pytest.mark.parametrize("backend", ["column", "row"])
 @pytest.mark.parametrize("seed", [3, 11])
 def test_hybrid_shard_count_invariance(tmp_path, backend, seed):
-    """Random lakes x both backends x solo/2-shard/4-shard, exact=True:
-    the fused ranking (ids AND scores) is byte-identical everywhere."""
+    """Random lakes x both backends x solo/2-shard/4-shard: the fused
+    ranking (ids AND scores) is byte-identical everywhere."""
     blend = _blend(seed, backend)
     seekers = _hybrid_queries(random.Random(seed + 1))
-    assert all(s.exact for s in seekers)
     context = blend.context()
     solo = [_hits(s.execute(context)) for s in seekers]
     assert any(solo), "queries must hit something for the parity to mean anything"
@@ -109,7 +108,7 @@ def test_alpha_degenerates_to_pure_lane(alpha, lane, about):
         oracle = Seekers.SC(values, k=5).execute(context).table_ids()
     else:
         topic = values if about is None else about
-        oracle = SemanticSeeker(topic, k=5, exact=True).execute(context).table_ids()
+        oracle = SemanticSeeker(topic, k=5).execute(context).table_ids()
     assert hybrid.execute(context).table_ids() == oracle
 
 
@@ -134,6 +133,36 @@ def test_learned_weights_are_normalised_and_deterministic():
     assert seeker.weights == first
     # Learned weights still execute end-to-end.
     assert len(seeker.execute(blend.context())) > 0
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+def test_learned_multi_modality_fusion_weighs_by_inverse_cost(trained):
+    """``discover(modalities=(join, keyword), fusion="learned")`` fuses the
+    two rankings with weights proportional to 1 / the cost model's
+    runtime estimate of each modality's seeker, summing to 1 -- with the
+    fallback (untrained) model and with a trained one."""
+    blend = _blend(13, "column")
+    if trained:
+        blend.train_optimizer(samples_per_type=3, seed=13)
+    model = blend.optimizer.cost_model
+    assert model.is_trained() is trained
+    values = [NAMES[1], NAMES[2], NAMES[5]]
+    result = blend.discover(values, modalities=("join", "keyword"), k=5, fusion="learned")
+
+    context = blend.context()
+    join, keyword = Seekers.SC(values, k=5), Seekers.KW(values, k=5)
+    assert _hits(result.per_modality["join"]) == _hits(join.execute(context))
+    assert _hits(result.per_modality["keyword"]) == _hits(keyword.execute(context))
+    inverse = [1.0 / model.estimate(seeker, blend.stats) for seeker in (join, keyword)]
+    weights = [value / sum(inverse) for value in inverse]
+    assert sum(weights) == pytest.approx(1.0)
+    expected = fuse_rankings(
+        [(weights[0], result.per_modality["join"]), (weights[1], result.per_modality["keyword"])],
+        5,
+        rrf_k=60.0,
+    )
+    assert len(expected) > 0
+    assert _hits(result.output) == _hits(expected)
 
 
 def test_hybrid_rewrite_preserves_optimized_semantics():

@@ -1,5 +1,5 @@
 """The semantic discovery extension (paper §X future work): in-DB column
-embeddings, HNSW retrieval, and SS-seeker composition with exact
+embeddings, exact-scan retrieval, and SS-seeker composition with exact
 operators."""
 
 import pytest
@@ -61,30 +61,6 @@ class TestSemanticIndex:
 
     def test_storage_positive(self, lake):
         assert SemanticIndex(_indexed(lake)).storage_bytes() > 0
-
-    def test_search_clamps_ef_to_k(self):
-        """Regression: ``search_columns(k, ef)`` with ``ef < k`` must still
-        return a full top-k -- the beam is clamped up to k, never allowed
-        to silently truncate the result to the beam's survivors."""
-        from repro.baselines.embeddings import embed_values
-
-        wide = DataLake("wide")
-        for index in range(40):
-            wide.add(
-                Table(
-                    f"t{index}",
-                    ["col"],
-                    [(f"token_{index}_{row}",) for row in range(3)],
-                )
-            )
-        index = SemanticIndex(_indexed(wide))
-        query = embed_values(["token_7_0", "token_7_1"])
-        k = 25
-        clamped = index.search_columns(query, k=k, ef=2)
-        assert len(clamped) == k
-        # And the clamped beam agrees with the exhaustive oracle.
-        oracle = index.search_columns(query, k=k, exact=True)
-        assert [key for key, _ in clamped] == [key for key, _ in oracle]
 
 
 class TestSemanticSeeker:

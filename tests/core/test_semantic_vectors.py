@@ -71,15 +71,11 @@ def test_load_round_trip_is_bit_equal(lake, backend):
     index = SemanticIndex(db)
     index.persist(db)
     loaded = SemanticIndex.load(db, **index.snapshot_meta())
-    assert loaded._hnsw.keys == index._hnsw.keys
-    assert loaded._hnsw.vectors.dtype == np.float64
-    assert loaded._hnsw.vectors.tobytes() == index._hnsw.vectors.tobytes()
-    assert loaded._hnsw._links == index._hnsw._links
-    assert loaded._hnsw._entry_point == index._hnsw._entry_point
-    query = index._hnsw.vectors[3]
-    assert loaded.search_columns(query, k=20, exact=True) == index.search_columns(
-        query, k=20, exact=True
-    )
+    assert loaded.keys == index.keys
+    assert loaded.vectors.dtype == np.float64
+    assert loaded.vectors.tobytes() == index.vectors.tobytes()
+    query = index.vectors[3]
+    assert loaded.search_columns(query, k=20) == index.search_columns(query, k=20)
 
 
 @pytest.mark.parametrize("backend", ["column", "row"])
@@ -88,7 +84,6 @@ def test_load_of_an_empty_relation(backend):
     assert SemanticIndex(db).persist(db) == 0
     loaded = SemanticIndex.load(db)
     assert loaded.num_columns == 0
-    assert loaded.search_columns(np.ones(64), k=3, exact=True) == []
     assert loaded.search_columns(np.ones(64), k=3) == []
 
 
@@ -102,9 +97,9 @@ def test_exact_ties_follow_the_key_after_lifecycle_changes():
     db = _indexed(lake)
     index = SemanticIndex(db)
     index.replace_table(0, db)
-    assert [key[0] for key in index._hnsw.keys] == [1, 2, 0]
-    query = index._hnsw.vectors[0]
-    hits = index.search_columns(query, k=3, exact=True)
+    assert [key[0] for key in index.keys] == [1, 2, 0]
+    query = index.vectors[0]
+    hits = index.search_columns(query, k=3)
     assert [key for key, _ in hits] == [(0, 0), (1, 0), (2, 0)]
     assert len({similarity for _, similarity in hits}) == 1
 
@@ -120,8 +115,8 @@ def test_enable_semantic_replaces_the_relation(lake, backend, tmp_path):
     assert _typed(got) == _typed(_scalar_rows(lake.items(), 16))
     loaded = Blend.load(blend.save(tmp_path / "snapshot"))
     assert loaded._semantic.dimensions == 16
-    assert loaded._semantic._hnsw.keys == blend._semantic._hnsw.keys
-    assert loaded._semantic._hnsw.vectors.tobytes() == blend._semantic._hnsw.vectors.tobytes()
+    assert loaded._semantic.keys == blend._semantic.keys
+    assert loaded._semantic.vectors.tobytes() == blend._semantic.vectors.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["column", "row"])

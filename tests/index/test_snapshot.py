@@ -347,9 +347,7 @@ def test_semantic_delta_replay_matches_fresh_build(seed, tmp_path):
     """AllVectors is part of the base+delta lifecycle contract: mutations
     after load maintain the vector extension, an incremental save records
     them, and replaying the delta reproduces semantic results identical
-    to a from-scratch build of the final lake (compared through the
-    deterministic exact lane, which depends only on the stored vectors,
-    not on graph insertion order)."""
+    to a from-scratch build of the final lake."""
     rng = random.Random(seed)
     config = IndexConfig(semantic=True, semantic_dimensions=16)
     blend = Blend(_lake(seed), backend="column", index_config=config)
@@ -378,17 +376,17 @@ def test_semantic_delta_replay_matches_fresh_build(seed, tmp_path):
     probe = ["shared", "tok3", "k7"]
     for deployment in (loaded, replayed):
         assert (
-            deployment.discover(probe, modalities=("semantic",), k=6, exact=True).table_ids()
-            == fresh.discover(probe, modalities=("semantic",), k=6, exact=True).table_ids()
+            deployment.discover(probe, modalities=("semantic",), k=6).table_ids()
+            == fresh.discover(probe, modalities=("semantic",), k=6).table_ids()
         )
     # The persisted relation itself replayed to the same sparse rows.
     sql = "SELECT * FROM AllVectors"
     assert sorted(replayed.db.execute(sql).rows) == sorted(fresh.db.execute(sql).rows)
     # Compaction is semantic-neutral.
-    before = replayed.discover(probe, modalities=("semantic",), k=6, exact=True).table_ids()
+    before = replayed.discover(probe, modalities=("semantic",), k=6).table_ids()
     replayed.compact_index()
     assert (
-        replayed.discover(probe, modalities=("semantic",), k=6, exact=True).table_ids()
+        replayed.discover(probe, modalities=("semantic",), k=6).table_ids()
         == before
     )
 
@@ -544,24 +542,6 @@ def test_delisted_payload_refused(saved):
     with pytest.raises(SnapshotError, match="not listed") as excinfo:
         Blend.load(path)
     assert rel in str(excinfo.value)
-
-
-def test_unpersisted_semantic_extension_round_trips(tmp_path):
-    """enable_semantic(persist=False) keeps vectors in memory only;
-    save() must persist them (a snapshot is the entire built system)
-    rather than writing semantic parameters with no relation behind
-    them."""
-    blend = Blend(_lake(19), backend="column")
-    blend.build_index()
-    blend.enable_semantic(dimensions=16, persist=False)
-    assert not blend.db.has_table("AllVectors")
-    path = blend.save(tmp_path / "snap")
-    loaded = Blend.load(path)
-    assert loaded.db.has_table("AllVectors")
-    probe = ["alpha", "beta"]
-    assert loaded.discover(probe, "semantic", k=5).output.table_ids() == (
-        blend.discover(probe, "semantic", k=5).output.table_ids()
-    )
 
 
 def test_version_bump_refused(saved):

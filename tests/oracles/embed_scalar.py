@@ -1,13 +1,12 @@
 """The cell-scan semantic build, kept as the reference oracle for
 ``repro.core.semantic``: ``embed_column`` over every column of every lake
 table in ``lake.items()`` order, zero vectors skipped. ``SemanticIndex``
-derives the same vectors from one GROUP BY over ``AllTables``; the keys,
-the matrix bytes and the HNSW graph built from them must all be equal."""
+derives the same vectors from one GROUP BY over ``AllTables``; the keys
+and the matrix bytes must be equal."""
 
 import numpy as np
 
 from repro.baselines.embeddings import embed_column
-from repro.baselines.hnsw import HnswIndex
 from repro.index.alltables import IndexConfig, shuffle_permutation
 from repro.lake.datalake import DataLake
 from repro.lake.table import Table
@@ -40,11 +39,3 @@ def embed_lake(
         for row in embed_table(table_id, table, dimensions, config)
     ]
 
-
-def graph(rows, dimensions: int = 64, m: int = 8, ef_construction: int = 48, seed: int = 0) -> HnswIndex:
-    """The HNSW a ``SemanticIndex`` with these parameters holds after
-    adding *rows* in order."""
-    index = HnswIndex(dimensions, m, ef_construction, seed)
-    for key, vector in rows:
-        index.add(key, vector)
-    return index

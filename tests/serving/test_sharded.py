@@ -71,7 +71,7 @@ def _queries(rng: random.Random) -> list:
             min_support=1,
         ),
         SemanticSeeker(picks[4:], k=4),
-        SemanticSeeker(picks[:2], k=3, exact=True),
+        SemanticSeeker(picks[:2], k=3),
         HybridSeeker(picks[:3], about=picks[3:], k=4, alpha=0.4),
     ]
 
