@@ -37,6 +37,8 @@ from repro.lake.generators import (
 from repro.lake.table import Table
 
 K = 10
+REPEATS = 7  # timed runs per query behind each runtime cell's median
+SYSTEMS = ("blend", "b-no", "baseline")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,7 @@ def test_multi_objective_runtime(benchmark, corr_bench, corr_blend, corr_baselin
 
 
 # ---------------------------------------------------------------------------
-# The full Table III report (runtime means over queries + LOC + counts)
+# The full Table III report (runtime medians over repeated queries + LOC + counts)
 # ---------------------------------------------------------------------------
 
 
@@ -225,66 +227,73 @@ def test_table03_report(
     mate_i, josie_i = impute_baseline_indexes
     qcr, mate_c, josie_c, starmie = corr_baseline_indexes
 
-    def run_cell(task, system):
-        """One (task, system) runtime: warm-up run, then the mean of two
-        timed runs over distinct benchmark queries."""
-        samples = []
-        for query_index in range(2):
-            if task == "negative_examples":
-                positive, negative = negative_task_inputs(impute_bench, query_index)
-                if system == "baseline":
-                    def runner():
-                        return negative_examples_baseline(
-                            mate_i, impute_bench.lake, positive, negative, k=K
-                        )
-                else:
-                    plan = tasks.negative_examples_plan(positive, negative, k=K)
-                    def runner(plan=plan):
-                        return impute_blend.run(plan, optimize=(system == "blend"))
-            elif task == "imputation":
-                query = impute_bench.queries[query_index]
-                examples, queries = list(query.examples), list(query.query_keys)
-                if system == "baseline":
-                    def runner():
-                        return imputation_baseline(mate_i, josie_i, examples, queries, k=K)
-                else:
-                    plan = tasks.imputation_plan(examples, queries, k=K)
-                    def runner(plan=plan):
-                        return impute_blend.run(plan, optimize=(system == "blend"))
-            elif task == "feature_discovery":
-                join_rows, keys, target, features = feature_task_inputs(corr_bench, query_index)
-                if system == "baseline":
-                    def runner():
-                        return feature_discovery_baseline(
-                            qcr, mate_c, join_rows, keys, target, features, k=K
-                        )
-                else:
-                    plan = tasks.feature_discovery_plan(join_rows, keys, target, features, k=K)
-                    def runner(plan=plan):
-                        return corr_blend.run(plan, optimize=(system == "blend"))
-            else:  # multi_objective
-                keywords, examples = multi_objective_inputs(corr_bench, query_index)
-                if system == "baseline":
-                    def runner():
-                        return multi_objective_baseline(
-                            josie_c, starmie, qcr, keywords, examples, "key", "target", k=K
-                        )
-                else:
-                    plan = tasks.multi_objective_plan_no_imputation(
-                        keywords, examples, "key", "target", k=K
+    def runner_for(task, system, query_index):
+        """One (task, system) run over benchmark query *query_index*."""
+        if task == "negative_examples":
+            positive, negative = negative_task_inputs(impute_bench, query_index)
+            if system == "baseline":
+                def runner():
+                    return negative_examples_baseline(
+                        mate_i, impute_bench.lake, positive, negative, k=K
                     )
-                    def runner(plan=plan):
-                        return corr_blend.run(plan, optimize=(system == "blend"))
-            runner()  # warm-up: parse caches, XASH cache, sealed columns
-            samples.extend(timed(runner)[1] for _ in range(3))
-        return statistics.fmean(samples)
+            else:
+                plan = tasks.negative_examples_plan(positive, negative, k=K)
+                def runner(plan=plan):
+                    return impute_blend.run(plan, optimize=(system == "blend"))
+        elif task == "imputation":
+            query = impute_bench.queries[query_index]
+            examples, queries = list(query.examples), list(query.query_keys)
+            if system == "baseline":
+                def runner():
+                    return imputation_baseline(mate_i, josie_i, examples, queries, k=K)
+            else:
+                plan = tasks.imputation_plan(examples, queries, k=K)
+                def runner(plan=plan):
+                    return impute_blend.run(plan, optimize=(system == "blend"))
+        elif task == "feature_discovery":
+            join_rows, keys, target, features = feature_task_inputs(corr_bench, query_index)
+            if system == "baseline":
+                def runner():
+                    return feature_discovery_baseline(
+                        qcr, mate_c, join_rows, keys, target, features, k=K
+                    )
+            else:
+                plan = tasks.feature_discovery_plan(join_rows, keys, target, features, k=K)
+                def runner(plan=plan):
+                    return corr_blend.run(plan, optimize=(system == "blend"))
+        else:  # multi_objective
+            keywords, examples = multi_objective_inputs(corr_bench, query_index)
+            if system == "baseline":
+                def runner():
+                    return multi_objective_baseline(
+                        josie_c, starmie, qcr, keywords, examples, "key", "target", k=K
+                    )
+            else:
+                plan = tasks.multi_objective_plan_no_imputation(
+                    keywords, examples, "key", "target", k=K
+                )
+                def runner(plan=plan):
+                    return corr_blend.run(plan, optimize=(system == "blend"))
+        return runner
+
+    def run_task(task):
+        """Every system's runtime on *task*: per benchmark query a warm-up
+        run each, then REPEATS rounds that time the three systems in turn,
+        so a slow spell of the machine lands on all of them; each system's
+        cell is the median over its runs, which one stall cannot move."""
+        samples = {system: [] for system in SYSTEMS}
+        for query_index in range(2):
+            runners = {system: runner_for(task, system, query_index) for system in SYSTEMS}
+            for runner in runners.values():
+                runner()  # warm-up: parse caches, XASH cache, sealed columns
+            for _ in range(REPEATS):
+                for system, runner in runners.items():
+                    samples[system].append(timed(runner)[1])
+        return {system: statistics.median(times) for system, times in samples.items()}
 
     task_list = ["negative_examples", "imputation", "feature_discovery", "multi_objective"]
     runtimes = benchmark.pedantic(
-        lambda: {
-            task: {system: run_cell(task, system) for system in ("blend", "b-no", "baseline")}
-            for task in task_list
-        },
+        lambda: {task: run_task(task) for task in task_list},
         rounds=1,
         iterations=1,
     )
@@ -333,7 +342,11 @@ def test_table03_report(
                 "#Indexes B/Base",
             ],
             rows,
-            note="runtime = mean over 2 queries; LOC measured from source",
+            note=(
+                f"runtime = median over {REPEATS} timed runs of each of 2 queries "
+                "(one warm-up each, the three systems timed in turn); "
+                "LOC measured from source"
+            ),
         ),
     )
 

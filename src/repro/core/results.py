@@ -106,8 +106,8 @@ class SeekerPartials:
     Two kinds, matching the two ranking tails the seekers share:
 
     * ``"ranked"`` -- per-*group* rows ``(table_id, score[, group_key])``
-      in best-first emission order, as produced by the SC/KW/C SQL
-      statements and the semantic seeker: sorted by
+      in best-first emission order, as produced by the SC/KW kernel
+      (``value_partials``), the C statement and the semantic seeker: sorted by
       ``(score desc, table, group)`` and already cut at ``fetch`` rows.
       Merging concatenates, re-sorts on the same keys (stably, so each
       shard's emission order survives ties), re-cuts at ``fetch``, and

@@ -1,17 +1,24 @@
 """Seeker operators (paper §IV-A, §VI): SC, KW, MC, and Correlation.
 
-Each seeker compiles to a SQL statement over ``AllTables`` -- the paper's
-Listings 1-3 (MC runs Listing 2 as one equivalent scan), extended with:
+Each seeker states its query as a SQL statement over ``AllTables`` --
+the paper's Listings 1-3 and the §VI keyword query -- extended with:
 
 * a ``/*REWRITE*/`` placeholder where the optimizer injects
   combiner-dependent predicates (``TableId [NOT] IN :ir``, §VII-B), and
 * deterministic tie-breaking sort keys (TableId, ColumnId), so both
   storage backends return identical rankings.
 
-SC and C group by (TableId, ColumnId); the database returns ranked
-*groups*, which the seeker deduplicates to ranked *tables*. An over-fetch
-factor bounds the group fan-out per table (exact for tables with up to
-``OVERFETCH`` qualifying columns, far above any realistic width).
+C executes its statement. SC, KW and MC execute it rewritten into
+low-level operators, each as one body over a *group* of seekers (a solo
+query is the group of one, a serving batch the whole group): one
+``CellValue IN`` scan of ``AllTables`` then array kernels
+(:func:`value_partials` for SC/KW, the three MC phase bodies). Their
+``sql()`` stays the statement the tests check the kernels against.
+
+SC and C rank (TableId, ColumnId) *groups*, which the merge deduplicates
+to ranked *tables*. An over-fetch factor bounds the group fan-out per
+table (exact for tables with up to ``OVERFETCH`` qualifying columns, far
+above any realistic width).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from ..index.xash import may_contain_batch, xash_memoized
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, Table, normalize_cell
 from .results import (
+    RANKED,
     ResultList,
     SeekerPartials,
     count_partials,
@@ -44,6 +52,7 @@ __all__ = [
     "SeekerContext",
     "Seeker",
     "Seekers",
+    "ValueSeeker",
     "SingleColumnSeeker",
     "KeywordSeeker",
     "MultiColumnSeeker",
@@ -182,30 +191,35 @@ class Seeker:
         return f"{type(self).__name__}(|Q|={self.query_cardinality()}, k={self.k})"
 
 
-class SingleColumnSeeker(Seeker):
-    """SC: top-k tables by best single-column value overlap (Listing 1)."""
+class ValueSeeker(Seeker):
+    """SC and KW: top-k tables by how many distinct query tokens a group
+    holds -- per (TableId, ColumnId) for SC, per TableId for KW. Both run
+    :func:`value_partials`; :meth:`sql` states the same query as SQL."""
 
-    kind = "SC"
+    per_column = False
 
     def __init__(self, values: Iterable[Cell], k: int = 10) -> None:
         super().__init__(k)
         self.tokens = _normalize_values(values)
         if not self.tokens:
-            raise SeekerError("SC seeker requires at least one non-null value")
+            raise SeekerError(f"{self.kind} seeker requires at least one non-null value")
+
+    @property
+    def fetch(self) -> int:
+        """Ranked groups kept: ``k`` tables' worth (a table is many SC groups)."""
+        return self.k * OVERFETCH if self.per_column else self.k
 
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
+        keys = "TableId, ColumnId" if self.per_column else "TableId"
         predicate = rewrite.predicate_sql() if rewrite else ""
-        template = (
+        return (
             "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM {index} "
-            "WHERE CellValue IN (:q)" + REWRITE_MARKER + " "
-            "GROUP BY TableId, ColumnId "
-            "ORDER BY overlap DESC, TableId, ColumnId "
-            "LIMIT :fetch"
+            f"WHERE CellValue IN (:q){predicate} "
+            f"GROUP BY {keys} ORDER BY overlap DESC, {keys} LIMIT :fetch"
         )
-        return template.replace(REWRITE_MARKER, predicate)
 
     def params(self, rewrite: Optional[Rewrite] = None) -> dict[str, Any]:
-        params: dict[str, Any] = {"q": self.tokens, "fetch": self.k * OVERFETCH}
+        params: dict[str, Any] = {"q": self.tokens, "fetch": self.fetch}
         if rewrite:
             params["__rewrite_ids"] = list(rewrite.table_ids)
         return params
@@ -214,9 +228,7 @@ class SingleColumnSeeker(Seeker):
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> SeekerPartials:
         context.ensure_fresh()
-        sql = self.sql(rewrite).format(index=context.index_table)
-        result = context.db.execute(sql, self.params(rewrite))
-        return ranked_partials(result.rows, self.k * OVERFETCH)
+        return value_partials([self], context, rewrite)[0]
 
     def query_cardinality(self) -> int:
         return len(self.tokens)
@@ -228,54 +240,20 @@ class SingleColumnSeeker(Seeker):
         return list(self.tokens)
 
 
-class KeywordSeeker(Seeker):
-    """KW: top-k tables by whole-table keyword overlap (§VI).
+class SingleColumnSeeker(ValueSeeker):
+    """SC: top-k tables by best single-column value overlap (Listing 1)."""
 
-    The SC variant without ColumnId in the GROUP BY -- overlap is counted
-    across the entire table rather than per column.
-    """
+    kind = "SC"
+    per_column = True
+    partials = ValueSeeker.partials  # each kind's own attribute, so it can be traced per kind
+
+
+class KeywordSeeker(ValueSeeker):
+    """KW: top-k tables by whole-table keyword overlap (§VI) -- the SC
+    query without ColumnId in the GROUP BY."""
 
     kind = "KW"
-
-    def __init__(self, keywords: Iterable[Cell], k: int = 10) -> None:
-        super().__init__(k)
-        self.tokens = _normalize_values(keywords)
-        if not self.tokens:
-            raise SeekerError("KW seeker requires at least one keyword")
-
-    def sql(self, rewrite: Optional[Rewrite] = None) -> str:
-        predicate = rewrite.predicate_sql() if rewrite else ""
-        template = (
-            "SELECT TableId, COUNT(DISTINCT CellValue) AS overlap FROM {index} "
-            "WHERE CellValue IN (:q)" + REWRITE_MARKER + " "
-            "GROUP BY TableId "
-            "ORDER BY overlap DESC, TableId "
-            "LIMIT :k"
-        )
-        return template.replace(REWRITE_MARKER, predicate)
-
-    def params(self, rewrite: Optional[Rewrite] = None) -> dict[str, Any]:
-        params: dict[str, Any] = {"q": self.tokens, "k": self.k}
-        if rewrite:
-            params["__rewrite_ids"] = list(rewrite.table_ids)
-        return params
-
-    def partials(
-        self, context: SeekerContext, rewrite: Optional[Rewrite] = None
-    ) -> SeekerPartials:
-        context.ensure_fresh()
-        sql = self.sql(rewrite).format(index=context.index_table)
-        result = context.db.execute(sql, self.params(rewrite))
-        return ranked_partials(result.rows, self.k)
-
-    def query_cardinality(self) -> int:
-        return len(self.tokens)
-
-    def query_columns(self) -> int:
-        return 1
-
-    def query_tokens(self) -> list[str]:
-        return list(self.tokens)
+    partials = ValueSeeker.partials
 
 
 class MultiColumnSeeker(Seeker):
@@ -437,24 +415,123 @@ class MultiColumnSeeker(Seeker):
         return [token for column in self._column_tokens for token in column]
 
 
+# The distinct-value dedupes (the present dictionary codes of a scan, the
+# distinct SC/KW triples) mark a bitmap over the value span when the span
+# is at most this many values per scanned row, and sort otherwise; needing
+# no inverse, the bitmap wins far wider than _DENSE_SPAN_PER_ROW. On 1e3 /
+# 9,263 (a median value_seek scan) / 1e5 random int64 keys, 2 vCPUs,
+# np.unique takes 12-45x the bitmap's time at 1 key per row, 2.2-3.4x at
+# 128, 1.3-2.4x at 256 and 0.7-0.8x at 512. value_seek scans span 2.9 keys
+# per row at the median and 99 at the 99th percentile; 128 also caps the
+# bitmap at 128 bytes per scanned row.
+_BITMAP_SPAN_PER_ROW = 128
+
+
+def _distinct_sorted(keys: np.ndarray, span: int) -> np.ndarray:
+    """The sorted distinct values of *keys*, all in ``[0, span)``."""
+    if span <= _BITMAP_SPAN_PER_ROW * len(keys):
+        marked = np.zeros(span, dtype=bool)
+        marked[keys] = True
+        return np.flatnonzero(marked)
+    return np.unique(keys)
+
+
 def _vocab_codes(values: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
-    """Translate the scan's ``CellValue`` column into batch-vocabulary
+    """Translate a ``CellValue IN`` scan's values into *vocabulary*
     codes. Dictionary-coded columns (the column backend's text columns,
     surfaced by ``decode_text=False``) translate per DISTINCT store code
-    -- a handful of dict probes plus one integer gather -- instead of one
-    Python probe per scanned row; object arrays (the row backend) keep
-    the per-row probe."""
+    (:func:`_distinct_sorted` over the dictionary), each looked up with
+    one dict probe and scattered into a table that one integer gather
+    reads. Object arrays (the row backend) keep the per-row probe."""
     if isinstance(values, DictCodes):
         store_codes = np.asarray(values)
-        present = np.unique(store_codes)
+        if len(store_codes) and store_codes.min() < 0:  # -1 (NULL) would mark the last entry
+            raise SeekerError("a CellValue IN scan returned a NULL cell")
         dictionary = values.dictionary
-        lut = np.fromiter(
+        present = _distinct_sorted(store_codes, len(dictionary))
+        lut = np.empty(len(dictionary), dtype=np.int64)
+        lut[present] = np.fromiter(
             map(vocabulary.__getitem__, dictionary[present].tolist()),
             dtype=np.int64,
             count=len(present),
         )
-        return lut[np.searchsorted(present, store_codes)]
+        return lut[store_codes]
     return np.fromiter(map(vocabulary.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+# -- SC and KW: one body over a GROUP of seekers of one kind. A solo query is
+# -- the group of one; a serving batch passes its SC queries, then its KW ones. --
+
+
+def value_partials(
+    group: Sequence[ValueSeeker], context: SeekerContext, rewrite: Optional[Rewrite] = None
+) -> list[SeekerPartials]:
+    """Every member's ranked partial from ONE ``CellValue IN`` scan of
+    the group's combined tokens (restricted by *rewrite*): each cell's
+    group-vocabulary code, the distinct ``(TableId[, ColumnId], code)``
+    keys found once, and per member a bincount of its own codes per group
+    -- its ``COUNT(DISTINCT CellValue)``; a member holding the whole
+    vocabulary, as a group of one does, needs no mask. Groups come out
+    sorted, so a stable sort on the overlap is ``ORDER BY overlap DESC,
+    TableId[, ColumnId]``, cut at the member's ``fetch``. The members
+    must be of one kind (all SC or all KW)."""
+    per_column = group[0].per_column
+    if any(seeker.per_column != per_column for seeker in group):
+        raise SeekerError("value_partials takes SC and KW queries in separate groups")
+    tokens = list(dict.fromkeys(chain.from_iterable(seeker.tokens for seeker in group)))
+    vocabulary = dict(zip(tokens, range(len(tokens))))
+    params: dict[str, Any] = {"q": tokens}
+    if rewrite:
+        params["__rewrite_ids"] = list(rewrite.table_ids)
+    sql = (
+        f"SELECT TableId, {'ColumnId, ' * per_column}CellValue "
+        f"FROM {context.index_table} WHERE CellValue IN (:q)"
+        + (rewrite.predicate_sql() if rewrite else "")
+    )
+    result = context.db.execute_columnar(sql, params, decode_text=False)
+    arrays = [data for data, _ in result.arrays]
+    if len(arrays[0]) == 0:
+        return [SeekerPartials(RANKED, fetch=seeker.fetch) for seeker in group]
+
+    n_codes = len(tokens)
+    tables = arrays[0].astype(np.int64, copy=False)
+    low, column_span = int(tables.min()), 1
+    keys = tables - low
+    if per_column:
+        columns = arrays[1].astype(np.int64, copy=False)
+        column_span = int(columns.max()) + 1
+        keys = keys * column_span + columns
+    span = (int(tables.max()) - low + 1) * column_span * n_codes
+    keys = _distinct_sorted(keys * n_codes + _vocab_codes(arrays[-1], vocabulary), span)
+    groups, codes = np.divmod(keys, n_codes)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = groups[1:] != groups[:-1]
+    heads = groups[first]
+    group_tables, group_columns = heads // column_span + low, heads % column_span
+    group_of_key = np.cumsum(first) - 1
+
+    results = []
+    member = np.zeros(n_codes, dtype=bool)
+    for seeker in group:
+        counted = group_of_key
+        if len(seeker.tokens) < n_codes:
+            mine = [vocabulary[token] for token in seeker.tokens]
+            member[mine] = True
+            counted = group_of_key[member[codes]]
+            member[mine] = False
+        overlaps = np.bincount(counted, minlength=len(heads))
+        hit = np.flatnonzero(overlaps)
+        cut = hit[np.argsort(-overlaps[hit], kind="stable")[: seeker.fetch]]
+        results.append(
+            SeekerPartials(
+                RANKED,
+                group_tables[cut],
+                overlaps[cut].astype(np.float64),
+                group_keys=group_columns[cut] if per_column else None,
+                fetch=seeker.fetch,
+            )
+        )
+    return results
 
 
 # -- the MC phases: one body each, over a GROUP of seekers. A solo query is the
