@@ -25,7 +25,9 @@ LAKES = {
     "gittables_like": dict(num_tables=200, query_sizes=(10, 100, 1000), max_rows=80, seed=63),
 }
 QUERIES_PER_SIZE = 3
+REPEATS = 5  # timed runs per query behind each point's median
 K = 10
+SYSTEMS = ("blend_row", "josie", "blend_column")
 
 
 @pytest.fixture(scope="module", params=list(LAKES))
@@ -64,16 +66,22 @@ def test_fig05_report(benchmark, setup, report_writer):
     sizes = LAKES[lake_name]["query_sizes"]
 
     def sweep():
-        series = {name: [] for name in ("blend_row", "josie", "blend_column")}
+        """Per |Q|: one warm-up run of each query on each system, then
+        REPEATS rounds that time the three systems in turn, so a slow
+        spell of the machine lands on all of them; each point is the
+        median over its system's runs, which one stall cannot move."""
+        series = {name: [] for name in SYSTEMS}
         for size in sizes:
-            queries = _queries_of_size(bench, size)
-            for name in series:
-                samples = []
-                for query in queries:
-                    values = list(query.values)
+            samples = {name: [] for name in SYSTEMS}
+            for query in _queries_of_size(bench, size):
+                values = list(query.values)
+                for name in SYSTEMS:
                     _run(name, systems, values)  # warm
-                    samples.append(timed(lambda: _run(name, systems, values))[1])
-                series[name].append(statistics.fmean(samples))
+                for _ in range(REPEATS):
+                    for name in SYSTEMS:
+                        samples[name].append(timed(lambda: _run(name, systems, values))[1])
+            for name in SYSTEMS:
+                series[name].append(statistics.median(samples[name]))
         return series
 
     series = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -88,7 +96,10 @@ def test_fig05_report(benchmark, setup, report_writer):
                 "BLEND (Column)": series["blend_column"],
             },
             log_note=True,
-        ),
+        )
+        + f"\nruntime = median over {REPEATS} timed runs of each of up to "
+        f"{QUERIES_PER_SIZE} queries per |Q| (one warm-up each, the three "
+        "systems timed in turn)",
     )
 
     # Shape: BLEND (Column) always beats BLEND (Row), and is at worst

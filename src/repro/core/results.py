@@ -319,9 +319,7 @@ def merge_partials(partials: Sequence[SeekerPartials], k: int) -> ResultList:
     )
 
 
-def dedupe_ranked_groups(
-    rows: Iterable[Sequence[Any]], k: int, *, skip_none: bool = False
-) -> ResultList:
+def dedupe_ranked_groups(rows: Iterable[Sequence[Any]], k: int) -> ResultList:
     """Collapse ranked *group* rows to ranked *tables*: first (best) hit
     per table wins, cut at *k*.
 
@@ -331,14 +329,13 @@ def dedupe_ranked_groups(
     group streams, re-sorted on the same ``(score desc, table)`` keys and
     fed through this cut, reproduce a single-node ranking exactly.
 
-    *rows* yields ``(table_id, score, ...)`` best-first; ``skip_none``
-    drops rows whose score is NULL (the Correlation seeker's guard).
+    *rows* yields ``(table_id, score, ...)`` best-first, never a NULL
+    score (the Correlation seeker's partials drop those, through
+    ``ranked_partials(skip_none=True)``).
     """
     hits: list[TableHit] = []
     seen: set[int] = set()
     for table_id, score, *_ in rows:
-        if skip_none and score is None:
-            continue
         if table_id not in seen:
             seen.add(table_id)
             hits.append(TableHit(table_id, float(score)))

@@ -115,27 +115,20 @@ class Blend:
 
     # -- snapshots: persist the built system (offline/online split) ------------------
 
-    def save(
-        self,
-        path,
-        include_lake: bool = True,
-        overwrite: bool = False,
-        incremental: str = "auto",
-    ):
+    def save(self, path, overwrite: bool = False, incremental: str = "auto"):
         """Persist the entire built deployment -- sealed storage arrays,
         ``AllTables``/``AllVectors`` postings and token dictionaries,
-        declared indexes, cost-model weights, lake
-        metadata (stable ids and holes) and, by default, the lake cells
-        themselves -- into a versioned snapshot directory that
-        :meth:`load` restores near-instantly (payloads are raw ``.npy``
-        files opened with ``mmap_mode="r"``). Returns the path written.
+        declared indexes, cost-model weights, lake metadata (stable ids
+        and holes) and the lake cells themselves -- into a self-contained,
+        versioned snapshot directory that :meth:`load` restores
+        near-instantly (payloads are raw ``.npy`` files opened with
+        ``mmap_mode="r"``). Returns the path written.
 
         When *path* is the snapshot this deployment was loaded from (or
         last fully saved to), only the mutations since that base are
-        written -- O(delta) instead of O(lake) (``incremental="never"``
-        forces a full rewrite, ``"always"`` errors rather than fall back
-        to one). A full save refuses a non-empty *path* unless
-        ``overwrite=True``, which replaces it atomically
+        written -- O(delta) instead of O(lake); ``incremental="never"``
+        forces a full rewrite. A full save refuses a non-empty *path*
+        unless ``overwrite=True``, which replaces it atomically
         (write-to-temp + rename).
 
         See :mod:`repro.snapshot` for the on-disk layout, versioning
@@ -145,25 +138,16 @@ class Blend:
 
         from ..snapshot import save_blend, save_blend_delta
 
-        if incremental not in ("auto", "always", "never"):
-            raise BlendError(
-                f"incremental must be 'auto', 'always' or 'never', "
-                f"got {incremental!r}"
-            )
+        if incremental not in ("auto", "never"):
+            raise BlendError(f"incremental must be 'auto' or 'never', got {incremental!r}")
         base = self._snapshot_base
         if (
-            incremental != "never"
+            incremental == "auto"
             and base is not None
             and Path(base.path) == Path(path).resolve()
         ):
             return save_blend_delta(self, path)
-        if incremental == "always":
-            raise BlendError(
-                "incremental='always' requires saving into the snapshot this "
-                "deployment was loaded from; this deployment's base is "
-                + (repr(base.path) if base is not None else "not on disk")
-            )
-        return save_blend(self, path, include_lake=include_lake, overwrite=overwrite)
+        return save_blend(self, path, overwrite=overwrite)
 
     def save_delta(self, path=None):
         """Persist only the mutations since this deployment's base
@@ -202,15 +186,7 @@ class Blend:
         }
 
     @classmethod
-    def load(
-        cls,
-        path,
-        lake: Optional[DataLake] = None,
-        backend: Optional[str] = None,
-        hash_size: Optional[int] = None,
-        verify: bool = True,
-        delta: bool = True,
-    ) -> "Blend":
+    def load(cls, path, backend: Optional[str] = None, delta: bool = True) -> "Blend":
         """Warm-start a deployment from a :meth:`save` snapshot.
 
         The loaded system is functionally identical to the fresh build
@@ -218,12 +194,12 @@ class Blend:
         optimizer behaviour, byte-identical sealed storage. Lifecycle
         ops keep working -- the memory-mapped arrays are each table's
         base and mutations land in its delta segment, so N serving
-        processes can share one snapshot on disk. Pass *lake* to skip the
-        snapshot's cell payload (it is validated against the manifest's
-        lake metadata); *backend* / *hash_size* assert the snapshot
-        matches the expected deployment. Corrupted, truncated, or
-        version-mismatched snapshots raise
-        :class:`~repro.errors.SnapshotError` naming the offending file.
+        processes can share one snapshot on disk. The lake comes from the
+        snapshot itself; *backend* asserts the snapshot matches the
+        expected deployment. Every payload's size and CRC-32 are checked
+        first, and corrupted, truncated, tampered or version-mismatched
+        snapshots raise :class:`~repro.errors.SnapshotError` naming the
+        offending file.
 
         ``delta=True`` (the default) replays the directory's incremental
         layer -- mutations persisted by :meth:`save_delta` -- on top of
@@ -232,15 +208,7 @@ class Blend:
         """
         from ..snapshot import load_blend
 
-        return load_blend(
-            cls,
-            path,
-            lake=lake,
-            backend=backend,
-            hash_size=hash_size,
-            verify=verify,
-            delta=delta,
-        )
+        return load_blend(cls, path, backend=backend, delta=delta)
 
     def train_optimizer(
         self, samples_per_type: int = 40, seed: int = 0

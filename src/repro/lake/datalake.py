@@ -281,11 +281,11 @@ class DataLake:
     # -- snapshots ---------------------------------------------------------------------
 
     def snapshot_meta(self) -> dict:
-        """Structural lake metadata for a snapshot manifest: one entry
+        """Structural lake metadata for a snapshot manifest: the
+        generation counter, each slot's generation stamp, and one entry
         per id slot (``None`` marks a removal hole -- ids stay stable
-        through save/load), each recording name and shape. Enough to
-        validate that a caller-supplied lake is the one the snapshot was
-        built from, without shipping any cell data."""
+        through save/load) recording name and shape. A load checks the
+        snapshot's cell payload against this record."""
         return {
             "name": self.name,
             "generation": self._generation,
@@ -307,14 +307,6 @@ class DataLake:
         created as padding holes)."""
         return self._slot_generation[table_id]
 
-    def adopt_slot_generations(self, stamps: Optional[list]) -> None:
-        """Align the per-slot stamps with a snapshot's recorded ones (the
-        load path: a caller-supplied lake may have reached the same state
-        through a different op order, and payload-rebuilt lakes default
-        to zero stamps). No-op when the snapshot predates stamps."""
-        if stamps is not None and len(stamps) == len(self._tables):
-            self._slot_generation = [int(stamp) for stamp in stamps]
-
     def snapshot_payload(self) -> list:
         """The picklable cell payload backing :meth:`from_snapshot`:
         plain ``(name, columns, rows)`` tuples per live slot (``None``
@@ -326,49 +318,25 @@ class DataLake:
         ]
 
     @classmethod
-    def from_snapshot(cls, payload: list, name: str, generation: int) -> "DataLake":
-        """Rebuild a lake -- holes, stable ids, and generation counter
-        included -- from :meth:`snapshot_payload` output."""
+    def from_snapshot(
+        cls, payload: list, name: str, generation: int, slot_generations: list
+    ) -> "DataLake":
+        """Rebuild a lake -- holes, stable ids, generation counter and
+        per-slot stamps included -- from :meth:`snapshot_payload` output
+        and the stamps :meth:`snapshot_meta` recorded beside it."""
         lake = cls(name)
         for slot in payload:
             if slot is None:
                 lake._tables.append(None)
-                lake._slot_generation.append(0)
                 continue
             table_name, columns, rows = slot
             table = Table(table_name, columns, rows)
             lake._id_by_name[table.name] = len(lake._tables)
             lake._tables.append(table)
-            lake._slot_generation.append(0)
             lake._num_live += 1
+        lake._slot_generation = [int(stamp) for stamp in slot_generations]
         lake._generation = generation
         return lake
-
-    def snapshot_mismatch(self, meta: dict) -> Optional[str]:
-        """Why this lake does NOT match a snapshot's lake metadata, or
-        ``None`` when it does -- the guard for ``Blend.load(path, lake=...)``
-        warm starts that skip the snapshot's own cell payload."""
-        if self._generation != meta["generation"]:
-            return (
-                f"lake generation {self._generation} != snapshot "
-                f"generation {meta['generation']}"
-            )
-        slots = meta["slots"]
-        if len(self._tables) != len(slots):
-            return f"lake has {len(self._tables)} id slots, snapshot has {len(slots)}"
-        for table_id, (table, slot) in enumerate(zip(self._tables, slots)):
-            if (table is None) != (slot is None):
-                return f"table id {table_id}: live/hole mismatch"
-            if table is None:
-                continue
-            if table.name != slot["name"]:
-                return (
-                    f"table id {table_id}: name {table.name!r} != "
-                    f"snapshot {slot['name']!r}"
-                )
-            if list(table.columns) != slot["columns"] or table.num_rows != slot["num_rows"]:
-                return f"table id {table_id} ({table.name!r}): shape differs"
-        return None
 
     # -- persistence ---------------------------------------------------------------------
 

@@ -38,12 +38,7 @@ from ..errors import ServingError
 from .deployment import DeploymentManager, SwapReport
 
 
-def compact_snapshot(
-    source: Union[str, Path],
-    destination: Union[str, Path],
-    verify: bool = True,
-    overwrite: bool = False,
-) -> Blend:
+def compact_snapshot(source: Union[str, Path], destination: Union[str, Path]) -> Blend:
     """Rebuild the base+delta snapshot at *source* into a clean
     single-generation snapshot at *destination*.
 
@@ -59,9 +54,9 @@ def compact_snapshot(
     The source directory is left untouched: until the caller flips
     traffic to *destination*, the old generation keeps serving.
     """
-    blend = Blend.load(source, verify=verify)
+    blend = Blend.load(source)
     blend.compact_index()
-    blend.save(destination, incremental="never", overwrite=overwrite)
+    blend.save(destination, incremental="never")
     return blend
 
 
@@ -104,7 +99,6 @@ class SnapshotCompactor:
         output_root: Union[str, Path],
         threshold: float = 0.25,
         drain_timeout: Optional[float] = 30.0,
-        verify: bool = True,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ServingError(f"threshold must be in (0, 1], got {threshold}")
@@ -112,7 +106,6 @@ class SnapshotCompactor:
         self.output_root = Path(output_root)
         self.threshold = threshold
         self.drain_timeout = drain_timeout
-        self.verify = verify
         self.reports: list[CompactionReport] = []
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -149,7 +142,7 @@ class SnapshotCompactor:
         started = time.monotonic()
         blend.save_delta()
         destination = self._next_generation_dir()
-        compacted = compact_snapshot(base.path, destination, verify=self.verify)
+        compacted = compact_snapshot(base.path, destination)
         if self.manager.current() is not deployment:
             # Superseded mid-cycle: another swap landed while we were
             # rebuilding. Deploying our rebuild now would silently drop

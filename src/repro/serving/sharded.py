@@ -59,8 +59,8 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _load(path: str, verify: bool) -> Blend:
-    blend = Blend.load(path, verify=verify)
+def _load(path: str) -> Blend:
+    blend = Blend.load(path)
     blend.warm()  # before the first op: no reader races first-touch state
     return blend
 
@@ -97,7 +97,7 @@ def _reply(conn, status: str, value: Any) -> None:
         conn.send(("err", ServingError(f"shard reply does not pickle ({exc}): {detail}")))
 
 
-def _serve(conn, snapshot_path: str, verify: bool) -> None:
+def _serve(conn, snapshot_path: str) -> None:
     """The shard: load and warm *snapshot_path*, then answer ops off
     *conn* in arrival order until ``close`` or the client hangs up. A
     ``swap`` op loads and warms the new snapshot, then rebinds the
@@ -106,7 +106,7 @@ def _serve(conn, snapshot_path: str, verify: bool) -> None:
     with conn:
         try:
             try:
-                blend = _load(snapshot_path, verify)
+                blend = _load(snapshot_path)
             except Exception as exc:
                 _reply(conn, "err", exc)
                 return
@@ -115,7 +115,7 @@ def _serve(conn, snapshot_path: str, verify: bool) -> None:
                 op, payload = request
                 try:
                     if op == "swap":
-                        blend = _load(payload, verify)
+                        blend = _load(payload)
                         value = blend.lake.table_ids()
                     else:
                         value = _apply(blend, op, payload)
@@ -139,12 +139,10 @@ class ShardWorker:
     and a broken transport raises :class:`ShardUnavailableError`.
     """
 
-    def __init__(
-        self, snapshot_path: Union[str, Path], *, process: bool = False, verify: bool = True
-    ) -> None:
+    def __init__(self, snapshot_path: Union[str, Path], *, process: bool = False) -> None:
         ctx = _mp_context()
         self._conn, child_conn = ctx.Pipe()
-        args = (child_conn, str(snapshot_path), verify)
+        args = (child_conn, str(snapshot_path))
         if process:
             self._runner = ctx.Process(target=_serve, args=args, daemon=True)
         else:
@@ -254,7 +252,6 @@ class ShardCoordinator:
         *,
         processes: bool = False,
         backend: Optional[str] = None,
-        verify: bool = True,
     ) -> "ShardCoordinator":
         """Spin up one :class:`ShardWorker` per shard of a
         :func:`repro.snapshot.save_sharded` directory and wire the
@@ -270,7 +267,7 @@ class ShardCoordinator:
         shard_workers: list[ShardWorker] = []
         try:
             for name in manifest["shards"]:
-                shard_workers.append(ShardWorker(root / name, process=processes, verify=verify))
+                shard_workers.append(ShardWorker(root / name, process=processes))
         except BaseException:
             for worker in shard_workers:
                 worker.close()
@@ -435,9 +432,7 @@ class ShardCoordinator:
         trigger input."""
         return self._request(shard, "delta_stats")
 
-    def compact_shard(
-        self, shard: int, destination: Union[str, Path], verify: bool = True
-    ) -> list[int]:
+    def compact_shard(self, shard: int, destination: Union[str, Path]) -> list[int]:
         """Fold one shard's delta layer into a clean snapshot generation
         at *destination* and hot-swap the shard onto it.
 
@@ -455,7 +450,7 @@ class ShardCoordinator:
             if not 0 <= shard < len(self.workers):
                 raise ServingError(f"no such shard: {shard}")
             source = self._request(shard, "save_delta", self._shard_paths[shard])
-            compact_snapshot(source, destination, verify=verify)
+            compact_snapshot(source, destination)
             return self.swap_shard(shard, destination)
 
     # -- observability / teardown ----------------------------------------------

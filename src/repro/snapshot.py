@@ -48,14 +48,19 @@ delta layer, so a corrupt delta never takes the base down with it. A
 compactor (:mod:`repro.serving.compaction`) folds base+delta into a
 fresh full snapshot -- the next base generation.
 
+Every snapshot is self-contained: it carries its lake's cells, and a
+load is validated only against what the snapshot itself records.
+
 Versioning policy: ``FORMAT_VERSION`` bumps on any layout change (v2:
 ``snapshot_id`` + per-slot lake generations, required by the delta
 layer); a loader only accepts its own version (no silent migrations --
-rebuild or re-save). Every payload's size is checked on load and, with
-``verify=True`` (the default), its CRC-32 too; truncation, corruption,
-or a version/backend/hash-width mismatch raise
-:class:`~repro.errors.SnapshotError` naming the offending file -- a bad
-snapshot must never load into garbage results.
+rebuild or re-save). Every load checks every payload's size and CRC-32
+before reading a byte of it, and unpickles with no globals at all (the
+pickled payloads are plain tuples and lists of ``str`` / ``int`` /
+``float`` / ``bool`` / ``None``), so a tampered directory cannot run
+code. Truncation, corruption, a global in a pickle or a version/backend
+mismatch raise :class:`~repro.errors.SnapshotError` naming the offending
+file -- a bad snapshot must never load into garbage results.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from .engine.storage.catalog import ColumnDef, TableSchema
 from .engine.storage.column_store import ColumnTable, _ColumnData
 from .engine.storage.row_store import RowTable
 from .engine.types import SqlType
-from .errors import SnapshotError
+from .errors import LakeError, SnapshotError
 from .index.alltables import IndexConfig
 from .lake.datalake import DataLake
 from .lake.table import Table
@@ -157,18 +162,41 @@ class _Writer:
         return rel_base
 
     def save_pickle(self, rel: str, obj) -> str:
-        self._record(rel, pickle.dumps(obj, protocol=4))
+        buffer = io.BytesIO()
+        _PlainPickler(buffer, protocol=4).dump(obj)
+        self._record(rel, buffer.getvalue())
         return rel
 
 
-class _Reader:
-    """Loads payload files, enforcing the manifest's size (always) and
-    CRC-32 (``verify=True``) records before any bytes are interpreted."""
+class _PlainPickler(pickle.Pickler):
+    """Writes only what :class:`_PlainUnpickler` reads back. The C
+    pickler encodes ``None``, ``bool``, ``int``, ``float``, ``str``,
+    ``bytes`` and plain tuples, lists, dicts and sets itself and hands
+    every other object to this hook, which refuses it: a snapshot that
+    could not load is never written."""
 
-    def __init__(self, root: Path, files: dict, verify: bool) -> None:
+    def reducer_override(self, obj):
+        raise SnapshotError(
+            f"cannot snapshot a {type(obj).__name__} value: snapshot payloads "
+            "hold str, int, float, bool and None cells only"
+        )
+
+
+class _PlainUnpickler(pickle.Unpickler):
+    """Reads a payload pickle without resolving a single global, so no
+    class is built and no callable runs, whatever the file holds."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"global {module}.{name} refused")
+
+
+class _Reader:
+    """Loads payload files, enforcing the manifest's size and CRC-32
+    records before any bytes are interpreted."""
+
+    def __init__(self, root: Path, files: dict) -> None:
         self.root = root
         self.files = files
-        self.verify = verify
 
     def check_all(self) -> None:
         """Fail fast on the first missing, truncated, or corrupted
@@ -197,16 +225,15 @@ class _Reader:
                 f"snapshot payload truncated: {target} holds {size} bytes, "
                 f"manifest records {expected['bytes']}"
             )
-        if self.verify:
-            crc = 0
-            with open(target, "rb") as handle:
-                while chunk := handle.read(_CRC_CHUNK):
-                    crc = zlib.crc32(chunk, crc)
-            if crc != expected["crc32"]:
-                raise SnapshotError(
-                    f"snapshot payload checksum mismatch: {target} "
-                    f"(crc32 {crc:#010x} != recorded {expected['crc32']:#010x})"
-                )
+        crc = 0
+        with open(target, "rb") as handle:
+            while chunk := handle.read(_CRC_CHUNK):
+                crc = zlib.crc32(chunk, crc)
+        if crc != expected["crc32"]:
+            raise SnapshotError(
+                f"snapshot payload checksum mismatch: {target} "
+                f"(crc32 {crc:#010x} != recorded {expected['crc32']:#010x})"
+            )
         return target
 
     def load_array(self, rel: str, mmap: bool = True) -> np.ndarray:
@@ -254,7 +281,7 @@ class _Reader:
         self._require_listed(rel)
         target = self.root / rel
         try:
-            return pickle.loads(target.read_bytes())
+            return _PlainUnpickler(io.BytesIO(target.read_bytes())).load()
         except Exception as exc:
             raise SnapshotError(f"cannot read snapshot payload {target}: {exc}") from exc
 
@@ -264,12 +291,7 @@ class _Reader:
 # --------------------------------------------------------------------------
 
 
-def save_blend(
-    blend,
-    path: Union[str, Path],
-    include_lake: bool = True,
-    overwrite: bool = False,
-) -> Path:
+def save_blend(blend, path: Union[str, Path], overwrite: bool = False) -> Path:
     """Persist a built :class:`~repro.Blend` deployment into *path*.
 
     The manifest is written last, so an interrupted save leaves a
@@ -279,10 +301,8 @@ def save_blend(
     temporary directory and swaps it in by rename -- at no point does
     the target hold a torn mix of old and new payloads, and readers
     that already mmap'd the old files keep them alive until unmapped.
-    With ``include_lake=False`` the snapshot carries lake *metadata*
-    only and ``load`` requires the caller to supply the (identical)
-    lake -- the multi-worker deployment shape where the lake source is
-    already shared.
+    The written directory becomes *blend*'s base, so later saves into it
+    are incremental.
     """
     if not getattr(blend, "_indexed", False):
         raise SnapshotError("nothing to save: call build_index() first")
@@ -308,6 +328,10 @@ def save_blend(
     db: Database = blend.db
 
     semantic = blend._semantic
+    # The lake goes first: a cell _PlainPickler refuses fails the save
+    # before any payload lands in the target.
+    lake_meta = blend.lake.snapshot_meta()
+    lake_meta["payload"] = writer.save_pickle("lake.pkl", blend.lake.snapshot_payload())
     tables_meta = []
     for position, name in enumerate(db.table_names()):
         storage = db.table(name)
@@ -316,11 +340,6 @@ def save_blend(
             tables_meta.append(_save_column_table(writer, prefix, storage))
         else:
             tables_meta.append(_save_row_table(writer, prefix, storage))
-
-    lake_meta = blend.lake.snapshot_meta()
-    lake_meta["payload"] = None
-    if include_lake:
-        lake_meta["payload"] = writer.save_pickle("lake.pkl", blend.lake.snapshot_payload())
 
     cost_model = blend.optimizer.cost_model
     config = blend.index_config
@@ -360,17 +379,20 @@ def save_blend(
             shutil.rmtree(target_root, ignore_errors=True)
             raise
         shutil.rmtree(retired)
-    if include_lake:
-        # Adopt the directory just written as this deployment's base, so
-        # subsequent save() calls into it are incremental. Metadata-only
-        # snapshots are not self-contained and cannot anchor a delta.
-        blend._snapshot_base = SnapshotBase(
-            path=str(root.resolve()),
-            snapshot_id=manifest["snapshot_id"],
-            generation=int(lake_meta["generation"]),
-            live_slots=tuple(slot is not None for slot in lake_meta["slots"]),
-        )
+    blend._snapshot_base = _base_of(root, manifest)
     return root
+
+
+def _base_of(root: Path, manifest: dict) -> SnapshotBase:
+    """The base identity a deployment saved to or loaded from *root*
+    records: what the next incremental save diffs against."""
+    lake_meta = manifest["lake"]
+    return SnapshotBase(
+        path=str(root.resolve()),
+        snapshot_id=manifest.get("snapshot_id", ""),
+        generation=int(lake_meta["generation"]),
+        live_slots=tuple(slot is not None for slot in lake_meta["slots"]),
+    )
 
 
 def _table_meta(storage, kind: str) -> dict:
@@ -465,11 +487,6 @@ def save_blend_delta(blend, path: Union[str, Path]) -> Path:
             f"(snapshot id {manifest.get('snapshot_id')!r} != recorded "
             f"{base.snapshot_id!r}); refusing an incremental save"
         )
-    if manifest["lake"].get("payload") is None:
-        raise SnapshotError(
-            f"base snapshot {root} was saved without its lake payload "
-            "(include_lake=False); incremental save needs a self-contained base"
-        )
     lake = blend.lake
     writer = _Writer(root)
     ops: list[dict] = []
@@ -549,7 +566,7 @@ def read_delta_manifest(path: Union[str, Path]) -> Optional[dict]:
     return manifest
 
 
-def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -> None:
+def _apply_delta(blend, root: Path, manifest: dict, delta: dict) -> None:
     """Replay a delta manifest's ops through *blend*'s ordinary lifecycle.
 
     All removals (and the removal half of replacements) are applied
@@ -572,7 +589,7 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
             f"expected an integer no lower than the base generation {base_generation}"
         )
     files = delta.get("files", {})
-    reader = _Reader(root, files, verify=verify)
+    reader = _Reader(root, files)
     reader.check_all()
     removes: list[int] = []
     adds: list[tuple[int, str]] = []
@@ -620,9 +637,7 @@ def _apply_delta(blend, root: Path, manifest: dict, delta: dict, verify: bool) -
 # --------------------------------------------------------------------------
 
 
-def save_sharded(
-    blend, path: Union[str, Path], num_shards: int, include_lake: bool = True
-) -> Path:
+def save_sharded(blend, path: Union[str, Path], num_shards: int) -> Path:
     """Persist *blend* as K per-shard snapshots plus a routing manifest.
 
     The lake is partitioned with :meth:`DataLake.shard_plan` (contiguous,
@@ -665,7 +680,7 @@ def save_sharded(
         )
         sub.build_index()  # IndexConfig(semantic=True) builds the shard's vectors
         name = f"shard{i}"
-        save_blend(sub, root / name, include_lake=include_lake)
+        save_blend(sub, root / name)
         shard_names.append(name)
         for table_id in shard.table_ids:
             table_shard[str(int(table_id))] = i
@@ -769,20 +784,15 @@ def read_manifest(path: Union[str, Path]) -> dict:
 def load_blend(
     blend_cls,
     path: Union[str, Path],
-    lake: Optional[DataLake] = None,
     backend: Optional[str] = None,
-    hash_size: Optional[int] = None,
-    verify: bool = True,
     delta: bool = True,
 ):
     """Restore a :class:`~repro.Blend` deployment from a snapshot.
 
-    *lake* skips the snapshot's cell payload and serves from the given
-    (validated, identical) lake instead; *backend* / *hash_size* assert
-    the snapshot matches the deployment the caller expects. Numeric
-    payloads load as read-only file-backed views that serve as each
-    table's base until compaction; ``verify`` additionally checks every
-    payload's CRC-32 (sizes are always checked). ``delta`` replays the
+    *backend* asserts the snapshot matches the deployment the caller
+    expects. Every payload's size and CRC-32 are checked before any is
+    read; numeric payloads then load as read-only file-backed views that
+    serve as each table's base until compaction. ``delta`` replays the
     directory's incremental layer (``delta.json``) on top of the base; pass
     ``delta=False`` to recover the bare base snapshot when the delta is
     damaged — the delta manifest is then never even read.
@@ -790,14 +800,7 @@ def load_blend(
     root = Path(path)
     manifest = read_manifest(root)
     manifest_path = root / _MANIFEST
-    supplied_lake = lake is not None
     delta_manifest = read_delta_manifest(root) if delta else None
-    if delta_manifest is not None and supplied_lake:
-        raise SnapshotError(
-            f"snapshot {root} carries a delta layer; a supplied lake cannot "
-            "be validated against it — load without a lake, or with "
-            "delta=False"
-        )
 
     if backend is not None and backend != manifest["backend"]:
         raise SnapshotError(
@@ -810,11 +813,6 @@ def load_blend(
         if key in IndexConfig.__dataclass_fields__
     }
     config = IndexConfig(**config_fields)
-    if hash_size is not None and hash_size != config.hash_size:
-        raise SnapshotError(
-            f"hash-width mismatch: snapshot {manifest_path} was built with "
-            f"hash_size={config.hash_size}, caller expects {hash_size}"
-        )
     if config.hash_size > 63 and manifest["backend"] == "column":
         raise SnapshotError(
             f"inconsistent snapshot manifest {manifest_path}: "
@@ -822,27 +820,9 @@ def load_blend(
             "column-backend SuperKey column"
         )
 
-    reader = _Reader(root, manifest["files"], verify=verify)
+    reader = _Reader(root, manifest["files"])
     reader.check_all()
-
-    lake_meta = manifest["lake"]
-    if lake is not None:
-        mismatch = lake.snapshot_mismatch(lake_meta)
-        if mismatch is not None:
-            raise SnapshotError(
-                f"supplied lake does not match snapshot {manifest_path}: {mismatch}"
-            )
-    else:
-        if lake_meta["payload"] is None:
-            raise SnapshotError(
-                f"snapshot {manifest_path} was saved without the lake payload "
-                "(include_lake=False); pass the lake to load()"
-            )
-        payload = reader.load_pickle(lake_meta["payload"])
-        lake = DataLake.from_snapshot(
-            payload, lake_meta["name"], lake_meta["generation"]
-        )
-    lake.adopt_slot_generations(lake_meta.get("slot_generations"))
+    lake = _load_lake(reader, manifest["lake"], manifest_path)
 
     db = Database(backend=manifest["backend"])
     for meta in manifest["tables"]:
@@ -867,15 +847,38 @@ def load_blend(
     # Record the base identity BEFORE any delta replay: live_slots and
     # generation describe the on-disk base, which is what the next
     # incremental save diffs against.
-    blend._snapshot_base = SnapshotBase(
-        path=str(root.resolve()),
-        snapshot_id=manifest.get("snapshot_id", ""),
-        generation=int(lake_meta["generation"]),
-        live_slots=tuple(slot is not None for slot in lake_meta["slots"]),
-    )
+    blend._snapshot_base = _base_of(root, manifest)
     if delta_manifest is not None:
-        _apply_delta(blend, root, manifest, delta_manifest, verify)
+        _apply_delta(blend, root, manifest, delta_manifest)
     return blend
+
+
+def _load_lake(reader: _Reader, lake_meta: dict, manifest_path: Path) -> DataLake:
+    """The lake a snapshot carries, checked against the manifest's
+    record of its slots and their generation stamps."""
+    rel = lake_meta.get("payload")
+    if rel is None:
+        raise SnapshotError(
+            f"snapshot manifest {manifest_path} records no lake payload; "
+            "this build loads self-contained snapshots only (re-save it)"
+        )
+    payload = reader.load_pickle(rel)
+    stamps, slots = lake_meta.get("slot_generations"), lake_meta["slots"]
+    if not (
+        isinstance(payload, list)
+        and isinstance(stamps, list)
+        and len(payload) == len(stamps) == len(slots)
+    ):
+        raise SnapshotError(
+            f"snapshot manifest {manifest_path} records {len(slots)} lake slots; "
+            "its slot_generations or the lake payload do not match them"
+        )
+    try:
+        return DataLake.from_snapshot(
+            payload, lake_meta["name"], lake_meta["generation"], stamps
+        )
+    except (LakeError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"cannot rebuild the lake of {manifest_path}: {exc}") from exc
 
 
 def _restore_schema(meta: dict) -> TableSchema:

@@ -133,8 +133,8 @@ def test_sharded_coordinator_reads_no_cells(served, tmp_path, monkeypatch):
     path = save_sharded(unguarded, tmp_path / "sharded", 2)
     load = sharded._load
 
-    def guarded_load(snapshot_path, verify):
-        shard = load(snapshot_path, verify)
+    def guarded_load(snapshot_path):
+        shard = load(snapshot_path)
         _guard(shard.lake)
         return shard
 

@@ -268,10 +268,8 @@ def test_save_delta_requires_a_base(tmp_path):
     blend.build_index()
     with pytest.raises(BlendError, match="no base snapshot"):
         blend.save_delta()
-    with pytest.raises(BlendError, match="incremental='always'"):
-        blend.save(tmp_path / "snap", incremental="always")
     with pytest.raises(BlendError, match="incremental must be"):
-        blend.save(tmp_path / "snap", incremental="sometimes")
+        blend.save(tmp_path / "snap", incremental="always")
 
 
 def test_save_delta_refuses_foreign_directory(tmp_path):
@@ -298,33 +296,6 @@ def test_save_delta_refuses_changed_base(tmp_path):
 
     with pytest.raises(SnapshotError, match="changed since"):
         loaded.save_delta()
-
-
-def test_metadata_only_base_cannot_anchor_a_delta(tmp_path):
-    lake = _lake(21, num_tables=4)
-    blend = Blend(lake, backend="column")
-    blend.build_index()
-    path = blend.save(tmp_path / "snap", include_lake=False)
-    assert blend._snapshot_base is None  # never adopted as a base
-    loaded = Blend.load(path, lake=lake)
-    loaded.add_table(Table("late", ["a"], [("v",)]))
-    with pytest.raises(SnapshotError, match="include_lake=False"):
-        loaded.save_delta(path)
-
-
-def test_supplied_lake_refused_when_delta_present(tmp_path):
-    lake = _lake(23, num_tables=4)
-    blend = Blend(lake, backend="column")
-    blend.build_index()
-    path = blend.save(tmp_path / "snap")
-    loaded = Blend.load(path)
-    loaded.add_table(Table("late", ["a"], [("v",)]))
-    loaded.save(path)
-    with pytest.raises(SnapshotError, match="delta layer"):
-        Blend.load(path, lake=lake)
-    # delta=False restores the supplied-lake path (the base matches it).
-    base_only = Blend.load(path, lake=lake, delta=False)
-    assert base_only.lake is lake
 
 
 # --------------------------------------------------------------------------

@@ -9,15 +9,18 @@ lifecycle (mutations after load preserve rebuild parity, with the
 on-disk snapshot untouched -- they land in the delta segment).
 
 The guard rails: corrupted, truncated, or version-mismatched snapshots
-raise ``SnapshotError`` naming the offending file; so do backend /
-hash-width / lake mismatches at load time. A bad snapshot must never
-load into garbage results.
+raise ``SnapshotError`` naming the offending file; so do a backend
+mismatch at load time, a manifest without a lake payload, and a payload
+pickle that names a global. A bad snapshot must never load into garbage
+results, nor run code.
 """
 
 import io
 import json
+import pickle
 import random
 import zlib
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -205,27 +208,6 @@ def test_round_trip_then_mutate_matches_fresh_build(backend, hash_size, seed, tm
     assert sorted(reloaded.db.execute(sql).rows) == sorted(original.db.execute(sql).rows)
 
 
-def test_load_with_supplied_lake_and_mismatch(tmp_path):
-    """lake= skips the cell payload but is validated against the
-    manifest's lake metadata (generation, slots, shapes)."""
-    lake = _lake(5)
-    blend = Blend(lake, backend="column")
-    blend.build_index()
-    path = blend.save(tmp_path / "snap", include_lake=False)
-
-    loaded = Blend.load(path, lake=lake)
-    seekers = _query_seekers(lake)
-    assert _results(blend.context(), seekers) == _results(loaded.context(), seekers)
-
-    with pytest.raises(SnapshotError, match="without the lake payload"):
-        Blend.load(path)
-
-    other = _lake(5)
-    other.add(Table("drift", ["a"], [("x",)]))
-    with pytest.raises(SnapshotError, match="does not match snapshot"):
-        Blend.load(path, lake=other)
-
-
 def test_snapshot_preserves_lifecycle_state(tmp_path):
     """A mid-lifecycle deployment (holes, tombstones not yet compacted)
     snapshots and restores exactly -- including the tombstone mask."""
@@ -242,6 +224,8 @@ def test_snapshot_preserves_lifecycle_state(tmp_path):
     path = blend.save(tmp_path / "snap")
     loaded = Blend.load(path)
     assert loaded.lake.table_ids() == blend.lake.table_ids()
+    # generation, per-slot stamps and slot shapes come back exactly
+    assert loaded.lake.snapshot_meta() == blend.lake.snapshot_meta()
     loaded_storage = loaded.db.table("AllTables")
     assert loaded_storage._num_deleted == storage._num_deleted
     assert np.array_equal(loaded_storage._deleted, storage._deleted)
@@ -522,9 +506,6 @@ def test_checksum_mismatch_names_file(saved):
     with pytest.raises(SnapshotError, match="checksum mismatch") as excinfo:
         Blend.load(path)
     assert rel in str(excinfo.value)
-    # verify=False skips the CRC pass by contract (mmap-only warm start);
-    # the size gate still holds.
-    Blend.load(path, verify=False)
 
 
 def test_delisted_payload_refused(saved):
@@ -567,12 +548,6 @@ def test_backend_mismatch_refused(saved):
         Blend.load(path, backend="row")
 
 
-def test_hash_width_mismatch_refused(saved):
-    _, path = saved
-    with pytest.raises(SnapshotError, match="hash-width mismatch"):
-        Blend.load(path, hash_size=128)
-
-
 def test_inconsistent_manifest_hash_width_refused(saved):
     """A (tampered) manifest claiming 128-bit keys in a column-backend
     snapshot is structurally impossible and refused outright."""
@@ -582,6 +557,98 @@ def test_inconsistent_manifest_hash_width_refused(saved):
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(SnapshotError, match="cannot exist"):
         Blend.load(path)
+
+
+def test_metadata_only_manifest_refused(saved):
+    """A manifest whose lake entry records no payload (the metadata-only
+    shape earlier builds could write) is refused by name: every snapshot
+    carries its own lake."""
+    _, path = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["lake"]["payload"] = None
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match="no lake payload") as excinfo:
+        Blend.load(path)
+    assert "manifest.json" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("stamps", ["missing", "short", "long"])
+def test_slot_generations_must_cover_every_slot(saved, stamps):
+    """The per-slot generation stamps the delta layer diffs against are
+    part of the v2 manifest; missing or misaligned ones are refused, not
+    silently replaced by zeros."""
+    _, path = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    recorded = manifest["lake"].pop("slot_generations")
+    if stamps != "missing":
+        manifest["lake"]["slot_generations"] = (
+            recorded[:-1] if stamps == "short" else recorded + [0]
+        )
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match="slot_generations") as excinfo:
+        Blend.load(path)
+    assert "manifest.json" in str(excinfo.value)
+
+
+class _Plant:
+    """Unpickling this calls ``open(marker, "w")``: the code a tampered
+    payload would run if the loader resolved globals."""
+
+    def __init__(self, marker: Path) -> None:
+        self.marker = str(marker)
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
+
+
+def plant_global_pickle(root: Path, manifest_name: str, rel: str, marker: Path) -> None:
+    """Overwrite payload *rel* under *root* with a pickle that creates
+    *marker* when loaded, and record its size and CRC in *manifest_name*
+    -- what anyone who can write the snapshot directory can do."""
+    raw = pickle.dumps(_Plant(marker), protocol=4)
+    (root / rel).write_bytes(raw)
+    manifest = json.loads((root / manifest_name).read_text())
+    manifest["files"][rel] = {"bytes": len(raw), "crc32": zlib.crc32(raw)}
+    (root / manifest_name).write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("payload", ["lake.pkl", "rows.pkl", "delta"])
+def test_payload_pickle_naming_a_global_is_refused(payload, tmp_path):
+    """Every pickled payload (the lake, a row-store table, a delta table)
+    is read without resolving globals: a planted ``__reduce__`` payload
+    with a valid size and CRC fails the load and never runs."""
+    backend = "row" if payload == "rows.pkl" else "column"
+    blend = Blend(_lake(13, num_tables=4), backend=backend)
+    blend.build_index()
+    path = Path(blend.save(tmp_path / "snap"))
+    manifest_name, rel = "manifest.json", payload
+    if payload == "delta":
+        loaded = Blend.load(path)
+        loaded.add_table(Table("late", ["a"], [("v",)]))
+        loaded.save(path)
+        manifest_name, rel = "delta.json", _delta_payload(path)
+    elif payload == "rows.pkl":
+        rel = _payload_named(path, "rows.pkl")
+    marker = tmp_path / "marker"
+    plant_global_pickle(path, manifest_name, rel, marker)
+    with pytest.raises(SnapshotError, match="refused") as excinfo:
+        Blend.load(path)
+    assert rel in str(excinfo.value)
+    assert not marker.exists()
+    pickle.loads((path / rel).read_bytes()).close()  # the planted payload is live
+    assert marker.exists()
+
+
+def test_save_refuses_a_cell_no_load_could_read(tmp_path):
+    """Payload pickles hold plain cells only; a lake cell of another type
+    fails the save by name instead of writing a snapshot no load accepts."""
+    lake = DataLake("exotic")
+    lake.add(Table("t", ["a"], [(Decimal("2.5"),), ("x",)]))
+    blend = Blend(lake, backend="column")
+    blend.build_index()
+    with pytest.raises(SnapshotError, match="Decimal"):
+        blend.save(tmp_path / "snap")
+    assert not any((tmp_path / "snap").iterdir())  # nothing landed: a retry may reuse the path
 
 
 def test_manifest_with_retired_config_keys_loads(saved):

@@ -9,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro import Blend, Seekers
 from repro.serving import BlendServer
 from repro.serving.server import _MAX_BODY
 
+from tests.index.test_snapshot import plant_global_pickle
 from tests.serving.conftest import build_blend, make_lake
 
 
@@ -271,3 +273,22 @@ def test_http_snapshot_swap(tmp_path):
             server.url, "/swap", {"snapshot": str(tmp_path / "nope")}
         )
         assert status in (409, 500)  # SnapshotError surface
+
+
+def test_http_swap_refuses_a_payload_pickle_naming_a_global(tmp_path):
+    """POST /swap reads a client-named directory: a lake payload planted
+    with a ``__reduce__`` pickle (size and CRC fixed in the manifest) is
+    a 409, nothing it names runs, and the old generation keeps serving."""
+    old = build_blend(seed=31, tables=6)
+    snapshot = Path(build_blend(seed=37, tables=6).save(tmp_path / "snap"))
+    marker = tmp_path / "marker"
+    plant_global_pickle(snapshot, "manifest.json", "lake.pkl", marker)
+    with BlendServer(old, workers=2, max_batch=8).start() as server:
+        status, body = _post(server.url, "/swap", {"snapshot": str(snapshot)})
+        assert status == 409, body
+        assert "lake.pkl" in json.dumps(body)
+        status, after = _post(
+            server.url, "/query", {"modality": "sc", "values": ["berlin"], "k": 3}
+        )
+        assert status == 200 and after["generation"] == old.lake.generation
+    assert not marker.exists()
