@@ -4,8 +4,7 @@ Builds a small lake with both overlap structure and morphological
 vocabulary families, then walks the fusion tier: the unified
 ``Blend.discover()`` facade, a ``HybridSeeker`` driven directly and
 through the grammar ("joinable on X AND semantically about Y"),
-alpha steering, cost-model-calibrated lane weights, and the sharded
-deployment whose fused answers are byte-identical to solo execution:
+alpha steering, and the sharded deployment whose fused answers are byte-identical to solo execution:
 
     $ python examples/hybrid_discovery.py
 """
@@ -64,13 +63,6 @@ def main() -> None:
         pure = HybridSeeker(cities, about=["customer_8"], k=3, alpha=alpha)
         print(f"HY(alpha={alpha}):",
               [lake.name_of(t) for t in pure.execute(blend.context()).table_ids()])
-
-    # Learned weights: the trained cost model prices each lane and the
-    # fusion down-weights the expensive one.
-    blend.train_optimizer(samples_per_type=3, seed=5)
-    seeker.calibrate(blend.optimizer.cost_model, blend.stats)
-    print("calibrated lane weights (exact, semantic):",
-          tuple(round(w, 3) for w in seeker.weights))
 
     # 3. The same mixed predicate, in the grammar.
     plan = parse_plan(

@@ -65,13 +65,12 @@ def register_seeker(
     name: str,
     builder: Callable[..., Any],
     keywords: tuple[str, ...] = (),
-    replace: bool = False,
 ) -> SeekerSpec:
     """Register a seeker modality under *name* (grammar v2). Future
     modalities plug in here without touching the tokenizer or parser."""
     if not name or not all(ch.isalnum() or ch == "_" for ch in name):
         raise PlanError(f"seeker name {name!r} is not a grammar identifier")
-    if name in SEEKER_REGISTRY and not replace:
+    if name in SEEKER_REGISTRY:
         raise PlanError(f"seeker {name!r} is already registered")
     spec = SeekerSpec(name=name, builder=builder, keywords=tuple(keywords))
     SEEKER_REGISTRY[name] = spec

@@ -17,14 +17,7 @@ promotes that to a first-class seeker:
   meaningless, so the fused partial carries both lanes' *sub-partials*
   and the merge fuses only after each lane has been globally merged --
   and the semantic lane is an exact scan, so hybrid results are
-  byte-identical for any shard count by construction;
-* a learned-weight mode derives the lane weights from the trained
-  :class:`~repro.core.optimizer.cost_model.CostModel`: each lane's
-  weight is the inverse of its predicted runtime over the same
-  ``(cardinality, columns, average_frequency)`` features the optimizer
-  already uses -- the regression's runtime curve tracks how much index
-  mass a lane's query drags in, so expensive (low-selectivity) lanes
-  are down-weighted relative to sharp ones.
+  byte-identical for any shard count by construction.
 
 :class:`DiscoveryResult` is the typed answer of the unified
 ``Blend.discover()`` facade, which routes every discovery modality
@@ -39,7 +32,6 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 from ..errors import SeekerError
 from ..lake.table import Cell, Table
 from .results import (
-    DEFAULT_RRF_K,
     FusionLane,
     ResultList,
     SeekerPartials,
@@ -52,8 +44,6 @@ from .semantic import SemanticSeeker
 # fusion: tables ranked [k, LANE_DEPTH*k) in one lane can still reach the
 # fused top-k through their other-lane rank.
 LANE_DEPTH = 4
-
-_EXACT_KINDS = ("SC", "KW", "MC")
 
 
 def _is_row_query(values: Any) -> bool:
@@ -82,11 +72,11 @@ class HybridSeeker(Seeker):
     """HY: weighted reciprocal-rank fusion of one exact-overlap lane and
     one semantic lane -- "joinable on X AND semantically about Y".
 
-    ``alpha`` balances the lanes (0 = pure exact, 1 = pure semantic);
-    explicit ``weights=(exact, semantic)`` overrides it, and
-    :meth:`calibrate` replaces both with cost-model-derived weights.
-    ``about`` supplies the semantic topic; left ``None``, the exact
-    query's own values are embedded.
+    ``alpha`` balances the lanes (0 = pure exact, 1 = pure semantic):
+    their fusion weights are ``(1 - alpha, alpha)``. The exact lane is MC
+    for a row-shaped query and SC for flat values. ``about`` supplies the
+    semantic topic; left ``None``, the exact query's own values are
+    embedded.
     """
 
     kind = "HY"
@@ -97,56 +87,17 @@ class HybridSeeker(Seeker):
         about: Optional[Iterable[Cell]] = None,
         k: int = 10,
         alpha: float = 0.5,
-        rrf_k: float = DEFAULT_RRF_K,
-        weights: Optional[tuple[float, float]] = None,
-        exact_kind: Optional[str] = None,
     ) -> None:
         super().__init__(k)
         if not 0.0 <= alpha <= 1.0:
             raise SeekerError(f"alpha must be in [0, 1], got {alpha}")
-        if rrf_k <= 0:
-            raise SeekerError(f"rrf_k must be positive, got {rrf_k}")
         materialized = values if isinstance(values, Table) else list(values)
-        if exact_kind is None:
-            exact_kind = "MC" if _is_row_query(materialized) else "SC"
-        if exact_kind not in _EXACT_KINDS:
-            raise SeekerError(
-                f"unknown exact lane {exact_kind!r}; one of {_EXACT_KINDS}"
-            )
         self.alpha = float(alpha)
-        self.rrf_k = float(rrf_k)
-        self.exact_kind = exact_kind
         self.lane_depth = max(self.k, self.k * LANE_DEPTH)
-        builder = getattr(Seekers, exact_kind)
-        self.exact_seeker = builder(materialized, k=self.lane_depth)
+        exact = Seekers.MC if _is_row_query(materialized) else Seekers.SC
+        self.exact_seeker = exact(materialized, k=self.lane_depth)
         topic = list(about) if about is not None else _flatten_values(materialized)
         self.semantic_seeker = SemanticSeeker(topic, k=self.lane_depth)
-        if weights is None:
-            weights = (1.0 - self.alpha, self.alpha)
-        self._set_weights(weights)
-
-    def _set_weights(self, weights: tuple[float, float]) -> None:
-        exact_weight, semantic_weight = (float(w) for w in weights)
-        if exact_weight < 0 or semantic_weight < 0:
-            raise SeekerError("fusion weights must be non-negative")
-        if exact_weight == 0 and semantic_weight == 0:
-            raise SeekerError("at least one fusion weight must be positive")
-        self.weights = (exact_weight, semantic_weight)
-
-    def calibrate(self, cost_model, stats) -> "HybridSeeker":
-        """Learned-weight mode: replace the alpha-derived weights with
-        weights inversely proportional to each lane's cost-model runtime
-        estimate (normalised to sum to 1). Deterministic given the model
-        and statistics; call before execution so solo/batched/sharded
-        paths all fuse with the same weights. Returns self."""
-        estimates = [
-            max(cost_model.estimate(seeker, stats), 1e-12)
-            for seeker in (self.exact_seeker, self.semantic_seeker)
-        ]
-        inverse = [1.0 / estimate for estimate in estimates]
-        total = sum(inverse)
-        self._set_weights((inverse[0] / total, inverse[1] / total))
-        return self
 
     # -- execution ---------------------------------------------------------------
 
@@ -173,14 +124,12 @@ class HybridSeeker(Seeker):
                 "hybrid partials cannot carry a rewrite; rewrites post-filter "
                 "the fused ranking in execute()"
             )
-        exact_weight, semantic_weight = self.weights
         return fused_partials(
             (
-                FusionLane("exact", exact_weight, self.exact_seeker.partials(context)),
-                FusionLane("semantic", semantic_weight, self.semantic_seeker.partials(context)),
+                FusionLane("exact", 1.0 - self.alpha, self.exact_seeker.partials(context)),
+                FusionLane("semantic", self.alpha, self.semantic_seeker.partials(context)),
             ),
             fetch=self.lane_depth,
-            rrf_k=self.rrf_k,
         )
 
     def execute(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -103,10 +103,8 @@ class CostModel:
     def __init__(self, models: Optional[dict[str, LinearModel]] = None) -> None:
         self._models = dict(models or {})
 
-    def is_trained(self, kind: Optional[str] = None) -> bool:
-        if kind is None:
-            return bool(self._models)
-        return kind in self._models
+    def is_trained(self) -> bool:
+        return bool(self._models)
 
     def estimate(self, seeker: Seeker, stats: LakeStatistics) -> float:
         """Expected runtime (arbitrary units; only the ordering matters)."""
@@ -151,43 +149,40 @@ class CostModel:
         )
 
 
+TRAINING_K = 10  # the k of every sampled training query
+
+
 @dataclass
 class TrainingReport:
     """What offline training produced."""
 
-    samples_per_type: dict[str, int] = field(default_factory=dict)
-    training_seconds: float = 0.0
+    samples_per_type: dict[str, int]
+    training_seconds: float
 
 
 def train_cost_model(
     context: SeekerContext,
     stats: LakeStatistics,
     lake: DataLake,
-    samples_per_type: int = 40,
-    seed: int = 0,
-    k: int = 10,
+    samples_per_type: int,
+    seed: int,
 ) -> tuple[CostModel, TrainingReport]:
     """Offline training loop: sample random Qs from the lake, execute each
-    seeker type, fit the regressions (paper: 1000 samples; the default
-    here is laptop-scale and configurable)."""
+    seeker type (top-``TRAINING_K``), fit the regressions (paper: 1000 samples;
+    ``Blend.train_optimizer`` defaults to a laptop-scale 40)."""
     rng = random.Random(seed)
     start = time.perf_counter()
     model = CostModel()
-    report = TrainingReport()
+    counts: dict[str, int] = {}
 
-    generators = {
-        "SC": lambda: _random_sc(lake, rng, k),
-        "KW": lambda: _random_kw(lake, rng, k),
-        "MC": lambda: _random_mc(lake, rng, k),
-        "C": lambda: _random_c(lake, rng, k),
-    }
+    generators = {"SC": _random_sc, "KW": _random_kw, "MC": _random_mc, "C": _random_c}
     for kind, make in generators.items():
         rows: list[SeekerFeatures] = []
         runtimes: list[float] = []
         attempts = 0
         while len(rows) < samples_per_type and attempts < samples_per_type * 10:
             attempts += 1
-            seeker = make()
+            seeker = make(lake, rng, TRAINING_K)
             if seeker is None:
                 continue
             begin = time.perf_counter()
@@ -197,9 +192,8 @@ def train_cost_model(
             runtimes.append(elapsed)
         if len(rows) >= 2:
             model.set_model(kind, LinearModel.fit(rows, runtimes))
-        report.samples_per_type[kind] = len(rows)
-    report.training_seconds = time.perf_counter() - start
-    return model, report
+        counts[kind] = len(rows)
+    return model, TrainingReport(counts, time.perf_counter() - start)
 
 
 # -- random query sampling (one helper per seeker type) -----------------------

@@ -93,7 +93,7 @@ RANKED = "ranked"
 COUNTS = "counts"
 FUSED = "fused"
 
-DEFAULT_RRF_K = 60.0
+RRF_K = 60.0  # the reciprocal-rank fusion constant (see fuse_rankings)
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _EMPTY_SCORES = np.empty(0, dtype=np.float64)
@@ -127,7 +127,7 @@ class SeekerPartials:
     rank-based, and per-shard ranks are meaningless -- so the merge
     first merges every lane *across shards* with the standard tails
     above (each provably shard-invariant), then applies weighted
-    reciprocal-rank fusion (``rrf_k``) to the globally-merged lane
+    reciprocal-rank fusion (``RRF_K``) to the globally-merged lane
     rankings. The fused ranking is a deterministic function of
     shard-invariant inputs, hence itself shard-invariant by
     construction. ``fetch`` is the per-lane merge depth.
@@ -144,7 +144,6 @@ class SeekerPartials:
     group_keys: Optional[np.ndarray] = None
     fetch: Optional[int] = None
     lanes: Optional[tuple["FusionLane", ...]] = None
-    rrf_k: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in (RANKED, COUNTS, FUSED):
@@ -214,23 +213,15 @@ def count_partials(
     )
 
 
-def fused_partials(
-    lanes: Sequence["FusionLane"],
-    fetch: int,
-    rrf_k: float = DEFAULT_RRF_K,
-) -> SeekerPartials:
+def fused_partials(lanes: Sequence["FusionLane"], fetch: int) -> SeekerPartials:
     """Wrap weighted per-lane partials as a fused partial (the hybrid
     seeker's emission). *fetch* is the depth each lane's global ranking
     is merged to before fusion."""
-    return SeekerPartials(FUSED, fetch=fetch, lanes=tuple(lanes), rrf_k=float(rrf_k))
+    return SeekerPartials(FUSED, fetch=fetch, lanes=tuple(lanes))
 
 
-def fuse_rankings(
-    lanes: Sequence[tuple[float, "ResultList"]],
-    k: int,
-    rrf_k: float = DEFAULT_RRF_K,
-) -> ResultList:
-    """Weighted reciprocal-rank fusion: ``score(t) = sum_l w_l / (rrf_k
+def fuse_rankings(lanes: Sequence[tuple[float, "ResultList"]], k: int) -> ResultList:
+    """Weighted reciprocal-rank fusion: ``score(t) = sum_l w_l / (RRF_K
     + rank_l(t))`` over the lanes where *t* appears (ranks are 1-based),
     ranked ``(score desc, table asc)`` and cut at *k*.
 
@@ -246,7 +237,7 @@ def fuse_rankings(
             continue
         for rank, hit in enumerate(ranking, start=1):
             scores[hit.table_id] = scores.get(hit.table_id, 0.0) + weight / (
-                rrf_k + rank
+                RRF_K + rank
             )
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return ResultList(TableHit(table_id, score) for table_id, score in ranked[:k])
@@ -275,7 +266,7 @@ def merge_partials(partials: Sequence[SeekerPartials], k: int) -> ResultList:
 
     if kind == FUSED:
         signatures = {
-            (tuple(lane.signature() for lane in p.lanes), p.rrf_k, p.fetch)
+            (tuple(lane.signature() for lane in p.lanes), p.fetch)
             for p in parts
         }
         if len(signatures) != 1:
@@ -292,8 +283,7 @@ def merge_partials(partials: Sequence[SeekerPartials], k: int) -> ResultList:
                 [p.lanes[index].partials for p in parts], template.fetch
             )
             fused_lanes.append((lane.weight, lane_ranking))
-        rrf_k = template.rrf_k if template.rrf_k is not None else DEFAULT_RRF_K
-        return fuse_rankings(fused_lanes, k, rrf_k=rrf_k)
+        return fuse_rankings(fused_lanes, k)
 
     if kind == COUNTS:
         ids = np.concatenate([p.table_ids for p in parts])

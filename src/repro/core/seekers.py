@@ -32,6 +32,7 @@ import numpy as np
 from ..engine.database import Database
 from ..engine.storage.column_store import DictCodes
 from ..errors import SeekerError, StaleContextError
+from ..index.alltables import ALLTABLES
 from ..index.quadrant import split_keys_by_target
 from ..index.xash import may_contain_batch, xash_memoized
 from ..lake.datalake import DataLake
@@ -104,7 +105,6 @@ class SeekerContext:
 
     db: Database
     lake: DataLake
-    index_table: str = "AllTables"
     hash_size: int = 63
     xash_chars: int = 2
     semantic: Optional[Any] = None
@@ -485,7 +485,7 @@ def value_partials(
         params["__rewrite_ids"] = list(rewrite.table_ids)
     sql = (
         f"SELECT TableId, {'ColumnId, ' * per_column}CellValue "
-        f"FROM {context.index_table} WHERE CellValue IN (:q)"
+        f"FROM {ALLTABLES} WHERE CellValue IN (:q)"
         + (rewrite.predicate_sql() if rewrite else "")
     )
     result = context.db.execute_columnar(sql, params, decode_text=False)
@@ -569,7 +569,7 @@ class MCScan:
         if rewrite:
             params["__rewrite_ids"] = list(rewrite.table_ids)
         sql = (
-            f"SELECT TableId, RowId, SuperKey, CellValue FROM {context.index_table} "
+            f"SELECT TableId, RowId, SuperKey, CellValue FROM {ALLTABLES} "
             "WHERE CellValue IN (:q)" + (rewrite.predicate_sql() if rewrite else "")
         )
         result = context.db.execute_columnar(sql, params, decode_text=False)
@@ -834,7 +834,7 @@ class CorrelationSeeker(Seeker):
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> SeekerPartials:
         context.ensure_fresh()
-        sql = self.sql(rewrite).format(index=context.index_table)
+        sql = self.sql(rewrite).format(index=ALLTABLES)
         result = context.db.execute(sql, self.params(rewrite))
         return ranked_partials(result.rows, self.k * OVERFETCH, skip_none=True)
 

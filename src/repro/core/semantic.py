@@ -44,6 +44,7 @@ from ..baselines.embeddings import DEFAULT_DIMENSIONS, cosine_distances, embed_b
 from ..engine.database import Database
 from ..engine.storage.column_store import DictCodes
 from ..errors import SeekerError, SnapshotError
+from ..index.alltables import ALLTABLES
 from ..lake.table import Cell, normalize_cell
 from .results import SeekerPartials, ranked_partials
 from .seekers import Rewrite, Seeker, SeekerContext
@@ -64,21 +65,16 @@ class SemanticIndex:
     """Column embeddings, persisted in-DB, searched by an exact scan.
     ``keys[i]`` is the ``(table_id, column_id)`` of matrix row
     ``vectors[i]``; these are the only copy of the vectors in memory.
-    Built from the *index_table* relation (``AllTables``) of *db*, never
-    from lake cells."""
+    Built from the ``AllTables`` relation of *db*, never from lake
+    cells."""
 
-    def __init__(
-        self,
-        db: Optional[Database],
-        index_table: str = "AllTables",
-        dimensions: int = DEFAULT_DIMENSIONS,
-    ) -> None:
+    def __init__(self, db: Optional[Database], dimensions: int = DEFAULT_DIMENSIONS) -> None:
         self.dimensions = dimensions
         self.keys: list[tuple[int, int]] = []
         self.vectors = np.zeros((0, dimensions), dtype=np.float64)
         self._norms = np.zeros(0, dtype=np.float64)
         if db is not None:  # None: an empty index (what load fills)
-            self._embed(db, index_table)
+            self._embed(db)
 
     def _append(self, keys: list, rows: np.ndarray) -> None:
         """Add *rows* under *keys*. Each norm is taken once, row by row
@@ -89,14 +85,14 @@ class SemanticIndex:
         norms = [float(np.linalg.norm(row)) or np.inf for row in rows]
         self._norms = np.concatenate([self._norms, norms])
 
-    def _embed(self, db: Database, index_table: str, table_id: Optional[int] = None) -> None:
-        """Add the non-zero vectors of every column in *index_table* (or of
+    def _embed(self, db: Database, table_id: Optional[int] = None) -> None:
+        """Add the non-zero vectors of every column in ``AllTables`` (or of
         table *table_id*): a column's bag is its GROUP BY rows, ordered by
         ``MIN(RowId)`` -- the bag and order of a scan of its cells."""
         where = "" if table_id is None else " WHERE TableId = :id"
         result = db.execute_columnar(
             "SELECT TableId, ColumnId, CellValue, MIN(RowId), COUNT(*) "
-            f"FROM {index_table}{where} GROUP BY TableId, ColumnId, CellValue",
+            f"FROM {ALLTABLES}{where} GROUP BY TableId, ColumnId, CellValue",
             {"id": table_id}, decode_text=False,
         )
         tables, columns, tokens, first_rows, counts = (data for data, _ in result.arrays)
@@ -119,12 +115,12 @@ class SemanticIndex:
 
     # -- lifecycle maintenance -----------------------------------------------------
 
-    def add_table(self, table_id: int, db: Database, index_table: str = "AllTables") -> None:
+    def add_table(self, table_id: int, db: Database) -> None:
         """Embed one added (or replacement) table's columns from its
-        *index_table* rows and append them to the matrix; the new
+        ``AllTables`` rows and append them to the matrix; the new
         ``AllVectors`` rows are persisted alongside when *db* has them."""
         start = len(self.keys)
-        self._embed(db, index_table, table_id)
+        self._embed(db, table_id)
         if db.has_table("AllVectors"):
             db.insert_columns("AllVectors", self._coordinate_columns(start))
 
@@ -137,9 +133,9 @@ class SemanticIndex:
         if db is not None and db.has_table("AllVectors"):
             db.delete_rows("AllVectors", "TableId", [table_id])
 
-    def replace_table(self, table_id: int, db: Database, index_table: str = "AllTables") -> None:
+    def replace_table(self, table_id: int, db: Database) -> None:
         self.remove_table(table_id, db)
-        self.add_table(table_id, db, index_table)
+        self.add_table(table_id, db)
 
     def _coordinate_columns(self, start: int = 0) -> list:
         """Typed ``AllVectors`` columns for the vectors from row *start*
@@ -149,16 +145,16 @@ class SemanticIndex:
         keys = np.array(self.keys[start:], dtype=np.int64).reshape(-1, 2)[rows]
         return [(keys[:, 0], None), (keys[:, 1], None), (dims, None), (matrix[rows, dims], None)]
 
-    def persist(self, db: Database, table_name: str = "AllVectors") -> int:
-        """Serialise the embeddings into a database relation (sparse
-        coordinate layout), enabling in-DB inspection and maintenance of
-        the vector index alongside ``AllTables``. Replaces an existing
-        relation of that name. Returns rows written."""
-        if db.has_table(table_name):
-            db.drop_table(table_name)
-        db.create_table(table_name, ALLVECTORS_SCHEMA)
-        inserted = db.insert_columns(table_name, self._coordinate_columns())
-        db.create_index(table_name, "TableId")
+    def persist(self, db: Database) -> int:
+        """Serialise the embeddings into the ``AllVectors`` relation
+        (sparse coordinate layout), enabling in-DB inspection and
+        maintenance of the vector index alongside ``AllTables``. Replaces
+        an existing ``AllVectors``. Returns rows written."""
+        if db.has_table("AllVectors"):
+            db.drop_table("AllVectors")
+        db.create_table("AllVectors", ALLVECTORS_SCHEMA)
+        inserted = db.insert_columns("AllVectors", self._coordinate_columns())
+        db.create_index("AllVectors", "TableId")
         return inserted
 
     def snapshot_meta(self) -> dict:
@@ -168,15 +164,13 @@ class SemanticIndex:
         return {"dimensions": self.dimensions}
 
     @classmethod
-    def load(
-        cls, db: Database, table_name: str = "AllVectors", dimensions: int = DEFAULT_DIMENSIONS
-    ) -> "SemanticIndex":
-        """Read the vector matrix back from the persisted relation -- the
-        deployment path where vectors live in the database."""
+    def load(cls, db: Database, dimensions: int = DEFAULT_DIMENSIONS) -> "SemanticIndex":
+        """Read the vector matrix back from the persisted ``AllVectors``
+        relation -- the deployment path where vectors live in the
+        database."""
         instance = cls(None, dimensions=dimensions)
         result = db.execute_columnar(
-            f"SELECT TableId, ColumnId, Dim, Weight FROM {table_name} "
-            "ORDER BY TableId, ColumnId, Dim"
+            "SELECT TableId, ColumnId, Dim, Weight FROM AllVectors ORDER BY TableId, ColumnId, Dim"
         )
         tables, columns, dims, weights = (data for data, _ in result.arrays)
         # One scatter: a vector starts wherever the sorted key changes.
@@ -184,7 +178,7 @@ class SemanticIndex:
         starts[1:] = (tables[1:] != tables[:-1]) | (columns[1:] != columns[:-1])
         repeated = ~starts[1:] & (dims[1:] == dims[:-1])
         if len(dims) and (dims.min() < 0 or dims.max() >= dimensions or repeated.any()):
-            raise SnapshotError(f"{table_name} has a repeated Dim or one outside [0, {dimensions})")
+            raise SnapshotError(f"AllVectors has a repeated Dim or one outside [0, {dimensions})")
         row_of = np.cumsum(starts) - 1
         matrix = np.zeros((int(starts.sum()), dimensions))
         matrix[row_of, dims.astype(np.int64)] = weights

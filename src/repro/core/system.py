@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 from ..engine.database import Database
 from ..errors import BlendError, ReadOnlyDeploymentError
 from ..index.alltables import (
+    ALLTABLES,
     IndexBuildReport,
     IndexConfig,
     _check_maintenance,
@@ -44,6 +45,11 @@ from .optimizer.planner import ExecutionPlan, Optimizer
 from .plan import Plan
 from .results import ResultList, SeekerPartials
 from .seekers import Seeker, SeekerContext, Seekers
+
+
+# Per-column seeker depth of the union sub-plans: above k, so tables
+# relevant only in combination survive the per-seeker cut (paper §VII-A).
+PER_COLUMN_K = 100
 
 
 class Blend:
@@ -90,7 +96,7 @@ class Blend:
         report = build_alltables(self.lake, self.db, self.index_config)
         self._indexed = True
         if self.index_config.semantic:
-            self.enable_semantic(dimensions=self.index_config.semantic_dimensions)
+            self.enable_semantic()
         self.stats  # derive eagerly, after the build's last write
         return report
 
@@ -107,9 +113,7 @@ class Blend:
         # stores an equal value.
         cached = self._stats
         if cached is None or cached[:2] != key:
-            derived = LakeStatistics.from_lake(
-                self.lake, self.db, self.index_config.table_name
-            )
+            derived = LakeStatistics.from_lake(self.lake, self.db)
             cached = self._stats = (*key, derived)
         return cached[2]
 
@@ -264,7 +268,7 @@ class Blend:
         if self._indexed:
             index_table(table_id, table, self.db, self.index_config)
         if self._semantic is not None:
-            self._semantic.add_table(table_id, self.db, self.index_config.table_name)
+            self._semantic.add_table(table_id, self.db)
         return table_id
 
     def remove_table(self, table_id: int) -> Table:
@@ -297,7 +301,7 @@ class Blend:
         if self._indexed:
             reindex_table(table_id, table, self.db, self.index_config)
         if self._semantic is not None:
-            self._semantic.replace_table(table_id, self.db, self.index_config.table_name)
+            self._semantic.replace_table(table_id, self.db)
         return previous
 
     def compact_index(self) -> None:
@@ -311,15 +315,16 @@ class Blend:
         self._check_writable()
         if not self._indexed:
             raise BlendError("call build_index() before compacting")
-        self.db.compact(self.index_config.table_name)
+        self.db.compact(ALLTABLES)
         if self.db.has_table("AllVectors"):
             self.db.compact("AllVectors")
 
-    def enable_semantic(self, dimensions: int = 64) -> "Blend":
+    def enable_semantic(self) -> "Blend":
         """Build the semantic extension (paper §X future work): embed
-        every column from the built ``AllTables`` (no lake cell is read),
-        persist the vectors in-DB as ``AllVectors`` (replacing an earlier
-        copy), and serve SS seekers by an exact scan over them. Returns self.
+        every column from the built ``AllTables`` (no lake cell is read)
+        into ``index_config.semantic_dimensions`` dimensions, persist the
+        vectors in-DB as ``AllVectors`` (replacing an earlier copy), and
+        serve SS seekers by an exact scan over them. Returns self.
 
         Equivalent to building with ``IndexConfig(semantic=True)``; the
         config is updated to match so snapshots and shard saves carry the
@@ -330,10 +335,8 @@ class Blend:
 
         if not self._indexed:
             raise BlendError("call build_index() before enable_semantic()")
-        self._semantic = SemanticIndex(self.db, self.index_config.table_name, dimensions=dimensions)
-        self.index_config = replace(
-            self.index_config, semantic=True, semantic_dimensions=dimensions
-        )
+        self._semantic = SemanticIndex(self.db, self.index_config.semantic_dimensions)
+        self.index_config = replace(self.index_config, semantic=True)
         self._semantic.persist(self.db)
         return self
 
@@ -343,7 +346,6 @@ class Blend:
         return SeekerContext(
             db=self.db,
             lake=self.lake,
-            index_table=self.index_config.table_name,
             hash_size=self.index_config.hash_size,
             xash_chars=self.index_config.xash_chars,
             semantic=self._semantic,
@@ -387,9 +389,6 @@ class Blend:
         k: int = 10,
         *,
         about: Optional[Iterable[Cell]] = None,
-        alpha: float = 0.5,
-        rrf_k: float = 60.0,
-        fusion: str = "rrf",
     ) -> "DiscoveryResult":
         """One entry point for every discovery modality, returning a typed
         :class:`~repro.core.hybrid.DiscoveryResult`.
@@ -397,21 +396,16 @@ class Blend:
         *modalities* selects among ``"keyword"`` (KW), ``"join"`` (SC),
         ``"multi_column"`` (MC), ``"semantic"`` (SS), ``"correlation"``
         (C; *query* binds a ``(keys, targets)`` pair) and ``"hybrid"``
-        (HY -- exact+semantic reciprocal-rank fusion, steered by *about*
-        / *alpha* / *rrf_k*). With several modalities, each runs as one
-        node of a single plan and the per-modality rankings fuse into
-        ``result.output`` by the same reciprocal-rank rule.
-
-        ``fusion="learned"`` weighs lanes (and multi-modality fusion) by
-        the trained cost model's inverse runtime estimates instead of
-        uniformly/alpha.
+        (HY -- exact+semantic reciprocal-rank fusion with equal lane
+        weights; *about* names the semantic topic). With several
+        modalities, each runs as one node of a single plan and the
+        per-modality rankings fuse into ``result.output`` by the same
+        reciprocal-rank rule, every modality weighted 1.
         """
         from .hybrid import DiscoveryResult, HybridSeeker
         from .results import fuse_rankings
         from .semantic import SemanticSeeker
 
-        if fusion not in ("rrf", "learned"):
-            raise BlendError(f"fusion must be 'rrf' or 'learned', got {fusion!r}")
         if isinstance(modalities, str):
             modalities = (modalities,)
         selected = tuple(dict.fromkeys(modalities))
@@ -437,25 +431,15 @@ class Blend:
                     ) from None
                 return Seekers.Correlation(keys, targets, k=k)
             if modality == "hybrid":
-                seeker = HybridSeeker(
-                    query,
-                    about=about,
-                    k=k,
-                    alpha=alpha,
-                    rrf_k=rrf_k,
-                )
-                if fusion == "learned":
-                    seeker.calibrate(self.optimizer.cost_model, self.stats)
-                return seeker
+                return HybridSeeker(query, about=about, k=k)
             raise BlendError(
                 f"unknown discovery modality {modality!r}; one of "
                 "keyword/join/multi_column/semantic/correlation/hybrid"
             )
 
         plan = Plan()
-        operators = {modality: _operator(modality) for modality in selected}
-        for modality, operator in operators.items():
-            plan.add(modality, operator)
+        for modality in selected:
+            plan.add(modality, _operator(modality))
         run = self.run(plan)
         per_modality = {
             modality: run.result_of(modality) for modality in selected
@@ -463,27 +447,8 @@ class Blend:
         if len(selected) == 1:
             output = per_modality[selected[0]]
         else:
-            if fusion == "learned":
-                estimates = [
-                    max(
-                        self.optimizer.cost_model.estimate(
-                            operators[modality], self.stats
-                        ),
-                        1e-12,
-                    )
-                    for modality in selected
-                ]
-                total = sum(1.0 / estimate for estimate in estimates)
-                weights = [1.0 / estimate / total for estimate in estimates]
-            else:
-                weights = [1.0] * len(selected)
             output = fuse_rankings(
-                [
-                    (weight, per_modality[modality])
-                    for weight, modality in zip(weights, selected)
-                ],
-                k,
-                rrf_k=rrf_k,
+                [(1.0, per_modality[modality]) for modality in selected], k
             )
         return DiscoveryResult(
             query=query,
@@ -511,13 +476,10 @@ class Blend:
     # -- standard tasks (§VII-A) ---------------------------------------------------
 
     def union_search(
-        self, table: Table, k: int = 10, per_column_k: int = 100
+        self, table: Table, k: int = 10, per_column_k: int = PER_COLUMN_K
     ) -> ResultList:
-        """Union discovery: one SC seeker per query column + a Counter.
-
-        ``per_column_k`` exceeds ``k`` so tables relevant only in
-        combination survive the per-seeker cut (paper §VII-A).
-        """
+        """Union discovery: one SC seeker per query column + a Counter
+        (see :data:`PER_COLUMN_K`)."""
         result = self.run(union_search_plan(table, k, per_column_k)).output
         query_id = self.lake.id_of(table.name) if table.name in self.lake else None
         if query_id is not None and query_id in result:
@@ -525,7 +487,7 @@ class Blend:
         return result
 
 
-def union_search_plan(table: Table, k: int = 10, per_column_k: int = 100) -> Plan:
+def union_search_plan(table: Table, k: int = 10, per_column_k: int = PER_COLUMN_K) -> Plan:
     """The §VII-A union-search plan for a query table."""
     plan = Plan()
     column_nodes = []
@@ -547,14 +509,12 @@ def multi_objective_plan(
     examples: Table,
     join_key_column: str,
     target_column: str,
-    queries: Optional[Iterable[Cell]] = None,
+    queries: Iterable[Cell],
     k: int = 10,
-    per_column_k: int = 100,
-    include_imputation: bool = True,
 ) -> Plan:
     """The multi-objective discovery plan of Listing 4: keyword search +
-    union search + (optional) data imputation + correlation search,
-    aggregated by a Union combiner."""
+    union search + data imputation + correlation search, aggregated by a
+    Union combiner."""
     plan = Plan()
     union_inputs: list[str] = []
 
@@ -569,19 +529,16 @@ def multi_objective_plan(
         if not values:
             continue
         node = f"clm_{position}"
-        plan.add(node, Seekers.SC(values, k=per_column_k))
+        plan.add(node, Seekers.SC(values, k=PER_COLUMN_K))
         column_nodes.append(node)
     plan.add("counter", Combiners.Counter(k=k), column_nodes)
     union_inputs.append("counter")
 
     # Data imputation sub-plan (MC + SC + Intersection).
-    if include_imputation:
-        if queries is None:
-            raise BlendError("imputation sub-plan requires `queries`")
-        plan.add("examples", Seekers.MC(examples, k=k))
-        plan.add("query", Seekers.SC(queries, k=k))
-        plan.add("intersection", Combiners.Intersect(k=k), ["examples", "query"])
-        union_inputs.append("intersection")
+    plan.add("examples", Seekers.MC(examples, k=k))
+    plan.add("query", Seekers.SC(queries, k=k))
+    plan.add("intersection", Combiners.Intersect(k=k), ["examples", "query"])
+    union_inputs.append("intersection")
 
     # Correlation search.
     plan.add(

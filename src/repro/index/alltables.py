@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .xash import (
     xash_batch,
 )
 
+ALLTABLES = "AllTables"  # the one index relation every seeker reads
 ALLTABLES_SCHEMA = [
     ("CellValue", "nvarchar"),
     ("TableId", "integer"),
@@ -96,13 +97,16 @@ def shuffle_permutation(shuffle_seed: int, table_id: int, num_rows: int) -> list
 class IndexConfig:
     """Offline-phase knobs.
 
+    The index relation is always ``AllTables``: ``table_name`` is a
+    read-only class attribute, not a setting.
+
     ``hash_size`` > 63 (MATE's 128-bit XASH variant) only fits the row
     backend -- the column store's ``SuperKey`` column is int64, and the
     build rejects the combination up front, as it does a ``hash_size``,
     ``xash_chars`` or ``semantic_dimensions`` below 1.
     """
 
-    table_name: str = "AllTables"
+    table_name: ClassVar[str] = ALLTABLES
     hash_size: int = DEFAULT_HASH_SIZE
     xash_chars: int = DEFAULT_NUM_CHARS
     shuffle_rows: bool = False  # BLEND (rand): pre-shuffle rows per table
@@ -118,7 +122,6 @@ class IndexConfig:
 class IndexBuildReport:
     """What the offline phase produced."""
 
-    table_name: str
     num_tables: int
     num_index_rows: int
     num_null_cells: int
@@ -141,37 +144,36 @@ def build_alltables(
     table_id)`` (:func:`shuffle_permutation`), so the incremental
     maintenance paths reproduce it exactly.
     """
-    if db.has_table(config.table_name):
+    if db.has_table(ALLTABLES):
         raise IndexingError(
-            f"database already contains {config.table_name!r}; "
+            f"database already contains {ALLTABLES!r}; "
             "drop it or index into a fresh database"
         )
     _check_hash_width(config, db)
     _check_config(config)
-    db.create_table(config.table_name, ALLTABLES_SCHEMA)
+    db.create_table(ALLTABLES, ALLTABLES_SCHEMA)
     try:
         # The offline build emits rows in (TableId, RowId, ColumnId)
         # order; declaring it as the clustering order lets storage
         # compaction (after remove/replace maintenance) restore exactly
         # this layout, which is what makes compacted storage
         # byte-identical to a fresh build.
-        db.set_cluster_keys(config.table_name, ("TableId", "RowId", "ColumnId"))
+        db.set_cluster_keys(ALLTABLES, ("TableId", "RowId", "ColumnId"))
         parts = _encode_tables(lake.items(), config)
         _merge_and_insert(db, config, parts)
-        db.create_index(config.table_name, "CellValue")
-        db.create_index(config.table_name, "TableId")
+        db.create_index(ALLTABLES, "CellValue")
+        db.create_index(ALLTABLES, "TableId")
     except BaseException:
         # A half-built, index-less relation must not outlive the failure:
         # it would make the retry die on "already contains".
-        db.drop_table(config.table_name)
+        db.drop_table(ALLTABLES)
         raise
 
     return IndexBuildReport(
-        table_name=config.table_name,
         num_tables=len(lake),
-        num_index_rows=db.num_rows(config.table_name),
+        num_index_rows=db.num_rows(ALLTABLES),
         num_null_cells=sum(part.null_count for part in parts),
-        storage_bytes=db.storage_bytes(config.table_name),
+        storage_bytes=db.storage_bytes(ALLTABLES),
     )
 
 
@@ -361,7 +363,6 @@ def _fold_super_keys(part: _ShardPart, cell_hashes: np.ndarray) -> np.ndarray:
 
 def _insert_part(
     db: Database,
-    config: IndexConfig,
     part: _ShardPart,
     codes: np.ndarray,
     dictionary: np.ndarray,
@@ -370,7 +371,7 @@ def _insert_part(
     """Bulk-append one encoded part; the sorted *dictionary* doubles as
     the CellValue dictionary, so the store skips its own np.unique pass."""
     return db.insert_columns(
-        config.table_name,
+        ALLTABLES,
         [
             (DictEncodedText(codes, dictionary), None),
             (part.table_ids, None),
@@ -440,7 +441,7 @@ def _merge_and_insert(db: Database, config: IndexConfig, parts: list[_ShardPart]
         codes = remap[offset : offset + len(part.tokens)][part.codes]
         offset += len(part.tokens)
         super_keys = _fold_super_keys(part, global_hashes[codes])
-        inserted += _insert_part(db, config, part, codes, global_dict, super_keys)
+        inserted += _insert_part(db, part, codes, global_dict, super_keys)
     return inserted
 
 
@@ -457,9 +458,9 @@ def _check_maintenance(db: Database, config: IndexConfig) -> None:
     maintenance paths re-derive any one table's permutation without
     replaying a build-wide rng sequence.
     """
-    if not db.has_table(config.table_name):
+    if not db.has_table(ALLTABLES):
         raise IndexingError(
-            f"no {config.table_name!r} relation; run build_alltables first"
+            f"no {ALLTABLES!r} relation; run build_alltables first"
         )
     _check_hash_width(config, db)
     _check_config(config)
@@ -488,7 +489,6 @@ def deindex_table(
     table_id: int,
     db: Database,
     config: IndexConfig = IndexConfig(),
-    vectors_table: str = "AllVectors",
 ) -> int:
     """Remove one table's rows from ``AllTables`` (and from the semantic
     extension's ``AllVectors`` relation, when it was persisted).
@@ -499,9 +499,9 @@ def deindex_table(
     compaction. Returns the number of ``AllTables`` rows removed.
     """
     _check_maintenance(db, config)
-    removed = db.delete_rows(config.table_name, "TableId", [table_id])
-    if db.has_table(vectors_table):
-        db.delete_rows(vectors_table, "TableId", [table_id])
+    removed = db.delete_rows(ALLTABLES, "TableId", [table_id])
+    if db.has_table("AllVectors"):
+        db.delete_rows("AllVectors", "TableId", [table_id])
     return removed
 
 
@@ -516,6 +516,6 @@ def reindex_table(
     ``(rows_removed, rows_added)``.
     """
     _check_maintenance(db, config)
-    removed = db.delete_rows(config.table_name, "TableId", [table_id])
+    removed = db.delete_rows(ALLTABLES, "TableId", [table_id])
     added = index_table(table_id, table, db, config)
     return removed, added

@@ -19,6 +19,7 @@ from typing import Iterable
 from ..engine.database import Database
 from ..lake.datalake import DataLake
 from ..lake.table import Cell, normalize_cell
+from .alltables import ALLTABLES
 
 
 @dataclass
@@ -45,14 +46,12 @@ class LakeStatistics:
         return self.num_cells / len(self.frequencies)
 
     @classmethod
-    def from_lake(
-        cls, lake: DataLake, db: Database, table_name: str = "AllTables"
-    ) -> "LakeStatistics":
+    def from_lake(cls, lake: DataLake, db: Database) -> "LakeStatistics":
         """Derive the statistics of *lake* from its index relation:
         per-token frequencies are one GROUP BY over the live rows of
-        *table_name* in *db*; the aggregates come from lake metadata."""
+        ``AllTables`` in *db*; the aggregates come from lake metadata."""
         result = db.execute_columnar(
-            f"SELECT CellValue, COUNT(*) FROM {table_name} GROUP BY CellValue"
+            f"SELECT CellValue, COUNT(*) FROM {ALLTABLES} GROUP BY CellValue"
         )
         counts = result.column(1)
         shape = lake.stats()

@@ -348,12 +348,13 @@ class DataLake:
             write_table(table, directory / f"{table.name}.csv")
 
     @classmethod
-    def load(cls, directory: Union[str, Path], name: Optional[str] = None) -> "DataLake":
-        """Load every ``*.csv`` in a directory (sorted for stable ids)."""
+    def load(cls, directory: Union[str, Path]) -> "DataLake":
+        """Load every ``*.csv`` in a directory (sorted for stable ids) into
+        a lake named after the directory."""
         directory = Path(directory)
         if not directory.is_dir():
             raise LakeError(f"{directory} is not a directory")
-        lake = cls(name or directory.name)
+        lake = cls(directory.name)
         for path in sorted(directory.glob("*.csv")):
             lake.add(read_table(path))
         return lake

@@ -206,11 +206,12 @@ class Table:
         self.rows[row_id] = tuple(row)
         self._numeric_cache = None
 
-    def project(self, columns: Sequence[str], name: Optional[str] = None) -> "Table":
-        """A new table with only *columns* (in the given order)."""
+    def project(self, columns: Sequence[str]) -> "Table":
+        """A new table of the same name with only *columns* (in the given
+        order)."""
         positions = [self.column_index(c) for c in columns]
         return Table(
-            name or self.name,
+            self.name,
             [self.columns[p] for p in positions],
             [tuple(row[p] for p in positions) for row in self.rows],
         )

@@ -12,9 +12,10 @@ new arrivals lease the compacted one.
 
 :func:`compact_snapshot` is the mechanism (one directory in, one
 directory out, usable from a cron job or a coordinator);
-:class:`SnapshotCompactor` is the policy loop (watch the served
-deployment's delta fraction, compact past a threshold, swap). Sharded
-deployments compact per shard through
+:class:`SnapshotCompactor` is the policy for one served deployment: each
+:meth:`~SnapshotCompactor.compact_once` call, made on the writer's own
+schedule, checks the delta fraction, compacts past a threshold and
+swaps. Sharded deployments compact per shard through
 :meth:`~repro.serving.sharded.ShardCoordinator.compact_shard` instead --
 each shard flips independently, so the fleet never compacts in lockstep.
 
@@ -27,7 +28,6 @@ no-op for queries.
 from __future__ import annotations
 
 import shutil
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,10 +75,11 @@ class CompactionReport:
 
 
 class SnapshotCompactor:
-    """The compaction policy loop for one served deployment.
+    """The compaction policy for one served deployment.
 
-    Watches the manager's current deployment; once the delta share of
-    storage crosses *threshold* (or on ``compact_once(force=True)``), it
+    Each :meth:`compact_once` call reads the manager's current
+    deployment; once the delta share of storage crosses *threshold* (or
+    with ``force=True``), it
 
     1. persists the live delta (``save_delta`` -- O(delta)),
     2. rebuilds a clean generation under *output_root*
@@ -88,9 +89,9 @@ class SnapshotCompactor:
     The served deployment must carry a base snapshot (be ``load``-ed
     from or ``save``-d to disk) -- a purely in-memory deployment has
     nothing to fold. The served blend is read-only: new state comes from
-    a writer that saves deltas into the same base, and a solo deployment
-    typically runs ``compact_once`` from the writer's loop (the sharded
-    tier holds its routing lock for the span of a cycle).
+    a writer that saves deltas into the same base, and runs
+    ``compact_once`` from its own loop (the sharded tier holds its routing
+    lock for the span of a cycle).
     """
 
     def __init__(
@@ -98,21 +99,13 @@ class SnapshotCompactor:
         manager: DeploymentManager,
         output_root: Union[str, Path],
         threshold: float = 0.25,
-        drain_timeout: Optional[float] = 30.0,
     ) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ServingError(f"threshold must be in (0, 1], got {threshold}")
         self.manager = manager
         self.output_root = Path(output_root)
         self.threshold = threshold
-        self.drain_timeout = drain_timeout
         self.reports: list[CompactionReport] = []
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def delta_fraction(self) -> float:
-        """Delta share of the currently-served deployment's storage."""
-        return self.manager.current().blend.delta_stats()["delta_fraction"]
 
     def _next_generation_dir(self) -> Path:
         self.output_root.mkdir(parents=True, exist_ok=True)
@@ -149,7 +142,7 @@ class SnapshotCompactor:
             # whatever that swap shipped, so discard it instead.
             shutil.rmtree(destination, ignore_errors=True)
             return None
-        swap = self.manager.swap(compacted, drain_timeout=self.drain_timeout)
+        swap = self.manager.swap(compacted)
         report = CompactionReport(
             source=base.path,
             destination=str(destination),
@@ -161,33 +154,3 @@ class SnapshotCompactor:
         )
         self.reports.append(report)
         return report
-
-    # -- background loop -------------------------------------------------------
-
-    def start(self, interval: float = 30.0) -> None:
-        """Poll ``delta_fraction`` every *interval* seconds on a daemon
-        thread, compacting whenever the threshold is crossed."""
-        if self._thread is not None and self._thread.is_alive():
-            raise ServingError("compactor already running")
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self.compact_once()
-                except Exception:  # noqa: BLE001 -- the loop must survive
-                    # a failed cycle (e.g. a racing swap); the next tick
-                    # re-evaluates from the current deployment.
-                    continue
-
-        self._thread = threading.Thread(
-            target=_loop, name="snapshot-compactor", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Signal the loop to exit and join the thread."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None

@@ -25,10 +25,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.system import Blend
 from ..errors import ServingError
+
+# How long a swap waits for the retired generation's in-flight requests;
+# stragglers still complete and release, only the wait is bounded.
+DRAIN_TIMEOUT_S = 30.0
 
 
 class ServingDeployment:
@@ -38,22 +42,20 @@ class ServingDeployment:
     methods and ``compact_index`` raise
     :class:`~repro.errors.ReadOnlyDeploymentError`, so readers never see
     it change (new state arrives only through :meth:`DeploymentManager.swap`).
+    Wrapping also warms it (``Blend.warm``): every lazy read structure is
+    built before the first reader, so concurrent readers never race on
+    first touch.
     """
 
     def __init__(self, blend: Blend) -> None:
         blend._served = True
+        blend.warm()
         self.blend = blend
         self.generation = blend.lake.generation
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         self._inflight = 0
         self._retired = False
-
-    def warm(self) -> None:
-        """Pre-materialize every lazy read structure (see
-        ``Blend.warm``): done once before taking traffic so concurrent
-        readers never race on first touch."""
-        self.blend.warm()
 
     def acquire(self) -> bool:
         """Register an in-flight request. False once retired -- callers
@@ -70,18 +72,16 @@ class ServingDeployment:
             if self._retired and self._inflight == 0:
                 self._drained.notify_all()
 
-    def retire_and_drain(self, timeout: Optional[float] = None) -> bool:
+    def retire_and_drain(self) -> bool:
         """Refuse new leases, then wait for in-flight requests to finish.
-        Returns True when fully drained within *timeout*."""
+        Returns True when fully drained within ``DRAIN_TIMEOUT_S``."""
         with self._lock:
             self._retired = True
-            deadline = None if timeout is None else time.monotonic() + timeout
+            deadline = time.monotonic() + DRAIN_TIMEOUT_S
             while self._inflight > 0:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
                 self._drained.wait(remaining)
             return True
 
@@ -109,11 +109,8 @@ class DeploymentManager:
     never block readers -- the flip is one attribute store.
     """
 
-    def __init__(self, blend: Blend, warm: bool = True) -> None:
-        deployment = ServingDeployment(blend)
-        if warm:
-            deployment.warm()
-        self._current = deployment
+    def __init__(self, blend: Blend) -> None:
+        self._current = ServingDeployment(blend)
         self._swap_lock = threading.Lock()
 
     def current(self) -> ServingDeployment:
@@ -137,22 +134,20 @@ class DeploymentManager:
         finally:
             deployment.release()
 
-    def swap(self, blend: Blend, drain_timeout: Optional[float] = 30.0) -> SwapReport:
+    def swap(self, blend: Blend) -> SwapReport:
         """Deploy *blend* with zero downtime (steps 1-5 above).
 
         Raises :class:`ServingError` if the replacement is not indexed.
-        Returns once the old generation has drained (or *drain_timeout*
-        expired -- stragglers still complete and release; only the wait
-        is bounded)."""
+        Returns once the old generation has drained (or
+        ``DRAIN_TIMEOUT_S`` expired)."""
         if not getattr(blend, "_indexed", False):
             raise ServingError("cannot deploy a Blend without a built index")
         with self._swap_lock:
             started = time.monotonic()
             replacement = ServingDeployment(blend)
-            replacement.warm()
             old = self._current
             self._current = replacement
-            drained = old.retire_and_drain(drain_timeout)
+            drained = old.retire_and_drain()
             return SwapReport(
                 old_generation=old.generation,
                 new_generation=replacement.generation,

@@ -49,6 +49,7 @@ from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 from .stats import ServingStats
 
 _MAX_BODY = 8 << 20  # requests are queries, not uploads
+REQUEST_TIMEOUT_S = 30.0  # a query's deadline unless its body sets timeout_ms
 
 
 class PayloadTooLarge(ValueError):
@@ -95,7 +96,6 @@ class BlendServer:
         port: int = 0,
         workers: int = 2,
         max_batch: int = DEFAULT_MAX_BATCH,
-        default_timeout: Optional[float] = 30.0,
     ) -> None:
         self.stats = ServingStats()
         self.manager = DeploymentManager(blend)
@@ -105,7 +105,6 @@ class BlendServer:
             workers=workers,
             max_batch=max_batch,
         )
-        self.default_timeout = default_timeout
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
@@ -152,7 +151,7 @@ class BlendServer:
 
     def handle_query(self, payload: dict[str, Any]) -> dict[str, Any]:
         seeker, key = build_seeker(payload)
-        timeout = self.default_timeout
+        timeout = REQUEST_TIMEOUT_S
         timeout_ms = payload.get("timeout_ms")
         if timeout_ms is not None:
             if (

@@ -72,7 +72,7 @@ import os
 import pickle
 import shutil
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -84,7 +84,7 @@ from .engine.storage.column_store import ColumnTable, _ColumnData
 from .engine.storage.row_store import RowTable
 from .engine.types import SqlType
 from .errors import LakeError, SnapshotError
-from .index.alltables import IndexConfig
+from .index.alltables import ALLTABLES, IndexConfig
 from .lake.datalake import DataLake
 from .lake.table import Table
 
@@ -296,8 +296,9 @@ def save_blend(blend, path: Union[str, Path], overwrite: bool = False) -> Path:
 
     The manifest is written last, so an interrupted save leaves a
     directory no loader will accept (missing manifest) rather than a
-    plausible-looking torso. A non-empty target is refused unless
-    ``overwrite=True``, which stages the new snapshot in a sibling
+    plausible-looking torso, and a save that raises removes what it
+    wrote, leaving the target as it found it. A non-empty target is
+    refused unless ``overwrite=True``, which stages the new snapshot in a sibling
     temporary directory and swaps it in by rename -- at no point does
     the target hold a torn mix of old and new payloads, and readers
     that already mmap'd the old files keep them alive until unmapped.
@@ -323,7 +324,44 @@ def save_blend(blend, path: Union[str, Path], overwrite: bool = False) -> Path:
         target_root = staging
     else:
         target_root = root
+    # The outermost directory this call creates, if any.
+    lineage = [*reversed(target_root.parents), target_root]
+    created = next((p for p in lineage if not p.exists()), None)
     target_root.mkdir(parents=True, exist_ok=True)
+    try:
+        manifest = _write_snapshot(blend, target_root)
+    except BaseException:
+        # Leave the target as it was found (absent or empty): payloads
+        # with no manifest would make the next save refuse it as non-empty.
+        for entry in [created] if created else list(target_root.iterdir()):
+            if entry.is_dir():
+                shutil.rmtree(entry, ignore_errors=True)
+            else:
+                entry.unlink()
+        raise
+    if populated:
+        # Swap the staged snapshot in: retire the old directory by
+        # rename (atomic), move the staging directory into place, then
+        # drop the old payloads. A failure between the renames restores
+        # the original directory.
+        retired = root.parent / f".{root.name}.retired-{os.getpid()}"
+        if retired.exists():
+            shutil.rmtree(retired)
+        os.rename(root, retired)
+        try:
+            os.rename(target_root, root)
+        except Exception:
+            os.rename(retired, root)
+            shutil.rmtree(target_root, ignore_errors=True)
+            raise
+        shutil.rmtree(retired)
+    blend._snapshot_base = _base_of(root, manifest)
+    return root
+
+
+def _write_snapshot(blend, target_root: Path) -> dict:
+    """Write every payload of *blend*, then its manifest, into the
+    existing directory *target_root*; returns the manifest."""
     writer = _Writer(target_root)
     db: Database = blend.db
 
@@ -348,9 +386,7 @@ def save_blend(blend, path: Union[str, Path], overwrite: bool = False) -> Path:
         "format_version": FORMAT_VERSION,
         "snapshot_id": _snapshot_id(writer.files),
         "backend": db.backend,
-        "index_config": {
-            field: getattr(config, field) for field in IndexConfig.__dataclass_fields__
-        },
+        "index_config": asdict(config),
         "lake": lake_meta,
         # Statistics derive from AllTables on load; older snapshots'
         # ``stats`` entry and payloads are checked but ignored.
@@ -363,24 +399,7 @@ def save_blend(blend, path: Union[str, Path], overwrite: bool = False) -> Path:
     (target_root / _MANIFEST).write_text(
         json.dumps(manifest, indent=1, sort_keys=False) + "\n", encoding="utf-8"
     )
-    if populated:
-        # Swap the staged snapshot in: retire the old directory by
-        # rename (atomic), move the staging directory into place, then
-        # drop the old payloads. A failure between the renames restores
-        # the original directory.
-        retired = root.parent / f".{root.name}.retired-{os.getpid()}"
-        if retired.exists():
-            shutil.rmtree(retired)
-        os.rename(root, retired)
-        try:
-            os.rename(target_root, root)
-        except Exception:
-            os.rename(retired, root)
-            shutil.rmtree(target_root, ignore_errors=True)
-            raise
-        shutil.rmtree(retired)
-    blend._snapshot_base = _base_of(root, manifest)
-    return root
+    return manifest
 
 
 def _base_of(root: Path, manifest: dict) -> SnapshotBase:
@@ -807,12 +826,17 @@ def load_blend(
             f"backend mismatch: snapshot {manifest_path} was saved from the "
             f"{manifest['backend']!r} backend, caller expects {backend!r}"
         )
-    config_fields = {
-        key: value
-        for key, value in manifest["index_config"].items()
-        if key in IndexConfig.__dataclass_fields__
-    }
-    config = IndexConfig(**config_fields)
+    # Older manifests also name the index relation; it must be AllTables.
+    relation = manifest["index_config"].get("table_name", ALLTABLES)
+    if relation != ALLTABLES:
+        raise SnapshotError(
+            f"snapshot manifest {manifest_path} names index relation "
+            f"{relation!r}; this build serves {ALLTABLES!r} only"
+        )
+    settable = {field.name for field in fields(IndexConfig)}
+    config = IndexConfig(
+        **{key: value for key, value in manifest["index_config"].items() if key in settable}
+    )
     if config.hash_size > 63 and manifest["backend"] == "column":
         raise SnapshotError(
             f"inconsistent snapshot manifest {manifest_path}: "

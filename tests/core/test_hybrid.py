@@ -5,8 +5,8 @@ hybrid results are **byte-identical across shard counts** -- scores
 included -- because the fused partial merges each lane globally before
 fusing (see ``repro.core.results``). Plus the
 degeneracy contract (``alpha`` 0/1 reproduce the pure exact / pure
-semantic rankings), the learned-weight mode, the ``discover()`` facade,
-and the grammar's mixed predicates end-to-end."""
+semantic rankings), the ``discover()`` facade, and the grammar's mixed
+predicates end-to-end."""
 
 import random
 
@@ -121,50 +121,6 @@ def test_batched_execution_matches_solo():
     assert batched == solo
 
 
-def test_learned_weights_are_normalised_and_deterministic():
-    blend = _blend(13, "column")
-    blend.train_optimizer(samples_per_type=3, seed=13)
-    seeker = HybridSeeker([NAMES[1], NAMES[2]], k=5)
-    seeker.calibrate(blend.optimizer.cost_model, blend.stats)
-    first = seeker.weights
-    assert all(w > 0 for w in first)
-    assert sum(first) == pytest.approx(1.0)
-    seeker.calibrate(blend.optimizer.cost_model, blend.stats)
-    assert seeker.weights == first
-    # Learned weights still execute end-to-end.
-    assert len(seeker.execute(blend.context())) > 0
-
-
-@pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
-def test_learned_multi_modality_fusion_weighs_by_inverse_cost(trained):
-    """``discover(modalities=(join, keyword), fusion="learned")`` fuses the
-    two rankings with weights proportional to 1 / the cost model's
-    runtime estimate of each modality's seeker, summing to 1 -- with the
-    fallback (untrained) model and with a trained one."""
-    blend = _blend(13, "column")
-    if trained:
-        blend.train_optimizer(samples_per_type=3, seed=13)
-    model = blend.optimizer.cost_model
-    assert model.is_trained() is trained
-    values = [NAMES[1], NAMES[2], NAMES[5]]
-    result = blend.discover(values, modalities=("join", "keyword"), k=5, fusion="learned")
-
-    context = blend.context()
-    join, keyword = Seekers.SC(values, k=5), Seekers.KW(values, k=5)
-    assert _hits(result.per_modality["join"]) == _hits(join.execute(context))
-    assert _hits(result.per_modality["keyword"]) == _hits(keyword.execute(context))
-    inverse = [1.0 / model.estimate(seeker, blend.stats) for seeker in (join, keyword)]
-    weights = [value / sum(inverse) for value in inverse]
-    assert sum(weights) == pytest.approx(1.0)
-    expected = fuse_rankings(
-        [(weights[0], result.per_modality["join"]), (weights[1], result.per_modality["keyword"])],
-        5,
-        rrf_k=60.0,
-    )
-    assert len(expected) > 0
-    assert _hits(result.output) == _hits(expected)
-
-
 def test_hybrid_rewrite_preserves_optimized_semantics():
     """Intersect(SC, HY) without truncation (Theorem 1): the optimizer
     rewrites the hybrid with its sibling's table ids; the hybrid honours
@@ -195,14 +151,6 @@ def test_hybrid_rewrite_preserves_optimized_semantics():
 def test_hybrid_validation_errors():
     with pytest.raises(SeekerError, match="alpha"):
         HybridSeeker(["a"], alpha=1.5)
-    with pytest.raises(SeekerError, match="rrf_k"):
-        HybridSeeker(["a"], rrf_k=0)
-    with pytest.raises(SeekerError, match="non-negative"):
-        HybridSeeker(["a"], weights=(-1.0, 1.0))
-    with pytest.raises(SeekerError, match="positive"):
-        HybridSeeker(["a"], weights=(0.0, 0.0))
-    with pytest.raises(SeekerError, match="exact lane"):
-        HybridSeeker(["a"], exact_kind="XX")
 
 
 # -- fused partials contract ------------------------------------------------------
@@ -303,21 +251,10 @@ def test_discover_returns_typed_result():
     assert _hits(result.output) == _hits(expected)
 
 
-def test_discover_hybrid_learned_fusion_runs():
-    blend = _blend(23, "column")
-    blend.train_optimizer(samples_per_type=3, seed=23)
-    result = blend.discover(
-        [NAMES[0], NAMES[5]], modalities=("hybrid",), k=4, fusion="learned"
-    )
-    assert len(result.output) > 0
-
-
 def test_discover_rejects_unknowns():
     blend = _blend(25, "column")
     with pytest.raises(BlendError, match="unknown discovery modality"):
         blend.discover(["x"], modalities=("psychic",))
-    with pytest.raises(BlendError, match="fusion"):
-        blend.discover(["x"], fusion="vibes")
     with pytest.raises(BlendError, match="at least one modality"):
         blend.discover(["x"], modalities=())
 

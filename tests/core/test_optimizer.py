@@ -125,8 +125,8 @@ class TestCostModel:
         model.set_model("SC", LinearModel.fit(
             [SeekerFeatures(1, 1, 1), SeekerFeatures(2, 1, 2)], [0.1, 0.2]
         ))
-        assert model.is_trained("SC")
-        assert not model.is_trained("MC")
+        assert model.is_trained()
+        assert list(model.snapshot_state()) == ["SC"]
 
 
 class TestExecutionGroups:

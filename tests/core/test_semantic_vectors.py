@@ -110,7 +110,8 @@ def test_enable_semantic_replaces_the_relation(lake, backend, tmp_path):
     64-dimension build, re-enabled at 16) leaves one copy: the new one."""
     blend = Blend(lake, backend=backend, index_config=IndexConfig(semantic=True))
     blend.build_index()
-    blend.enable_semantic(dimensions=16)
+    blend.index_config = IndexConfig(semantic=True, semantic_dimensions=16)
+    blend.enable_semantic()
     got = blend.db.execute(ROWS_SQL + " ORDER BY TableId, ColumnId, Dim").rows
     assert _typed(got) == _typed(_scalar_rows(lake.items(), 16))
     loaded = Blend.load(blend.save(tmp_path / "snapshot"))

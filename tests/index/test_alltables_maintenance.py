@@ -465,9 +465,11 @@ def test_rebuild_on_mutated_lake_byte_identical():
 
 def test_semantic_extension_maintained():
     """AllVectors rows and SS results follow the lifecycle."""
-    blend = Blend(_base_lake(21), backend="column")
+    blend = Blend(
+        _base_lake(21), backend="column", index_config=IndexConfig(semantic_dimensions=16)
+    )
     blend.build_index()
-    blend.enable_semantic(dimensions=16)
+    blend.enable_semantic()
     removed_id = blend.lake.table_ids()[0]
     blend.remove_table(removed_id)
     new_id = blend.add_table(

@@ -206,9 +206,12 @@ class TestBitIdenticalBuild:
 
 
 class TestIndexConfig:
-    def test_field_set_is_exactly_the_seven(self):
+    def test_field_set_is_exactly_the_six(self):
+        # The index relation is not a setting: table_name is a class attribute.
+        assert IndexConfig().table_name == "AllTables"
+        with pytest.raises(TypeError):
+            IndexConfig(table_name="AllTables")
         assert [field.name for field in dataclasses.fields(IndexConfig)] == [
-            "table_name",
             "hash_size",
             "xash_chars",
             "shuffle_rows",

@@ -284,9 +284,9 @@ def test_tombstone_mask_must_match_storage(backend, tamper, tmp_path):
 
 def test_semantic_extension_round_trips(tmp_path):
     lake = _lake(7)
-    blend = Blend(lake, backend="column")
+    blend = Blend(lake, backend="column", index_config=IndexConfig(semantic_dimensions=16))
     blend.build_index()
-    blend.enable_semantic(dimensions=16)
+    blend.enable_semantic()
     path = blend.save(tmp_path / "snap")
     loaded = Blend.load(path)
     probe = ["alpha", "beta"]
@@ -308,9 +308,11 @@ def test_semantic_config_flows_through_snapshot(tmp_path):
     assert blend._semantic is not None
     assert blend.db.has_table("AllVectors")
 
-    explicit = Blend(_lake(19), backend="column")
+    explicit = Blend(
+        _lake(19), backend="column", index_config=IndexConfig(semantic_dimensions=16)
+    )
     explicit.build_index()
-    explicit.enable_semantic(dimensions=16)
+    explicit.enable_semantic()
     # enable_semantic back-fills the config, so both spellings converge.
     assert explicit.index_config.semantic is True
     assert explicit.index_config.semantic_dimensions == 16
@@ -648,18 +650,22 @@ def test_save_refuses_a_cell_no_load_could_read(tmp_path):
     blend.build_index()
     with pytest.raises(SnapshotError, match="Decimal"):
         blend.save(tmp_path / "snap")
-    assert not any((tmp_path / "snap").iterdir())  # nothing landed: a retry may reuse the path
+    assert not (tmp_path / "snap").exists()  # left as found: a retry may reuse the path
 
 
 def test_manifest_with_retired_config_keys_loads(saved):
     """Snapshots written before the build pipelines were collapsed carry
     retired keys in their manifest's ``index_config`` (``vectorized`` /
     ``pin_workers``; ``workers`` and the two index switches, as every
-    snapshot up to PR 17 wrote them); they still load, the keys ignored."""
+    snapshot up to PR 17 wrote them; ``table_name``, always
+    ``"AllTables"``, until the relation stopped being a setting); they
+    still load, the keys ignored."""
     blend, path = saved
     manifest = json.loads((path / "manifest.json").read_text())
+    assert "table_name" not in manifest["index_config"]
     manifest["index_config"].update(
         {
+            "table_name": "AllTables",
             "vectorized": True,
             "pin_workers": False,
             "workers": None,
@@ -675,6 +681,52 @@ def test_manifest_with_retired_config_keys_loads(saved):
     for column in ("CellValue", "TableId"):
         assert loaded.db.table("AllTables").has_index(column)
         assert blend.db.table("AllTables").has_index(column)
+    seekers = _query_seekers(blend.lake)
+    assert _results(loaded.context(), seekers) == _results(blend.context(), seekers)
+
+
+def test_manifest_naming_another_relation_refused(saved):
+    """A manifest whose index relation is not ``AllTables`` describes a
+    database no seeker could read: the load refuses it by name."""
+    _, path = saved
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["index_config"]["table_name"] = "OtherTables"
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match="manifest.json.*'OtherTables'"):
+        Blend.load(path)
+
+
+@pytest.mark.parametrize("target", ["absent", "nested", "empty", "overwrite"])
+def test_failed_save_leaves_the_target_as_found(tmp_path, monkeypatch, target):
+    """A full save that raises after its first payload removes exactly what
+    it created (the target and its missing parents, the files in an empty
+    target, an overwrite's staging directory), so a retry succeeds."""
+    import repro.snapshot as snapshot
+
+    blend = Blend(_lake(29), backend="column")
+    blend.build_index()
+    path = tmp_path / "outer" / "snap" if target == "nested" else tmp_path / "snap"
+    if target == "empty":
+        path.mkdir()
+    if target == "overwrite":
+        blend.save(path)
+
+    def listing():
+        return sorted((str(p.relative_to(tmp_path)), p.stat().st_size) for p in tmp_path.rglob("*"))
+
+    def failing(writer, prefix, storage):
+        assert (writer.root / "lake.pkl").exists()  # the lake payload landed first
+        raise OSError("disk full")
+
+    before = listing()
+    monkeypatch.setattr(snapshot, "_save_column_table", failing)
+    with pytest.raises(OSError, match="disk full"):
+        blend.save(path, overwrite=True, incremental="never")
+    assert listing() == before
+    monkeypatch.undo()
+    loaded = Blend.load(blend.save(path, overwrite=True, incremental="never"))
+    seekers = _query_seekers(blend.lake)
+    assert _results(loaded.context(), seekers) == _results(blend.context(), seekers)
 
 
 # --------------------------------------------------------------------------

@@ -83,7 +83,8 @@ class TestTable:
         assert cells[0] == (0, 0, "a")
 
     def test_project(self, table):
-        projected = table.project(["count", "name"], name="p")
+        projected = table.project(["count", "name"])
+        assert projected.name == table.name
         assert projected.columns == ["count", "name"]
         assert projected.rows[0] == (1, "a")
 

@@ -60,7 +60,6 @@ def build_alltables_scalar(
     db.create_index(config.table_name, "CellValue")
     db.create_index(config.table_name, "TableId")
     return IndexBuildReport(
-        table_name=config.table_name,
         num_tables=len(lake),
         num_index_rows=db.num_rows(config.table_name),
         num_null_cells=null_cells,

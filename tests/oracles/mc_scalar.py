@@ -8,6 +8,7 @@ from typing import Optional
 
 from repro.core.results import ResultList, count_partials, merge_partials
 from repro.core.seekers import MultiColumnSeeker, Rewrite, SeekerContext
+from repro.index.alltables import ALLTABLES
 from repro.index.xash import may_contain, tuple_hash
 from repro.lake.table import normalize_cell
 
@@ -16,7 +17,7 @@ def fetch_candidates(
     seeker: MultiColumnSeeker, context: SeekerContext, rewrite: Optional[Rewrite] = None
 ) -> list[tuple[int, int, int]]:
     """Phase 1: (TableId, RowId, SuperKey) rows from the SQL join."""
-    sql = seeker.sql(rewrite).format(index=context.index_table)
+    sql = seeker.sql(rewrite).format(index=ALLTABLES)
     result = context.db.execute(sql, seeker.params(rewrite))
     seen: set[tuple[int, int]] = set()
     candidates: list[tuple[int, int, int]] = []

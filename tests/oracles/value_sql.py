@@ -8,13 +8,14 @@ from typing import Optional
 
 from repro.core.results import ResultList, SeekerPartials, merge_partials, ranked_partials
 from repro.core.seekers import OVERFETCH, Rewrite, SeekerContext, SingleColumnSeeker
+from repro.index.alltables import ALLTABLES
 
 
 def partials(
     seeker, context: SeekerContext, rewrite: Optional[Rewrite] = None
 ) -> SeekerPartials:
     """The ranked groups the statement returns, cut at its ``LIMIT``."""
-    sql = seeker.sql(rewrite).format(index=context.index_table)
+    sql = seeker.sql(rewrite).format(index=ALLTABLES)
     result = context.db.execute(sql, seeker.params(rewrite))
     fetch = seeker.k * OVERFETCH if isinstance(seeker, SingleColumnSeeker) else seeker.k
     return ranked_partials(result.rows, fetch)

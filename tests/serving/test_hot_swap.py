@@ -86,7 +86,7 @@ def test_swap_under_sustained_load_zero_failures(generations):
         for t in threads:
             t.start()
         time.sleep(0.25)
-        report = manager.swap(new, drain_timeout=10.0)
+        report = manager.swap(new)
         time.sleep(0.25)
         stop.set()
         for t in threads:
@@ -132,7 +132,7 @@ def test_swap_drains_inflight_before_returning(generations):
         done = {}
 
         def do_swap() -> None:
-            done["report"] = manager.swap(new, drain_timeout=10.0)
+            done["report"] = manager.swap(new)
 
         swapper = threading.Thread(target=do_swap)
         swapper.start()
@@ -179,7 +179,7 @@ def test_snapshot_swap_roundtrip(generations, tmp_path):
     loaded = Blend.load(path)
     manager = DeploymentManager(old)
     with BatchScheduler(manager, workers=2, max_batch=8) as scheduler:
-        report = manager.swap(loaded, drain_timeout=5.0)
+        report = manager.swap(loaded)
         assert report.new_generation == new.lake.generation
         for query in _queries():
             outcome = scheduler.execute(query)
