@@ -9,7 +9,7 @@ Union combiner.
 """
 
 from repro import Blend
-from repro.core.system import multi_objective_plan, union_search_plan
+from repro.core import multi_objective_plan, union_search_plan
 from repro.lake.generators import make_union_benchmark
 
 

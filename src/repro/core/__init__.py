@@ -10,7 +10,8 @@ from .results import ResultList, TableHit, fuse_rankings
 from .semantic import SemanticIndex, SemanticSeeker
 from .grammar import SEEKER_REGISTRY, SeekerSpec, parse_plan, register_seeker
 from .seekers import Rewrite, Seeker, SeekerContext, Seekers
-from .system import Blend, multi_objective_plan, union_search_plan
+from .system import Blend, union_search_plan
+from .tasks import multi_objective_plan
 
 __all__ = [
     "Combiner",

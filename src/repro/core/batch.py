@@ -1,10 +1,12 @@
-"""Cross-query batched seeker execution for the serving tier.
+"""Cross-query batched seeker execution: serving batches and plan batches.
 
-This module batches *across* concurrently-arriving queries so a serving
-batch runs a fixed number of index passes regardless of how many
-requests it coalesces. It holds no kernel of its own: each batchable
-modality has one group body in :mod:`repro.core.seekers`, and a solo
-``partials`` call is that body's group of one.
+This module batches *across* queries so a batch runs a fixed number of
+index passes however many queries it holds. Two callers build batches:
+the serving tier (concurrently-arriving requests) and the plan executor
+(the optimizer's batches of a plan's unrewritten same-kind seekers). It
+holds no kernel of its own: each batchable kind (:data:`BATCHED_KINDS`)
+has one group body in :mod:`repro.core.seekers`, and a solo ``partials``
+call is that body's group of one.
 
 * **SC / KW** -- ``value_partials``, once per kind: ONE ``CellValue IN``
   scan over the union of the kind's query tokens, the distinct ``(table[,
@@ -14,14 +16,18 @@ modality has one group body in :mod:`repro.core.seekers`, and a solo
   vocabularies, whatever their widths, serves the whole batch. The
   three phases are ``mc_fetch_candidates`` / ``mc_superkey_filter`` /
   ``mc_validate``.
+* **C** -- ``correlation_partials``: ONE scan of the key cells over the
+  union of the group's join tokens and ONE scan of the numeric cells
+  (``RowId <`` the group's largest ``h``) of the tables those hit; each
+  query keeps its own tokens and ``h``.
 
 Every body emits the same :class:`~repro.core.results.SeekerPartials`
 the serial path does, so serial, batched, and sharded execution share one
 result contract: ``execute_batch`` is the degenerate one-shard merge of
 ``execute_batch_partials``, and the batching-parity tests pin
 byte-identical results on both storage backends. Rewrites
-(combiner-injected predicates) stay on the per-query path: batches are
-built from independent requests, which have none.
+(combiner-injected predicates) stay on the per-query path: a batch holds
+independent queries, which have none.
 """
 
 from __future__ import annotations
@@ -30,16 +36,21 @@ from typing import Optional, Sequence
 
 from .results import ResultList, SeekerPartials, merge_partials
 from .seekers import (
+    CorrelationSeeker,
     MultiColumnSeeker,
     Seeker,
     SeekerContext,
     ValueSeeker,
+    correlation_partials,
     mc_count_partials,
     mc_fetch_candidates,
     mc_superkey_filter,
     mc_validate,
     value_partials,
 )
+
+BATCHED_KINDS = ("SC", "KW", "MC", "C")
+"""The seeker kinds :func:`execute_batch_partials` runs as one group."""
 
 
 def execute_batch(
@@ -71,9 +82,12 @@ def execute_batch_partials(
     results: list[Optional[SeekerPartials]] = [None] * len(seekers)
     value_groups: dict[str, list[int]] = {}
     mc_group: list[int] = []
+    c_group: list[int] = []
     for i, seeker in enumerate(seekers):
         if isinstance(seeker, MultiColumnSeeker):
             mc_group.append(i)
+        elif isinstance(seeker, CorrelationSeeker):
+            c_group.append(i)
         elif isinstance(seeker, ValueSeeker):
             value_groups.setdefault(seeker.kind, []).append(i)
         else:
@@ -89,4 +103,8 @@ def execute_batch_partials(
         validated = mc_validate(group, survivors, context, candidates[0].scan)
         for i, (tables, _) in zip(mc_group, validated):
             results[i] = mc_count_partials(tables)
+    if c_group:  # one key scan and one numeric scan, whatever each h
+        group = [seekers[i] for i in c_group]
+        for i, result in zip(c_group, correlation_partials(group, context)):
+            results[i] = result
     return results  # type: ignore[return-value]

@@ -1,11 +1,13 @@
 """Plan execution engine (paper Fig. 2d).
 
 Walks an :class:`~.optimizer.planner.ExecutionPlan` node by node: seekers
-run as SQL in the database (with optimizer rewrites resolved against the
+run over the index (with optimizer rewrites resolved against the
 intermediate results of already-executed siblings), combiners merge
-result lists in the application layer. Per-node timings are recorded for
-the optimizer experiments (Table IV) and the complex-task comparisons
-(Table III).
+result lists in the application layer. Each of the plan's batches runs
+as one :func:`~.batch.execute_batch` call at its first member's place in
+the order. Per-node timings are recorded for the optimizer experiments
+(Table IV) and the complex-task comparisons (Table III); a batch's time
+goes to its first member, the others record 0.0.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import PlanError
+from .batch import execute_batch
 from .optimizer.planner import ExecutionPlan, RewriteSpec
 from .plan import Plan
 from .results import ResultList
@@ -58,33 +61,42 @@ class PlanExecutor:
         if sorted(execution_plan.order) != sorted(n.name for n in plan.nodes()):
             raise PlanError("execution plan does not cover exactly the plan's nodes")
 
+        batch_of = {name: batch for batch in execution_plan.batches for name in batch}
         results: dict[str, ResultList] = {}
         runs: dict[str, NodeRun] = {}
         start = time.perf_counter()
         for name in execution_plan.order:
+            if name in results:  # ran with its batch
+                continue
             node = plan.node(name)
             began = time.perf_counter()
-            if node.is_seeker:
+            members = batch_of.get(name, (name,))
+            if name in batch_of:
+                outputs = execute_batch(
+                    [plan.node(member).operator for member in members], self._context
+                )
+            elif node.is_seeker:
                 seeker = node.operator
                 assert isinstance(seeker, Seeker)
                 spec = execution_plan.rewrites.get(name)
                 rewrite = self._resolve_rewrite(spec, results) if spec else None
-                result = seeker.execute(self._context, rewrite)
+                outputs = [seeker.execute(self._context, rewrite)]
             else:
                 missing = [i for i in node.inputs if i not in results]
                 if missing:
                     raise PlanError(
                         f"combiner {name!r} scheduled before its inputs {missing}"
                     )
-                result = node.operator.combine([results[i] for i in node.inputs])
+                outputs = [node.operator.combine([results[i] for i in node.inputs])]
             elapsed = time.perf_counter() - began
-            results[name] = result
-            runs[name] = NodeRun(
-                name=name,
-                result=result,
-                seconds=elapsed,
-                rewrite=execution_plan.rewrites.get(name),
-            )
+            for member, result in zip(members, outputs):
+                results[member] = result
+                runs[member] = NodeRun(
+                    name=member,
+                    result=result,
+                    seconds=elapsed if member == name else 0.0,
+                    rewrite=execution_plan.rewrites.get(member),
+                )
         total = time.perf_counter() - start
 
         sinks = plan.sinks()

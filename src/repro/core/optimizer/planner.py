@@ -1,11 +1,14 @@
 """The BLEND plan optimizer: EGs -> ranking -> rewrite schedule (§VII-B).
 
 Produces an :class:`ExecutionPlan`: a topological node order with the
-seekers of each execution group re-ranked (rules + cost model) and a
+seekers of each execution group re-ranked (rules + cost model), a
 rewrite annotation per seeker saying which earlier siblings' intermediate
 results restrict its SQL (``TableId IN`` for Intersection groups,
-``TableId NOT IN`` for Difference groups). The actual table-id lists are
-resolved at execution time by :mod:`..executor`.
+``TableId NOT IN`` for Difference groups), and the plan's *batches*: per
+batchable kind, the seekers no rewrite restricts, which the executor runs
+as one group (one scan) through :func:`~repro.core.batch.execute_batch`.
+The actual table-id lists are resolved at execution time by
+:mod:`..executor`.
 
 Reproduction note on Theorem 1 (output preservation). With per-seeker
 top-k truncation, the Intersection rewrite computes each later seeker's
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from ...index.stats import LakeStatistics
+from ..batch import BATCHED_KINDS
 from ..plan import Plan
 from ..seekers import Seeker
 from .cost_model import CostModel
@@ -40,11 +44,13 @@ class RewriteSpec:
 
 @dataclass
 class ExecutionPlan:
-    """Optimizer output: node order plus per-seeker rewrite schedule."""
+    """Optimizer output: node order, per-seeker rewrite schedule, and the
+    batches of unrewritten same-kind seekers (members in ``order``)."""
 
     order: list[str]
     rewrites: dict[str, RewriteSpec] = field(default_factory=dict)
     groups: list[ExecutionGroup] = field(default_factory=list)
+    batches: list[tuple[str, ...]] = field(default_factory=list)
 
     def describe(self) -> str:
         """Human-readable summary (used by examples and debugging)."""
@@ -54,6 +60,8 @@ class ExecutionPlan:
             lines.append(
                 f"  {name}: TableId {predicate} results of {list(spec.source_nodes)}"
             )
+        for batch in self.batches:
+            lines.append(f"  one scan: {', '.join(batch)}")
         return "\n".join(lines)
 
 
@@ -124,10 +132,23 @@ class Optimizer:
                         mode=group.rewrite_mode,
                         source_nodes=sources,
                     )
-        return ExecutionPlan(order=order, rewrites=rewrites, groups=groups)
+        # Batches: per kind, the seekers no rewrite restricts run as one
+        # group, at the first member's position.
+        kinds = {
+            name: plan.node(name).operator.kind
+            for name in order
+            if plan.node(name).is_seeker and name not in rewrites
+        }
+        batches = []
+        for kind in BATCHED_KINDS:
+            batch = tuple(name for name, of in kinds.items() if of == kind)
+            if len(batch) >= 2:
+                batches.append(batch)
+        return ExecutionPlan(order=order, rewrites=rewrites, groups=groups, batches=batches)
 
     @staticmethod
     def unoptimized(plan: Plan) -> ExecutionPlan:
-        """B-NO: insertion order, no rewrites (the paper's baseline)."""
+        """B-NO: insertion order, no rewrites, no batches (the paper's
+        baseline)."""
         plan.validate()
         return ExecutionPlan(order=[node.name for node in plan.nodes()])

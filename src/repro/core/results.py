@@ -107,7 +107,7 @@ class SeekerPartials:
 
     * ``"ranked"`` -- per-*group* rows ``(table_id, score[, group_key])``
       in best-first emission order, as produced by the SC/KW kernel
-      (``value_partials``), the C statement and the semantic seeker: sorted by
+      (``value_partials``), the C kernel and the semantic seeker: sorted by
       ``(score desc, table, group)`` and already cut at ``fetch`` rows.
       Merging concatenates, re-sorts on the same keys (stably, so each
       shard's emission order survives ties), re-cuts at ``fetch``, and
@@ -178,20 +178,11 @@ class FusionLane:
         return (self.name, self.weight, self.partials.kind)
 
 
-def ranked_partials(
-    rows: Iterable[Sequence[Any]],
-    fetch: Optional[int],
-    *,
-    skip_none: bool = False,
-) -> SeekerPartials:
-    """Wrap best-first ``(table_id, score, ...)`` rows (a seeker's SQL
-    output) as a ranked partial. ``skip_none`` drops NULL-score rows (the
-    Correlation seeker's guard), applied here so shards never ship them."""
+def ranked_partials(rows: Iterable[Sequence[Any]], fetch: Optional[int]) -> SeekerPartials:
+    """Wrap best-first ``(table_id, score, ...)`` rows as a ranked partial."""
     ids: list[int] = []
     scores: list[float] = []
     for table_id, score, *_ in rows:
-        if skip_none and score is None:
-            continue
         ids.append(table_id)
         scores.append(float(score))
     return SeekerPartials(
@@ -320,8 +311,8 @@ def dedupe_ranked_groups(rows: Iterable[Sequence[Any]], k: int) -> ResultList:
     fed through this cut, reproduce a single-node ranking exactly.
 
     *rows* yields ``(table_id, score, ...)`` best-first, never a NULL
-    score (the Correlation seeker's partials drop those, through
-    ``ranked_partials(skip_none=True)``).
+    score (no seeker makes one: C's groups hold ``COUNT(*) >=
+    min_support >= 1`` pairs).
     """
     hits: list[TableHit] = []
     seen: set[int] = set()

@@ -8,12 +8,12 @@ the paper's Listings 1-3 and the §VI keyword query -- extended with:
 * deterministic tie-breaking sort keys (TableId, ColumnId), so both
   storage backends return identical rankings.
 
-C executes its statement. SC, KW and MC execute it rewritten into
-low-level operators, each as one body over a *group* of seekers (a solo
-query is the group of one, a serving batch the whole group): one
-``CellValue IN`` scan of ``AllTables`` then array kernels
-(:func:`value_partials` for SC/KW, the three MC phase bodies). Their
-``sql()`` stays the statement the tests check the kernels against.
+Every seeker executes its statement rewritten into low-level operators,
+each as one body over a *group* of seekers (a solo query is the group of
+one, a serving batch or a plan's batch the whole group): a ``CellValue
+IN`` scan of ``AllTables`` then array kernels (:func:`value_partials` for
+SC/KW, the three MC phase bodies, :func:`correlation_partials` for C).
+Their ``sql()`` stays the statement the tests check the kernels against.
 
 SC and C rank (TableId, ColumnId) *groups*, which the merge deduplicates
 to ranked *tables*. An over-fetch factor bounds the group fan-out per
@@ -43,7 +43,6 @@ from .results import (
     SeekerPartials,
     count_partials,
     merge_partials,
-    ranked_partials,
 )
 
 __all__ = [
@@ -77,12 +76,11 @@ class Rewrite:
     mode: str
     table_ids: tuple[int, ...]
 
-    def predicate_sql(self, qualifier: str = "") -> str:
-        column = f"{qualifier}TableId"
+    def predicate_sql(self) -> str:
         if self.mode == "intersect":
-            return f" AND {column} IN (:__rewrite_ids)"
+            return " AND TableId IN (:__rewrite_ids)"
         if self.mode == "difference":
-            return f" AND {column} NOT IN (:__rewrite_ids)"
+            return " AND TableId NOT IN (:__rewrite_ids)"
         raise SeekerError(f"unknown rewrite mode: {self.mode}")
 
 
@@ -729,7 +727,8 @@ def mc_count_partials(validated_table_ids: np.ndarray) -> SeekerPartials:
 
 class CorrelationSeeker(Seeker):
     """C: top-k tables with a column correlating with the target
-    (Listing 3, QCR-based, computed entirely in SQL).
+    (Listing 3, QCR-based). :func:`correlation_partials` computes it from
+    two scans; :meth:`sql` states the same query as SQL.
 
     The query is a (join key, numeric target) column pair. Join keys are
     split into ``$k_0$`` (target below mean) and ``$k_1$`` (target >= mean)
@@ -787,13 +786,15 @@ class CorrelationSeeker(Seeker):
     def join_tokens(self) -> list[str]:
         return self.k0 + self.k1
 
+    @property
+    def fetch(self) -> int:
+        return self.k * OVERFETCH
+
     def sql(self, rewrite: Optional[Rewrite] = None) -> str:
-        # The engine already reduces nums to the tables the keys side
-        # matched (a TableId-index look-up with the keys' TableIds, see
-        # planner.JoinNode). The rewrite predicate restricts BOTH
-        # subqueries -- the join equates TableId across sides, so
-        # filtering nums as well is equivalent -- and narrows nums further.
-        predicate = rewrite.predicate_sql("") if rewrite else ""
+        # The rewrite predicate restricts BOTH subqueries -- the join
+        # equates TableId across sides, so filtering nums as well is
+        # equivalent.
+        predicate = rewrite.predicate_sql() if rewrite else ""
         template = (
             "SELECT keys.TableId, "
             "ABS((2.0 * SUM(((keys.CellValue IN (:k0) AND nums.Quadrant = 0) "
@@ -824,7 +825,7 @@ class CorrelationSeeker(Seeker):
             "h": self.h,
             "minsup": self.min_support,
             "minqcr": self.min_qcr,
-            "fetch": self.k * OVERFETCH,
+            "fetch": self.fetch,
         }
         if rewrite:
             params["__rewrite_ids"] = list(rewrite.table_ids)
@@ -834,9 +835,7 @@ class CorrelationSeeker(Seeker):
         self, context: SeekerContext, rewrite: Optional[Rewrite] = None
     ) -> SeekerPartials:
         context.ensure_fresh()
-        sql = self.sql(rewrite).format(index=ALLTABLES)
-        result = context.db.execute(sql, self.params(rewrite))
-        return ranked_partials(result.rows, self.k * OVERFETCH, skip_none=True)
+        return correlation_partials([self], context, rewrite)[0]
 
     def query_cardinality(self) -> int:
         return len(self.k0) + len(self.k1)
@@ -846,6 +845,87 @@ class CorrelationSeeker(Seeker):
 
     def query_tokens(self) -> list[str]:
         return self.join_tokens
+
+
+def correlation_partials(
+    group: Sequence[CorrelationSeeker], context: SeekerContext, rewrite: Optional[Rewrite] = None
+) -> list[SeekerPartials]:
+    """Every member's ranked partial from two scans the group shares: the
+    key cells (``CellValue IN`` the group's join tokens, restricted by
+    *rewrite*; those at ``RowId <`` its largest ``h`` kept) and the
+    numeric cells (``Quadrant IS NOT NULL``, ``RowId < h``) of the tables
+    those hit. Each key cell joins the numeric cells of its row in
+    another column (packed ``(TableId << 32) + RowId``, one
+    ``searchsorted``); per member -- its own tokens, below its own ``h``
+    -- two bincounts per ``(TableId, nums.ColumnId, keys.ColumnId)`` give
+    Listing 3's ``COUNT(*)`` and same-quadrant ``SUM``, then its QCR (the
+    statement's own float operations), ``HAVING``, ``ORDER BY qcr DESC,
+    TableId, nums.ColumnId`` (a stable lexsort) and ``LIMIT``."""
+    tokens = list(dict.fromkeys(chain.from_iterable(seeker.join_tokens for seeker in group)))
+    vocabulary = dict(zip(tokens, range(len(tokens))))
+    h = max(seeker.h for seeker in group)
+    params: dict[str, Any] = {"q": tokens}
+    if rewrite:
+        params["__rewrite_ids"] = list(rewrite.table_ids)
+    sql = (
+        f"SELECT TableId, RowId, ColumnId, CellValue FROM {ALLTABLES} "
+        "WHERE CellValue IN (:q)" + (rewrite.predicate_sql() if rewrite else "")
+    )
+    keys = [data for data, _ in context.db.execute_columnar(sql, params, decode_text=False).arrays]
+    sampled = np.flatnonzero(keys[1] < h)
+    empty = [SeekerPartials(RANKED, fetch=seeker.fetch) for seeker in group]
+    if len(sampled) == 0:
+        return empty
+    codes = _vocab_codes(keys[3], vocabulary)[sampled]
+    key_tables, key_rows, key_columns = (a[sampled].astype(np.int64) for a in keys[:3])
+    hit_tables = np.unique(key_tables)
+    sql = (
+        f"SELECT TableId, RowId, ColumnId, Quadrant FROM {ALLTABLES} "
+        "WHERE TableId IN (:t) AND RowId < :h AND Quadrant IS NOT NULL"
+    )
+    result = context.db.execute_columnar(sql, {"t": hit_tables.tolist(), "h": h})
+    num_tables, num_rows, num_columns, quadrant = (data for data, _ in result.arrays)
+
+    # The join: each key cell meets the run of its row's numeric cells.
+    num_keys = (num_tables.astype(np.int64) << 32) + num_rows.astype(np.int64)
+    order = np.argsort(num_keys, kind="stable")
+    num_keys, packed = num_keys[order], (key_tables << 32) + key_rows
+    first = np.searchsorted(num_keys, packed, "left")
+    width = np.searchsorted(num_keys, packed, "right") - first
+    key_cell = np.repeat(np.arange(len(packed)), width)
+    num_cell = order[np.arange(len(key_cell)) + np.repeat(first - np.cumsum(width) + width, width)]
+    other = key_columns[key_cell] != num_columns[num_cell]
+    key_cell, num_cell = key_cell[other], num_cell[other]
+    if len(key_cell) == 0:
+        return empty
+
+    # Groups (TableId, nums.ColumnId, keys.ColumnId), sorted.
+    pair_columns = num_columns[num_cell].astype(np.int64), key_columns[key_cell]
+    span = int(max(column.max() for column in pair_columns)) + 1
+    table_rank = np.searchsorted(hit_tables, key_tables[key_cell])
+    heads, pair_group = np.unique(
+        (table_rank * span + pair_columns[0]) * span + pair_columns[1], return_inverse=True
+    )
+    group_tables, group_num_columns = hit_tables[heads // (span * span)], heads // span % span
+    codes, rows, quadrant = codes[key_cell], key_rows[key_cell], quadrant[num_cell].astype(np.intp)
+
+    results = []
+    for seeker in group:
+        side = np.zeros((2, len(tokens)), dtype=bool)  # [0]: k0 (below the mean), [1]: k1
+        side[0, [vocabulary[token] for token in seeker.k0]] = True
+        side[1, [vocabulary[token] for token in seeker.k1]] = True
+        mine = side.any(axis=0)[codes] & (rows < seeker.h)
+        same = mine & side[quadrant, codes]
+        count = np.bincount(pair_group[mine], minlength=len(heads))
+        agree = np.bincount(pair_group[same], minlength=len(heads))
+        kept = np.flatnonzero(count >= seeker.min_support)
+        qcr = np.abs((2.0 * agree[kept] - count[kept]) / count[kept])
+        kept, qcr = kept[qcr >= seeker.min_qcr], qcr[qcr >= seeker.min_qcr]
+        cut = np.lexsort((group_num_columns[kept], group_tables[kept], -qcr))[: seeker.fetch]
+        results.append(
+            SeekerPartials(RANKED, group_tables[kept][cut], qcr[cut], fetch=seeker.fetch)
+        )
+    return results
 
 
 class Seekers:

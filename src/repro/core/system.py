@@ -47,7 +47,7 @@ from .results import ResultList, SeekerPartials
 from .seekers import Seeker, SeekerContext, Seekers
 
 
-# Per-column seeker depth of the union sub-plans: above k, so tables
+# Per-column seeker depth of the union-search plan: above k, so tables
 # relevant only in combination survive the per-seeker cut (paper §VII-A).
 PER_COLUMN_K = 100
 
@@ -501,55 +501,4 @@ def union_search_plan(table: Table, k: int = 10, per_column_k: int = PER_COLUMN_
     if not column_nodes:
         raise BlendError(f"query table {table.name!r} has no non-null columns")
     plan.add("counter", Combiners.Counter(k=k), column_nodes)
-    return plan
-
-
-def multi_objective_plan(
-    keywords: Iterable[Cell],
-    examples: Table,
-    join_key_column: str,
-    target_column: str,
-    queries: Iterable[Cell],
-    k: int = 10,
-) -> Plan:
-    """The multi-objective discovery plan of Listing 4: keyword search +
-    union search + data imputation + correlation search, aggregated by a
-    Union combiner."""
-    plan = Plan()
-    union_inputs: list[str] = []
-
-    # Keyword search.
-    plan.add("kw", Seekers.KW(keywords, k=k))
-    union_inputs.append("kw")
-
-    # Union search sub-plan (one SC per column + Counter).
-    column_nodes = []
-    for position, column in enumerate(examples.columns):
-        values = [v for v in examples.column_values(column) if v is not None]
-        if not values:
-            continue
-        node = f"clm_{position}"
-        plan.add(node, Seekers.SC(values, k=PER_COLUMN_K))
-        column_nodes.append(node)
-    plan.add("counter", Combiners.Counter(k=k), column_nodes)
-    union_inputs.append("counter")
-
-    # Data imputation sub-plan (MC + SC + Intersection).
-    plan.add("examples", Seekers.MC(examples, k=k))
-    plan.add("query", Seekers.SC(queries, k=k))
-    plan.add("intersection", Combiners.Intersect(k=k), ["examples", "query"])
-    union_inputs.append("intersection")
-
-    # Correlation search.
-    plan.add(
-        "correlation",
-        Seekers.Correlation(
-            examples.column_values(join_key_column),
-            examples.column_values(target_column),
-            k=k,
-        ),
-    )
-    union_inputs.append("correlation")
-
-    plan.add("union", Combiners.Union(k=4 * k), union_inputs)
     return plan

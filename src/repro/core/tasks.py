@@ -7,7 +7,6 @@ Table III benchmark and compared against the federated baselines in
 
 from __future__ import annotations
 
-
 from .combiners import Combiners
 from .plan import Plan
 from .seekers import Seekers
@@ -58,4 +57,20 @@ def multi_objective_plan_no_imputation(keywords, examples, joinkey, target, k=10
     plan.add("correlation", Seekers.Correlation(
         examples.column_values(joinkey), examples.column_values(target), k=k))
     plan.add("union", Combiners.Union(k=4 * k), ["kw", "counter", "correlation"])
+    return plan
+
+
+def multi_objective_plan(keywords, examples, join_key_column, target_column, queries, k=10):
+    """Listing 4 in full: the evaluated plan above with the data-imputation
+    sub-plan (MC + SC + Intersection) as a fourth input of its Union."""
+    plan = Plan()
+    evaluated = multi_objective_plan_no_imputation(
+        keywords, examples, join_key_column, target_column, k=k
+    )
+    for node in evaluated.nodes()[:-1]:  # all but its Union
+        plan.add(node.name, node.operator, node.inputs or None)
+    plan.add("examples", Seekers.MC(examples, k=k))
+    plan.add("query", Seekers.SC(queries, k=k))
+    plan.add("intersection", Combiners.Intersect(k=k), ["examples", "query"])
+    plan.add("union", Combiners.Union(k=4 * k), ["kw", "counter", "correlation", "intersection"])
     return plan

@@ -153,3 +153,23 @@ class TestTaskPlanShapes:
         assert names[0] == "kw"
         assert "counter" in names and "union" in names
         assert plan.sink().name == "union"
+
+    def test_listing4_is_the_evaluated_plan_plus_imputation(self):
+        """One builder: Listing 4 in full is the evaluated plan's nodes
+        (names, SC depth 10·k) with the imputation sub-plan as a fourth
+        Union input."""
+        from repro.core import multi_objective_plan
+        from repro.lake.table import Table
+
+        examples = Table("ex", ["key", "target"], [("a", 1.0), ("b", 2.0), ("c", 5.0)])
+        evaluated = tasks.multi_objective_plan_no_imputation(
+            ["kw1"], examples, "key", "target", k=5
+        )
+        plan = multi_objective_plan(["kw1"], examples, "key", "target", ["a", "z"], k=5)
+        names = [node.name for node in plan.nodes()]
+        assert names == [node.name for node in evaluated.nodes()][:-1] + [
+            "examples", "query", "intersection", "union",
+        ]
+        assert plan.node("union").inputs == ("kw", "counter", "correlation", "intersection")
+        assert plan.node("key").operator.k == evaluated.node("key").operator.k == 50
+        assert plan.node("union").operator.k == evaluated.node("union").operator.k == 20

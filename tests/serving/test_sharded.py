@@ -385,7 +385,6 @@ def test_partials_validation():
         SeekerPartials("bogus")
     with pytest.raises(SeekerError):
         SeekerPartials("ranked", table_ids=ranked_partials([(1, 2.0)], 8).table_ids)
-    assert len(ranked_partials([(1, 2.0), (2, None)], 8, skip_none=True)) == 1
 
 
 # -- sharded snapshot format ---------------------------------------------------
