@@ -13,7 +13,10 @@ each as one body over a *group* of seekers (a solo query is the group of
 one, a serving batch or a plan's batch the whole group): a ``CellValue
 IN`` scan of ``AllTables`` then array kernels (:func:`value_partials` for
 SC/KW, the three MC phase bodies, :func:`correlation_partials` for C).
-Their ``sql()`` stays the statement the tests check the kernels against.
+On the column backend that scan hands over its matched tokens as
+dictionary codes over the sorted matched values (:func:`_vocab_codes`
+reads them with one probe per matched token). Their ``sql()`` stays the
+statement the tests check the kernels against.
 
 SC and C rank (TableId, ColumnId) *groups*, which the merge deduplicates
 to ranked *tables*. An over-fetch factor bounds the group fan-out per
@@ -413,10 +416,10 @@ class MultiColumnSeeker(Seeker):
         return [token for column in self._column_tokens for token in column]
 
 
-# The distinct-value dedupes (the present dictionary codes of a scan, the
-# distinct SC/KW triples) mark a bitmap over the value span when the span
-# is at most this many values per scanned row, and sort otherwise; needing
-# no inverse, the bitmap wins far wider than _DENSE_SPAN_PER_ROW. On 1e3 /
+# The distinct SC/KW triples are found by marking a bitmap over the key
+# span when the span is at most this many keys per scanned row, and by a
+# sort otherwise; needing no inverse, the bitmap wins far wider than
+# _DENSE_SPAN_PER_ROW. On 1e3 /
 # 9,263 (a median value_seek scan) / 1e5 random int64 keys, 2 vCPUs,
 # np.unique takes 12-45x the bitmap's time at 1 key per row, 2.2-3.4x at
 # 128, 1.3-2.4x at 256 and 0.7-0.8x at 512. value_seek scans span 2.9 keys
@@ -436,23 +439,17 @@ def _distinct_sorted(keys: np.ndarray, span: int) -> np.ndarray:
 
 def _vocab_codes(values: np.ndarray, vocabulary: dict[str, int]) -> np.ndarray:
     """Translate a ``CellValue IN`` scan's values into *vocabulary*
-    codes. Dictionary-coded columns (the column backend's text columns,
-    surfaced by ``decode_text=False``) translate per DISTINCT store code
-    (:func:`_distinct_sorted` over the dictionary), each looked up with
-    one dict probe and scattered into a table that one integer gather
-    reads. Object arrays (the row backend) keep the per-row probe."""
+    codes. On the column backend (``decode_text=False``) the index scan
+    hands over :class:`DictCodes` over the sorted *matched* values -- at
+    most the vocabulary -- so one dict probe per matched value fills a
+    table that one integer gather reads. Object arrays (the row backend)
+    keep the per-row probe."""
     if isinstance(values, DictCodes):
         store_codes = np.asarray(values)
-        if len(store_codes) and store_codes.min() < 0:  # -1 (NULL) would mark the last entry
+        if len(store_codes) and store_codes.min() < 0:  # -1 (NULL) would read the last entry
             raise SeekerError("a CellValue IN scan returned a NULL cell")
-        dictionary = values.dictionary
-        present = _distinct_sorted(store_codes, len(dictionary))
-        lut = np.empty(len(dictionary), dtype=np.int64)
-        lut[present] = np.fromiter(
-            map(vocabulary.__getitem__, dictionary[present].tolist()),
-            dtype=np.int64,
-            count=len(present),
-        )
+        matched = values.dictionary.tolist()
+        lut = np.fromiter(map(vocabulary.__getitem__, matched), dtype=np.int64, count=len(matched))
         return lut[store_codes]
     return np.fromiter(map(vocabulary.__getitem__, values), dtype=np.int64, count=len(values))
 
@@ -853,14 +850,15 @@ def correlation_partials(
     """Every member's ranked partial from two scans the group shares: the
     key cells (``CellValue IN`` the group's join tokens, restricted by
     *rewrite*; those at ``RowId <`` its largest ``h`` kept) and the
-    numeric cells (``Quadrant IS NOT NULL``, ``RowId < h``) of the tables
-    those hit. Each key cell joins the numeric cells of its row in
-    another column (packed ``(TableId << 32) + RowId``, one
-    ``searchsorted``); per member -- its own tokens, below its own ``h``
-    -- two bincounts per ``(TableId, nums.ColumnId, keys.ColumnId)`` give
-    Listing 3's ``COUNT(*)`` and same-quadrant ``SUM``, then its QCR (the
-    statement's own float operations), ``HAVING``, ``ORDER BY qcr DESC,
-    TableId, nums.ColumnId`` (a stable lexsort) and ``LIMIT``."""
+    numeric cells (``Quadrant IS NOT NULL``; ``RowId < h`` kept, as for
+    the keys) of the tables those hit. Each key cell joins the numeric
+    cells of its row in another column (packed ``(TableId << 32) +
+    RowId``, one ``searchsorted``); per member -- its own tokens, below
+    its own ``h`` -- two bincounts per ``(TableId, nums.ColumnId,
+    keys.ColumnId)`` give Listing 3's ``COUNT(*)`` and same-quadrant
+    ``SUM``, then its QCR (the statement's own float operations),
+    ``HAVING``, ``ORDER BY qcr DESC, TableId, nums.ColumnId`` (a stable
+    lexsort) and ``LIMIT``."""
     tokens = list(dict.fromkeys(chain.from_iterable(seeker.join_tokens for seeker in group)))
     vocabulary = dict(zip(tokens, range(len(tokens))))
     h = max(seeker.h for seeker in group)
@@ -876,20 +874,27 @@ def correlation_partials(
     empty = [SeekerPartials(RANKED, fetch=seeker.fetch) for seeker in group]
     if len(sampled) == 0:
         return empty
+    # The scan yields one run of cells per token; in (TableId, RowId)
+    # order the join's searchsorted probes ascend, which is several
+    # times faster than probing run after run.
+    packed = (keys[0][sampled].astype(np.int64) << 32) + keys[1][sampled]
+    by_row = np.argsort(packed)
+    sampled, packed = sampled[by_row], packed[by_row]
     codes = _vocab_codes(keys[3], vocabulary)[sampled]
     key_tables, key_rows, key_columns = (a[sampled].astype(np.int64) for a in keys[:3])
     hit_tables = np.unique(key_tables)
     sql = (
         f"SELECT TableId, RowId, ColumnId, Quadrant FROM {ALLTABLES} "
-        "WHERE TableId IN (:t) AND RowId < :h AND Quadrant IS NOT NULL"
+        "WHERE TableId IN (:t) AND Quadrant IS NOT NULL"
     )
-    result = context.db.execute_columnar(sql, {"t": hit_tables.tolist(), "h": h})
-    num_tables, num_rows, num_columns, quadrant = (data for data, _ in result.arrays)
+    result = context.db.execute_columnar(sql, {"t": hit_tables.tolist()})
+    sampled = np.flatnonzero(result.arrays[1][0] < h)
+    num_tables, num_rows, num_columns, quadrant = (data[sampled] for data, _ in result.arrays)
 
     # The join: each key cell meets the run of its row's numeric cells.
     num_keys = (num_tables.astype(np.int64) << 32) + num_rows.astype(np.int64)
     order = np.argsort(num_keys, kind="stable")
-    num_keys, packed = num_keys[order], (key_tables << 32) + key_rows
+    num_keys = num_keys[order]
     first = np.searchsorted(num_keys, packed, "left")
     width = np.searchsorted(num_keys, packed, "right") - first
     key_cell = np.repeat(np.arange(len(packed)), width)

@@ -428,9 +428,11 @@ class Database:
         ``decode_text=False`` skips the dictionary gather on the column
         backend: text columns that reach the projection still
         dictionary-coded come back as :class:`DictCodes` (integer codes
-        plus a ``.dictionary`` attribute), letting consumers that
-        re-encode values anyway (the cross-query batch kernels) translate
-        per distinct code instead of per row. Purely an optimisation
+        plus a sorted ``.dictionary``), letting consumers that re-encode
+        values anyway (the seeker kernels) translate per dictionary entry
+        instead of per row. The text column driving an index scan comes
+        back coded over just its sorted matched values (the scan's own
+        hit codes, no gather and no union remap). Purely an optimisation
         hint: columns the executor already materialised, and everything
         on the row backend, come back as plain arrays regardless.
         """

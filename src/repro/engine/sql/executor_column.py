@@ -184,10 +184,18 @@ class ColumnExecutor:
         names = [name for _, name in node.schema.columns]
 
         positions: Optional[np.ndarray] = None
+        hits: Optional[DictCodes] = None  # the driving text column, coded
         remaining_sargable = self._reductions.pop(id(node), []) + node.sargable
         indexed = next((p for p in remaining_sargable if table.has_index(p.column)), None)
         if indexed is not None:
-            positions = table.index_lookup(indexed.column, indexed.values)
+            positions, codes, matched = table.index_lookup(indexed.column, indexed.values)
+            driver = node.schema.resolve(indexed.column)
+            text = table.schema.columns[driver].sql_type is SqlType.TEXT
+            if text and driver in (node.coded or ()):
+                # A coded text driver: every hit's value is its matched
+                # value, so codes into the sorted matched values are exact
+                # dictionary codes (no gather, no union remap).
+                hits = DictCodes(codes, matched)
             remaining_sargable.remove(indexed)
             self.stats.index_scans += 1
             self.stats.rows_scanned += int(len(positions))
@@ -216,6 +224,8 @@ class ColumnExecutor:
                 keep &= _as_bool_array(data) & ~null
             subset = np.nonzero(keep)[0]
             positions = subset if positions is None else positions[subset]
+            if hits is not None:
+                hits = hits[subset]
 
         required = node.required
         coded = node.coded or ()
@@ -224,6 +234,9 @@ class ColumnExecutor:
         for position, name in enumerate(names):
             if required is not None and position not in required:
                 columns.append(None)
+                continue
+            if hits is not None and position == driver:
+                columns.append((hits, np.zeros(len(hits), dtype=bool)))
                 continue
             if position in coded and schema_types[position] is SqlType.TEXT:
                 # Every consumer is code-safe: deliver dictionary codes

@@ -429,8 +429,8 @@ def _make_accumulator(aggregate: ast.Aggregate) -> _Accumulator:
 
 
 def _membership_set(values: list) -> frozenset:
-    try:
-        return frozenset(values)
+    try:  # NaN equals nothing; a set would find a stored NaN by identity
+        return frozenset(v for v in values if v == v)
     except TypeError as exc:  # unhashable -- cannot happen with SQL scalars
         raise ExecutionError(f"unhashable IN-list value: {exc}") from exc
 

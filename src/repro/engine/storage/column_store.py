@@ -146,7 +146,7 @@ def decode_if_coded(data: np.ndarray) -> np.ndarray:
 class _ColumnData:
     """One sealed column: typed array + null mask (or codes + dictionary)."""
 
-    __slots__ = ("sql_type", "data", "null", "codes", "dictionary", "code_of")
+    __slots__ = ("sql_type", "data", "null", "codes", "dictionary", "code_of", "has_null")
 
     def __init__(self, sql_type: SqlType) -> None:
         self.sql_type = sql_type
@@ -155,6 +155,7 @@ class _ColumnData:
         self.codes: Optional[np.ndarray] = None  # text storage
         self.dictionary: Optional[np.ndarray] = None  # object array of str
         self.code_of: Optional[dict[str, int]] = None
+        self.has_null: Optional[bool] = None  # numeric: any True in null, cached
 
 
 class ColumnTable:
@@ -358,7 +359,8 @@ class ColumnTable:
         position = self.schema.position_of(column_name)  # validates existence
         key = column_name.lower()
         if key in self._index_columns:
-            hits = self._postings(key, values)
+            runs = self._postings(key, values)[1]
+            hits = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
         else:
             self._seal()
             hits = np.nonzero(self._storage_isin_all(position, values))[0]
@@ -622,8 +624,15 @@ class ColumnTable:
                 if column_def.sql_type is SqlType.TEXT:
                     self._merged_text_view(position)
 
-    def index_lookup(self, column_name: str, values: Iterable[Any]) -> np.ndarray:
-        """Live positions (ascending) whose column equals any of *values*.
+    def index_lookup(
+        self, column_name: str, values: Iterable[Any]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(positions, codes, matched)``: the live positions whose column
+        equals any of *values*, grouped by the sorted distinct matched
+        values (each value's positions ascending, as its postings are --
+        no sort), each hit's code (the index of its value in *matched*)
+        and *matched* itself, an object array (plain ``str`` on a text
+        column). :meth:`RowTable.index_lookup` yields the same order.
 
         Postings are storage-coordinate: dead positions are filtered and
         the survivors translated into the live numbering here, so the
@@ -632,24 +641,28 @@ class ColumnTable:
         if key not in self._index_columns:
             raise CatalogError(f"no index on {self.schema.name}.{column_name}")
         self._seal()  # incremental postings may reference buffered rows
-        merged = self._postings(key, values)
-        merged.sort()
+        matched, runs = self._postings(key, values)
+        positions = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+        lengths = np.fromiter(map(len, runs), dtype=np.intp, count=len(runs))
+        codes = np.repeat(np.arange(len(runs), dtype=np.int32), lengths)
         if self._deleted is not None:
-            merged = merged[~self._deleted[merged]]
-            merged = np.searchsorted(self._live_positions(), merged)
-        return merged
+            live = ~self._deleted[positions]
+            positions = np.searchsorted(self._live_positions(), positions[live])
+            codes = codes[live]
+        # A text key is a plain str; np.str_ probes are converted to it.
+        if not {str}.issuperset(map(type, matched)) and isinstance(matched[0], str):
+            matched = list(map(str, matched))
+        return positions, codes, np.array(matched, dtype=object)
 
-    def _postings(self, key: str, values: Iterable[Any]) -> np.ndarray:
-        """Storage positions (unordered, tombstones included) whose
-        indexed column *key* equals any of *values*; materialises the
-        declared postings first when they are not."""
+    def _postings(self, key: str, values: Iterable[Any]) -> tuple[list, list[np.ndarray]]:
+        """The sorted distinct *values* that indexed column *key* holds and
+        their postings (storage positions, tombstones included);
+        materialises the declared postings first when they are not."""
         if key not in self._indexes:
             self._materialize_index(key)
         index = self._indexes[key]
-        chunks = [index[v] for v in set(values) if v is not None and v in index]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        matched = sorted(filter(index.__contains__, set(values)))  # no key is None
+        return matched, list(map(index.__getitem__, matched))
 
     # -- storage accounting --------------------------------------------------------
 
@@ -815,8 +828,11 @@ def _segment_values(column: _ColumnData, positions: Optional[np.ndarray]) -> tup
         data = raw > 0
         return data, null
     data = column.data if positions is None else column.data[positions]
-    null = column.null if positions is None else column.null[positions]
-    return data, null.copy()
+    if column.has_null is None:  # sealed columns never change: scan once
+        column.has_null = bool(column.null.any())
+    if not column.has_null:
+        return data, np.zeros(len(data), dtype=bool)
+    return data, column.null.copy() if positions is None else column.null[positions]
 
 
 def _column_length(column: _ColumnData) -> int:

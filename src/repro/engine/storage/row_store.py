@@ -18,6 +18,7 @@ indistinguishable from a freshly bulk-loaded table.
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -132,7 +133,7 @@ class RowTable:
         of rows deleted.
         """
         position = self.schema.position_of(column_name)
-        wanted = {v for v in values if v is not None}
+        wanted = {v for v in values if v is not None and v == v}  # NaN equals nothing
         if not wanted or not self._rows:
             return 0
         key = column_name.lower()
@@ -228,27 +229,23 @@ class RowTable:
 
     def index_lookup(self, column_name: str, values: Iterable[Any]) -> list[int]:
         """Live row positions whose *column_name* equals any of *values*,
-        in ascending position order (so downstream operators see rows in
-        storage order, like a bitmap index scan)."""
+        grouped by the sorted distinct matched values, each value's
+        positions ascending -- the order of
+        :meth:`ColumnTable.index_lookup`, so both executors produce the
+        same rows for any index scan."""
         key = column_name.lower()
         if key not in self._indexes:
             raise CatalogError(
                 f"no index on {self.schema.name}.{column_name}"
             )
         index = self._indexes[key]
-        positions: list[int] = []
-        seen: set[Any] = set()
-        for value in values:
-            if value is None or value in seen:
-                continue
-            seen.add(value)
-            hit = index.get(value)
-            if hit:
-                positions.extend(hit)
+        # ``v == v`` drops NaN, which equals nothing (a dict would find
+        # the stored NaN object by identity; the column store never does).
+        matched = sorted(v for v in set(values) if v == v and v in index)
+        positions = list(chain.from_iterable(map(index.__getitem__, matched)))
         if self._deleted is not None:
             mask = self._deleted
             positions = [p for p in positions if not mask[p]]
-        positions.sort()
         return positions
 
     # -- delta accounting ---------------------------------------------------------

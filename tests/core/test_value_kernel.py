@@ -255,16 +255,19 @@ def test_vocab_codes_refuses_null_codes():
         _vocab_codes(DictCodes(np.array([0, -1]), dictionary), vocabulary)
 
 
-def test_vocab_codes_sorts_a_few_codes_of_a_large_dictionary(unique_calls):
-    """A short scan over a large lake dictionary finds its present codes
-    by sorting the scanned codes, not by a bitmap the dictionary's size;
-    a long scan marks the bitmap."""
-    dictionary = np.array([f"v{i}" for i in range(1000)], dtype=object)
-    vocabulary = {"v7": 0, "v900": 1}
-    codes = _vocab_codes(DictCodes(np.array([900, 7, 900]), dictionary), vocabulary)
-    assert codes.tolist() == [1, 0, 1]
-    assert unique_calls == [3]
-    unique_calls.clear()
-    codes = _vocab_codes(DictCodes(np.array([7, 900] * 10), dictionary), vocabulary)
-    assert codes.tolist() == [0, 1] * 10
+def test_vocab_codes_probes_each_matched_value_once(unique_calls):
+    """The index scan's dictionary is its sorted matched values, so the
+    translation probes the vocabulary once per matched value, however
+    many cells hit, and never sorts."""
+    probed = []
+
+    class Counting(dict):
+        def __getitem__(self, token):
+            probed.append(token)
+            return super().__getitem__(token)
+
+    matched = np.array(["v7", "v900"], dtype=object)
+    codes = _vocab_codes(DictCodes(np.array([1, 0, 1] * 10), matched), Counting(v900=0, v7=1))
+    assert codes.tolist() == [0, 1, 0] * 10
+    assert probed == ["v7", "v900"]
     assert unique_calls == []

@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.storage import column_store
-from repro.engine.storage.column_store import ColumnTable, numeric_probe_array
+from repro.engine.storage.column_store import ColumnTable, DictCodes, numeric_probe_array
 
 SCHEMA = [("txt", "text"), ("i", "integer"), ("f", "float"), ("b", "boolean")]
 COLUMNS = [name for name, _ in SCHEMA]
@@ -269,16 +269,37 @@ def test_postings_delete_neither_seals_nor_scans(state, monkeypatch):
 
 @pytest.mark.parametrize("state", sorted(STATES))
 def test_index_lookup_matches_scan_mask(state):
-    """Look-ups through the postings and the scan mask name the same live
-    rows for every probe list."""
+    """Look-ups through the postings name the live rows the scan mask
+    names, grouped by the sorted distinct matched values, each value's
+    positions ascending, with each hit's code into those values; the row
+    store returns the same rows in the same order."""
     table = _db("column", state, indexed=True).table("t")
+    rows = _db("row", state, indexed=True).table("t")
     for column in COLUMNS:
         for probes in PROBES[column]:
+            where = (column, probes)
+            positions, codes, matched = table.index_lookup(column, probes)
             expected = np.nonzero(table.isin_mask(column, probes))[0]
-            assert table.index_lookup(column, probes).tolist() == expected.tolist(), (
-                column,
-                probes,
-            )
+            assert sorted(positions.tolist()) == expected.tolist(), where
+            assert codes.dtype == np.int32 and len(codes) == len(positions), where
+            values = matched.tolist()
+            assert values == sorted(set(values)), where  # sorted, distinct
+            if column == "txt":
+                assert all(type(value) is str for value in values), where
+            data, null = table.column_values(column, positions)
+            assert not null.any(), where
+            assert data.tolist() == [values[code] for code in codes.tolist()], where
+            assert (np.diff(codes) >= 0).all(), where  # grouped by value
+            same = np.diff(codes) == 0
+            assert (np.diff(positions)[same] > 0).all(), where  # ascending within one
+            got = [repr(row) for row in rows.fetch(rows.index_lookup(column, probes))]
+            width = range(len(COLUMNS))
+            want = zip(*(table.column_values(COLUMNS[i], positions)[0].tolist() for i in width))
+            nulls = zip(*(table.column_values(COLUMNS[i], positions)[1].tolist() for i in width))
+            assert got == [
+                repr(tuple(None if n else v for v, n in zip(row, row_nulls)))
+                for row, row_nulls in zip(want, nulls)
+            ], where
 
 
 def test_float_probe_array_drops_values_no_float_equals():
@@ -287,3 +308,56 @@ def test_float_probe_array_drops_values_no_float_equals():
     also break its order)."""
     probes = numeric_probe_array({3.0, NAN, 1.0, 2**53 + 1, 2**53}, np.dtype(np.float64))
     assert probes.tolist() == [1.0, 3.0, float(2**53)]
+
+
+# Index-driven statements without ORDER BY: SQL fixes no order, but both
+# executors read the index scan's value-grouped order, so their rows agree.
+UNORDERED = [
+    ("SELECT * FROM t WHERE txt IN (:q)", {"q": ["y", "x", "absent", np.str_("1"), "x"]}),
+    ("SELECT txt, i FROM t WHERE i IN (:q) LIMIT 3", {"q": [3, 2, -1, 2.0]}),
+    ("SELECT b, f FROM t WHERE b IN (:q) LIMIT 2", {"q": [True, False]}),
+    ("SELECT txt, f FROM t WHERE txt IN (:q) AND i NOT IN (:n)", {"q": ["x", "y", "1", "z"], "n": [2]}),
+    ("SELECT txt, b FROM t WHERE txt IN (:q) AND i IN (:n)", {"q": ["x", "y", "1", "z"], "n": [1, 3]}),
+    (
+        "SELECT txt, COUNT(DISTINCT i), COUNT(*) FROM t WHERE txt IN (:q) GROUP BY txt",
+        {"q": ["z", "x", "1", "y"]},
+    ),
+    ("SELECT COUNT(DISTINCT txt) FROM t WHERE txt IN (:q)", {"q": ["z", "x", "1", "nope"]}),
+    (
+        "SELECT a.txt, b.txt, b.f FROM t a JOIN t b ON a.i = b.i WHERE a.txt IN (:q)",
+        {"q": ["x", "1", "y"]},
+    ),
+    (
+        "SELECT a.i, b.i, b.b FROM t a JOIN t b ON a.txt = b.txt WHERE a.i IN (:q)",
+        {"q": [2, 3, 1]},
+    ),
+]
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+@pytest.mark.parametrize("sql, params", UNORDERED)
+def test_index_scans_give_both_backends_the_same_rows(state, sql, params):
+    row = _db("row", state, indexed=True)
+    column = _db("column", state, indexed=True)
+    got = column.execute(sql, params)
+    assert got.stats.index_scans >= 1
+    assert repr(got.rows) == repr(row.execute(sql, params).rows)
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_coded_index_scan_decodes_to_the_gathered_strings(state):
+    """A coded index scan hands over ``DictCodes`` over the matched
+    values: decoded, they are the strings a gather reads, as plain
+    ``str``, for probes with duplicates, NULL, absent values and
+    ``np.str_``."""
+    column = _db("column", state, indexed=True)
+    row = _db("row", state, indexed=True)
+    sql = "SELECT txt FROM t WHERE txt IN (:q)"
+    for probes in (["x", "x", None, "absent", np.str_("y"), "1"], [np.str_("z")], [None], []):
+        coded = column.execute_columnar(sql, {"q": probes}, decode_text=False).arrays[0]
+        assert isinstance(coded[0], DictCodes), probes
+        assert not coded[1].any(), probes
+        decoded = coded[0].decode().tolist()
+        gathered = column.execute_columnar(sql, {"q": probes}).arrays[0][0].tolist()
+        assert decoded == gathered == [value for value, in row.execute(sql, {"q": probes}).rows]
+        assert all(type(value) is str for value in decoded), probes
