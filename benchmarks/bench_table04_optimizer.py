@@ -35,6 +35,7 @@ from repro.lake.generators import CorpusConfig, generate_corpus
 
 PLANS_PER_CLASS = 20
 K = 10
+ROUNDS = 5  # timed rounds per plan behind each median
 
 
 @pytest.fixture(scope="module")
@@ -78,27 +79,33 @@ def _forced_execution(first, second):
 
 
 def _measure_plan(blend, plan):
-    """Both forced orders (warm + timed) and the optimizer's decision."""
+    """Both forced orders and the optimizer's decision: a warm-up run
+    each, then ROUNDS rounds that time the three in turn, so a slow spell
+    of the machine lands on all of them; each time is the median over its
+    rounds, which one stall cannot move."""
     executor = PlanExecutor(blend.context())
-    timings = {}
-    for first, second in (("a", "b"), ("b", "a")):
-        forced = _forced_execution(first, second)
-        executor.run(plan, forced)  # warm-up
-        timings[first] = min(
-            timed(lambda: executor.run(plan, forced))[1] for _ in range(2)
-        )
+    forced = {"a": _forced_execution("a", "b"), "b": _forced_execution("b", "a")}
+
     # BLEND: optimization (``plan_for``) + execution of the chosen order,
-    # each timed on its own. Min-of-2 with warm-up suppresses
-    # GC/scheduler outliers at millisecond scale.
+    # each timed on its own.
     def optimized_run():
         execution, plan_seconds = timed(lambda: blend.plan_for(plan))
         _, run_seconds = timed(lambda: executor.run(plan, execution))
         return execution, plan_seconds, run_seconds
 
+    for order in forced.values():
+        executor.run(plan, order)  # warm-up
     optimized_run()  # warm-up
-    execution, plan_seconds, run_seconds = min(
-        (optimized_run() for _ in range(2)), key=lambda run: run[1] + run[2]
-    )
+    samples = {"a": [], "b": [], "plan": [], "exec": []}
+    for _ in range(ROUNDS):
+        for first, order in forced.items():
+            samples[first].append(timed(lambda order=order: executor.run(plan, order))[1])
+        execution, plan_seconds, run_seconds = optimized_run()
+        samples["plan"].append(plan_seconds)
+        samples["exec"].append(run_seconds)
+    median = {name: statistics.median(times) for name, times in samples.items()}
+    timings = {first: median[first] for first in forced}
+    plan_seconds, run_seconds = median["plan"], median["exec"]
     seeker_order = [n for n in execution.order if n in ("a", "b")]
     chosen_first = seeker_order[0]
     truly_first = min(timings, key=timings.get)

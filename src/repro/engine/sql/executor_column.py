@@ -3,17 +3,17 @@
 Interprets the same physical plans as :mod:`.executor_row`, but operates on
 whole columns at a time with NumPy kernels: dictionary-code membership
 scans, factorise-and-bincount aggregation, and vectorised equi-joins over
-dense key codes; a join's indexed right scan reads only its left keys' rows
-(sideways reduction: C's ``nums`` reads only the tables ``keys`` matched).
-GROUP BY keys, aggregate DISTINCT pairs and join keys are
-ranked by one helper, ``_unique``: integer keys whose value span is within
-a constant multiple of their count (table, column and row ids, dictionary
-codes, mixed-radix combined keys) are ranked through a bitmap over the
-span with no sort; wider spans and non-integer keys sort. Results leave as
-Python tuples built column by column. This executor plays the commercial
-column store's role in the paper's experiments and is what gives BLEND
-(Column) its order-of-magnitude advantage on scan-heavy seeker queries
-(Figs. 5 and 7).
+dense key codes; a join runs both sides as planned, and ORDER BY is one
+full stable sort (any LIMIT cuts above it). GROUP BY keys, aggregate
+DISTINCT pairs and join keys are ranked by one helper, ``_unique``:
+integer keys whose value span is within a constant multiple of their
+count (table, column and row ids, dictionary codes, mixed-radix combined
+keys) are ranked through a bitmap over the span with no sort; wider spans
+and non-integer keys sort. Results leave as Python tuples built column
+by column. This executor plays the commercial column store's role in the
+paper's experiments and is what gives BLEND (Column) its
+order-of-magnitude advantage on scan-heavy seeker queries (Figs. 5
+and 7).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .planner import (
     LimitNode,
     PlanNode,
     ProjectNode,
-    SargablePredicate,
     ScanNode,
     SliceColumnsNode,
     SortNode,
@@ -139,7 +138,6 @@ class ColumnExecutor:
         self._catalog = catalog
         self._params = params
         self.stats = stats if stats is not None else QueryStats()
-        self._reductions: dict[int, list] = {}  # scan id -> ``_reduce``'s predicate
 
     # -- dispatch --------------------------------------------------------------
 
@@ -185,7 +183,7 @@ class ColumnExecutor:
 
         positions: Optional[np.ndarray] = None
         hits: Optional[DictCodes] = None  # the driving text column, coded
-        remaining_sargable = self._reductions.pop(id(node), []) + node.sargable
+        remaining_sargable = list(node.sargable)
         indexed = next((p for p in remaining_sargable if table.has_index(p.column)), None)
         if indexed is not None:
             positions, codes, matched = table.index_lookup(indexed.column, indexed.values)
@@ -255,7 +253,6 @@ class ColumnExecutor:
 
     def _execute_join(self, node: JoinNode) -> Batch:
         left = self.execute(node.left)
-        self._reduce(node, left)
         right = self.execute(node.right)
 
         if not node.left_key_positions:
@@ -310,19 +307,6 @@ class ColumnExecutor:
                 combined = _concat_batches(combined, pad)
         self.stats.rows_joined += combined.length
         return combined
-
-    def _reduce(self, node: JoinNode, left: Batch) -> None:
-        """Give the right scan ``key IN (left keys)`` on its first indexed key."""
-        for position, column in node.reduce_keys:
-            if self._catalog.get(node.reduce_scan.table).has_index(column):
-                data, null = left.column(position)
-                values = decode_if_coded(data)[~null]
-                if values.dtype != object:
-                    values = _unique(values)[0]
-                if values.dtype.kind != "f" or not np.isnan(values).any():  # NaN: no index
-                    predicate = SargablePredicate(column, values.tolist())
-                    self._reductions[id(node.reduce_scan)] = [predicate]
-                return
 
     def _cross_join(self, node: JoinNode, left: Batch, right: Batch) -> Batch:
         left_idx = np.repeat(np.arange(left.length), right.length)
@@ -410,29 +394,10 @@ class ColumnExecutor:
         if any(data.dtype == object for data, _ in key_columns):
             return self._sort_fallback(batch, node)
 
-        if (
-            node.limit_hint is not None
-            and node.limit_hint < batch.length
-            and len(key_columns) == 1
-        ):
-            data, null = key_columns[0]
-            keys = _sortable(data, null, node.descending[0])
-            k = node.limit_hint
-            partition = np.argpartition(keys, k - 1)[:k]
-            order = partition[np.argsort(keys[partition], kind="stable")]
-            # argpartition breaks ties arbitrarily; refine by a stable sort
-            # of the shortlisted rows only (identical to full sort when the
-            # k-th key value is unique; ties at the boundary are arbitrary
-            # exactly as LIMIT is in SQL).
-            return batch.gather(order)
-
         lexsort_keys = []
         for (data, null), desc in zip(reversed(key_columns), reversed(node.descending)):
             lexsort_keys.append(_sortable(data, null, desc))
-        order = np.lexsort(lexsort_keys)
-        if node.limit_hint is not None and node.limit_hint < len(order):
-            order = order[: node.limit_hint]
-        return batch.gather(order)
+        return batch.gather(np.lexsort(lexsort_keys))
 
     def _sort_fallback(self, batch: Batch, node: SortNode) -> Batch:
         rows = batch.to_rows()
@@ -442,8 +407,6 @@ class ColumnExecutor:
                 indices.sort(key=lambda i, p=position: _DescendingKey(rows[i][p]))
             else:
                 indices.sort(key=lambda i, p=position: sort_key(rows[i][p]))
-        if node.limit_hint is not None:
-            indices = indices[: node.limit_hint]
         return batch.gather(np.array(indices, dtype=np.int64))
 
     def _execute_distinct(self, node: DistinctNode) -> Batch:

@@ -8,7 +8,6 @@ paper's row-store experiments.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Mapping, Optional
@@ -27,7 +26,6 @@ from .planner import (
     LimitNode,
     PlanNode,
     ProjectNode,
-    SargablePredicate,
     ScanNode,
     SliceColumnsNode,
     SortNode,
@@ -60,7 +58,6 @@ class RowExecutor:
         self._catalog = catalog
         self._params = params
         self.stats = stats if stats is not None else QueryStats()
-        self._reductions: dict[int, list] = {}  # scan id -> ``_reduce``'s predicate
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -99,7 +96,7 @@ class RowExecutor:
                 f"table {node.table!r} is not row-store backed; "
                 "use the matching executor for the database backend"
             )
-        sargable = self._reductions.pop(id(node), []) + node.sargable
+        sargable = node.sargable
         indexed = [p for p in sargable if table.has_index(p.column)]
         unindexed = [p for p in sargable if not table.has_index(p.column)]
         residual_evaluators = [
@@ -148,7 +145,6 @@ class RowExecutor:
 
     def _execute_join(self, node: JoinNode) -> list[tuple]:
         left_rows = self.execute(node.left)
-        self._reduce(node, left_rows)
         right_rows = self.execute(node.right)
         left_positions = node.left_key_positions
         right_positions = node.right_key_positions
@@ -191,15 +187,6 @@ class RowExecutor:
                 output.append(left_row + null_right)
         self.stats.rows_joined += len(output)
         return output
-
-    def _reduce(self, node: JoinNode, left_rows: list[tuple]) -> None:  # as ColumnExecutor's
-        for position, column in node.reduce_keys:
-            if self._catalog.get(node.reduce_scan.table).has_index(column):
-                values = {row[position] for row in left_rows} - {None}
-                if all(value == value for value in values):  # no index finds NaN
-                    predicate = SargablePredicate(column, list(values))
-                    self._reductions[id(node.reduce_scan)] = [predicate]
-                return
 
     # -- filter / project ---------------------------------------------------------
 
@@ -263,21 +250,10 @@ class RowExecutor:
 
     def _execute_sort(self, node: SortNode) -> list[tuple]:
         rows = self.execute(node.child)
-        positions = node.key_positions
-        descending = node.descending
-
-        if node.limit_hint is not None and len(positions) == 1 and node.limit_hint < len(rows):
-            position = positions[0]
-            if descending[0]:
-                return heapq.nsmallest(
-                    node.limit_hint, rows, key=lambda row: _descending_key(row[position])
-                )
-            return heapq.nsmallest(node.limit_hint, rows, key=lambda row: sort_key(row[position]))
-
         # Repeated stable sorts, least-significant key first.
-        for position, desc in reversed(list(zip(positions, descending))):
+        for position, desc in reversed(list(zip(node.key_positions, node.descending))):
             if desc:
-                rows = sorted(rows, key=lambda row, p=position: _descending_key(row[p]))
+                rows = sorted(rows, key=lambda row, p=position: _DescendingKey(row[p]))
             else:
                 rows = sorted(rows, key=lambda row, p=position: sort_key(row[p]))
         return rows
@@ -459,10 +435,3 @@ class _DescendingKey:
         if self.is_null != other.is_null:
             return other.is_null  # non-null sorts first in DESC too
         return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _DescendingKey) and self.key == other.key
-
-
-def _descending_key(value: Any) -> _DescendingKey:
-    return _DescendingKey(value)

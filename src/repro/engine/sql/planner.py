@@ -116,9 +116,7 @@ class SubqueryNode(PlanNode):
 
 @dataclass
 class JoinNode(PlanNode):
-    """Equi-join. ``reduce_scan`` is the scan the right side passes through,
-    ``reduce_keys`` its ``(left key position, scan column)`` pairs: executors
-    drive that scan from an index with the left side's distinct keys."""
+    """Equi-join (inner or LEFT); executors run both sides as planned."""
 
     left: PlanNode
     right: PlanNode
@@ -126,8 +124,6 @@ class JoinNode(PlanNode):
     right_key_positions: list[int]
     residual: list[ast.Node]
     join_type: str = "inner"
-    reduce_scan: Optional[ScanNode] = field(default=None, repr=False, compare=False)
-    reduce_keys: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.schema = self.left.schema.concat(self.right.schema)
@@ -169,12 +165,11 @@ class ProjectNode(PlanNode):
 
 @dataclass
 class SortNode(PlanNode):
+    """Full stable sort; a LIMIT is always a ``LimitNode`` above it."""
+
     child: PlanNode
     key_positions: list[int]
     descending: list[bool]
-    limit_hint: Optional[int] = None
-    # Parameter name behind limit_hint, for plan-cache rebinding.
-    limit_param: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.schema = self.child.schema
@@ -242,7 +237,6 @@ def plan_select(
     root = _Planner(resolver, params).plan(select)
     _prune_columns(root, set(range(len(root.schema))))
     _annotate_coded(root, [True] * len(root.schema))
-    _annotate_reduction(root)
     return root
 
 
@@ -411,28 +405,6 @@ def _annotate_coded(node: PlanNode, safe: list[bool]) -> None:
         _annotate_coded(node.child, child_safe)
         return
     raise PlanningError(f"cannot annotate coded columns of {type(node).__name__}")
-
-
-def _annotate_reduction(node: PlanNode) -> None:
-    """Mark each join whose right side is a scan seen through pass-throughs.
-    Dropping right rows no left key equals cannot change an inner/LEFT join."""
-    for child in (getattr(node, name, None) for name in ("child", "left", "right")):
-        if child is not None:
-            _annotate_reduction(child)
-    if not isinstance(node, JoinNode):
-        return
-    scan, positions = node.right, node.right_key_positions
-    while isinstance(scan, (SubqueryNode, SliceColumnsNode, ProjectNode)):
-        if isinstance(scan, ProjectNode):
-            if not all(isinstance(e, ast.ColumnRef) for e in scan.expressions):
-                return
-            refs = [scan.expressions[p] for p in positions]
-            positions = [scan.child.schema.resolve(ref.name, ref.table) for ref in refs]
-        scan = scan.child
-    if isinstance(scan, ScanNode):
-        node.reduce_scan = scan
-        keys = zip(node.left_key_positions, positions)
-        node.reduce_keys = [(left, scan.schema.columns[right][1]) for left, right in keys]
 
 
 class _Planner:
@@ -679,23 +651,20 @@ class _Planner:
                 predicate=ast.ColumnRef(name="__having"),
             )
 
-        limit_count, limit_param = self._evaluate_limit(select.limit)
         if select.order_by:
-            use_hint = not select.distinct
             node = SortNode(
                 child=node,
                 key_positions=order_positions,
                 descending=[item.descending for item in select.order_by],
-                limit_hint=limit_count if use_hint else None,
-                limit_param=limit_param if use_hint else None,
             )
 
         node = SliceColumnsNode(child=node, count=len(select_exprs), names=list(select_names))
 
         if select.distinct:
             node = DistinctNode(child=node)
-        if limit_count is not None:
-            node = LimitNode(child=node, count=limit_count, param=limit_param)
+        count, param = self._evaluate_limit(select.limit)
+        if count is not None:
+            node = LimitNode(child=node, count=count, param=param)
         return node, select_names
 
     def _expand_select_items(
@@ -770,11 +739,11 @@ class _Planner:
         constant_source = ScanNode(table="__dual__", binding="__dual__", sargable=[], residual=[])
         constant_source.schema = Schema([])
         node: PlanNode = ProjectNode(child=constant_source, expressions=expressions, names=names)
-        limit_count, limit_param = self._evaluate_limit(select.limit)
         if select.where is not None:
             node = FilterNode(child=node, predicate=select.where)
-        if limit_count is not None:
-            node = LimitNode(child=node, count=limit_count, param=limit_param)
+        count, param = self._evaluate_limit(select.limit)
+        if count is not None:
+            node = LimitNode(child=node, count=count, param=param)
         return node
 
 
@@ -833,11 +802,6 @@ def rebind_plan(node: PlanNode, params: Optional[Mapping[str, Any]]) -> None:
     if isinstance(node, LimitNode):
         if node.param is not None:
             node.count = _validate_limit(bind_parameter(params, node.param))
-        rebind_plan(node.child, params)
-        return
-    if isinstance(node, SortNode):
-        if node.limit_param is not None:
-            node.limit_hint = _validate_limit(bind_parameter(params, node.limit_param))
         rebind_plan(node.child, params)
         return
     child = getattr(node, "child", None)

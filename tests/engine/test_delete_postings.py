@@ -312,12 +312,16 @@ def test_float_probe_array_drops_values_no_float_equals():
 
 # Index-driven statements without ORDER BY: SQL fixes no order, but both
 # executors read the index scan's value-grouped order, so their rows agree.
-UNORDERED = [
+# A single-key ORDER BY ... LIMIT is one full stable sort on both backends,
+# so rows tied on the key keep that scan order up to the cut. A list of
+# bindings runs in turn, the later ones through the plan cache.
+STATEMENTS = [
     ("SELECT * FROM t WHERE txt IN (:q)", {"q": ["y", "x", "absent", np.str_("1"), "x"]}),
     ("SELECT txt, i FROM t WHERE i IN (:q) LIMIT 3", {"q": [3, 2, -1, 2.0]}),
     ("SELECT b, f FROM t WHERE b IN (:q) LIMIT 2", {"q": [True, False]}),
     ("SELECT txt, f FROM t WHERE txt IN (:q) AND i NOT IN (:n)", {"q": ["x", "y", "1", "z"], "n": [2]}),
     ("SELECT txt, b FROM t WHERE txt IN (:q) AND i IN (:n)", {"q": ["x", "y", "1", "z"], "n": [1, 3]}),
+    ("SELECT txt, b FROM t WHERE i IN (:n) AND txt IN (:q)", {"q": ["x", "y", "1", "z"], "n": [1, 3]}),
     (
         "SELECT txt, COUNT(DISTINCT i), COUNT(*) FROM t WHERE txt IN (:q) GROUP BY txt",
         {"q": ["z", "x", "1", "y"]},
@@ -331,17 +335,30 @@ UNORDERED = [
         "SELECT a.i, b.i, b.b FROM t a JOIN t b ON a.txt = b.txt WHERE a.i IN (:q)",
         {"q": [2, 3, 1]},
     ),
+    ("SELECT txt, i, f FROM t WHERE txt IN (:q) ORDER BY i LIMIT 4", {"q": ["x", "y", "1", "z"]}),
+    ("SELECT txt, i, b FROM t WHERE txt IN (:q) ORDER BY i DESC LIMIT 3", {"q": ["x", "y", "1"]}),
+    ("SELECT i, txt FROM t WHERE i IN (:q) ORDER BY txt DESC LIMIT 3", {"q": [1, 2, 3, -1]}),
+    (
+        "SELECT txt, i FROM t WHERE b IN (:q) ORDER BY i DESC LIMIT :k",
+        [{"q": [True, False], "k": 2}, {"q": [True, False], "k": 5}, {"q": [True], "k": 1}],
+    ),
+    ("SELECT txt, i, f FROM t ORDER BY txt LIMIT 5", {}),
+    ("SELECT i, b FROM t ORDER BY i LIMIT 4", {}),
 ]
 
 
 @pytest.mark.parametrize("state", sorted(STATES))
-@pytest.mark.parametrize("sql, params", UNORDERED)
-def test_index_scans_give_both_backends_the_same_rows(state, sql, params):
+@pytest.mark.parametrize("sql, bindings", STATEMENTS)
+def test_index_scans_give_both_backends_the_same_rows(state, sql, bindings):
     row = _db("row", state, indexed=True)
     column = _db("column", state, indexed=True)
-    got = column.execute(sql, params)
-    assert got.stats.index_scans >= 1
-    assert repr(got.rows) == repr(row.execute(sql, params).rows)
+    for run, params in enumerate(bindings if isinstance(bindings, list) else [bindings]):
+        got = column.execute(sql, params)
+        assert got.stats.plan_cache_hit == (run > 0)
+        # The WHERE drives one index scan; a join's right side and a
+        # statement without WHERE scan the table.
+        assert got.stats.index_scans == (" WHERE " in sql)
+        assert repr(got.rows) == repr(row.execute(sql, params).rows), params
 
 
 @pytest.mark.parametrize("state", sorted(STATES))
